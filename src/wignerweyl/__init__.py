@@ -56,7 +56,6 @@ _EXPORTS = {
     "euler_rotation": ".rotations",
     "expi_hermitian": ".rotations",
     "hw_displacement": ".rotations",
-    "rotation_at": ".rotations",
     "dump_matrix": ".serialize",
     "load_matrix": ".serialize",
     "matrix_from_json": ".serialize",
@@ -69,13 +68,12 @@ _EXPORTS = {
     "RandomDensity": ".states",
     "SpinCat": ".states",
     "SpinCoherent": ".states",
-    "Thermal": ".states",
+    "ThermalSpec": ".states",
     "build_state": ".states",
     "coherent_vector": ".states",
     "parse_state": ".states",
     "state_vector": ".states",
     "CrossCorrelation": ".statmech",
-    "ThermalSpec": ".statmech",
     "autocorrelation": ".statmech",
     "free_energy": ".statmech",
     "gibbs_operator": ".statmech",
@@ -99,6 +97,7 @@ _EXPORTS = {
     "reconstruct": ".transforms",
     "star_product": ".transforms",
     "symbol_at": ".transforms",
+    "symbols_at": ".transforms",
     "verify_stratonovich": ".transforms",
 }
 

@@ -781,36 +781,6 @@ def _sphere_rows(phi, theta, vals):
 _SPHERE_HEADER = ["phi", "theta", "x", "y", "value_re", "value_im", "magnitude", "phase"]
 
 
-def _hw_plot_grid(desc, radius: float, res: int):
-    """Uniform alpha-plane mesh packaged as a grid for stack evaluation.
-
-    Plot grids carry dummy unit weights; only the node coordinates matter.
-    """
-    import numpy as np
-
-    from .measures import Axis, QuadratureGrid
-
-    line = np.linspace(-radius, radius, res)
-    ones = np.ones(res)
-    axes = (
-        Axis("re", -radius, radius, line, ones.copy(), None, "plot"),
-        Axis("im", -radius, radius, line, ones.copy(), None, "plot"),
-    )
-    return QuadratureGrid(desc, "HW_PLANE", axes, 1.0 / math.pi, (2 * radius) ** 2, "plot")
-
-
-def _cp_plot_grid(desc, phi, theta):
-    import numpy as np
-
-    from .measures import Axis, QuadratureGrid
-
-    axes = (
-        Axis("phi1", 0.0, 2.0 * math.pi, phi, np.ones(len(phi)), 3, "plot"),
-        Axis("theta1", 0.0, 0.5 * math.pi, theta, np.ones(len(theta)), 2, "plot"),
-    )
-    return QuadratureGrid(desc, "CP", axes, 1.0, 1.0, "plot")
-
-
 def _preset_hw_cat(cfg: RunConfig) -> dict:
     import numpy as np
 
@@ -818,7 +788,7 @@ def _preset_hw_cat(cfg: RunConfig) -> dict:
     from .kernels import KernelSpec, parity
     from .serialize import write_csv
     from .states import HWCat, build_state
-    from .transforms import phase_function
+    from .transforms import symbols_at
 
     desc = parse_system(cfg.system) if cfg.system else HW(40)
     if not isinstance(desc, HW):
@@ -833,10 +803,9 @@ def _preset_hw_cat(cfg: RunConfig) -> dict:
     if res % 2 == 0:
         res += 1  # keep the alpha = 0 row on the mesh
     R = cfg.radius if cfg.radius else 6.0
-    grid = _hw_plot_grid(desc, R, res)
-    vals = phase_function(rho, spec, grid).values
-    coords = grid.coords()
-    xs, ys = coords[:, 0], coords[:, 1]
+    line = np.linspace(-R, R, res)
+    xs, ys = (m.reshape(-1) for m in np.meshgrid(line, line, indexing="ij"))
+    vals = symbols_at(rho, spec, np.stack([xs, ys], axis=1))
 
     value0 = complex(vals[(len(vals) - 1) // 2])
     par_diag = np.diag(parity(desc)) if side == "wigner" else np.ones(desc.n_max)
@@ -866,7 +835,7 @@ def _preset_spin_cat(cfg: RunConfig) -> dict:
     from .kernels import KernelSpec
     from .serialize import write_csv
     from .states import SpinCat, build_state
-    from .transforms import phase_function
+    from .transforms import symbols_at
 
     desc = parse_system(cfg.system) if cfg.system else SUN(2, 80)
     if not isinstance(desc, SUN) or desc.N != 2:
@@ -875,16 +844,10 @@ def _preset_spin_cat(cfg: RunConfig) -> dict:
     orientations = tuple((k * math.pi / 3.0, math.pi / 10.0) for k in range(3))
     rho = build_state(SpinCat(orientations), desc)
 
-    n_theta = cfg.grid_res if cfg.grid_res else 61
-    n_phi = 2 * n_theta - 1
-    phi_nodes = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    theta_nodes = np.linspace(0.0, 0.5 * math.pi, n_theta)
-    grid = _cp_plot_grid(desc, phi_nodes, theta_nodes)
+    phi, theta = _sphere_mesh(cfg.grid_res)
     # the Weyl slice Phi = -phi is exactly the two-angle rotation family
     spec = KernelSpec(side, desc) if side == "wigner" else KernelSpec("weyl", desc, "arecchi")
-    vals = phase_function(rho, spec, grid).values
-    coords = grid.coords()
-    phi, theta = coords[:, 0], coords[:, 1]
+    vals = symbols_at(rho, spec, np.stack([phi, theta], axis=1))
 
     result = {
         "preset": "spin-cat",
@@ -902,36 +865,24 @@ def _preset_spin_cat(cfg: RunConfig) -> dict:
 def _preset_ghz5(cfg: RunConfig, flavor: str) -> dict:
     import numpy as np
 
-    from .algebra import SUN, Composite, parse_system
+    from .algebra import SUN, Composite
     from .kernels import KernelSpec
-    from .points import CompositePoint, CPPoint, EulerPoint
     from .serialize import write_csv
     from .states import build_state, parse_state
-    from .transforms import symbol_at
+    from .transforms import symbols_at
 
     side = cfg.side or "wigner"
     if flavor == "dicke":
-        desc = SUN(2, 5)
+        desc, n_factors = SUN(2, 5), 1
     else:
-        desc = Composite(tuple(SUN(2, 1) for _ in range(5)))
+        desc, n_factors = Composite(tuple(SUN(2, 1) for _ in range(5))), 5
     rho = build_state(parse_state("ghz", desc), desc)
     spec = KernelSpec(side, desc)
 
     phi, theta = _sphere_mesh(cfg.grid_res)
-    vals = np.empty(phi.shape, dtype=np.complex128)
-    for i in range(len(phi)):
-        if isinstance(desc, SUN):
-            if side == "wigner":
-                pt = CPPoint((phi[i],), (theta[i],))
-            else:
-                pt = EulerPoint((phi[i],), (theta[i],), (-phi[i],))
-        else:
-            if side == "wigner":
-                sub = CPPoint((phi[i],), (theta[i],))
-            else:
-                sub = EulerPoint((phi[i],), (theta[i],), (-phi[i],))
-            pt = CompositePoint(tuple(sub for _ in range(5)))
-        vals[i] = symbol_at(rho, spec, pt)
+    # every factor sits at the same (phi, theta); the Weyl slice is Phi = -phi
+    row = [phi, theta] if side == "wigner" else [phi, theta, -phi]
+    vals = symbols_at(rho, spec, np.stack(row * n_factors, axis=1))
 
     result = {
         "preset": f"ghz5-{flavor}",

@@ -7,8 +7,14 @@ generalized parity operator: a Clebsch-Gordan multipole sum for SUN(2, M),
 a closed diagonal form for SUN(N, 1), and twice the Fock-space parity
 for HW.
 
-Kernel stacks over full grids are evaluated in vectorized form (one batched
-matrix product per tensor axis) and cached per (grid, kernel spec).
+Batched evaluation goes through one evaluator, ``_kernels``, over rows of
+coordinates in the grid column layout.  An SU(N) kernel is a chain of
+per-axis factors exp(i J(k) x), each evaluated once per distinct coordinate
+value and gathered onto the rows; HW kernels are evaluated elementwise and
+composite kernels are row-wise Kronecker products.  ``kernel_stack`` applies
+it to the nodes of a grid and caches the result per (grid, kernel spec);
+``transforms.symbols_at`` applies it to arbitrary coordinate tables in
+blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -307,13 +313,6 @@ def weyl_kernel_at(desc: SystemDescriptor, point: PhasePoint) -> np.ndarray:
     raise TypeError(f"not a system descriptor: {desc!r}")
 
 
-def composite_kernel_at(desc: Composite, side: str, point: CompositePoint) -> np.ndarray:
-    """Tensor-product kernel over explicit factor points."""
-    if side == WIGNER:
-        return wigner_kernel_at(desc, point)
-    return weyl_kernel_at(desc, point)
-
-
 def kernel_at(spec: KernelSpec, point: PhasePoint) -> np.ndarray:
     """Kernel of the given spec at one point."""
     if spec.rotation == "arecchi":
@@ -325,8 +324,11 @@ def kernel_at(spec: KernelSpec, point: PhasePoint) -> np.ndarray:
     return weyl_kernel_at(spec.system, point)
 
 
+
+
 # ---------------------------------------------------------------------------
-# vectorized kernel stacks over grids, cached per (grid, spec)
+# batched kernels over rows of coordinates; stacks over grids, cached per
+# (grid, kernel spec)
 
 _STACK_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKeyDictionary()
 
@@ -334,76 +336,103 @@ MAX_STACK_BYTES = 1_500_000_000
 
 
 def _axis_factor_stack(N: int, M: int, k: int, nodes: np.ndarray, sign: float = 1.0) -> np.ndarray:
-    """Stack of exp(i J(k) x) over the axis nodes: (n, d, d)."""
+    """Stack of exp(i sign J(k) x) over the axis nodes: (n, d, d)."""
     w, V = _gen_eig(N, M, k)
     phases = np.exp(1j * sign * np.outer(nodes, w))
     return (V[None, :, :] * phases[:, None, :]) @ V.conj().T
 
 
-def _indices(grid: QuadratureGrid) -> tuple[np.ndarray, ...]:
-    return np.unravel_index(np.arange(grid.n_nodes), grid.shape)
+@lru_cache(maxsize=None)
+def _factor_table(N: int, side: str, rotation: str) -> tuple[tuple[int, float, int], ...]:
+    """(generator k, sign, column) of each factor exp(i sign J(k) x_column), left to right.
+
+    Columns follow the grid layout: (phi_j, theta_j) pairs on CP^(N-1) for
+    the Wigner side and the arecchi rotation; Euler (phi_t, theta_t) pairs
+    followed by the Cartan angles Phi_c on the Weyl side.
+    """
+    if rotation == "arecchi":
+        # R(phi, theta) = e^{i J3 phi} e^{i J2 theta} e^{-i J3 phi}
+        return ((3, 1.0, 0), (2, 1.0, 1), (3, -1.0, 0))
+    if side == WIGNER:
+        pairs = [(j * j + 1, 2 * j - 2) for j in range(1, N)]
+    else:
+        pairs = [(k_theta, 2 * t - 2) for t, k_theta in euler_factor_sequence(N)]
+    table = [f for k, col in pairs for f in ((3, 1.0, col), (k, 1.0, col + 1))]
+    if side == WEYL:
+        table += [((c + 1) ** 2 - 1, 1.0, 2 * len(pairs) + c - 1) for c in range(1, N)]
+    return tuple(table)
 
 
-def _sun_weyl_stack(desc: SUN, grid: QuadratureGrid) -> np.ndarray:
+def _width(spec: KernelSpec) -> int:
+    """Coordinate columns per row for a kernel family."""
+    desc = spec.system
+    if isinstance(desc, Composite):
+        return sum(_width(KernelSpec(spec.side, f)) for f in desc.factors)
+    if isinstance(desc, HW):
+        return 2
+    return 1 + max(col for _, _, col in _factor_table(desc.N, spec.side, spec.rotation))
+
+
+def _kron(a: np.ndarray, b: np.ndarray, pairs: bool = False) -> np.ndarray:
+    """Kronecker products of two kernel stacks, row by row or over all (a, b) pairs."""
+    out = np.einsum("aij,bkl->abikjl" if pairs else "nij,nkl->nikjl", a, b)
+    d = a.shape[-1] * b.shape[-1]
+    return out.reshape(-1, d, d)
+
+
+def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
+    """Kernels at n rows of coordinates in the grid column layout: (n, d, d).
+
+    Column c of row r is ``values[c][index[c][r]]``: every column arrives as
+    its distinct values plus a per-row index into them, so each per-axis
+    factor is evaluated once per distinct value and gathered.  A tensor
+    grid has this form already (axis nodes and the unravelled node index).
+    """
+    desc = spec.system
+    width = _width(spec)
+    if len(values) != width:
+        raise ValueError(
+            f"{spec.side} kernels of {desc} take {width} coordinate columns, got {len(values)}"
+        )
+    if isinstance(desc, Composite):
+        out, at = None, 0
+        for f in desc.factors:
+            sub = KernelSpec(spec.side, f)
+            n_cols = _width(sub)
+            K = _kernels(sub, values[at: at + n_cols], index[at: at + n_cols])
+            out = K if out is None else _kron(out, K)
+            at += n_cols
+        return out
+    if isinstance(desc, HW):
+        alphas = values[0][index[0]] + 1j * values[1][index[1]]
+        if spec.side == WEYL:
+            return hw_weyl_kernel(desc.n_max, alphas)
+        return hw_wigner_kernel(desc.n_max, alphas)
     N, M = desc.N, desc.M
-    idx = _indices(grid)
     U = None
-    for ax_i, ax in enumerate(grid.axes):
-        F = _axis_factor_stack(N, M, ax.generator_k, ax.nodes)
-        gathered = F[idx[ax_i]]
-        U = gathered if U is None else U @ gathered
-    return U
-
-
-def _sun_wigner_stack(desc: SUN, grid: QuadratureGrid) -> np.ndarray:
-    N, M = desc.N, desc.M
-    idx = _indices(grid)
-    U = None
-    for ax_i, ax in enumerate(grid.axes):
-        F = _axis_factor_stack(N, M, ax.generator_k, ax.nodes)
-        gathered = F[idx[ax_i]]
-        U = gathered if U is None else U @ gathered
+    for k, sign, col in _factor_table(N, spec.side, spec.rotation):
+        F = _axis_factor_stack(N, M, k, values[col], sign)[index[col]]
+        U = F if U is None else U @ F
+    if spec.side == WEYL:
+        return U
     par = np.diag(parity(desc)).copy()
     return (U * par[None, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
 
 
-def _arecchi_stack(desc: SUN, grid: QuadratureGrid) -> np.ndarray:
-    # R(phi, theta) = e^{i J3 phi} e^{i J2 theta} e^{-i J3 phi}
-    N, M = desc.N, desc.M
-    idx = _indices(grid)
-    phi_ax, theta_ax = grid.axes[0], grid.axes[1]
-    F_phi = _axis_factor_stack(N, M, 3, phi_ax.nodes)
-    F_phi_inv = _axis_factor_stack(N, M, 3, phi_ax.nodes, sign=-1.0)
-    F_th = _axis_factor_stack(N, M, 2, theta_ax.nodes)
-    return F_phi[idx[0]] @ F_th[idx[1]] @ F_phi_inv[idx[0]]
-
-
-def _hw_stack(desc: HW, grid: QuadratureGrid, side: str) -> np.ndarray:
-    coords = grid.coords()
-    alphas = coords[:, 0] + 1j * coords[:, 1]
-    if side == WEYL:
-        return hw_weyl_kernel(desc.n_max, alphas)
-    return hw_wigner_kernel(desc.n_max, alphas)
-
-
-def _product_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    desc: Composite = spec.system
-    subs = []
-    for f_desc, f_grid in zip(desc.factors, grid.factors):
-        subs.append(kernel_stack(KernelSpec(spec.side, f_desc, spec.rotation), f_grid))
-    out = subs[0]
-    for nxt in subs[1:]:
-        na, da = out.shape[0], out.shape[1]
-        nb, db = nxt.shape[0], nxt.shape[1]
-        out = np.einsum("aij,bkl->abikjl", out, nxt).reshape(na * nb, da * db, da * db)
-    return out
+def _grid_manifold(spec: KernelSpec) -> str:
+    if isinstance(spec.system, Composite):
+        return "PRODUCT"
+    if isinstance(spec.system, HW):
+        return "HW_PLANE"
+    return "SUN" if spec.side == WEYL and spec.rotation == "euler" else "CP"
 
 
 def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
     """All kernels on a grid as a read-only (n_nodes, d, d) array, cached.
 
     The cache is keyed by grid identity and kernel spec; entries are
-    write-once, so concurrent readers are safe.
+    write-once, so concurrent readers are safe.  Product grids combine the
+    cached factor stacks.
     """
     if spec.system != grid.system:
         raise ValueError(f"kernel system {spec.system} does not match grid system {grid.system}")
@@ -414,28 +443,24 @@ def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
     need = grid.n_nodes * d * d * 16
     if need > MAX_STACK_BYTES:
         raise OverflowError(
-            f"kernel stack would need {need / 1e9:.1f} GB; use slice evaluation instead"
+            f"kernel stack would need {need / 1e9:.1f} GB; evaluate symbols in "
+            "blocks with symbols_at(A, spec, grid.coords()) instead"
         )
-    if isinstance(spec.system, Composite):
-        if grid.manifold != "PRODUCT":
-            raise ValueError("composite systems need a product grid")
-        stack = _product_stack(spec, grid)
-    elif isinstance(spec.system, HW):
-        if grid.manifold != "HW_PLANE":
-            raise ValueError("HW systems need an hw_grid")
-        stack = _hw_stack(spec.system, grid, spec.side)
-    elif spec.rotation == "arecchi":
-        if grid.manifold != "CP":
-            raise ValueError("arecchi kernels live on the two-angle (CP) grid")
-        stack = _arecchi_stack(spec.system, grid)
-    elif spec.side == WEYL:
-        if grid.manifold != "SUN":
-            raise ValueError("SUN Weyl kernels need a sun_grid")
-        stack = _sun_weyl_stack(spec.system, grid)
+    want = _grid_manifold(spec)
+    if grid.manifold != want:
+        raise ValueError(
+            f"{spec.side} kernels of {spec.system} ({spec.rotation}) live on a "
+            f"{want} grid, got a {grid.manifold} grid"
+        )
+    if want == "PRODUCT":
+        subs = [kernel_stack(KernelSpec(spec.side, f), g)
+                for f, g in zip(spec.system.factors, grid.factors)]
+        stack = subs[0]
+        for sub in subs[1:]:
+            stack = _kron(stack, sub, pairs=True)
     else:
-        if grid.manifold != "CP":
-            raise ValueError("SUN Wigner kernels need a cp_grid")
-        stack = _sun_wigner_stack(spec.system, grid)
+        index = np.unravel_index(np.arange(grid.n_nodes), grid.shape)
+        stack = _kernels(spec, [ax.nodes for ax in grid.axes], index)
     stack.flags.writeable = False
     per_grid[spec] = stack
     return stack

@@ -42,7 +42,6 @@ class Axis:
     hi: float
     nodes: np.ndarray
     weights: np.ndarray
-    generator_k: int | None = None
     kind: str = "gauss"
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ class QuadratureGrid:
         if self.n_nodes > MAX_NODES:
             raise OverflowError(
                 f"grid holds {self.n_nodes} nodes (limit {MAX_NODES}); "
-                "lower the resolution or use slice evaluation"
+                "lower the resolution"
             )
 
     def weights(self) -> np.ndarray:
@@ -172,7 +171,7 @@ def _trig_basis(x: np.ndarray, pos_freqs) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _uniform_axis(name, lo, hi, freqs, n_floor, gen_k) -> Axis:
+def _uniform_axis(name, lo, hi, freqs, n_floor) -> Axis:
     """Uniform rule on a full period of every frequency in the set."""
     L = hi - lo
     indices = []
@@ -184,10 +183,10 @@ def _uniform_axis(name, lo, hi, freqs, n_floor, gen_k) -> Axis:
     n = max(n_floor, (max(indices) + 1) if indices else 1, 2)
     nodes = lo + L * np.arange(n) / n
     weights = np.full(n, L / n)
-    return Axis(name, lo, hi, nodes, weights, gen_k, kind="uniform")
+    return Axis(name, lo, hi, nodes, weights, kind="uniform")
 
 
-def _corrected_axis(name, lo, hi, freqs, weight_fn, n_floor, gen_k) -> Axis:
+def _corrected_axis(name, lo, hi, freqs, weight_fn, n_floor) -> Axis:
     """Gauss-Legendre rule moment-corrected to be exact on the trig span."""
     pos = sorted({float(f) for f in freqs if f > 1e-12})
     L = hi - lo
@@ -207,7 +206,7 @@ def _corrected_axis(name, lo, hi, freqs, weight_fn, n_floor, gen_k) -> Axis:
         delta = A.T @ np.linalg.solve(A @ A.T, resid)
         wts = base + delta
         if wts.min() >= 0.0 and np.max(np.abs(A @ wts - moments)) < 1e-12:
-            return Axis(name, lo, hi, x, wts, gen_k, kind="gauss")
+            return Axis(name, lo, hi, x, wts, kind="gauss")
         n = n + max(2, n // 2)
     raise RuntimeError(f"could not build a positive exact rule for axis {name}")
 
@@ -291,12 +290,12 @@ def cp_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     axes = []
     for j in range(1, N):
         phi_freqs = _level_freqs(N, M, 3, "quads")
-        axes.append(_uniform_axis(f"phi{j}", 0.0, _TWO_PI, phi_freqs, floor, 3))
+        axes.append(_uniform_axis(f"phi{j}", 0.0, _TWO_PI, phi_freqs, floor))
         k_theta = j * j + 1
         th_freqs = _level_freqs(N, M, k_theta, "quads")
         axes.append(
             _corrected_axis(
-                f"theta{j}", 0.0, 0.5 * math.pi, th_freqs, _cp_theta_weight(N, j), floor, k_theta
+                f"theta{j}", 0.0, 0.5 * math.pi, th_freqs, _cp_theta_weight(N, j), floor
             )
         )
     return _finalize(desc, "CP", axes, "quads")
@@ -337,14 +336,14 @@ def sun_grid(
         hi = phi_ranges[t - 1]
         phi_freqs = _level_freqs(N, M, 3, exactness)
         if abs(hi - _TWO_PI) < 1e-12:
-            axes.append(_uniform_axis(f"phi{t}", 0.0, hi, phi_freqs, floor, 3))
+            axes.append(_uniform_axis(f"phi{t}", 0.0, hi, phi_freqs, floor))
         else:
-            axes.append(_corrected_axis(f"phi{t}", 0.0, hi, phi_freqs, None, floor, 3))
+            axes.append(_corrected_axis(f"phi{t}", 0.0, hi, phi_freqs, None, floor))
         p, q = _factor_pq(N, t)
         th_freqs = _level_freqs(N, M, k_theta, exactness)
         axes.append(
             _corrected_axis(
-                f"theta{t}", 0.0, 0.5 * math.pi, th_freqs, _sun_theta_weight(p, q), floor, k_theta
+                f"theta{t}", 0.0, 0.5 * math.pi, th_freqs, _sun_theta_weight(p, q), floor
             )
         )
     for c in range(1, N):
@@ -355,9 +354,9 @@ def sun_grid(
             abs(nu * hi / _TWO_PI - round(nu * hi / _TWO_PI)) < 1e-9 for nu in freqs
         )
         if periodic:
-            axes.append(_uniform_axis(f"Phi{c}", 0.0, hi, freqs, floor, k))
+            axes.append(_uniform_axis(f"Phi{c}", 0.0, hi, freqs, floor))
         else:
-            axes.append(_corrected_axis(f"Phi{c}", 0.0, hi, freqs, None, floor, k))
+            axes.append(_corrected_axis(f"Phi{c}", 0.0, hi, freqs, None, floor))
     return _finalize(desc, "SUN", axes, exactness)
 
 
@@ -386,7 +385,7 @@ def hw_grid(desc: HW, radius: float, resolution: int) -> QuadratureGrid:
     axes = []
     for name in ("re", "im"):
         x, w = _gauss_base(-radius, radius, resolution)
-        axes.append(Axis(name, -radius, radius, x, w, None, kind="gauss"))
+        axes.append(Axis(name, -radius, radius, x, w, kind="gauss"))
     raw = (2.0 * radius) ** 2
     return QuadratureGrid(desc, "HW_PLANE", tuple(axes), 1.0 / math.pi, raw, "hw")
 
@@ -399,9 +398,7 @@ def product_grid(grids) -> QuadratureGrid:
     axes = []
     for i, g in enumerate(grids, start=1):
         for ax in g.axes:
-            axes.append(
-                Axis(f"f{i}_{ax.name}", ax.lo, ax.hi, ax.nodes, ax.weights, ax.generator_k, ax.kind)
-            )
+            axes.append(Axis(f"f{i}_{ax.name}", ax.lo, ax.hi, ax.nodes, ax.weights, ax.kind))
     system = Composite(tuple(g.system for g in grids))
     norm = 1.0
     raw = 1.0

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import HW, SUN, SystemDescriptor, build_generators, dimension, generator
-from .points import CompositePoint, EulerPoint, HWPoint, PhasePoint
+from .algebra import HW, SUN, build_generators, dimension, generator
+from .points import EulerPoint
 
 
 def euler_factor_sequence(N: int) -> tuple[tuple[int, int], ...]:
@@ -157,23 +157,3 @@ def hw_displacement(desc: HW, alpha: complex) -> Displacement:
     defect = float(np.max(np.abs(D.conj().T @ D - np.eye(desc.n_max))))
     return Displacement(D, defect)
 
-
-def rotation_at(desc: SystemDescriptor, point: PhasePoint) -> np.ndarray:
-    """Displacement-type group element at a Weyl-side phase-space point."""
-    if isinstance(desc, HW):
-        if not isinstance(point, HWPoint):
-            raise TypeError("HW system needs an HWPoint")
-        return _hw_displacement_matrix(desc.n_max, point.alpha)
-    if isinstance(desc, SUN):
-        if not isinstance(point, EulerPoint):
-            raise TypeError("SUN Weyl side needs an EulerPoint")
-        return euler_rotation(desc, point)
-    if not isinstance(point, CompositePoint):
-        raise TypeError(f"composite system needs a CompositePoint, got {point!r}")
-    if len(point.points) != len(desc.factors):
-        raise ValueError("factor/point count mismatch")
-    out = None
-    for f, p in zip(desc.factors, point.points):
-        m = rotation_at(f, p)
-        out = m if out is None else np.kron(out, m)
-    return out

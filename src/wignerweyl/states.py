@@ -55,16 +55,22 @@ class GHZ:
 
 
 @dataclass(frozen=True)
-class Thermal:
+class ThermalSpec:
+    """A Hamiltonian with an inverse temperature: the Gibbs state exp(-beta H) / Z."""
+
     hamiltonian: np.ndarray
     beta: float
 
     def __post_init__(self):
         H = np.asarray(self.hamiltonian, dtype=np.complex128)
-        if H.ndim != 2 or H.shape[0] != H.shape[1] or not is_hermitian(H):
-            raise ValueError("thermal state needs a square Hermitian Hamiltonian")
-        if self.beta < 0:
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError("Hamiltonian must be square")
+        if not is_hermitian(H):
+            raise ValueError("Hamiltonian must be Hermitian")
+        if not (self.beta >= 0):
             raise ValueError("beta must be >= 0")
+        H = H.copy()
+        H.flags.writeable = False
         object.__setattr__(self, "hamiltonian", H)
 
 
@@ -73,7 +79,7 @@ class RandomDensity:
     seed: int
 
 
-StateSpec = Fock | Coherent | HWCat | SpinCoherent | SpinCat | GHZ | Thermal | RandomDensity
+StateSpec = Fock | Coherent | HWCat | SpinCoherent | SpinCat | GHZ | ThermalSpec | RandomDensity
 
 
 def coherent_vector(n_max: int, alpha: complex) -> np.ndarray:
@@ -146,7 +152,7 @@ def state_vector(spec: StateSpec, desc: SystemDescriptor) -> np.ndarray:
 
 def build_state(spec: StateSpec, desc: SystemDescriptor) -> np.ndarray:
     """Density matrix of the specified state on the described system."""
-    if isinstance(spec, Thermal):
+    if isinstance(spec, ThermalSpec):
         d = dimension(desc)
         H = spec.hamiltonian
         if H.shape != (d, d):

@@ -13,32 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HW, SUN, SystemDescriptor, dimension, is_hermitian
+from .algebra import HW, SUN, SystemDescriptor, dimension
 from .kernels import WEYL, WIGNER, KernelSpec
 from .measures import Axis, QuadratureGrid
 from .points import CompositePoint, EulerPoint, HWPoint, PhasePoint
 from .rotations import euler_angle_count
-from .transforms import PhaseFunction, overlap, phase_function, reconstruct, symbol_at
-
-
-@dataclass(frozen=True)
-class ThermalSpec:
-    """A Hamiltonian with an inverse temperature."""
-
-    hamiltonian: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        H = np.asarray(self.hamiltonian, dtype=np.complex128)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError("Hamiltonian must be square")
-        if not is_hermitian(H):
-            raise ValueError("Hamiltonian must be Hermitian")
-        if not (self.beta >= 0):
-            raise ValueError("beta must be >= 0")
-        H = H.copy()
-        H.flags.writeable = False
-        object.__setattr__(self, "hamiltonian", H)
+from .states import ThermalSpec
+from .transforms import (
+    PhaseFunction, overlap, phase_function, reconstruct, symbol_at, symbols_at,
+)
 
 
 def gibbs_operator(tspec: ThermalSpec) -> np.ndarray:
@@ -224,28 +207,18 @@ def autocorrelation(
     SUN axes are the Euler angles (``phi1``, ``theta1``, ..., ``Phi1``, ...);
     HW axes are ``q`` and ``p`` (alpha = (chi_q + i chi_p)/sqrt(2)).
     """
-    rho = np.asarray(rho, dtype=np.complex128)
-    spec = KernelSpec(WEYL, desc)
-    samples = np.asarray(samples, dtype=np.float64)
-    out = np.empty(samples.shape, dtype=np.complex128)
     if isinstance(desc, HW):
-        if axis not in ("q", "p"):
-            raise ValueError("HW autocorrelation axis must be 'q' or 'p'")
-        for i, s in enumerate(samples):
-            a = s / math.sqrt(2.0) if axis == "q" else 1j * s / math.sqrt(2.0)
-            out[i] = symbol_at(rho, spec, HWPoint(a))
-        return out
-    if isinstance(desc, SUN):
-        axes = weyl_axes(desc)
-        if axis not in axes:
-            raise ValueError(f"axis {axis!r} not in {axes}")
-        k = axes.index(axis)
-        coords = np.zeros(len(axes))
-        for i, s in enumerate(samples):
-            coords[k] = s
-            out[i] = symbol_at(rho, spec, _sun_point(desc, coords))
-        return out
-    raise TypeError("autocorrelation is defined for single HW or SUN factors")
+        axes, scale = ("q", "p"), math.sqrt(2.0)  # the re and im columns of the plane
+    elif isinstance(desc, SUN):
+        axes, scale = weyl_axes(desc), 1.0
+    else:
+        raise TypeError("autocorrelation is defined for single HW or SUN factors")
+    if axis not in axes:
+        raise ValueError(f"axis {axis!r} not in {axes}")
+    samples = np.asarray(samples, dtype=np.float64)
+    coords = np.zeros((len(samples), len(axes)))
+    coords[:, axes.index(axis)] = samples / scale
+    return symbols_at(rho, KernelSpec(WEYL, desc), coords)
 
 
 @dataclass
@@ -279,7 +252,7 @@ def _shifted_grid(grid: QuadratureGrid, shift: PhasePoint) -> QuadratureGrid:
             if ax.kind == "uniform":
                 span = ax.hi - ax.lo
                 nodes = ax.lo + np.mod(nodes - ax.lo, span)
-            out.append(Axis(ax.name, ax.lo, ax.hi, nodes, ax.weights, ax.generator_k, ax.kind))
+            out.append(Axis(ax.name, ax.lo, ax.hi, nodes, ax.weights, ax.kind))
         return out
 
     if grid.manifold == "PRODUCT":
@@ -297,7 +270,7 @@ def _shifted_grid(grid: QuadratureGrid, shift: PhasePoint) -> QuadratureGrid:
             for ax in sub_axes:
                 new_axes.append(
                     Axis(grid.axes[len(new_axes)].name, ax.lo, ax.hi, ax.nodes,
-                         ax.weights, ax.generator_k, ax.kind)
+                         ax.weights, ax.kind)
                 )
         return QuadratureGrid(
             grid.system, "PRODUCT", tuple(new_axes), grid.normalization,

@@ -1,6 +1,7 @@
 """Invertible phase-space transforms, star products, and dynamics.
 
-The forward map sends an operator to its symbol on a grid; reconstruction
+The forward map sends an operator to its symbol on a grid (or, through
+``symbols_at``, at the rows of any coordinate table); reconstruction
 inverts it through the dual kernel (the kernel itself on the Wigner side,
 the adjoint displacement on the Weyl side).  On grids whose quadrature is
 exact for the relevant representation frequencies, forward-then-back is
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, format_system
-from .kernels import WEYL, WIGNER, KernelSpec, kernel_at, kernel_stack, wigner_kernel_at
+from .kernels import WEYL, WIGNER, KernelSpec, _kernels, kernel_at, kernel_stack, wigner_kernel_at
 from .measures import QuadratureGrid, cp_grid, hw_grid, product_grid, sun_grid
 from .points import CompositePoint, CPPoint, EulerPoint, HWPoint, PhasePoint
 from .rotations import euler_angle_count, euler_rotation
@@ -42,20 +43,54 @@ class PhaseFunction:
         return complex(np.dot(self.grid.weights(), self.values))
 
 
-def phase_function(A: np.ndarray, spec: KernelSpec, grid: QuadratureGrid) -> PhaseFunction:
-    """Forward transform: values Tr[A K(node)] on every grid node."""
+# kernel bytes evaluated at once by symbols_at
+SYMBOL_BLOCK_BYTES = 16_000_000
+
+
+def _operator(A: np.ndarray, spec: KernelSpec) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
     d = dimension(spec.system)
     if A.shape != (d, d):
         raise ValueError(f"operator must be {d}x{d} for {spec.system}, got {A.shape}")
-    K = kernel_stack(spec, grid)
-    vals = np.einsum("nij,ji->n", K, A, optimize=True)
-    return PhaseFunction(spec, grid, vals)
+    return A
+
+
+def _traces(K: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Tr[A K_n] for every kernel of a stack."""
+    return np.einsum("nij,ji->n", K, A, optimize=True)
+
+
+def phase_function(A: np.ndarray, spec: KernelSpec, grid: QuadratureGrid) -> PhaseFunction:
+    """Forward transform: values Tr[A K(node)] on every grid node."""
+    A = _operator(A, spec)
+    return PhaseFunction(spec, grid, _traces(kernel_stack(spec, grid), A))
 
 
 def symbol_at(A: np.ndarray, spec: KernelSpec, point: PhasePoint) -> complex:
     """Forward transform at a single explicit point (no grid)."""
     return complex(np.trace(np.asarray(A, dtype=np.complex128) @ kernel_at(spec, point)))
+
+
+def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
+    """Forward transform Tr[A K(row)] at every row of a coordinate table.
+
+    ``coords`` has one row per point in the column layout of the matching
+    grid (``grid.coords()``; composite rows concatenate the factor columns).
+    Rows are evaluated in blocks of at most ``SYMBOL_BLOCK_BYTES`` of kernels,
+    so memory stays bounded whatever the table size.
+    """
+    A = _operator(A, spec)
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2:
+        raise ValueError(f"coords must be a 2-D table of rows, got shape {coords.shape}")
+    rows = max(1, SYMBOL_BLOCK_BYTES // (16 * A.shape[0] ** 2))
+    out = np.empty(len(coords), dtype=np.complex128)
+    for start in range(0, len(coords), rows):
+        block = coords[start: start + rows]
+        columns = [np.unique(col, return_inverse=True) for col in block.T]
+        K = _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
+        out[start: start + rows] = _traces(K, A)
+    return out
 
 
 def reconstruct(f: PhaseFunction) -> np.ndarray:
@@ -64,8 +99,9 @@ def reconstruct(f: PhaseFunction) -> np.ndarray:
     wv = f.grid.weights() * f.values
     if f.spec.side == WIGNER:
         return np.einsum("n,nij->ij", wv, K, optimize=True)
-    # Weyl side reconstructs through the adjoint displacement
-    return np.einsum("n,nji->ij", wv, np.conj(K), optimize=True)
+    # Weyl side reconstructs through the adjoint displacement:
+    # sum w f K^dagger = (sum conj(w f) K)^dagger
+    return np.einsum("n,nji->ij", np.conj(wv), K, optimize=True).conj()
 
 
 def grid_roundtrip_residual(spec: KernelSpec, grid: QuadratureGrid, seed: int = 0) -> float:
@@ -180,7 +216,8 @@ def evolve(
     """Fixed-step RK4 integration of d(values)/dt = -i {{W_H, W_rho}}.
 
     The bracket is evaluated through the reconstructed operators (hbar = 1).
-    Trace drift beyond ``drift_tol`` aborts with a step-size diagnostic.
+    Drift of the reconstructed operator's trace beyond ``drift_tol`` aborts
+    with a step-size diagnostic.
     """
     _require_same_frame(f_rho, f_H)
     if dt <= 0 or t_final < 0:
@@ -188,23 +225,20 @@ def evolve(
     spec, grid = f_rho.spec, f_rho.grid
     w = grid.weights()
     Hop = reconstruct(f_H)
-    K = kernel_stack(spec, grid)
     dual_side = spec.side == WIGNER
+    # Tr[reconstruct(f)] = sum_s w_s f_s Tr[dual kernel at s]
+    tr_K = np.einsum("nii->n", kernel_stack(spec, grid))
+    trace_w = w * (tr_K if dual_side else np.conj(tr_K))
 
     def rhs(vals: np.ndarray) -> np.ndarray:
-        wv = w * vals
-        if dual_side:
-            R = np.einsum("n,nij->ij", wv, K, optimize=True)
-        else:
-            R = np.einsum("n,nji->ij", wv, np.conj(K), optimize=True)
-        C = -1j * (Hop @ R - R @ Hop)
-        return np.einsum("nij,ji->n", K, C, optimize=True)
+        R = reconstruct(PhaseFunction(spec, grid, vals))
+        return phase_function(-1j * (Hop @ R - R @ Hop), spec, grid).values
 
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, t_final):
         n_steps = int(math.ceil(t_final / dt))
     v = f_rho.values.copy()
-    trace0 = complex(np.dot(w, v))
+    trace0 = complex(np.dot(trace_w, v))
     purity0 = complex(np.sum(w * v * (v if dual_side else np.conj(v))))
     frame_every = max(1, n_steps // n_frames) if n_frames else n_steps + 1
     times = [0.0]
@@ -215,7 +249,7 @@ def evolve(
         k3 = rhs(v + 0.5 * dt * k2)
         k4 = rhs(v + dt * k3)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(complex(np.dot(w, v)) - trace0)
+        drift = abs(complex(np.dot(trace_w, v)) - trace0)
         if drift > drift_tol:
             raise RuntimeError(
                 f"trace drift {drift:.3e} at step {s} exceeds {drift_tol:.1e}; reduce dt"
@@ -224,7 +258,7 @@ def evolve(
             times.append(s * dt)
             frames.append(v.copy())
     purity1 = complex(np.sum(w * v * (v if dual_side else np.conj(v))))
-    trace_drift = abs(complex(np.dot(w, v)) - trace0)
+    trace_drift = abs(complex(np.dot(trace_w, v)) - trace0)
     purity_drift = abs(purity1 - purity0)
     return EvolveResult(
         np.asarray(times), frames, PhaseFunction(spec, grid, v), trace_drift, purity_drift

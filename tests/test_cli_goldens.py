@@ -1,0 +1,118 @@
+"""CLI outputs against goldens recorded before the batched point evaluator.
+
+Each case runs one command in-process inside a temporary directory and
+compares its JSON and CSV outputs with ``tests/goldens/<name>.json`` and
+``<name>.csv``: JSON keys and non-float values, CSV headers, row counts and
+coordinate columns must match exactly; symbol values (and the magnitude and
+phase columns derived from them) agree within 1e-12.  The goldens were
+written by running each case's command with the per-point / plot-grid
+implementation and saving stdout and the ``--out`` file under the case name.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wignerweyl.cli import main
+
+GOLDENS = Path(__file__).parent / "goldens"
+TOL = 1e-12
+
+# name -> argv; "{out}" is replaced by "<name>.csv"
+CASES = {
+    "fig_hw_cat_wigner": ["figure-data", "--preset", "hw-cat", "--system", "hw:8",
+                          "--grid-res", "9", "--radius", "3", "--side", "wigner", "--out", "{out}"],
+    "fig_hw_cat_weyl": ["figure-data", "--preset", "hw-cat", "--system", "hw:8",
+                        "--grid-res", "9", "--radius", "3", "--side", "weyl", "--out", "{out}"],
+    "fig_spin_cat_wigner": ["figure-data", "--preset", "spin-cat", "--system", "su:2:3",
+                            "--grid-res", "5", "--side", "wigner", "--out", "{out}"],
+    "fig_spin_cat_weyl": ["figure-data", "--preset", "spin-cat", "--system", "su:2:3",
+                          "--grid-res", "5", "--side", "weyl", "--out", "{out}"],
+    "fig_ghz5_dicke_wigner": ["figure-data", "--preset", "ghz5-dicke", "--grid-res", "5",
+                              "--side", "wigner", "--out", "{out}"],
+    "fig_ghz5_dicke_weyl": ["figure-data", "--preset", "ghz5-dicke", "--grid-res", "5",
+                            "--side", "weyl", "--out", "{out}"],
+    "fig_ghz5_equal_wigner": ["figure-data", "--preset", "ghz5-equal-angle", "--grid-res", "5",
+                              "--side", "wigner", "--out", "{out}"],
+    "fig_ghz5_equal_weyl": ["figure-data", "--preset", "ghz5-equal-angle", "--grid-res", "5",
+                            "--side", "weyl", "--out", "{out}"],
+    "autocorr_hw_q": ["autocorr", "--system", "hw:8", "--state", "coherent:0.5+0.3j",
+                      "--axis", "q", "--samples=-1.5:1.5:7", "--out", "{out}"],
+    "autocorr_hw_p": ["autocorr", "--system", "hw:8", "--state", "coherent:0.5+0.3j",
+                      "--axis", "p", "--samples=-1.5:1.5:7"],
+    "autocorr_su_phi1": ["autocorr", "--system", "su:2:2", "--state", "spincoherent:0.3,0.8",
+                         "--axis", "Phi1", "--samples", "0:1.5:7"],
+    "wigner_su21": ["wigner", "--system", "su:2:1", "--state", "spincoherent:0.3,0.5",
+                    "--out", "{out}"],
+    "weyl_su21": ["weyl", "--system", "su:2:1", "--state", "random:3", "--out", "{out}"],
+    "wigner_hw4": ["wigner", "--system", "hw:4", "--state", "coherent:0.3-0.2j",
+                   "--grid-res", "10", "--radius", "3", "--out", "{out}"],
+    "weyl_hw4": ["weyl", "--system", "hw:4", "--state", "fock:1",
+                 "--grid-res", "10", "--radius", "4", "--out", "{out}"],
+    "wigner_su21_hw3": ["wigner", "--system", "su:2:1*hw:3", "--state", "random:5",
+                        "--grid-res", "2", "--radius", "2.5", "--out", "{out}"],
+    "weyl_su21_hw3": ["weyl", "--system", "su:2:1*hw:3", "--state", "random:5",
+                      "--grid-res", "2", "--radius", "2.5", "--out", "{out}"],
+}
+
+# CSV columns holding symbol values; every other column is a coordinate or weight
+_VALUE_COLUMNS = {"value_re", "value_im", "magnitude", "phase"}
+
+
+def _assert_json_close(got, want, where="$"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), f"keys differ at {where}"
+        for key in want:
+            _assert_json_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"length differs at {where}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_json_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, (int, float)), f"type differs at {where}"
+        assert abs(got - want) <= TOL * max(1.0, abs(want)), f"{where}: {got!r} vs {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} vs {want!r}"
+
+
+def _read_csv(path):
+    lines = Path(path).read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _assert_csv_close(got_path, want_path):
+    got_head, got_rows = _read_csv(got_path)
+    want_head, want_rows = _read_csv(want_path)
+    assert got_head == want_head
+    assert len(got_rows) == len(want_rows)
+    got = np.asarray(got_rows)
+    want = np.asarray(want_rows)
+    for j, name in enumerate(want_head):
+        if name not in _VALUE_COLUMNS:
+            assert np.array_equal(got[:, j], want[:, j]), f"column {name} differs"
+        elif name != "phase":
+            g, w = got[:, j].astype(float), want[:, j].astype(float)
+            assert np.all(np.abs(g - w) <= TOL * np.maximum(1.0, np.abs(w))), name
+    if "phase" in want_head:
+        # compare phases through the values they encode: the angle of a
+        # value on the negative real axis may flip between +pi and -pi
+        m, p = want_head.index("magnitude"), want_head.index("phase")
+        g = got[:, m].astype(float) * np.exp(1j * got[:, p].astype(float))
+        w = want[:, m].astype(float) * np.exp(1j * want[:, p].astype(float))
+        assert np.all(np.abs(g - w) <= TOL * np.maximum(1.0, np.abs(w))), "phase"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = f"{name}.csv"
+    argv = [out if a == "{out}" else a for a in CASES[name]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    want = json.loads((GOLDENS / f"{name}.json").read_text())
+    _assert_json_close(json.loads(captured.out), want)
+    if "{out}" in CASES[name]:
+        _assert_csv_close(tmp_path / out, GOLDENS / out)

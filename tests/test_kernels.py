@@ -1,6 +1,7 @@
 """Kernels: Clebsch-Gordan values, parity operators, displacement elements."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wignerweyl import (
     diagonal_generator,
     dimension,
     euler_rotation,
+    format_system,
     hw_displacement,
     hw_grid,
     kernel_at,
@@ -29,7 +31,7 @@ from wignerweyl import (
     weyl_kernel_at,
     wigner_kernel_at,
 )
-from wignerweyl.kernels import hw_weyl_kernel, hw_wigner_kernel
+from wignerweyl.kernels import _kernels, hw_weyl_kernel, hw_wigner_kernel
 
 _R2, _R3, _R6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 
@@ -254,6 +256,11 @@ def test_composite_kernel_is_kron():
     K = wigner_kernel_at(desc, CompositePoint((p1, p2)))
     oracle = np.kron(wigner_kernel_at(SUN(2, 1), p1), wigner_kernel_at(SUN(2, 1), p2))
     assert np.max(np.abs(K - oracle)) < 1e-14
+    # Weyl side: Euler rotation (x) block-restricted displacement
+    pt, a = EulerPoint((0.3,), (0.4,), (0.5,)), 0.6 - 0.2j
+    K = weyl_kernel_at(Composite((SUN(2, 1), HW(4))), CompositePoint((pt, HWPoint(a))))
+    oracle = np.kron(euler_rotation(SUN(2, 1), pt), hw_weyl_kernel(4, a))
+    assert np.max(np.abs(K - oracle)) < 1e-14
 
 
 def test_kernel_spec_validation():
@@ -289,6 +296,107 @@ def test_kernel_stack_byte_guard():
     grid = hw_grid(HW(64), 8.0, 160)  # 25600 nodes x 64^2 complex > 1.5 GB
     with pytest.raises(OverflowError):
         kernel_stack(KernelSpec("weyl", HW(64)), grid)
+
+
+def test_guard_messages_name_existing_apis():
+    import wignerweyl
+    from wignerweyl import QuadratureGrid, sun_grid
+
+    messages = []
+    with pytest.raises(OverflowError) as err:
+        kernel_stack(KernelSpec("weyl", HW(64)), hw_grid(HW(64), 8.0, 160))
+    messages.append(str(err.value))
+    with pytest.raises(OverflowError) as err:
+        sun_grid(SUN(4, 1)).weights()  # beyond the node ceiling
+    messages.append(str(err.value))
+    named = [name for msg in messages for name in re.findall(r"(\w+)\(", msg)]
+    assert "symbols_at" in named
+    for name in named:
+        assert hasattr(wignerweyl, name) or hasattr(QuadratureGrid, name), name
+    assert not any("slice evaluation" in msg for msg in messages)
+
+
+# ---------------------------------------------------------------------------
+# the batched evaluator against the per-point oracle
+
+_ANGLE_HI = {"phi": 2.0 * math.pi, "theta": 0.5 * math.pi, "Phi": 2.0 * math.pi}
+
+BATCH_SPECS = [
+    KernelSpec("wigner", SUN(2, 3)),
+    KernelSpec("weyl", SUN(2, 3)),
+    KernelSpec("weyl", SUN(2, 2), "arecchi"),
+    KernelSpec("wigner", SUN(3, 1)),
+    KernelSpec("weyl", SUN(3, 1)),
+    KernelSpec("wigner", SUN(4, 1)),
+    KernelSpec("wigner", HW(5)),
+    KernelSpec("weyl", HW(5)),
+    KernelSpec("wigner", Composite((SUN(2, 1), SUN(2, 2)))),
+    KernelSpec("weyl", Composite((SUN(2, 1), SUN(2, 2)))),
+    KernelSpec("wigner", Composite((SUN(2, 1), HW(3)))),
+    KernelSpec("weyl", Composite((SUN(2, 1), HW(3)))),
+]
+
+
+def _column_kinds(spec):
+    """Coordinate kind of each row column: 'alpha', 'phi', 'theta' or 'Phi'."""
+    desc = spec.system
+    if isinstance(desc, Composite):
+        return [k for f in desc.factors for k in _column_kinds(KernelSpec(spec.side, f))]
+    if isinstance(desc, HW):
+        return ["alpha", "alpha"]
+    if spec.side == "wigner" or spec.rotation == "arecchi":
+        return ["phi", "theta"] * (1 if spec.rotation == "arecchi" else desc.N - 1)
+    n_pairs = desc.N * (desc.N - 1) // 2
+    return ["phi", "theta"] * n_pairs + ["Phi"] * (desc.N - 1)
+
+
+def _row_point(spec, row):
+    desc = spec.system
+    if isinstance(desc, Composite):
+        points, at = [], 0
+        for f in desc.factors:
+            sub = KernelSpec(spec.side, f)
+            n = len(_column_kinds(sub))
+            points.append(_row_point(sub, row[at: at + n]))
+            at += n
+        return CompositePoint(points)
+    if isinstance(desc, HW):
+        return HWPoint(complex(row[0], row[1]))
+    if spec.side == "wigner" or spec.rotation == "arecchi":
+        return CPPoint(tuple(row[0::2]), tuple(row[1::2]))
+    n = desc.N * (desc.N - 1)
+    return EulerPoint(tuple(row[0:n:2]), tuple(row[1:n:2]), tuple(row[n:]))
+
+
+@pytest.mark.parametrize(
+    "spec", BATCH_SPECS,
+    ids=lambda s: f"{s.side}-{format_system(s.system)}-{s.rotation}",
+)
+@settings(max_examples=15, deadline=None)
+@given(n_rows=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), repeat=st.floats(0.0, 1.0))
+def test_batched_kernels_match_kernel_at(spec, n_rows, seed, repeat):
+    """Off-grid rows, with each coordinate repeated from a small pool at rate `repeat`."""
+    rng = np.random.default_rng(seed)
+    kinds = _column_kinds(spec)
+    rows = np.empty((n_rows, len(kinds)))
+    for c, kind in enumerate(kinds):
+        lo, hi = (-2.0, 2.0) if kind == "alpha" else (-0.5, _ANGLE_HI[kind] + 0.5)
+        pool = rng.uniform(lo, hi, 2)
+        fresh = rng.uniform(lo, hi, n_rows)
+        rows[:, c] = np.where(rng.random(n_rows) < repeat, rng.choice(pool, n_rows), fresh)
+    columns = [np.unique(col, return_inverse=True) for col in rows.T]
+    K = _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
+    d = dimension(spec.system)
+    assert K.shape == (n_rows, d, d)
+    for r in range(n_rows):
+        oracle = kernel_at(spec, _row_point(spec, rows[r]))
+        assert np.max(np.abs(K[r] - oracle)) < 1e-12
+
+
+def test_batched_kernels_reject_wrong_column_count():
+    spec = KernelSpec("weyl", SUN(2, 1))
+    with pytest.raises(ValueError):
+        _kernels(spec, [np.zeros(1)] * 2, [np.zeros(1, dtype=int)] * 2)
 
 
 def test_kernel_stack_rejects_mismatched_grid():

@@ -9,10 +9,7 @@ import scipy.linalg
 from wignerweyl import (
     HW,
     SUN,
-    Composite,
-    CompositePoint,
     EulerPoint,
-    HWPoint,
     arecchi_rotation,
     build_generators,
     coherent_vector,
@@ -21,7 +18,6 @@ from wignerweyl import (
     euler_rotation,
     expi_hermitian,
     hw_displacement,
-    rotation_at,
 )
 from wignerweyl.rotations import cartan_phase
 
@@ -173,16 +169,3 @@ def test_hw_displacement_builds_coherent_state():
     n_mean = float(np.sum(np.arange(30) * np.abs(psi) ** 2))
     assert abs(n_mean - abs(alpha) ** 2) < 1e-6
 
-
-def test_rotation_at_dispatch():
-    pt = EulerPoint((0.3,), (0.4,), (0.5,))
-    assert np.array_equal(
-        rotation_at(SUN(2, 2), pt), euler_rotation(SUN(2, 2), pt)
-    )
-    a = 0.6 - 0.2j
-    assert np.array_equal(rotation_at(HW(8), HWPoint(a)), hw_displacement(HW(8), a).matrix)
-    comp = Composite((SUN(2, 1), HW(4)))
-    cpt = CompositePoint((pt, HWPoint(a)))
-    R = rotation_at(comp, cpt)
-    oracle = np.kron(euler_rotation(SUN(2, 1), pt), hw_displacement(HW(4), a).matrix)
-    assert np.max(np.abs(R - oracle)) < 1e-14

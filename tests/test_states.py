@@ -16,7 +16,7 @@ from wignerweyl import (
     RandomDensity,
     SpinCat,
     SpinCoherent,
-    Thermal,
+    ThermalSpec,
     build_generators,
     build_state,
     coherent_vector,
@@ -43,7 +43,7 @@ def _is_density(rho, d):
         (SpinCat(((0.0, 0.2), (2.0, 0.4))), SUN(2, 4)),
         (GHZ(), SUN(2, 5)),
         (GHZ(), Composite(tuple(SUN(2, 1) for _ in range(3)))),
-        (Thermal(np.diag([0.0, 1.0, 2.0]), 0.7), SUN(2, 2)),
+        (ThermalSpec(np.diag([0.0, 1.0, 2.0]), 0.7), SUN(2, 2)),
         (RandomDensity(42), SUN(3, 1)),
         (RandomDensity(42), HW(6)),
     ],
@@ -126,22 +126,24 @@ def test_hw_cat_interference_normalization():
 
 
 def test_thermal_infinite_temperature_is_maximally_mixed():
-    rho = build_state(Thermal(np.diag([0.0, 1.0, 5.0]), 0.0), SUN(2, 2))
+    rho = build_state(ThermalSpec(np.diag([0.0, 1.0, 5.0]), 0.0), SUN(2, 2))
     assert np.max(np.abs(rho - np.eye(3) / 3.0)) < 1e-14
 
 
 def test_thermal_ground_state_limit():
-    rho = build_state(Thermal(np.diag([0.0, 1.0]), 200.0), SUN(2, 1))
+    rho = build_state(ThermalSpec(np.diag([0.0, 1.0]), 200.0), SUN(2, 1))
     assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_thermal_validation():
     with pytest.raises(ValueError):
-        Thermal(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)  # not Hermitian
+        ThermalSpec(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)  # not Hermitian
     with pytest.raises(ValueError):
-        Thermal(np.eye(2), -0.5)
+        ThermalSpec(np.eye(2), -0.5)
     with pytest.raises(ValueError):
-        build_state(Thermal(np.eye(3), 1.0), SUN(2, 1))  # wrong shape
+        ThermalSpec(np.eye(2), float("nan"))  # would build a NaN density matrix
+    with pytest.raises(ValueError):
+        build_state(ThermalSpec(np.eye(3), 1.0), SUN(2, 1))  # wrong shape
 
 
 def test_random_density_reproducible():
@@ -156,7 +158,7 @@ def test_state_vector_rejects_density_specs():
     with pytest.raises(TypeError):
         state_vector(RandomDensity(0), SUN(2, 1))
     with pytest.raises(TypeError):
-        state_vector(Thermal(np.eye(2), 1.0), SUN(2, 1))
+        state_vector(ThermalSpec(np.eye(2), 1.0), SUN(2, 1))
 
 
 def test_parse_state_grammar():

@@ -36,6 +36,9 @@ SX, SY, SZ = (np.asarray(g) for g in build_generators(2, 1))
 
 
 def test_thermal_spec_validation():
+    from wignerweyl import states, statmech
+
+    assert statmech.ThermalSpec is states.ThermalSpec  # one (H, beta) type
     with pytest.raises(ValueError):
         ThermalSpec(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
     with pytest.raises(ValueError):

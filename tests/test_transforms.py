@@ -101,6 +101,31 @@ def test_symbol_at_matches_grid_values():
         assert abs(symbol_at(A, spec, grid.point(i)) - f.values[i]) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "side,make_grid",
+    [
+        ("weyl", lambda: sun_grid(SUN(2, 2))),
+        ("wigner", lambda: cp_grid(SUN(3, 1))),
+        ("wigner", lambda: hw_grid(HW(5), 3.0, 20)),
+        ("weyl", lambda: product_grid([sun_grid(SUN(2, 1)), hw_grid(HW(3), 2.5, 8)])),
+    ],
+)
+def test_symbols_at_matches_grid_values_in_blocks(side, make_grid, monkeypatch):
+    import wignerweyl.transforms as transforms
+
+    grid = make_grid()
+    spec = KernelSpec(side, grid.system)
+    d = dimension(grid.system)
+    A = _hermitian(d, 8)
+    want = phase_function(A, spec, grid).values
+    # a budget of 97 kernels forces several blocks with a partial tail
+    monkeypatch.setattr(transforms, "SYMBOL_BLOCK_BYTES", 97 * 16 * d * d)
+    got = transforms.symbols_at(A, spec, grid.coords())
+    assert np.max(np.abs(got - want)) < 1e-12
+    with pytest.raises(ValueError):
+        transforms.symbols_at(A, spec, grid.coords()[:, 1:])
+
+
 def test_overlap_is_trace_pairing():
     desc = SUN(2, 2)
     A, B = _hermitian(3, 5), _hermitian(3, 6)
@@ -207,6 +232,24 @@ def test_evolve_spin_half_rotation():
     assert res.purity_drift < 1e-10
     assert len(res.frames) == len(res.times)
     assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(t)
+
+
+def test_evolve_weyl_side_oscillator():
+    """The trace guard measures Tr[reconstruct(f)], which the Weyl side conserves."""
+    desc = HW(12)
+    spec = KernelSpec("weyl", desc)
+    grid = default_grid(desc, "weyl")
+    a = np.diag(np.sqrt(np.arange(1, 12)), 1)
+    H = 0.3 * (a + a.T)
+    psi = np.zeros(12)
+    psi[:2] = (1.0, 0.5)
+    rho = np.outer(psi, psi) / (psi @ psi)
+    t = 0.02
+    res = evolve(phase_function(rho, spec, grid), phase_function(H, spec, grid), t, 0.01)
+    w, V = np.linalg.eigh(H)
+    U = (V * np.exp(-1j * w * t)) @ V.conj().T
+    assert np.max(np.abs(reconstruct(res.final) - U @ rho @ U.conj().T)) < 1e-10
+    assert res.trace_drift < 1e-10
 
 
 def test_evolve_validates_steps():
