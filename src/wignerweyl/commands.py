@@ -1,0 +1,573 @@
+"""Handlers behind the command table in ``cli.py``.
+
+Each handler takes the merged ``RunConfig`` and an ``Inputs`` builder and
+returns the JSON result; handlers whose ``--out`` is CSV or a frames
+directory write it themselves.  This module imports numpy, so ``cli`` loads
+it only after the BLAS thread cap is applied.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from functools import cached_property, partial
+from itertools import permutations
+
+import numpy as np
+
+from . import transforms  # its evolve and reconstruct share names with handlers here
+from .algebra import (
+    HW, SUN, Composite, build_generators, dimension, generator, parse_system,
+    trace_norm_constant,
+)
+from .kernels import WEYL, KernelSpec, kernel_at, parity
+from .measures import sun_grid
+from .points import CompositePoint, CPPoint, EulerPoint, HWPoint
+from .rotations import euler_angle_count, euler_factor_sequence
+from .serialize import load_matrix, matrix_to_json, write_csv
+from .states import HWCat, SpinCat, ThermalSpec, build_state, parse_state
+from .statmech import (
+    autocorrelation, free_energy, gibbs_operator, partition_function, partition_oracle,
+    phase_cross_correlation, thermal_mean, weyl_axes, weyl_moments,
+)
+from .transforms import (
+    PhaseFunction, _origin_point, default_grid, phase_function, symbol_at, symbols_at,
+    verify_stratonovich,
+)
+
+
+class Inputs:
+    """The system, kernel spec, grid, state and Hamiltonian of one run, built on first use."""
+
+    def __init__(self, cfg, side: str):
+        self.cfg = cfg
+        self.side = side
+
+    @cached_property
+    def desc(self):
+        return parse_system(self.cfg.system)
+
+    @cached_property
+    def spec(self) -> KernelSpec:
+        return KernelSpec(self.side, self.desc, self.cfg.rotation)
+
+    @cached_property
+    def grid(self):
+        cfg = self.cfg
+        if cfg.exactness is not None:
+            if not isinstance(self.desc, SUN) or self.side != WEYL:
+                raise ValueError("--exactness applies to the Weyl side of a single su:N:M system")
+            return sun_grid(self.desc, cfg.grid_res, cfg.exactness)
+        return default_grid(self.desc, self.side, cfg.grid_res, cfg.radius)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return build_state(parse_state(self.cfg.state, self.desc), self.desc)
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """--hamiltonian file wins; otherwise --field couples to J(1..3)."""
+        if self.cfg.hamiltonian:
+            return np.asarray(load_matrix(self.cfg.hamiltonian))
+        if self.cfg.field:
+            return _j_combination(self.desc, self.cfg.field, "--field")
+        raise ValueError("provide --field or --hamiltonian")
+
+    @cached_property
+    def thermal(self) -> ThermalSpec:
+        return ThermalSpec(self.hamiltonian, self.cfg.beta)
+
+
+def _j_combination(desc, text: str, what: str) -> np.ndarray:
+    """sum_k e_k J(k) over k = 1..3 for the components 'e1,e2,e3' in text."""
+    if not isinstance(desc, SUN):
+        raise ValueError(f"{what} needs a single su:N:M system")
+    e = [float(v) for v in text.split(",")]
+    if len(e) != 3:
+        raise ValueError(f"{what} takes three components")
+    return sum(e[i] * generator(desc.N, desc.M, i + 1) for i in range(3))
+
+
+def _parse_point(desc, side: str, text: str, rotation: str = "euler"):
+    """Coordinate grammar: per-factor comma floats, factors joined by ';'."""
+
+    def one(factor, chunk: str):
+        vals = [float(v) for v in chunk.split(",") if v.strip() != ""]
+        if isinstance(factor, HW):
+            if len(vals) != 2:
+                raise ValueError(f"HW point needs 're,im', got {chunk!r}")
+            return HWPoint(complex(vals[0], vals[1]))
+        if isinstance(factor, SUN):
+            if rotation == "arecchi" or (side == "wigner" and rotation == "euler"):
+                n = factor.N - 1
+                if rotation == "arecchi":
+                    n = 1
+                if len(vals) != 2 * n:
+                    raise ValueError(
+                        f"{factor.N=} point needs {2 * n} values (phi,theta pairs), got {len(vals)}"
+                    )
+                return CPPoint(phi=tuple(vals[0::2]), theta=tuple(vals[1::2]))
+            n_pairs, n_cartan = euler_angle_count(factor.N)
+            if len(vals) != 2 * n_pairs + n_cartan:
+                raise ValueError(
+                    f"SU({factor.N}) Euler point needs {2 * n_pairs + n_cartan} values, got {len(vals)}"
+                )
+            pair = vals[: 2 * n_pairs]
+            return EulerPoint(tuple(pair[0::2]), tuple(pair[1::2]), tuple(vals[2 * n_pairs:]))
+        raise TypeError(f"no point grammar for {factor!r}")
+
+    chunks = text.split(";")
+    if isinstance(desc, Composite):
+        if len(chunks) != len(desc.factors):
+            raise ValueError(f"{len(desc.factors)} factor points needed, got {len(chunks)}")
+        return CompositePoint(tuple(one(f, c) for f, c in zip(desc.factors, chunks)))
+    if len(chunks) != 1:
+        raise ValueError("single-factor system takes a single point chunk")
+    return one(desc, chunks[0])
+
+
+def _write_values_csv(path: str, grid, values) -> None:
+    rows = np.concatenate(
+        [grid.coords(), grid.weights()[:, None], values.real[:, None], values.imag[:, None]],
+        axis=1,
+    )
+    write_csv(path, list(grid.column_names) + ["weight", "value_re", "value_im"], rows)
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def algebra(cfg, inp: Inputs) -> dict:
+    desc = inp.desc
+    if not isinstance(desc, SUN):
+        raise ValueError("algebra dumps su:N:M generator sets")
+    gens = build_generators(desc.N, desc.M)
+    c = trace_norm_constant(desc.N, desc.M)
+    n = len(gens)
+    gram = np.array(
+        [[np.trace(gens[i] @ gens[j]).real for j in range(n)] for i in range(n)]
+    )
+    residual = float(np.max(np.abs(gram - c * np.eye(n))))
+    return {
+        "system": cfg.system,
+        "dimension": dimension(desc),
+        "generator_count": n,
+        "trace_constant": c,
+        "orthogonality_residual": residual,
+        "generators": [matrix_to_json(g) for g in gens],
+    }
+
+
+def kernel(cfg, inp: Inputs) -> dict:
+    spec = inp.spec
+    point = _parse_point(inp.desc, inp.side, cfg.point, spec.rotation)
+    K = kernel_at(spec, point)
+    hermiticity = float(np.max(np.abs(K - K.conj().T)))
+    unitarity = float(np.max(np.abs(K.conj().T @ K - np.eye(K.shape[0]))))
+    return {
+        "system": cfg.system,
+        "side": inp.side,
+        "rotation": spec.rotation,
+        "point": cfg.point,
+        "hermiticity_defect": hermiticity,
+        "unitarity_defect": unitarity,
+        "matrix": matrix_to_json(K),
+    }
+
+
+def sample(cfg, inp: Inputs) -> dict:
+    grid, rho = inp.grid, inp.rho
+    f = phase_function(rho, inp.spec, grid)
+    trace = complex(rho.trace())
+    result = {
+        "system": cfg.system,
+        "state": cfg.state,
+        "side": inp.side,
+        "n_nodes": grid.n_nodes,
+    }
+    if inp.side == "wigner":
+        # the symbol integral recovers the trace; on HW windows this residual
+        # doubles as the coverage diagnostic
+        integral = f.integral()
+        result["integral"] = integral
+        result["trace_oracle"] = trace
+        result["integral_residual"] = abs(integral - trace)
+    else:
+        origin = complex(symbol_at(rho, inp.spec, _origin_point(inp.desc)))
+        result["origin_value"] = origin
+        result["trace_oracle"] = trace
+        result["origin_residual"] = abs(origin - trace)
+    if cfg.out:
+        _write_values_csv(cfg.out, grid, f.values)
+        result["out"] = cfg.out
+    return result
+
+
+def reconstruct(cfg, inp: Inputs) -> dict:
+    spec, grid = inp.spec, inp.grid
+    data = np.loadtxt(cfg.infile, delimiter=",", skiprows=1)
+    data = np.atleast_2d(data)
+    n_ax = len(grid.column_names)
+    if data.shape != (grid.n_nodes, n_ax + 3):
+        raise ValueError(
+            f"CSV shape {data.shape} does not match a {grid.n_nodes}-node grid; "
+            "pass the same --system/--grid-res/--radius used to sample it"
+        )
+    coord_err = float(np.max(np.abs(data[:, :n_ax] - grid.coords())))
+    if coord_err > 1e-9:
+        raise ValueError(f"CSV nodes deviate from the rebuilt grid by {coord_err:.3e}")
+    values = data[:, n_ax + 1] + 1j * data[:, n_ax + 2]
+    A = transforms.reconstruct(PhaseFunction(spec, grid, values))
+    back = phase_function(A, spec, grid)
+    residual = float(np.max(np.abs(back.values - values)))
+    return {
+        "system": cfg.system,
+        "side": inp.side,
+        "n_nodes": grid.n_nodes,
+        "roundtrip_residual": residual,
+        "hermiticity_defect": float(np.max(np.abs(A - A.conj().T))),
+        "trace": complex(A.trace()),
+        "matrix": matrix_to_json(A),
+    }
+
+
+def verify(cfg, inp: Inputs) -> dict:
+    grid = None
+    if cfg.grid_res is not None or cfg.radius is not None or cfg.exactness is not None:
+        grid = inp.grid
+    report = verify_stratonovich(inp.desc, inp.side, grid=grid, rotation=cfg.rotation,
+                                 seed=cfg.seed)
+    return report.as_dict()
+
+
+def partition(cfg, inp: Inputs) -> dict:
+    z = partition_function(inp.thermal, inp.grid)
+    z_oracle = partition_oracle(inp.thermal)
+    return {
+        "system": cfg.system,
+        "beta": cfg.beta,
+        "partition_function": z,
+        "eigenvalue_oracle": z_oracle,
+        "residual": abs(z - z_oracle),
+    }
+
+
+def mean(cfg, inp: Inputs) -> dict:
+    tspec, grid = inp.thermal, inp.grid
+    text = cfg.observable or "j:3"
+    if text.startswith("j:"):
+        if not isinstance(inp.desc, SUN):
+            raise ValueError("j:<k> observables need an su:N:M system")
+        A = generator(inp.desc.N, inp.desc.M, int(text[2:]))
+    elif text.startswith("vec:"):
+        A = _j_combination(inp.desc, text[4:], "vec:")
+    elif text.startswith("file:"):
+        A = load_matrix(text[5:])
+    else:
+        raise ValueError("observable grammar: j:<k> | vec:ex,ey,ez | file:<path>")
+    value = thermal_mean(A, tspec, grid)
+    G = gibbs_operator(tspec)
+    oracle = float((np.trace(A @ G) / np.trace(G)).real)
+    return {
+        "system": cfg.system,
+        "beta": cfg.beta,
+        "observable": text,
+        "mean": value,
+        "trace_oracle": oracle,
+        "residual": abs(value - oracle),
+    }
+
+
+def freeenergy(cfg, inp: Inputs) -> dict:
+    f = free_energy(inp.thermal, inp.grid)
+    oracle = -math.log(partition_oracle(inp.thermal)) / inp.thermal.beta
+    return {
+        "system": cfg.system,
+        "beta": cfg.beta,
+        "free_energy": f,
+        "eigenvalue_oracle": oracle,
+        "residual": abs(f - oracle),
+    }
+
+
+def _ordered_moment_oracle(desc, rho, orders) -> complex:
+    """Hilbert-space value of the ordered-product moment the stencils target."""
+    if isinstance(desc, SUN):
+        d = rho.shape[0]
+        P = np.eye(d, dtype=np.complex128)
+        idx = 0
+        for _, k_theta in euler_factor_sequence(desc.N):
+            for k, m in ((3, orders[idx]), (k_theta, orders[idx + 1])):
+                P = P @ np.linalg.matrix_power(generator(desc.N, desc.M, k), m)
+            idx += 2
+        for c in range(1, desc.N):
+            k = (c + 1) ** 2 - 1
+            P = P @ np.linalg.matrix_power(generator(desc.N, desc.M, k), orders[idx])
+            idx += 1
+        return complex(np.trace(rho @ P))
+    if isinstance(desc, HW):
+        p, q = orders
+        n = desc.n_max
+        a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(np.complex128)
+        # index (p, q) targets the symmetric ordering S(a^p adag^q)
+        ops = [a] * p + [a.conj().T] * q
+        if not ops:
+            return complex(np.trace(rho))
+        acc = np.zeros((n, n), dtype=np.complex128)
+        perms = set(permutations(range(len(ops))))
+        for sigma in perms:
+            term = np.eye(n, dtype=np.complex128)
+            for i in sigma:
+                term = term @ ops[i]
+            acc += term
+        acc /= len(perms)
+        return complex(np.trace(rho @ acc))
+    raise TypeError("moment oracle needs a single HW or SUN factor")
+
+
+def moments(cfg, inp: Inputs) -> dict:
+    desc, rho = inp.desc, inp.rho
+    orders = tuple(int(v) for v in cfg.orders.split(","))
+    value = weyl_moments(rho, desc, orders, step=cfg.step)
+    oracle = _ordered_moment_oracle(desc, rho, orders)
+    return {
+        "system": cfg.system,
+        "state": cfg.state,
+        "axes": list(weyl_axes(desc)),
+        "orders": list(orders),
+        "step": cfg.step,
+        "moment": value,
+        "ordered_product_oracle": oracle,
+        "residual": abs(value - oracle),
+    }
+
+
+def autocorr(cfg, inp: Inputs) -> dict:
+    desc, rho = inp.desc, inp.rho
+    parts = cfg.samples.split(":")
+    if len(parts) != 3:
+        raise ValueError("--samples grammar is lo:hi:count")
+    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    s = np.linspace(lo, hi, count)
+    vals = autocorrelation(rho, desc, cfg.axis, s)
+    r0 = autocorrelation(rho, desc, cfg.axis, np.array([0.0]))[0]
+    result = {
+        "system": cfg.system,
+        "state": cfg.state,
+        "axis": cfg.axis,
+        "n_samples": count,
+        "r0": complex(r0),
+        "r0_trace_residual": abs(r0 - complex(np.trace(rho))),
+    }
+    if cfg.out:
+        rows = np.stack([s, vals.real, vals.imag], axis=1)
+        write_csv(cfg.out, [cfg.axis, "value_re", "value_im"], rows)
+        result["out"] = cfg.out
+    else:
+        result["values"] = [complex(v) for v in vals]
+    return result
+
+
+def crosscorr(cfg, inp: Inputs) -> dict:
+    spec, grid, rho = inp.spec, inp.grid, inp.rho
+    f = phase_function(rho, spec, grid)
+    shift = None
+    if cfg.shift is not None:
+        shift = _parse_point(inp.desc, inp.side, cfg.shift, spec.rotation)
+    cc = phase_cross_correlation(f, shift)
+    result = {
+        "system": cfg.system,
+        "state": cfg.state,
+        "side": inp.side,
+        "shift": cfg.shift if cfg.shift is not None else "zero",
+        "value": cc.value,
+        "raw_value": cc.raw_value,
+        "volume": cc.volume,
+    }
+    zero = shift is None or all(
+        float(v) == 0.0 for chunk in cfg.shift.split(";") for v in chunk.split(",")
+    )
+    if inp.side == "wigner" and zero:
+        purity = float(np.trace(rho @ rho).real)
+        oracle = purity / cc.volume
+        result["zero_shift_oracle"] = oracle
+        result["residual"] = abs(cc.value - oracle)
+    return result
+
+
+def evolve(cfg, inp: Inputs) -> dict:
+    spec, grid, rho, H = inp.spec, inp.grid, inp.rho, inp.hamiltonian
+    f_rho = phase_function(rho, spec, grid)
+    f_H = phase_function(H, spec, grid)
+    res = transforms.evolve(f_rho, f_H, cfg.t_final, cfg.dt, n_frames=cfg.frames)
+
+    # exact-propagator reference at t_final
+    w, V = np.linalg.eigh(H)
+    phases = np.exp(-1j * w * cfg.t_final)
+    U = (V * phases[None, :]) @ V.conj().T
+    rho_t = U @ rho @ U.conj().T
+    exact = phase_function(rho_t, spec, grid)
+    sup_err = float(np.max(np.abs(res.final.values - exact.values)))
+
+    result = {
+        "system": cfg.system,
+        "state": cfg.state,
+        "side": inp.side,
+        "t_final": cfg.t_final,
+        "dt": cfg.dt,
+        "trace_drift": res.trace_drift,
+        "purity_drift": res.purity_drift,
+        "propagator_sup_residual": sup_err,
+        "n_frames": len(res.frames),
+    }
+    if cfg.out:
+        os.makedirs(cfg.out, exist_ok=True)
+        for i, (t, vals) in enumerate(zip(res.times, res.frames)):
+            _write_values_csv(os.path.join(cfg.out, f"frame_{i:04d}_t{t:.6f}.csv"), grid, vals)
+        result["out"] = cfg.out
+    return result
+
+
+# ---------------------------------------------------------------------------
+# figure-data presets
+
+
+def _sphere_mesh(res: int | None):
+    """Full-sphere mesh in rotation-parameter coordinates.
+
+    theta in [0, pi/2] covers the sphere: the rotation angle doubles onto the
+    colatitude (the lowest-weight state sits at the south pole at theta = 0,
+    the equator is theta = pi/4).
+    """
+    n_theta = res if res else 61
+    n_phi = 2 * n_theta - 1
+    theta = np.linspace(0.0, 0.5 * math.pi, n_theta)
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
+    P, T = np.meshgrid(phi, theta, indexing="ij")
+    return P.reshape(-1), T.reshape(-1)
+
+
+def _stereographic(phi, theta):
+    """Riemann projection of the lower hemisphere, boundary at the equator.
+
+    In rotation-parameter coordinates the projection radius is tan(theta),
+    reaching 1 at the equator theta = pi/4; rows outside the lower
+    hemisphere carry NaN.
+    """
+    r = np.where(theta <= 0.25 * math.pi + 1e-12, np.tan(theta), np.nan)
+    return r * np.cos(phi), r * np.sin(phi)
+
+
+def _sphere_rows(phi, theta, vals):
+    x, y = _stereographic(phi, theta)
+    return np.stack(
+        [phi, theta, x, y, vals.real, vals.imag, np.abs(vals), np.angle(vals)], axis=1
+    )
+
+
+_SPHERE_HEADER = ["phi", "theta", "x", "y", "value_re", "value_im", "magnitude", "phase"]
+
+
+def _preset_hw_cat(cfg, inp: Inputs) -> dict:
+    desc = inp.desc if cfg.system else HW(40)
+    if not isinstance(desc, HW):
+        raise ValueError("hw-cat preset needs an hw:<n_max> system")
+    side = inp.side
+    spec = KernelSpec(side, desc)
+    # three coherent components of radius 3, spaced by 2 pi / 3 from alpha = -3
+    comps = tuple(-3.0 * np.exp(2j * math.pi * k / 3.0) for k in range(3))
+    rho = build_state(HWCat(comps), desc)
+
+    res = cfg.grid_res if cfg.grid_res else 161
+    if res % 2 == 0:
+        res += 1  # keep the alpha = 0 row on the mesh
+    R = cfg.radius if cfg.radius else 6.0
+    line = np.linspace(-R, R, res)
+    xs, ys = (m.reshape(-1) for m in np.meshgrid(line, line, indexing="ij"))
+    vals = symbols_at(rho, spec, np.stack([xs, ys], axis=1))
+
+    value0 = complex(vals[(len(vals) - 1) // 2])
+    par_diag = np.diag(parity(desc)) if side == "wigner" else np.ones(desc.n_max)
+    oracle0 = complex(np.sum(np.diag(rho) * par_diag))
+    result = {
+        "preset": "hw-cat",
+        "system": f"hw:{desc.n_max}",
+        "side": side,
+        "n_rows": len(vals),
+        "value_at_origin": value0,
+        "direct_trace_oracle": oracle0,
+        "origin_residual": abs(value0 - oracle0),
+    }
+    if cfg.out:
+        rows = np.stack(
+            [xs, ys, vals.real, vals.imag, np.abs(vals), np.angle(vals)], axis=1
+        )
+        write_csv(cfg.out, ["re", "im", "value_re", "value_im", "magnitude", "phase"], rows)
+        result["out"] = cfg.out
+    return result
+
+
+def _preset_spin_cat(cfg, inp: Inputs) -> dict:
+    desc = inp.desc if cfg.system else SUN(2, 80)
+    if not isinstance(desc, SUN) or desc.N != 2:
+        raise ValueError("spin-cat preset needs an su:2:M system")
+    side = inp.side
+    orientations = tuple((k * math.pi / 3.0, math.pi / 10.0) for k in range(3))
+    rho = build_state(SpinCat(orientations), desc)
+
+    phi, theta = _sphere_mesh(cfg.grid_res)
+    # the Weyl slice Phi = -phi is exactly the two-angle rotation family
+    spec = KernelSpec(side, desc) if side == "wigner" else KernelSpec("weyl", desc, "arecchi")
+    vals = symbols_at(rho, spec, np.stack([phi, theta], axis=1))
+
+    result = {
+        "preset": "spin-cat",
+        "system": f"su:2:{desc.M}",
+        "side": side,
+        "n_rows": len(vals),
+        "weyl_slice": "Phi = -phi" if side == "weyl" else None,
+    }
+    if cfg.out:
+        write_csv(cfg.out, _SPHERE_HEADER, _sphere_rows(phi, theta, vals))
+        result["out"] = cfg.out
+    return result
+
+
+def _preset_ghz5(cfg, inp: Inputs, flavor: str) -> dict:
+    side = inp.side
+    if flavor == "dicke":
+        desc, n_factors = SUN(2, 5), 1
+    else:
+        desc, n_factors = Composite(tuple(SUN(2, 1) for _ in range(5))), 5
+    rho = build_state(parse_state("ghz", desc), desc)
+    spec = KernelSpec(side, desc)
+
+    phi, theta = _sphere_mesh(cfg.grid_res)
+    # every factor sits at the same (phi, theta); the Weyl slice is Phi = -phi
+    row = [phi, theta] if side == "wigner" else [phi, theta, -phi]
+    vals = symbols_at(rho, spec, np.stack(row * n_factors, axis=1))
+
+    result = {
+        "preset": f"ghz5-{flavor}",
+        "system": "su:2:5" if flavor == "dicke" else "*".join(["su:2:1"] * 5),
+        "side": side,
+        "n_rows": len(phi),
+        "slice": "equal-angle" + (", Phi = -phi" if side == "weyl" else ""),
+    }
+    if cfg.out:
+        write_csv(cfg.out, _SPHERE_HEADER, _sphere_rows(phi, theta, vals))
+        result["out"] = cfg.out
+    return result
+
+
+PRESETS = {
+    "hw-cat": _preset_hw_cat,
+    "spin-cat": _preset_spin_cat,
+    "ghz5-dicke": partial(_preset_ghz5, flavor="dicke"),
+    "ghz5-equal-angle": partial(_preset_ghz5, flavor="equal-angle"),
+}
+
+
+def figure_data(cfg, inp: Inputs) -> dict:
+    return PRESETS[cfg.preset](cfg, inp)

@@ -5,13 +5,19 @@ and exit-code behavior go through a real subprocess.
 """
 
 import json
+import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wignerweyl.cli import RunConfig, main
+from wignerweyl.cli import COMMANDS, RunConfig, main
+from wignerweyl.serialize import dump_matrix
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def run_cli(capsys, *argv):
@@ -225,3 +231,157 @@ def test_subprocess_error_exit_code():
     assert r.returncode == 2
     payload = json.loads(r.stderr)
     assert "re,im" in payload["error"]
+
+
+def test_missing_required_option_reports_json(capsys):
+    payload = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "fock:0")
+    assert payload["error"] == "--t-final is required for evolve"
+
+
+# ---------------------------------------------------------------------------
+# the command table: accepted flags, --out, thread cap, lazy import
+
+# one successful run per command; "{goldens}" is the goldens directory and
+# "{h2}"/"{h4}" are Hamiltonian files for su:2:1 and hw:4
+BASE = {
+    "algebra": ["--system", "su:2:1"],
+    "kernel": ["--system", "su:2:1", "--point", "0.4,0.7"],
+    "wigner": ["--system", "su:2:1", "--state", "spincoherent:0.3,0.5"],
+    "weyl": ["--system", "su:2:1", "--state", "spincoherent:0.3,0.5"],
+    "reconstruct": ["--system", "su:2:1", "--infile", "{goldens}/wigner_su21.csv"],
+    "verify": ["--system", "su:2:1"],
+    "partition": ["--system", "su:2:1", "--beta", "0.7", "--field", "0.2,0.1,0.9"],
+    "mean": ["--system", "su:2:1", "--beta", "0.7", "--field", "0.2,0.1,0.9"],
+    "freeenergy": ["--system", "su:2:1", "--beta", "0.7", "--field", "0.2,0.1,0.9"],
+    "moments": ["--system", "su:2:1", "--state", "spincoherent:0.2,0.4", "--orders", "0,0,1"],
+    "autocorr": ["--system", "su:2:1", "--state", "random:7", "--axis", "theta1",
+                 "--samples", "0:1.5:7"],
+    "crosscorr": ["--system", "su:2:1", "--state", "random:4"],
+    "evolve": ["--system", "su:2:1", "--state", "spincoherent:0.1,0.6", "--field", "0,0,1",
+               "--t-final", "0.02", "--dt", "0.01"],
+    "figure-data": ["--preset", "spin-cat", "--system", "su:2:3", "--grid-res", "5"],
+}
+
+# the value each flag takes in the variant run
+FLAG_VALUE = {
+    "system": "su:2:2", "state": "random:9", "side": "weyl", "grid_res": "12",
+    "radius": "3", "exactness": "pairs", "rotation": "arecchi", "beta": "1.3",
+    "field": "0.5,0,0", "hamiltonian": "{h2}", "observable": "j:1", "point": "0.1,0.2",
+    "shift": "0.3,0.2", "axis": "phi1", "samples": "0:1:5", "orders": "0,1,0",
+    "step": "0.01", "t_final": "0.03", "dt": "0.005", "frames": "1",
+    "preset": "ghz5-dicke", "infile": "missing.csv", "out": "out", "seed": "5",
+}
+
+# arguments added to both runs where the base run would not read the flag
+_HW = ["--system", "hw:4", "--grid-res", "10"]
+_HW_STATE = [*_HW, "--state", "fock:1"]
+_HW_THERMAL = [*_HW, "--hamiltonian", "{h4}"]
+CONTEXT = {
+    ("kernel", "side"): ["--system", "hw:4", "--point", "0.3,0.2"],
+    ("wigner", "radius"): _HW_STATE,
+    # weyl prints the grid-free origin value, so the grid shows in the CSV
+    ("weyl", "grid_res"): ["--out", "f.csv"],
+    ("weyl", "radius"): [*_HW_STATE, "--out", "f.csv"],
+    ("weyl", "exactness"): ["--out", "f.csv"],
+    ("crosscorr", "radius"): _HW_STATE,
+    ("evolve", "radius"): [*_HW_STATE, "--hamiltonian", "{h4}", "--grid-res", "40"],
+    ("verify", "radius"): _HW,
+    ("partition", "radius"): _HW_THERMAL,
+    ("freeenergy", "radius"): _HW_THERMAL,
+    ("mean", "radius"): [*_HW_THERMAL, "--observable", "file:{h4}"],
+    ("reconstruct", "radius"): ["--system", "hw:4", "--side", "weyl", "--grid-res", "10",
+                                "--radius", "4", "--infile", "{goldens}/weyl_hw4.csv"],
+    ("figure-data", "radius"): ["--preset", "hw-cat", "--system", "hw:8", "--grid-res", "9",
+                                "--out", "f.csv"],
+    ("verify", "exactness"): ["--side", "weyl"],
+    ("crosscorr", "exactness"): ["--side", "weyl"],
+    ("evolve", "exactness"): ["--side", "weyl"],
+    ("reconstruct", "exactness"): ["--side", "weyl", "--infile", "{goldens}/weyl_su21.csv"],
+}
+
+_PAIRS = [(name, opt) for name, cmd in COMMANDS.items() for opt in (*cmd.options, "out")]
+
+
+def _flag(opt):
+    return "--" + opt.replace("_", "-")
+
+
+@pytest.fixture
+def run_in(tmp_path, monkeypatch, capsys):
+    """Run argv in a fresh directory; return exit code, stdout, stderr and files written."""
+    h2, h4 = tmp_path / "h2.json", tmp_path / "h4.json"
+    dump_matrix(np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.5]]), h2)
+    dump_matrix(np.diag(np.arange(4.0)) + 0.1 * np.eye(4, k=1) + 0.1 * np.eye(4, k=-1), h4)
+
+    def run(workdir, argv):
+        argv = [a.format(goldens=GOLDENS, h2=h2, h4=h4) for a in argv]
+        (tmp_path / workdir).mkdir()
+        monkeypatch.chdir(tmp_path / workdir)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        files = {str(f.relative_to(tmp_path / workdir)): f.read_bytes()
+                 for f in sorted((tmp_path / workdir).rglob("*")) if f.is_file()}
+        return code, out, err, files
+
+    return run
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_rejects_flags_it_does_not_read(command, capsys):
+    accepted = {*COMMANDS[command].options, "out", "threads"}
+    for opt in sorted({f.name for f in fields(RunConfig)} - accepted - {"command"}):
+        with pytest.raises(SystemExit) as exc:
+            main([command, _flag(opt), "1"])
+        assert exc.value.code == 2, opt
+        assert "unrecognized arguments" in capsys.readouterr().err, opt
+
+
+@pytest.mark.parametrize("command,opt", _PAIRS)
+def test_every_accepted_flag_changes_the_result(command, opt, run_in):
+    """A flag a command accepts is read: output, exit code or files differ."""
+    argv = [command, *BASE[command], *CONTEXT.get((command, opt), [])]
+    base = run_in("base", argv)
+    assert base[0] == 0, base[2]
+    assert run_in("variant", [*argv, _flag(opt), FLAG_VALUE[opt]]) != base
+
+
+@pytest.mark.parametrize(
+    "command", sorted(name for name, cmd in COMMANDS.items() if cmd.out == "json")
+)
+def test_json_out_writes_the_printed_result(command, run_in):
+    code, out, err, files = run_in("run", [command, *BASE[command], "--out", "result.json"])
+    assert code == 0, err
+    assert files == {"result.json": out.encode()}
+
+
+def _python(code, *argv, env=None):
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_threads_flag_overrides_blas_environment():
+    env = dict(os.environ, OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2")
+    r = _python(
+        "import os, sys; from wignerweyl.cli import main; code = main(sys.argv[1:]); "
+        "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'], "
+        "file=sys.stderr); sys.exit(code)",
+        "algebra", "--system", "su:2:1", "--threads", "1", env=env,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.split() == ["1", "1"]
+
+
+def test_threads_flag_fails_once_numpy_is_loaded():
+    r = _python(
+        "import sys, numpy; from wignerweyl.cli import main; sys.exit(main(sys.argv[1:]))",
+        "algebra", "--system", "su:2:1", "--threads", "1",
+    )
+    assert r.returncode == 2
+    assert "numpy is already loaded" in json.loads(r.stderr)["error"]
+
+
+def test_cli_import_and_parser_leave_numpy_unloaded():
+    r = _python("import sys, wignerweyl.cli as c; c._build_parser(); "
+                "print('numpy' in sys.modules)")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -1,12 +1,15 @@
-"""CLI outputs against goldens recorded before the batched point evaluator.
+"""CLI outputs against goldens recorded before a refactor of the code behind them.
 
 Each case runs one command in-process inside a temporary directory and
 compares its JSON and CSV outputs with ``tests/goldens/<name>.json`` and
-``<name>.csv``: JSON keys and non-float values, CSV headers, row counts and
-coordinate columns must match exactly; symbol values (and the magnitude and
-phase columns derived from them) agree within 1e-12.  The goldens were
-written by running each case's command with the per-point / plot-grid
-implementation and saving stdout and the ``--out`` file under the case name.
+``<name>.csv`` (``evolve`` frames: every file of ``<name>/``): JSON keys and
+non-float values, CSV headers, row counts and coordinate columns must match
+exactly; floats and symbol values (and the magnitude and phase columns derived
+from them) agree within 1e-12.  The goldens were written by running each
+case's command and saving stdout and the ``--out`` file(s) under the case
+name: the figure-data, autocorr, wigner and weyl cases with the per-point /
+plot-grid implementation, the other commands with the hand-built parser that
+preceded the command table.
 """
 
 import json
@@ -20,7 +23,8 @@ from wignerweyl.cli import main
 GOLDENS = Path(__file__).parent / "goldens"
 TOL = 1e-12
 
-# name -> argv; "{out}" is replaced by "<name>.csv"
+# name -> argv; "{out}" is replaced by "<name>.csv", "{frames}" by the frames
+# directory "<name>" and "{goldens}" by the goldens directory
 CASES = {
     "fig_hw_cat_wigner": ["figure-data", "--preset", "hw-cat", "--system", "hw:8",
                           "--grid-res", "9", "--radius", "3", "--side", "wigner", "--out", "{out}"],
@@ -55,6 +59,26 @@ CASES = {
                         "--grid-res", "2", "--radius", "2.5", "--out", "{out}"],
     "weyl_su21_hw3": ["weyl", "--system", "su:2:1*hw:3", "--state", "random:5",
                       "--grid-res", "2", "--radius", "2.5", "--out", "{out}"],
+    "algebra_su22": ["algebra", "--system", "su:2:2"],
+    "kernel_su21_hw3": ["kernel", "--system", "su:2:1*hw:3", "--side", "weyl",
+                        "--point", "0.4,0.7,-0.3;0.3,-0.2"],
+    "reconstruct_hw4_weyl": ["reconstruct", "--system", "hw:4", "--side", "weyl",
+                             "--grid-res", "10", "--radius", "4",
+                             "--infile", "{goldens}/weyl_hw4.csv"],
+    "verify_su21_weyl": ["verify", "--system", "su:2:1", "--side", "weyl", "--seed", "3"],
+    "partition_su22": ["partition", "--system", "su:2:2", "--beta", "0.7",
+                       "--field", "0.2,0.1,0.9"],
+    "mean_su21_vec": ["mean", "--system", "su:2:1", "--beta", "0.7", "--field", "0,0,1",
+                      "--observable", "vec:1,0,1"],
+    "freeenergy_su21": ["freeenergy", "--system", "su:2:1", "--beta", "2.0",
+                        "--field", "0,0,0.5"],
+    "moments_hw8": ["moments", "--system", "hw:8", "--state", "coherent:0.4+0.2j",
+                    "--orders", "1,1", "--step", "0.002"],
+    "crosscorr_su21_zero": ["crosscorr", "--system", "su:2:1", "--state", "random:4",
+                            "--side", "wigner", "--shift", "0,0"],
+    "evolve_su21": ["evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
+                    "--field", "0,0,1", "--t-final", "0.02", "--dt", "0.01",
+                    "--frames", "2", "--out", "{frames}"],
 }
 
 # CSV columns holding symbol values; every other column is a coordinate or weight
@@ -108,7 +132,8 @@ def _assert_csv_close(got_path, want_path):
 def test_cli_output_matches_golden(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     out = f"{name}.csv"
-    argv = [out if a == "{out}" else a for a in CASES[name]]
+    argv = [a.replace("{out}", out).replace("{frames}", name).replace("{goldens}", str(GOLDENS))
+            for a in CASES[name]]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0, captured.err
@@ -116,3 +141,8 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch, capsys):
     _assert_json_close(json.loads(captured.out), want)
     if "{out}" in CASES[name]:
         _assert_csv_close(tmp_path / out, GOLDENS / out)
+    if "{frames}" in CASES[name]:
+        want_frames = sorted(p.name for p in (GOLDENS / name).iterdir())
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == want_frames
+        for frame in want_frames:
+            _assert_csv_close(tmp_path / name / frame, GOLDENS / name / frame)
