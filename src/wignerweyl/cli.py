@@ -100,16 +100,17 @@ class Command:
     side: str | None = None  # fixed kernel side; None reads --side
 
 
-_GRID = ("grid_res", "radius", "exactness")
+_WIGNER_GRID = ("grid_res", "radius")  # Wigner-side grids have no exactness level
+_GRID = (*_WIGNER_GRID, "exactness")
 _H = ("field", "hamiltonian")
-_THERMAL = ("system", *_GRID, "beta", *_H)
+_THERMAL = ("system", *_WIGNER_GRID, "beta", *_H)
 
 COMMANDS = {
     "algebra": Command("dump the generator set of an su:N:M system", "algebra", ("system",)),
     "kernel": Command("evaluate a kernel matrix at one point", "kernel",
                       ("system", "side", "point", "rotation"), ("system", "point")),
     "wigner": Command("sample the wigner function of a state on a grid", "sample",
-                      ("system", "state", *_GRID), ("system", "state"), "csv", "wigner"),
+                      ("system", "state", *_WIGNER_GRID), ("system", "state"), "csv", "wigner"),
     "weyl": Command("sample the weyl function of a state on a grid", "sample",
                     ("system", "state", *_GRID), ("system", "state"), "csv", "weyl"),
     "reconstruct": Command("rebuild the operator from a sampled CSV", "reconstruct",

@@ -21,7 +21,7 @@ from .algebra import (
     trace_norm_constant,
 )
 from .kernels import WEYL, KernelSpec, kernel_at, parity
-from .measures import sun_grid
+from .measures import cp_grid, sun_grid
 from .points import CompositePoint, CPPoint, EulerPoint, HWPoint
 from .rotations import euler_angle_count, euler_factor_sequence
 from .serialize import load_matrix, matrix_to_json, write_csv
@@ -31,8 +31,7 @@ from .statmech import (
     phase_cross_correlation, thermal_mean, weyl_axes, weyl_moments,
 )
 from .transforms import (
-    PhaseFunction, _origin_point, default_grid, phase_function, symbol_at, symbols_at,
-    verify_stratonovich,
+    PhaseFunction, default_grid, phase_function, symbols_at, verify_stratonovich,
 )
 
 
@@ -55,9 +54,13 @@ class Inputs:
     def grid(self):
         cfg = self.cfg
         if cfg.exactness is not None:
-            if not isinstance(self.desc, SUN) or self.side != WEYL:
-                raise ValueError("--exactness applies to the Weyl side of a single su:N:M system")
+            if not isinstance(self.desc, SUN) or self.side != WEYL or self.spec.rotation != "euler":
+                raise ValueError(
+                    "--exactness applies to the Euler-Weyl side of a single su:N:M system"
+                )
             return sun_grid(self.desc, cfg.grid_res, cfg.exactness)
+        if self.spec.rotation == "arecchi":  # a two-angle family: it lives on the sphere
+            return cp_grid(self.desc, cfg.grid_res)
         return default_grid(self.desc, self.side, cfg.grid_res, cfg.radius)
 
     @cached_property
@@ -194,7 +197,7 @@ def sample(cfg, inp: Inputs) -> dict:
         result["trace_oracle"] = trace
         result["integral_residual"] = abs(integral - trace)
     else:
-        origin = complex(symbol_at(rho, inp.spec, _origin_point(inp.desc)))
+        origin = complex(symbols_at(rho, inp.spec, np.zeros((1, len(grid.axes))))[0])
         result["origin_value"] = origin
         result["trace_oracle"] = trace
         result["origin_residual"] = abs(origin - trace)
@@ -233,10 +236,7 @@ def reconstruct(cfg, inp: Inputs) -> dict:
 
 
 def verify(cfg, inp: Inputs) -> dict:
-    grid = None
-    if cfg.grid_res is not None or cfg.radius is not None or cfg.exactness is not None:
-        grid = inp.grid
-    report = verify_stratonovich(inp.desc, inp.side, grid=grid, rotation=cfg.rotation,
+    report = verify_stratonovich(inp.desc, inp.side, grid=inp.grid, rotation=cfg.rotation,
                                  seed=cfg.seed)
     return report.as_dict()
 
@@ -567,7 +567,12 @@ PRESETS = {
     "ghz5-dicke": partial(_preset_ghz5, flavor="dicke"),
     "ghz5-equal-angle": partial(_preset_ghz5, flavor="equal-angle"),
 }
+# the flags besides --side and --grid-res that each preset reads
+PRESET_READS = {"hw-cat": ("system", "radius"), "spin-cat": ("system",)}
 
 
 def figure_data(cfg, inp: Inputs) -> dict:
+    for name in ("system", "radius"):
+        if getattr(cfg, name) is not None and name not in PRESET_READS.get(cfg.preset, ()):
+            raise ValueError(f"figure-data --preset {cfg.preset} does not read --{name}")
     return PRESETS[cfg.preset](cfg, inp)

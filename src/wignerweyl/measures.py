@@ -382,10 +382,8 @@ def hw_grid(desc: HW, radius: float, resolution: int) -> QuadratureGrid:
         raise TypeError("hw_grid needs an HW descriptor")
     if radius <= 0 or resolution < 2:
         raise ValueError("need radius > 0 and resolution >= 2")
-    axes = []
-    for name in ("re", "im"):
-        x, w = _gauss_base(-radius, radius, resolution)
-        axes.append(Axis(name, -radius, radius, x, w, kind="gauss"))
+    x, w = _gauss_base(-radius, radius, resolution)  # one rule serves both axes
+    axes = [Axis(name, -radius, radius, x, w, kind="gauss") for name in ("re", "im")]
     raw = (2.0 * radius) ** 2
     return QuadratureGrid(desc, "HW_PLANE", tuple(axes), 1.0 / math.pi, raw, "hw")
 

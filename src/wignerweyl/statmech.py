@@ -9,14 +9,14 @@ these code paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import HW, SUN, SystemDescriptor, dimension
 from .kernels import WEYL, WIGNER, KernelSpec
-from .measures import Axis, QuadratureGrid
-from .points import CompositePoint, EulerPoint, HWPoint, PhasePoint
+from .measures import QuadratureGrid
+from .points import EulerPoint, HWPoint, PhasePoint, _row
 from .rotations import euler_angle_count
 from .states import ThermalSpec
 from .transforms import (
@@ -228,67 +228,32 @@ class CrossCorrelation:
     volume: float
 
 
-def _shift_for_axis(ax: Axis, shift: PhasePoint, manifold: str, offset: int) -> float:
-    if manifold == "HW_PLANE":
-        a = shift.alpha
-        return a.real if ax.name.endswith("re") else a.imag
-    name = ax.name.split("_")[-1]
-    if name.startswith("phi"):
-        return shift.phi[int(name[3:]) - 1]
-    if name.startswith("theta"):
-        return shift.theta[int(name[5:]) - 1]
-    if name.startswith("Phi"):
-        return shift.Phi[int(name[3:]) - 1]
-    raise ValueError(f"cannot shift axis {ax.name}")
-
-
-def _shifted_grid(grid: QuadratureGrid, shift: PhasePoint) -> QuadratureGrid:
-    """Same nodes and weights, coordinates offset by the shift (angles wrapped)."""
-    def axis_shift(sub: QuadratureGrid, s: PhasePoint) -> list[Axis]:
-        out = []
-        for ax in sub.axes:
-            delta = _shift_for_axis(ax, s, sub.manifold, 0)
-            nodes = ax.nodes + delta
-            if ax.kind == "uniform":
-                span = ax.hi - ax.lo
-                nodes = ax.lo + np.mod(nodes - ax.lo, span)
-            out.append(Axis(ax.name, ax.lo, ax.hi, nodes, ax.weights, ax.kind))
-        return out
-
-    if grid.manifold == "PRODUCT":
-        if not isinstance(shift, CompositePoint):
-            raise TypeError("product grids shift by CompositePoint")
-        new_axes = []
-        new_factors = []
-        for sub, s in zip(grid.factors, shift.points):
-            sub_axes = axis_shift(sub, s)
-            shifted_sub = QuadratureGrid(
-                sub.system, sub.manifold, tuple(sub_axes), sub.normalization,
-                sub.raw_volume, sub.exactness,
-            )
-            new_factors.append(shifted_sub)
-            for ax in sub_axes:
-                new_axes.append(
-                    Axis(grid.axes[len(new_axes)].name, ax.lo, ax.hi, ax.nodes,
-                         ax.weights, ax.kind)
-                )
-        return QuadratureGrid(
-            grid.system, "PRODUCT", tuple(new_axes), grid.normalization,
-            grid.raw_volume, grid.exactness, factors=tuple(new_factors),
-        )
-    axes = axis_shift(grid, shift)
-    return QuadratureGrid(
-        grid.system, grid.manifold, tuple(axes), grid.normalization,
-        grid.raw_volume, grid.exactness,
-    )
+def _shifted_grid(grid: QuadratureGrid, row) -> QuadratureGrid:
+    """Same nodes and weights, coordinates offset by the row (uniform angles wrapped)."""
+    factors = None
+    if grid.factors:
+        ends = np.cumsum([len(sub.axes) for sub in grid.factors])
+        factors = tuple(_shifted_grid(sub, row[e - len(sub.axes): e])
+                        for sub, e in zip(grid.factors, ends))
+    axes = []
+    for ax, delta in zip(grid.axes, row):
+        nodes = ax.nodes + delta
+        if ax.kind == "uniform":
+            nodes = ax.lo + np.mod(nodes - ax.lo, ax.hi - ax.lo)
+        axes.append(replace(ax, nodes=nodes))
+    return replace(grid, axes=tuple(axes), factors=factors, _coords=None)
 
 
 def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> CrossCorrelation:
     """(1/V) Int f(Omega + shift) f(Omega) dOmega, V = total normalized measure.
 
-    The shifted values are evaluated exactly through the reconstructed
-    operator on a coordinate-shifted copy of the grid (periodic angles
-    wrapped into range).  The Weyl side conjugates the unshifted factor.
+    ``shift`` is a point of the grid's manifold (``CPPoint`` on CP grids,
+    ``EulerPoint`` on SU(N) grids, ``HWPoint`` on the oscillator plane,
+    ``CompositePoint`` on product grids); its coordinates are added column
+    by column, so a point of another type or width raises ValueError.  The
+    shifted values are evaluated exactly through the reconstructed operator
+    on a coordinate-shifted copy of the grid (periodic angles wrapped into
+    range).  The Weyl side conjugates the unshifted factor.
     ``shift=None`` means zero shift; there the Wigner value is
     purity / dimension for a density operator.  ``raw_value`` is the
     unnormalized integral.
@@ -296,11 +261,8 @@ def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> Cross
     if shift is None:
         f_shift = f
     else:
-        A = reconstruct(f)
-        shifted = _shifted_grid(f.grid, shift)
-        f_shift = phase_function(
-            A, KernelSpec(f.spec.side, f.spec.system, f.spec.rotation), shifted
-        )
+        shifted = _shifted_grid(f.grid, _row(shift, f.grid))
+        f_shift = phase_function(reconstruct(f), f.spec, shifted)
     w = f.grid.weights()
     second = f.values if f.spec.side == WIGNER else np.conj(f.values)
     raw = complex(np.sum(w * f_shift.values * second))

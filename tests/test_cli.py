@@ -174,6 +174,35 @@ def test_figure_data_ghz5_rows_match(tmp_path, capsys):
     assert np.max(np.abs(va[:, 4:6] - vb[:, 4:6])) < 1e-10
 
 
+def test_verify_arecchi_reads_grid_flags(capsys):
+    """The arecchi family lives on a CP grid, which --grid-res sizes."""
+    from wignerweyl import SUN, cp_grid, verify_stratonovich
+
+    out = run_cli(capsys, "verify", "--system", "su:2:1", "--side", "weyl",
+                  "--rotation", "arecchi", "--grid-res", "4")
+    want = verify_stratonovich(SUN(2, 1), "weyl", grid=cp_grid(SUN(2, 1), 4), rotation="arecchi")
+    assert out == json.loads(json.dumps(want.as_dict()))
+    payload = run_cli_err(capsys, "verify", "--system", "su:2:1", "--side", "weyl",
+                          "--rotation", "arecchi", "--exactness", "pairs")
+    assert payload["error"].startswith("--exactness applies to the Euler-Weyl side")
+
+
+@pytest.mark.parametrize(
+    "preset,flag,value",
+    [
+        ("ghz5-dicke", "--system", "su:2:5"),
+        ("ghz5-dicke", "--radius", "3"),
+        ("ghz5-equal-angle", "--system", "su:2:1"),
+        ("ghz5-equal-angle", "--radius", "3"),
+        ("spin-cat", "--radius", "3"),
+    ],
+)
+def test_figure_data_rejects_flags_the_preset_does_not_read(preset, flag, value, capsys):
+    payload = run_cli_err(capsys, "figure-data", "--preset", preset, "--grid-res", "5",
+                          flag, value)
+    assert payload["error"] == f"figure-data --preset {preset} does not read {flag}"
+
+
 def test_config_file_then_flags_precedence(tmp_path, capsys):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({"system": "su:2:1", "beta": 0.3, "field": "0,0,1"}))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wignerweyl import (
     HW,
     SUN,
+    CompositePoint,
     CPPoint,
     EulerPoint,
     HWPoint,
@@ -20,6 +21,7 @@ from wignerweyl import (
     product_grid,
     sun_grid,
 )
+from wignerweyl.points import _row
 
 _SU21_CP = cp_grid(SUN(2, 1))
 _SU23_CP = cp_grid(SUN(2, 3))
@@ -181,6 +183,42 @@ def test_typed_points_match_coords():
     assert isinstance(pt, HWPoint)
     row = gh.coords()[5]
     assert pt.alpha == complex(row[0], row[1])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        _SU21_CP,
+        cp_grid(SUN(3, 1)),
+        sun_grid(SUN(2, 2)),
+        sun_grid(SUN(3, 1)),
+        hw_grid(HW(4), 2.0, 8),
+        product_grid((cp_grid(SUN(2, 1)), hw_grid(HW(3), 2.5, 4))),
+        product_grid((sun_grid(SUN(2, 1)), sun_grid(SUN(2, 1)))),
+    ],
+    ids=["cp21", "cp31", "sun22", "sun31", "hw", "cp21*hw", "sun21*sun21"],
+)
+def test_point_row_inverts_grid_point(grid):
+    coords = grid.coords()
+    for i in np.random.default_rng(0).integers(0, grid.n_nodes, 25):
+        assert _row(grid.point(i), grid) == tuple(coords[i])
+
+
+def test_point_row_rejects_wrong_type_or_width():
+    cp = _SU21_CP
+    with pytest.raises(ValueError, match="CPPoint"):
+        _row(EulerPoint((0.1,), (0.2,), (0.3,)), cp)
+    with pytest.raises(ValueError, match="CPPoint"):
+        _row(HWPoint(0.5j), cp)
+    with pytest.raises(ValueError, match="columns"):
+        _row(CPPoint((0.1, 0.2), (0.3, 0.4)), cp)
+    with pytest.raises(ValueError, match="columns"):
+        _row(EulerPoint((0.1,), (0.2,), ()), sun_grid(SUN(2, 1)))
+    prod = product_grid((cp, hw_grid(HW(3), 2.5, 4)))
+    with pytest.raises(ValueError):
+        _row(CompositePoint((CPPoint((0.1,), (0.2,)),)), prod)
+    with pytest.raises(ValueError, match="HWPoint"):
+        _row(CompositePoint((CPPoint((0.1,), (0.2,)), CPPoint((0.1,), (0.2,)))), prod)
 
 
 def test_product_grid_composition():

@@ -9,6 +9,7 @@ from wignerweyl import (
     HW,
     SUN,
     Coherent,
+    CPPoint,
     EulerPoint,
     HWPoint,
     KernelSpec,
@@ -22,15 +23,21 @@ from wignerweyl import (
     dimension,
     free_energy,
     gibbs_operator,
+    hw_grid,
     partition_function,
     partition_oracle,
     partition_series,
     phase_cross_correlation,
     phase_function,
+    product_grid,
+    reconstruct,
+    sun_grid,
+    symbol_at,
     thermal_mean,
     weyl_axes,
     weyl_moments,
 )
+from wignerweyl.measures import _point_from_row
 
 SX, SY, SZ = (np.asarray(g) for g in build_generators(2, 1))
 
@@ -245,3 +252,41 @@ def test_cross_correlation_hw_gaussian_overlap():
     b = 0.3 - 0.2j
     out = phase_cross_correlation(f, HWPoint(b))
     assert out.raw_value.real == pytest.approx(math.exp(-abs(b) ** 2), abs=1e-8)
+
+
+_CROSS_CASES = {
+    "su21-wigner": ("wigner", lambda: cp_grid(SUN(2, 1)), (0.7, -0.3)),
+    "su22-weyl": ("weyl", lambda: sun_grid(SUN(2, 2)), (5.9, 0.4, -1.1)),
+    "hw4-wigner": ("wigner", lambda: hw_grid(HW(4), 3.5, 16), (0.3, -0.2)),
+    "su21*hw3-wigner": (
+        "wigner",
+        lambda: product_grid((cp_grid(SUN(2, 1)), hw_grid(HW(3), 3.0, 10))),
+        (0.4, 0.1, 0.2, 0.3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CROSS_CASES))
+def test_cross_correlation_shift_matches_per_point_oracle(case):
+    """sum_i w_i symbol_at(A, shifted node i) f_i, f_i conjugated on the Weyl side."""
+    side, make_grid, shift = _CROSS_CASES[case]
+    grid = make_grid()
+    spec = KernelSpec(side, grid.system)
+    rho = build_state(RandomDensity(3), grid.system)
+    f = phase_function(rho, spec, grid)
+    out = phase_cross_correlation(f, _point_from_row(grid, np.asarray(shift)))
+    A = reconstruct(f)
+    shifted = [symbol_at(A, spec, _point_from_row(grid, row + shift)) for row in grid.coords()]
+    second = f.values if side == "wigner" else np.conj(f.values)
+    oracle = np.sum(grid.weights() * np.asarray(shifted) * second)
+    assert abs(out.raw_value - oracle) < 1e-12
+    assert abs(out.raw_value - np.sum(grid.weights() * f.values * second)) > 1e-6
+
+
+def test_cross_correlation_rejects_shift_of_wrong_type_or_width():
+    desc = SUN(2, 1)
+    f = phase_function(np.eye(2) / 2, KernelSpec("wigner", desc), cp_grid(desc))
+    wrong = (EulerPoint((0.1,), (0.2,), (0.3,)), HWPoint(0.3), CPPoint((0.1, 0.2), (0.3, 0.4)))
+    for shift in wrong:
+        with pytest.raises(ValueError):
+            phase_cross_correlation(f, shift)

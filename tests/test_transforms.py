@@ -252,6 +252,34 @@ def test_evolve_weyl_side_oscillator():
     assert res.trace_drift < 1e-10
 
 
+def test_evolve_abort_names_the_grid_when_it_is_under_resolved():
+    """hw:4 on a 10-node window drifts whatever dt is; the abort points at the grid."""
+    desc = HW(4)
+    spec = KernelSpec("wigner", desc)
+    H = np.diag(np.arange(4.0)) + 0.1 * np.eye(4, k=1) + 0.1 * np.eye(4, k=-1)
+    rho = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+    coarse = default_grid(desc, "wigner", 10)
+    with pytest.raises(RuntimeError, match=r"^trace drift .* at step 1 exceeds .*--grid-res"):
+        evolve(phase_function(rho, spec, coarse), phase_function(H, spec, coarse), 0.02, 0.01)
+    fine = default_grid(desc, "wigner", 20)
+    res = evolve(phase_function(rho, spec, fine), phase_function(H, spec, fine), 0.02, 0.01)
+    assert res.trace_drift < 1e-6
+
+
+def test_verify_reports_skipped_covariance():
+    desc = Composite((SUN(2, 1), SUN(2, 1)))
+    report = verify_stratonovich(desc, "wigner")
+    assert report.passed
+    assert "covariance" not in [c.name for c in report.conditions]
+    assert [name for name, _ in report.skipped] == ["covariance"]
+    assert report.as_dict()["skipped"] == [
+        {"name": "covariance", "reason": report.skipped[0][1]}
+    ]
+    assert "su:2:1*su:2:1" in report.skipped[0][1]
+    # nothing skipped: no "skipped" key, so existing outputs keep their shape
+    assert "skipped" not in verify_stratonovich(SUN(2, 1), "wigner").as_dict()
+
+
 def test_evolve_validates_steps():
     desc = SUN(2, 1)
     spec = KernelSpec("wigner", desc)
