@@ -53,6 +53,9 @@ class Inputs:
     @cached_property
     def grid(self):
         cfg = self.cfg
+        factors = self.desc.factors if isinstance(self.desc, Composite) else (self.desc,)
+        if cfg.radius is not None and not any(isinstance(f, HW) for f in factors):
+            raise ValueError(f"--radius sets the oscillator window; {cfg.system} has no hw factor")
         if cfg.exactness is not None:
             if not isinstance(self.desc, SUN) or self.side != WEYL or self.spec.rotation != "euler":
                 raise ValueError(

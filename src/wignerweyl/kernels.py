@@ -11,10 +11,16 @@ Batched evaluation goes through one evaluator, ``_kernels``, over rows of
 coordinates in the grid column layout.  An SU(N) kernel is a chain of
 per-axis factors exp(i J(k) x), each evaluated once per distinct coordinate
 value and gathered onto the rows; HW kernels are evaluated elementwise and
-composite kernels are row-wise Kronecker products.  ``kernel_stack`` applies
-it to the nodes of a grid and caches the result per (grid, kernel spec);
-``transforms.symbols_at`` applies it to arbitrary coordinate tables in
-blocks of bounded size.
+composite kernels are row-wise Kronecker products.  ``transforms.symbols_at``
+applies it to arbitrary coordinate tables in blocks of bounded size, and
+``kernel_stack`` to every node of a grid, as a reference.
+
+The transforms never hold a grid's (n_nodes, d, d) kernel stack.  A grid is
+a tensor product over the columns of the factor chain, so
+``kernel_pieces`` splits the chain at one axis boundary into a left and a
+right stack over the two sub-grids (K = L R on the Weyl side,
+K = L (R Pi R^dagger) L^dagger on the Wigner side) and caches those per
+(grid, kernel spec).
 """
 
 from __future__ import annotations
@@ -327,10 +333,10 @@ def kernel_at(spec: KernelSpec, point: PhasePoint) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels over rows of coordinates; stacks over grids, cached per
-# (grid, kernel spec)
+# batched kernels over rows of coordinates; split pieces over grids, cached
+# per (grid, kernel spec)
 
-_STACK_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKeyDictionary()
+_PIECE_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKeyDictionary()
 
 MAX_STACK_BYTES = 1_500_000_000
 
@@ -373,11 +379,28 @@ def _width(spec: KernelSpec) -> int:
     return 1 + max(col for _, _, col in _factor_table(desc.N, spec.side, spec.rotation))
 
 
-def _kron(a: np.ndarray, b: np.ndarray, pairs: bool = False) -> np.ndarray:
-    """Kronecker products of two kernel stacks, row by row or over all (a, b) pairs."""
-    out = np.einsum("aij,bkl->abikjl" if pairs else "nij,nkl->nikjl", a, b)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row Kronecker products of two kernel stacks."""
     d = a.shape[-1] * b.shape[-1]
-    return out.reshape(-1, d, d)
+    return np.einsum("nij,nkl->nikjl", a, b).reshape(-1, d, d)
+
+
+def _chain(desc: SUN, table, values, index) -> np.ndarray:
+    """Product of the table's factors at rows of gathered coordinates: (n, d, d).
+
+    An empty table is the identity, as a stack of one.
+    """
+    U = None
+    for k, sign, col in table:
+        F = _axis_factor_stack(desc.N, desc.M, k, values[col], sign)[index[col]]
+        U = F if U is None else U @ F
+    return np.eye(dimension(desc), dtype=np.complex128)[None] if U is None else U
+
+
+def _rotated_parity(desc: SUN, U: np.ndarray) -> np.ndarray:
+    """U Pi U^dagger for every rotation of a stack."""
+    par = np.diag(parity(desc)).copy()
+    return (U * par[None, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
 
 
 def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
@@ -398,25 +421,22 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
         out, at = None, 0
         for f in desc.factors:
             sub = KernelSpec(spec.side, f)
-            n_cols = _width(sub)
-            K = _kernels(sub, values[at: at + n_cols], index[at: at + n_cols])
+            cols = slice(at, at + _width(sub))
+            # each factor once per distinct row of its columns, then gathered
+            dims = [len(v) for v in values[cols]]
+            rows, inverse = np.unique(np.ravel_multi_index(index[cols], dims),
+                                      return_inverse=True)
+            K = _kernels(sub, values[cols], np.unravel_index(rows, dims))[inverse]
             out = K if out is None else _kron(out, K)
-            at += n_cols
+            at = cols.stop
         return out
     if isinstance(desc, HW):
         alphas = values[0][index[0]] + 1j * values[1][index[1]]
         if spec.side == WEYL:
             return hw_weyl_kernel(desc.n_max, alphas)
         return hw_wigner_kernel(desc.n_max, alphas)
-    N, M = desc.N, desc.M
-    U = None
-    for k, sign, col in _factor_table(N, spec.side, spec.rotation):
-        F = _axis_factor_stack(N, M, k, values[col], sign)[index[col]]
-        U = F if U is None else U @ F
-    if spec.side == WEYL:
-        return U
-    par = np.diag(parity(desc)).copy()
-    return (U * par[None, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
+    U = _chain(desc, _factor_table(desc.N, spec.side, spec.rotation), values, index)
+    return U if spec.side == WEYL else _rotated_parity(desc, U)
 
 
 def _grid_manifold(spec: KernelSpec) -> str:
@@ -427,40 +447,96 @@ def _grid_manifold(spec: KernelSpec) -> str:
     return "SUN" if spec.side == WEYL and spec.rotation == "euler" else "CP"
 
 
-def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """All kernels on a grid as a read-only (n_nodes, d, d) array, cached.
-
-    The cache is keyed by grid identity and kernel spec; entries are
-    write-once, so concurrent readers are safe.  Product grids combine the
-    cached factor stacks.
-    """
+def _check_grid(spec: KernelSpec, grid: QuadratureGrid) -> None:
     if spec.system != grid.system:
         raise ValueError(f"kernel system {spec.system} does not match grid system {grid.system}")
-    per_grid = _STACK_CACHE.setdefault(grid, {})
-    if spec in per_grid:
-        return per_grid[spec]
-    d = dimension(spec.system)
-    need = grid.n_nodes * d * d * 16
-    if need > MAX_STACK_BYTES:
-        raise OverflowError(
-            f"kernel stack would need {need / 1e9:.1f} GB; evaluate symbols in "
-            "blocks with symbols_at(A, spec, grid.coords()) instead"
-        )
     want = _grid_manifold(spec)
     if grid.manifold != want:
         raise ValueError(
             f"{spec.side} kernels of {spec.system} ({spec.rotation}) live on a "
             f"{want} grid, got a {grid.manifold} grid"
         )
-    if want == "PRODUCT":
-        subs = [kernel_stack(KernelSpec(spec.side, f), g)
-                for f, g in zip(spec.system.factors, grid.factors)]
-        stack = subs[0]
-        for sub in subs[1:]:
-            stack = _kron(stack, sub, pairs=True)
-    else:
-        index = np.unravel_index(np.arange(grid.n_nodes), grid.shape)
-        stack = _kernels(spec, [ax.nodes for ax in grid.axes], index)
-    stack.flags.writeable = False
-    per_grid[spec] = stack
-    return stack
+
+
+def _check_bytes(what: str, n: int, d: int) -> None:
+    need = n * d * d * 16
+    if need > MAX_STACK_BYTES:
+        raise OverflowError(
+            f"{what} would need {need / 1e9:.1f} GB; evaluate symbols in "
+            "blocks with symbols_at(A, spec, grid.coords()) instead"
+        )
+
+
+def _tensor_index(shape) -> tuple:
+    """Per-axis node index of every point of a tensor grid of this shape, C order."""
+    return np.unravel_index(np.arange(math.prod(shape)), shape) if shape else ()
+
+
+def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
+    """All kernels on a grid as one (n_nodes, d, d) array, evaluated afresh.
+
+    This is the reference the transforms are tested against; they contract
+    through ``kernel_pieces`` and never build it.
+    """
+    _check_grid(spec, grid)
+    _check_bytes("kernel stack", grid.n_nodes, dimension(spec.system))
+    return _kernels(spec, [ax.nodes for ax in grid.axes], _tensor_index(grid.shape))
+
+
+@dataclass(frozen=True)
+class Pieces:
+    """The kernels of a single-system grid, split at one axis boundary.
+
+    Node (l, r) in C order, with l indexing the leading axes and r the rest,
+    carries K = left[l] @ right[r]; with ``sandwich`` (Wigner side of SU(N),
+    where right[r] = R Pi R^dagger) it carries left[l] @ right[r] @ left[l]^dagger.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    sandwich: bool
+
+
+def _split(spec: KernelSpec, grid: QuadratureGrid) -> Pieces:
+    desc, shape = spec.system, grid.shape
+    nodes = [ax.nodes for ax in grid.axes]
+    d = dimension(desc)
+    if isinstance(desc, HW):  # the square has no separable structure: R = I
+        _check_bytes("kernel pieces", grid.n_nodes + 1, d)
+        left = _kernels(spec, nodes, _tensor_index(shape))
+        return Pieces(left, np.eye(d, dtype=np.complex128)[None], False)
+    table = _factor_table(desc.N, spec.side, spec.rotation)
+    # a boundary j splits the chain when every factor on columns < j comes
+    # first (the arecchi rotation's column 0 sits on both sides: j = width)
+    splits = [j for j in range(len(shape) + 1)
+              if [col >= j for _, _, col in table] == sorted(col >= j for _, _, col in table)]
+    j = min(splits, key=lambda j: math.prod(shape[:j]) + math.prod(shape[j:]))
+    _check_bytes("kernel pieces", math.prod(shape[:j]) + math.prod(shape[j:]), d)
+    index = _tensor_index(shape[:j]) + _tensor_index(shape[j:])
+    left = _chain(desc, [f for f in table if f[2] < j], nodes, index)
+    right = _chain(desc, [f for f in table if f[2] >= j], nodes, index)
+    if spec.side == WIGNER:
+        return Pieces(left, _rotated_parity(desc, right), True)
+    return Pieces(left, right, False)
+
+
+def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces, ...]:
+    """Read-only split pieces of every factor of a grid, cached per (grid, spec).
+
+    One ``Pieces`` per tensor factor (one for a single system).  They hold
+    O((n_left + n_right) d^2) numbers where the kernel stack holds
+    O(n_nodes d^2); only the oscillator plane keeps its whole stack as
+    ``left``.  The cache is keyed weakly by grid identity; entries are
+    write-once, so concurrent readers are safe.
+    """
+    _check_grid(spec, grid)
+    if isinstance(spec.system, Composite):
+        return tuple(p for f, g in zip(spec.system.factors, grid.factors)
+                     for p in kernel_pieces(KernelSpec(spec.side, f), g))
+    per_grid = _PIECE_CACHE.setdefault(grid, {})
+    if spec not in per_grid:
+        pieces = _split(spec, grid)
+        pieces.left.flags.writeable = False
+        pieces.right.flags.writeable = False
+        per_grid[spec] = pieces
+    return (per_grid[spec],)

@@ -382,6 +382,10 @@ def hw_grid(desc: HW, radius: float, resolution: int) -> QuadratureGrid:
         raise TypeError("hw_grid needs an HW descriptor")
     if radius <= 0 or resolution < 2:
         raise ValueError("need radius > 0 and resolution >= 2")
+    if resolution**2 > MAX_NODES:  # before the rule, whose cost grows as resolution^2
+        raise OverflowError(
+            f"grid holds {resolution**2} nodes (limit {MAX_NODES}); lower the resolution"
+        )
     x, w = _gauss_base(-radius, radius, resolution)  # one rule serves both axes
     axes = [Axis(name, -radius, radius, x, w, kind="gauss") for name in ("re", "im")]
     raw = (2.0 * radius) ** 2

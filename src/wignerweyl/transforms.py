@@ -5,7 +5,9 @@ The forward map sends an operator to its symbol on a grid (or, through
 inverts it through the dual kernel (the kernel itself on the Wigner side,
 the adjoint displacement on the Weyl side).  On grids whose quadrature is
 exact for the relevant representation frequencies, forward-then-back is
-exact to rounding.
+exact to rounding.  Both contract through the split pieces of
+``kernels.kernel_pieces``, factor by factor on product grids, and never
+build a grid's kernel stack.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, format_system
-from .kernels import WEYL, WIGNER, KernelSpec, _kernels, kernel_at, kernel_stack, wigner_kernel_at
+from .kernels import (
+    WEYL, WIGNER, KernelSpec, _kernels, kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
+)
 from .measures import QuadratureGrid, cp_grid, hw_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, PhasePoint
 from .rotations import euler_angle_count, euler_rotation
@@ -56,14 +60,67 @@ def _operator(A: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def _traces(K: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Tr[A K_n] for every kernel of a stack."""
-    return np.einsum("nij,ji->n", K, A, optimize=True)
+    """Tr[A K_n] for every kernel of a stack: (n,) for one operator, (n, B) for B of them."""
+    d = K.shape[-1]
+    if A.ndim == 2:
+        return K.reshape(len(K), d * d) @ A.T.reshape(d * d)
+    return K.reshape(len(K), d * d) @ np.swapaxes(A, 1, 2).reshape(len(A), d * d).T
+
+
+def _forward(pieces, A: np.ndarray) -> np.ndarray:
+    """Tr[A K(node)] on every node for a stack of operators: (B, d, d) -> (B, n_nodes)."""
+    p, rest = pieces[0], pieces[1:]
+    B = len(A)
+    if rest:
+        # K = K_1 (x) K_rest: A as d1 x d1 blocks of e x e operators; trace the
+        # block indices against factor 1, then each node's e x e partial trace
+        # against the rest
+        d1 = p.left.shape[-1]
+        e = A.shape[-1] // d1
+        X = A.reshape(B, d1, e, d1, e).transpose(0, 2, 4, 1, 3).reshape(-1, d1, d1)
+        Y = _forward(pieces[:1], X)
+        Y = Y.reshape(B, e, e, -1).transpose(0, 3, 1, 2).reshape(-1, e, e)
+        return _forward(rest, Y).reshape(B, -1)
+    L, R = p.left, p.right
+    d = L.shape[-1]
+    if p.sandwich:  # Tr[A L P L^dagger] = Tr[(L^dagger A L) P]
+        X = np.conj(np.swapaxes(L, 1, 2)) @ A[:, None] @ L
+        out = _traces(R, X.reshape(-1, d, d)).reshape(len(R), B, len(L)).transpose(1, 2, 0)
+    else:  # Tr[A L R] = Tr[(R A) L]
+        RA = R @ A[:, None]
+        out = _traces(L, RA.reshape(-1, d, d)).reshape(len(L), B, len(R)).transpose(1, 0, 2)
+    return out.reshape(B, -1)
+
+
+def _kernel_sum(pieces, C: np.ndarray) -> np.ndarray:
+    """sum_n C[n, b] K(node n) for every column b: (n_nodes, B) -> (B, d, d)."""
+    p, rest = pieces[0], pieces[1:]
+    B = C.shape[1]
+    L, R = p.left, p.right
+    if rest:
+        # sum over the rest for each (factor-1 node, b), then over factor 1
+        # with those e x e sums as coefficients
+        n1 = len(L) * len(R)
+        S = _kernel_sum(rest, C.reshape(n1, -1, B).transpose(1, 0, 2).reshape(-1, n1 * B))
+        e = S.shape[-1]
+        S1 = _kernel_sum(pieces[:1], S.reshape(n1, B * e * e))
+        d1 = S1.shape[-1]
+        return S1.reshape(B, e, e, d1, d1).transpose(0, 3, 1, 4, 2).reshape(B, d1 * e, d1 * e)
+    d = L.shape[-1]
+    C = C.reshape(len(L), len(R), B)
+    if p.sandwich:  # sum_l L (sum_r C P) L^dagger
+        Q = C.transpose(0, 2, 1).reshape(-1, len(R)) @ R.reshape(len(R), d * d)
+        Q = Q.reshape(len(L), B, d, d)
+        return (L[:, None] @ Q @ np.conj(np.swapaxes(L, 1, 2))[:, None]).sum(axis=0)
+    # sum_r (sum_l C L) R
+    Q = (C.reshape(len(L), -1).T @ L.reshape(len(L), d * d)).reshape(len(R), B, d, d)
+    return (Q @ R[:, None]).sum(axis=0)
 
 
 def phase_function(A: np.ndarray, spec: KernelSpec, grid: QuadratureGrid) -> PhaseFunction:
     """Forward transform: values Tr[A K(node)] on every grid node."""
     A = _operator(A, spec)
-    return PhaseFunction(spec, grid, _traces(kernel_stack(spec, grid), A))
+    return PhaseFunction(spec, grid, _forward(kernel_pieces(spec, grid), A[None])[0])
 
 
 def symbol_at(A: np.ndarray, spec: KernelSpec, point: PhasePoint) -> complex:
@@ -95,13 +152,13 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
 
 def reconstruct(f: PhaseFunction) -> np.ndarray:
     """Inverse transform: operator from its symbol by dual-kernel quadrature."""
-    K = kernel_stack(f.spec, f.grid)
-    wv = f.grid.weights() * f.values
+    pieces = kernel_pieces(f.spec, f.grid)
+    wv = (f.grid.weights() * f.values)[:, None]
     if f.spec.side == WIGNER:
-        return np.einsum("n,nij->ij", wv, K, optimize=True)
+        return _kernel_sum(pieces, wv)[0]
     # Weyl side reconstructs through the adjoint displacement:
     # sum w f K^dagger = (sum conj(w f) K)^dagger
-    return np.einsum("n,nji->ij", np.conj(wv), K, optimize=True).conj()
+    return _kernel_sum(pieces, np.conj(wv))[0].conj().T
 
 
 def grid_roundtrip_residual(spec: KernelSpec, grid: QuadratureGrid, seed: int = 0) -> float:
@@ -228,7 +285,7 @@ def evolve(
     Hop = reconstruct(f_H)
     dual_side = spec.side == WIGNER
     # Tr[reconstruct(f)] = sum_s w_s f_s Tr[dual kernel at s]
-    tr_K = np.einsum("nii->n", kernel_stack(spec, grid))
+    tr_K = phase_function(np.eye(dimension(spec.system)), spec, grid).values
     trace_w = w * (tr_K if dual_side else np.conj(tr_K))
 
     def rhs(vals: np.ndarray) -> np.ndarray:

@@ -203,6 +203,16 @@ def test_figure_data_rejects_flags_the_preset_does_not_read(preset, flag, value,
     assert payload["error"] == f"figure-data --preset {preset} does not read {flag}"
 
 
+@pytest.mark.parametrize("command, args", [
+    ("wigner", ["--system", "su:2:1", "--state", "spincoherent:0.3,0.5"]),
+    ("verify", ["--system", "su:2:1*su:2:1", "--side", "weyl"]),
+    ("partition", ["--system", "su:2:1", "--beta", "1.0", "--field", "0,0,1"]),
+])
+def test_radius_is_rejected_without_an_hw_factor(command, args, capsys):
+    payload = run_cli_err(capsys, command, *args, "--radius", "3")
+    assert "--radius" in payload["error"] and "no hw factor" in payload["error"]
+
+
 def test_config_file_then_flags_precedence(tmp_path, capsys):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({"system": "su:2:1", "beta": 0.3, "field": "0,0,1"}))

@@ -18,6 +18,8 @@ from wignerweyl import (
     HWPoint,
     KernelSpec,
     clebsch_gordan,
+    cp_grid,
+    default_grid,
     diagonal_generator,
     dimension,
     euler_rotation,
@@ -28,10 +30,12 @@ from wignerweyl import (
     kernel_stack,
     parity,
     parity_cartan_weights,
+    sun_grid,
     weyl_kernel_at,
     wigner_kernel_at,
 )
-from wignerweyl.kernels import _kernels, hw_weyl_kernel, hw_wigner_kernel
+import wignerweyl.kernels as kernels_module
+from wignerweyl.kernels import _kernels, hw_weyl_kernel, hw_wigner_kernel, kernel_pieces
 
 _R2, _R3, _R6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 
@@ -274,13 +278,22 @@ def test_kernel_spec_validation():
         KernelSpec("weyl", SUN(2, 1), rotation="cayley")
 
 
-def test_kernel_stack_cached_by_grid_identity():
-    grid = hw_grid(HW(6), 3.0, 20)
-    spec = KernelSpec("weyl", HW(6))
-    s1 = kernel_stack(spec, grid)
-    s2 = kernel_stack(spec, grid)
-    assert s1 is s2
-    assert not s1.flags.writeable
+@pytest.mark.parametrize("spec, make_grid", [
+    (KernelSpec("weyl", HW(6)), lambda: hw_grid(HW(6), 3.0, 20)),
+    (KernelSpec("wigner", SUN(2, 2)), lambda: cp_grid(SUN(2, 2))),
+    (KernelSpec("weyl", SUN(3, 1)), lambda: sun_grid(SUN(3, 1))),
+], ids=["hw6-weyl", "su22-wigner", "su31-weyl"])
+def test_kernel_pieces_built_once_per_grid_and_read_only(spec, make_grid, monkeypatch):
+    grid = make_grid()
+    built = []
+    split = kernels_module._split
+    monkeypatch.setattr(kernels_module, "_split", lambda *a: built.append(a) or split(*a))
+    p1 = kernel_pieces(spec, grid)
+    p2 = kernel_pieces(spec, grid)
+    assert p1[0] is p2[0] and len(built) == 1
+    assert not p1[0].left.flags.writeable and not p1[0].right.flags.writeable
+    kernel_pieces(spec, default_grid(spec.system, spec.side))  # another grid, its own pieces
+    assert len(built) == 2
 
 
 def test_kernel_stack_matches_pointwise():

@@ -139,8 +139,10 @@ def test_su4_volume_monte_carlo():
 
 
 def test_lazy_grids_and_node_guard():
-    grid = hw_grid(HW(4), 5.0, 4600)  # 21.2M nodes, above the ceiling
-    assert grid.n_nodes == 4600 ** 2  # construction itself is cheap
+    with pytest.raises(OverflowError):
+        hw_grid(HW(4), 5.0, 4600)  # 21.2M nodes: refused before its rule is built
+    grid = product_grid([hw_grid(HW(4), 5.0, 100), sun_grid(SUN(3, 1))])
+    assert grid.n_nodes == 100 ** 2 * sun_grid(SUN(3, 1)).n_nodes  # construction itself is cheap
     with pytest.raises(OverflowError):
         grid.weights()
     with pytest.raises(OverflowError):

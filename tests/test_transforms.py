@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from wignerweyl import (
     generalized_fourier,
     grid_roundtrip_residual,
     hw_grid,
+    kernel_stack,
     moyal_bracket,
     overlap,
+    parse_system,
     phase_function,
     product_grid,
     reconstruct,
@@ -32,6 +35,9 @@ from wignerweyl import (
     symbol_at,
     verify_stratonovich,
 )
+import wignerweyl.kernels as kernels_module
+import wignerweyl.transforms as transforms_module
+from wignerweyl.statmech import _shifted_grid
 from wignerweyl.transforms import PhaseFunction
 
 
@@ -346,3 +352,95 @@ def test_kernel_grid_manifold_mismatch_rejected():
         phase_function(np.eye(2), KernelSpec("weyl", desc), cp_grid(desc))
     with pytest.raises(ValueError):
         phase_function(np.eye(2), KernelSpec("wigner", desc), sun_grid(desc))
+
+
+# ---------------------------------------------------------------------------
+# split-chain contractions against the kernel-stack oracle
+
+
+def _truncated(grid, k):
+    """The grid on the first k nodes of every axis: a small tensor grid, not an exact rule."""
+    if grid.factors:
+        return product_grid([_truncated(g, k) for g in grid.factors])
+    axes = tuple(replace(ax, nodes=ax.nodes[:k].copy(), weights=ax.weights[:k].copy())
+                 for ax in grid.axes)
+    return replace(grid, axes=axes, _weights=None, _coords=None)
+
+
+def _check_against_stack(spec, grid, seed=0):
+    """phase_function and reconstruct equal the contractions of kernel_stack."""
+    rng = np.random.default_rng(seed)
+    d = dimension(spec.system)
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    K = kernel_stack(spec, grid)
+    got = phase_function(A, spec, grid).values
+    assert np.max(np.abs(got - np.einsum("nij,ji->n", K, A))) < 1e-12
+    vals = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
+    dual = K if spec.side == "wigner" else np.conj(np.swapaxes(K, 1, 2))
+    want = np.einsum("n,nij->ij", grid.weights() * vals, dual)
+    assert np.max(np.abs(reconstruct(PhaseFunction(spec, grid, vals)) - want)) < 1e-12
+
+
+_SU21_HW3 = Composite((SUN(2, 1), HW(3)))
+_THREE = Composite((SUN(2, 1), HW(3), SUN(2, 1)))
+ORACLE_CASES = {
+    "su23-wigner": (KernelSpec("wigner", SUN(2, 3)), lambda: cp_grid(SUN(2, 3))),
+    "su23-weyl": (KernelSpec("weyl", SUN(2, 3)), lambda: sun_grid(SUN(2, 3))),
+    "su22-arecchi": (KernelSpec("weyl", SUN(2, 2), "arecchi"), lambda: cp_grid(SUN(2, 2))),
+    "su31-wigner": (KernelSpec("wigner", SUN(3, 1)), lambda: cp_grid(SUN(3, 1))),
+    "su31-weyl": (KernelSpec("weyl", SUN(3, 1)), lambda: sun_grid(SUN(3, 1))),
+    "su41-wigner": (KernelSpec("wigner", SUN(4, 1)), lambda: _truncated(cp_grid(SUN(4, 1)), 3)),
+    "hw5-wigner": (KernelSpec("wigner", HW(5)), lambda: hw_grid(HW(5), 3.0, 12)),
+    "hw5-weyl": (KernelSpec("weyl", HW(5)), lambda: hw_grid(HW(5), 4.0, 12)),
+    "su21*su22-wigner": (KernelSpec("wigner", Composite((SUN(2, 1), SUN(2, 2)))),
+                         lambda: default_grid(Composite((SUN(2, 1), SUN(2, 2))), "wigner")),
+    "su21*su22-weyl": (KernelSpec("weyl", Composite((SUN(2, 1), SUN(2, 2)))),
+                       lambda: _truncated(default_grid(Composite((SUN(2, 1), SUN(2, 2))), "weyl"),
+                                          4)),
+    "su21*hw3-wigner": (KernelSpec("wigner", _SU21_HW3),
+                        lambda: product_grid([cp_grid(SUN(2, 1)), hw_grid(HW(3), 2.5, 8)])),
+    "su21*hw3-weyl": (KernelSpec("weyl", _SU21_HW3),
+                      lambda: product_grid([sun_grid(SUN(2, 1)), hw_grid(HW(3), 3.0, 6)])),
+    "su21*hw3*su21-wigner": (KernelSpec("wigner", _THREE), lambda: product_grid(
+        [cp_grid(SUN(2, 1)), hw_grid(HW(3), 2.5, 4), cp_grid(SUN(2, 1))])),
+    "su21*hw3*su21-weyl": (KernelSpec("weyl", _THREE),
+                           lambda: _truncated(default_grid(_THREE, "weyl", radius=3.0), 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_split_transforms_match_kernel_stack(case):
+    spec, make_grid = ORACLE_CASES[case]
+    _check_against_stack(spec, make_grid())
+
+
+@pytest.mark.parametrize("case", ["su22-arecchi", "su31-weyl", "hw5-wigner", "su21*hw3-weyl"])
+def test_split_transforms_match_kernel_stack_on_shifted_grid(case):
+    spec, make_grid = ORACLE_CASES[case]
+    grid = make_grid()
+    shift = np.random.default_rng(3).uniform(0.1, 0.7, len(grid.axes))
+    _check_against_stack(spec, _shifted_grid(grid, shift), seed=1)
+
+
+def test_transforms_never_build_the_kernel_stack(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel_stack called")
+
+    monkeypatch.setattr(kernels_module, "kernel_stack", refuse)
+    monkeypatch.setattr(transforms_module, "kernel_stack", refuse)
+    for desc, side in [(SUN(2, 2), "wigner"), (SUN(2, 1), "weyl"), (_SU21_HW3, "wigner")]:
+        spec, grid = KernelSpec(side, desc), default_grid(desc, side, radius=4.5)
+        d = dimension(desc)
+        A, H = _hermitian(d, 1), _hermitian(d, 2)
+        fA, fH = phase_function(A, spec, grid), phase_function(H, spec, grid)
+        assert np.max(np.abs(reconstruct(star_product(fA, fH)) - A @ H)) < 1e-8
+        evolve(fA, fH, t_final=0.02, dt=0.01)
+        verify_stratonovich(desc, side, grid)
+
+
+@pytest.mark.parametrize("system, side", [("su:3:2", "weyl"), ("su:2:1*hw:8", "wigner")])
+def test_default_grid_roundtrip_without_kernel_stack(system, side):
+    desc = parse_system(system)
+    A = _hermitian(dimension(desc), 5)
+    back = reconstruct(phase_function(A, KernelSpec(side, desc), default_grid(desc, side)))
+    assert np.max(np.abs(back - A)) < (1e-11 if side == "weyl" else 1e-8)
