@@ -49,13 +49,11 @@ _EXPORTS = {
     "EulerPoint": ".points",
     "HWPoint": ".points",
     "PhasePoint": ".points",
-    "Displacement": ".rotations",
     "arecchi_rotation": ".rotations",
     "euler_angle_count": ".rotations",
     "euler_factor_sequence": ".rotations",
     "euler_rotation": ".rotations",
     "expi_hermitian": ".rotations",
-    "hw_displacement": ".rotations",
     "dump_matrix": ".serialize",
     "load_matrix": ".serialize",
     "matrix_from_json": ".serialize",

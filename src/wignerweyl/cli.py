@@ -60,7 +60,6 @@ class RunConfig:
     axis: str | None = _option("coordinate name, e.g. q, p, theta1, Phi1")
     samples: str | None = _option("lo:hi:count")
     orders: str | None = _option("per-axis derivative orders, e.g. 0,0,2")
-    step: float = _option("finite-difference step", 1e-3, type=float)
     t_final: float | None = _option("final time", type=float)
     dt: float = _option("RK4 time step", 1e-3, type=float)
     frames: int = _option("number of stored frames", 10, type=int)
@@ -124,7 +123,7 @@ COMMANDS = {
     "freeenergy": Command("free energy -ln Z / beta", "freeenergy", _THERMAL,
                           ("system", "beta"), side="wigner"),
     "moments": Command("operator moments from Weyl-symbol derivatives", "moments",
-                       ("system", "state", "orders", "step"), ("system", "state", "orders")),
+                       ("system", "state", "orders"), ("system", "state", "orders")),
     "autocorr": Command("Weyl symbol along one coordinate axis", "autocorr",
                         ("system", "state", "axis", "samples"),
                         ("system", "state", "axis", "samples"), "csv"),

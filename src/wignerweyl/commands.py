@@ -295,7 +295,7 @@ def freeenergy(cfg, inp: Inputs) -> dict:
 
 
 def _ordered_moment_oracle(desc, rho, orders) -> complex:
-    """Hilbert-space value of the ordered-product moment the stencils target."""
+    """Hilbert-space value of the ordered-product moment that weyl_moments targets."""
     if isinstance(desc, SUN):
         d = rho.shape[0]
         P = np.eye(d, dtype=np.complex128)
@@ -332,14 +332,13 @@ def _ordered_moment_oracle(desc, rho, orders) -> complex:
 def moments(cfg, inp: Inputs) -> dict:
     desc, rho = inp.desc, inp.rho
     orders = tuple(int(v) for v in cfg.orders.split(","))
-    value = weyl_moments(rho, desc, orders, step=cfg.step)
+    value = weyl_moments(rho, desc, orders)
     oracle = _ordered_moment_oracle(desc, rho, orders)
     return {
         "system": cfg.system,
         "state": cfg.state,
         "axes": list(weyl_axes(desc)),
         "orders": list(orders),
-        "step": cfg.step,
         "moment": value,
         "ordered_product_oracle": oracle,
         "residual": abs(value - oracle),

@@ -220,8 +220,7 @@ def parity_cartan_weights(desc: SUN) -> np.ndarray:
 # wrecks every phase-space integral over a finite plane window.  The
 # restricted elements decay, and they form an orthonormal function family
 # over d^2alpha/pi, so reconstruction on the truncated space is exact up to
-# the domain tail.  (The unitary truncated exponential remains available as
-# hw_displacement in the rotations layer, together with its defect metric.)
+# the domain tail.
 
 
 def _displacement_elements(n_max: int, alphas: np.ndarray) -> np.ndarray:

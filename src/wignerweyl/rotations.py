@@ -1,4 +1,4 @@
-"""Group rotations: SU(N) Euler factorization, Arecchi rotations, HW displacements.
+"""Group rotations: SU(N) Euler factorization and Arecchi rotations.
 
 All matrix exponentials of the fixed generators go through cached
 eigendecompositions, so repeated evaluation at many angles costs one
@@ -7,13 +7,11 @@ diagonal phase plus two small matmuls per factor.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import HW, SUN, build_generators, dimension, generator
+from .algebra import SUN, build_generators, dimension, generator
 from .points import EulerPoint
 
 
@@ -111,49 +109,3 @@ def arecchi_rotation(desc: SUN, phi: float, theta: float) -> np.ndarray:
     A = xi * jp - np.conj(xi) * jp.conj().T
     # A is anti-Hermitian; exponentiate through the Hermitian -iA.
     return expi_hermitian(-1j * A, 1.0)
-
-
-class Displacement(NamedTuple):
-    matrix: np.ndarray
-    unitarity_defect: float
-
-
-@lru_cache(maxsize=None)
-def _hw_eig(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of -i(a^dagger - a) on the truncated space."""
-    a = np.diag(np.sqrt(np.arange(1, n_max, dtype=np.float64)), 1)
-    K = -1j * (a.conj().T - a)
-    w, V = np.linalg.eigh(K)
-    w.flags.writeable = False
-    V.flags.writeable = False
-    return w, V
-
-
-def _hw_displacement_matrix(n_max: int, alpha: complex) -> np.ndarray:
-    """exp(alpha a^dagger - alpha* a) with the truncated ladder operators.
-
-    Uses D(r e^{i psi}) = N(psi) exp(r (a^dagger - a)) N(psi)^dagger with the
-    number-phase N(psi) = diag(e^{i psi n}), exact on the truncated space.
-    """
-    alpha = complex(alpha)
-    r, psi = abs(alpha), math.atan2(alpha.imag, alpha.real)
-    w, V = _hw_eig(n_max)
-    core = (V * np.exp(1j * r * w)) @ V.conj().T
-    ph = np.exp(1j * psi * np.arange(n_max))
-    return (ph[:, None] * core) * ph.conj()[None, :]
-
-
-def hw_displacement(desc: HW, alpha: complex) -> Displacement:
-    """Truncated displacement operator and its unitarity defect.
-
-    The defect is max|D^dagger D - 1|; it is ~machine epsilon because the
-    truncated generator is exactly anti-Hermitian.  Truncation quality for a
-    given state is instead governed by how much population sits near the
-    Fock cutoff (keep |alpha|^2 well below n_max).
-    """
-    if not isinstance(desc, HW):
-        raise TypeError("hw_displacement needs an HW descriptor")
-    D = _hw_displacement_matrix(desc.n_max, alpha)
-    defect = float(np.max(np.abs(D.conj().T @ D - np.eye(desc.n_max))))
-    return Displacement(D, defect)
-

@@ -1,9 +1,10 @@
 """Quantum-statistical layer: partition functions, thermal means, moments,
 autocorrelations, and phase-space cross-correlations.
 
-Everything here is computed through phase-space quadrature; Hilbert-space
-eigen-oracles live in the tests and in the CLI residual printout, not in
-these code paths.
+Everything here is computed through phase-space quadrature, except the
+moments, which are exact derivatives of the Weyl kernel at the origin;
+Hilbert-space eigen-oracles live in the tests and in the CLI residual
+printout, not in these code paths.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import HW, SUN, SystemDescriptor, dimension
-from .kernels import WEYL, WIGNER, KernelSpec
+from .algebra import HW, SUN, SystemDescriptor, dimension, generator, is_hermitian
+from .kernels import WEYL, WIGNER, KernelSpec, _factor_table
 from .measures import QuadratureGrid
-from .points import EulerPoint, HWPoint, PhasePoint, _row
+from .points import PhasePoint, _row
 from .rotations import euler_angle_count
 from .states import ThermalSpec
 from .transforms import (
-    PhaseFunction, overlap, phase_function, reconstruct, symbol_at, symbols_at,
+    PhaseFunction, _operator, overlap, phase_function, reconstruct, symbols_at,
 )
 
 
@@ -61,9 +62,15 @@ def partition_series(tspec: ThermalSpec, grid: QuadratureGrid, order: int = 2) -
 
 
 def thermal_mean(A: np.ndarray, tspec: ThermalSpec, grid: QuadratureGrid) -> float:
-    """<A> in the thermal state, via the symbol-overlap (traciality) form."""
+    """<A> in the thermal state, via the symbol-overlap (traciality) form.
+
+    A must be Hermitian, so that the mean is real.
+    """
     spec = KernelSpec(WIGNER, grid.system)
-    fA = phase_function(np.asarray(A, dtype=np.complex128), spec, grid)
+    A = _operator(A, spec)
+    if not is_hermitian(A):
+        raise ValueError("thermal_mean needs a Hermitian observable")
+    fA = phase_function(A, spec, grid)
     frho = phase_function(gibbs_operator(tspec), spec, grid)
     Z = frho.integral().real
     return float(overlap(fA, frho).real / Z)
@@ -77,16 +84,7 @@ def free_energy(tspec: ThermalSpec, grid: QuadratureGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Weyl-symbol moment generation by finite differences
-
-# 4th-order-accurate central stencils for derivative orders 1-4
-_STENCILS = {
-    0: ((0,), (1.0,)),
-    1: ((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12)),
-    2: ((-2, -1, 0, 1, 2), (-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12)),
-    3: ((-3, -2, -1, 1, 2, 3), (-1 / 8, 1.0, -13 / 8, 13 / 8, -1.0, 1 / 8)),
-    4: ((-3, -2, -1, 0, 1, 2, 3), (-1 / 6, 2.0, -13 / 2, 28 / 3, -13 / 2, 2.0, -1 / 6)),
-}
+# Weyl-symbol moments: exact derivatives at the origin
 
 
 def weyl_axes(desc: SystemDescriptor) -> tuple[str, ...]:
@@ -103,96 +101,43 @@ def weyl_axes(desc: SystemDescriptor) -> tuple[str, ...]:
     raise TypeError("moment axes are defined for single HW or SUN factors")
 
 
-def _sun_point(desc: SUN, coords: np.ndarray) -> EulerPoint:
-    n_pairs, _ = euler_angle_count(desc.N)
-    pair = coords[: 2 * n_pairs]
-    return EulerPoint(tuple(pair[0::2]), tuple(pair[1::2]), tuple(coords[2 * n_pairs:]))
-
-
-def _nested_stencil(f, orders: tuple[int, ...], h: float) -> complex:
-    """Mixed partial derivative at the origin by composed central stencils."""
-    axes = [i for i, m in enumerate(orders) if m > 0]
-    if not axes:
-        return f(np.zeros(len(orders)))
-    total = 0.0 + 0.0j
-
-    def recurse(i: int, coords: np.ndarray, coef: float):
-        nonlocal total
-        if i == len(axes):
-            total += coef * f(coords)
-            return
-        ax = axes[i]
-        offs, cs = _STENCILS[orders[ax]]
-        for o, c in zip(offs, cs):
-            nxt = coords.copy()
-            nxt[ax] = o * h
-            recurse(i + 1, nxt, coef * c / h ** orders[ax])
-
-    recurse(0, np.zeros(len(orders)), 1.0)
-    return total
-
-
-def weyl_moments(
-    rho: np.ndarray,
-    desc: SystemDescriptor,
-    multi_index: tuple[int, ...],
-    step: float = 1e-3,
-    eta: dict[str, complex] | None = None,
-) -> complex:
+def weyl_moments(rho: np.ndarray, desc: SystemDescriptor, multi_index: tuple[int, ...]) -> complex:
     """Operator moments from derivatives of the Weyl symbol at the origin.
 
     ``multi_index`` lists derivative orders per axis (see ``weyl_axes``),
-    total order <= 4, evaluated with 4th-order central stencils of the given
-    step.  Each derivative carries a conventional factor eta: -1j for SU(N)
-    angles, and for HW the pair (alpha -> -1, alpha_star -> +1), where the
-    "alpha" axis is the Wirtinger derivative with respect to alpha-bar (its
-    natural holomorphic pairing).  With these defaults the SU(N) Phi_1
-    moment of order m is <J(3)^m> and the HW index (p, q) yields the
-    symmetric-ordered <S(a^p a_dagger^q)>.
+    total order <= 4.  Each derivative carries a conventional factor eta:
+    -1j for SU(N) angles, and for HW -1 on the "alpha" axis (the Wirtinger
+    derivative with respect to alpha-bar) and +1 on "alpha_star".  The
+    derivatives are taken exactly from the kernel's factors.  On SU(N) each
+    Euler column x carries one factor exp(i s J(k) x), so the moment is
+    Tr[rho X] with X the ordered product of (s J(k))^m; the SU(N) Phi_1
+    moment of order m is <J(3)^m>.  On HW the derivatives of D(alpha) at 0
+    are symmetric-ordered words in a_dagger and -a (Cahill & Glauber 1969),
+    so index (p, q) yields <S(a^p a_dagger^q)>.
     """
     axes = weyl_axes(desc)
     if len(multi_index) != len(axes):
         raise ValueError(f"multi_index must have {len(axes)} entries for {desc}")
     if any(m < 0 for m in multi_index) or sum(multi_index) > 4:
         raise ValueError("derivative orders must be >= 0 with total <= 4")
-    if max(multi_index, default=0) > 4:
-        raise ValueError("per-axis order must be <= 4")
     rho = np.asarray(rho, dtype=np.complex128)
-    spec = KernelSpec(WEYL, desc)
-
     if isinstance(desc, SUN):
-        etas = {name: -1j for name in axes} if eta is None else eta
-
-        def f(coords: np.ndarray) -> complex:
-            return symbol_at(rho, spec, _sun_point(desc, coords))
-
-        val = _nested_stencil(f, tuple(multi_index), step)
-        fac = 1.0 + 0.0j
-        for name, m in zip(axes, multi_index):
-            fac *= etas[name] ** m
-        return complex(fac * val)
-
-    if isinstance(desc, HW):
-        etas = {"alpha": -1.0, "alpha_star": 1.0} if eta is None else eta
-        p, q = multi_index
-
-        # (d/d alpha-bar)^p (d/d alpha)^q through real (x, y) stencils:
-        # d/da = (dx - i dy)/2, d/da-bar = (dx + i dy)/2.
-        total = 0.0 + 0.0j
-        for i in range(p + 1):
-            for j in range(q + 1):
-                cx = math.comb(p, i) * math.comb(q, j)
-                phase = (1j) ** (p - i) * (-1j) ** (q - j)
-                orders = (i + j, (p - i) + (q - j))
-
-                def f(coords: np.ndarray) -> complex:
-                    return symbol_at(rho, spec, HWPoint(complex(coords[0], coords[1])))
-
-                total += cx * phase * _nested_stencil(f, orders, step)
-        total /= 2.0 ** (p + q)
-        return complex((etas["alpha"] ** p) * (etas["alpha_star"] ** q) * total)
-
-    raise TypeError("moments are defined for single HW or SUN factors")
+        X = np.eye(dimension(desc), dtype=np.complex128)
+        for k, sign, col in _factor_table(desc.N, WEYL, "euler"):
+            X = X @ np.linalg.matrix_power(sign * generator(desc.N, desc.M, k), multi_index[col])
+        return complex(np.trace(rho @ X))
+    # every word with p factors of a and q of a_dagger, in a block padded so
+    # that the words' restriction to the truncated block is exact
+    p, q = multi_index
+    n = desc.n_max
+    a = np.diag(np.sqrt(np.arange(1.0, n + p + q)), 1)
+    W = {(0, 0): np.eye(n + p + q)}
+    for i in range(p + 1):
+        for j in range(q + 1):
+            if i or j:
+                W[i, j] = (W[i - 1, j] @ a if i else 0.0) + (W[i, j - 1] @ a.T if j else 0.0)
+    X = W[p, q][:n, :n] / math.comb(p + q, p)
+    return complex(np.trace(rho @ X))
 
 
 # ---------------------------------------------------------------------------

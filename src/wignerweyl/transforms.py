@@ -522,18 +522,22 @@ def _covariance_residual(desc: SystemDescriptor, spec: KernelSpec, rng) -> float
         # (the group action leaks out of the truncated block), so the check
         # is made at the symbol level: W_{V rho V^dag}(a) = W_rho(a - b) for
         # probes concentrated well below the cutoff and modest shifts b.
+        # V rho V^dag is formed and sampled in a block padded by 24 levels,
+        # where the elements below the cutoff are the untruncated ones.
         from .kernels import hw_weyl_kernel
 
+        n = desc.n_max + 24
+        padded = KernelSpec(spec.side, HW(n))
         q = max(2, desc.n_max // 4)
-        low = np.zeros((desc.n_max, desc.n_max), dtype=np.complex128)
+        low = np.zeros((n, n), dtype=np.complex128)
         low[:q, :q] = _random_hermitian(q, rng)
         ab = [(complex(*(0.8 * rng.standard_normal(2))), complex(*rng.uniform(0.2, 0.6, 2)))
               for _ in range(3)]
-        rhs = symbols_at(low, spec, [(a.real - b.real, a.imag - b.imag) for a, b in ab])
+        rhs = symbols_at(low, padded, [(a.real - b.real, a.imag - b.imag) for a, b in ab])
         err = 0.0
         for (a, b), r in zip(ab, rhs):
-            V = hw_weyl_kernel(desc.n_max, b)
-            lhs = symbols_at(V @ low @ V.conj().T, spec, [(a.real, a.imag)])[0]
+            V = hw_weyl_kernel(n, b)
+            lhs = symbols_at(V @ low @ V.conj().T, padded, [(a.real, a.imag)])[0]
             err = max(err, abs(lhs - r))
         return err
     if isinstance(desc, SUN) and (desc.N == 2 or (desc.N == 3 and desc.M == 1)):

@@ -43,6 +43,7 @@ from wignerweyl import (
     star_product,
     sun_grid,
     symbol_at,
+    symbols_at,
     thermal_mean,
     verify_stratonovich,
     weyl_moments,
@@ -329,34 +330,46 @@ def test_criterion_10_fourier_bridge(criterion):
 
 
 def test_criterion_11_moment_generation(criterion):
+    # exact moments of orders 1-4 against closed forms
     worst_val = 0.0
     for M in (1, 2):
         desc = SUN(2, M)
         rho = build_state(RandomDensity(29 + M), desc)
         J3 = np.asarray(generator(2, M, 3))
-        got = weyl_moments(rho, desc, (0, 0, 1))
-        worst_val = max(worst_val, abs(got - np.trace(rho @ J3)))
+        for m in range(1, 5):
+            got = weyl_moments(rho, desc, (0, 0, m))
+            worst_val = max(worst_val, abs(got - np.trace(rho @ np.linalg.matrix_power(J3, m))))
 
     desc = HW(24)
     beta = 0.6 - 0.3j
     rho = build_state(Coherent(beta), desc)
-    worst_val = max(worst_val, abs(weyl_moments(rho, desc, (1, 0)) - beta))
-    worst_val = max(worst_val, abs(weyl_moments(rho, desc, (0, 1)) - np.conj(beta)))
+    for p in range(5):
+        for q in range(5 - p):
+            want = sum(math.comb(p, k) * math.comb(q, k) * math.factorial(k) * 2.0**-k
+                       * beta ** (p - k) * np.conj(beta) ** (q - k)
+                       for k in range(min(p, q) + 1))
+            worst_val = max(worst_val, abs(weyl_moments(rho, desc, (p, q)) - want))
 
-    # convergence orders from step halving against the analytic values
+    # Fornberg's fourth-order third-derivative stencil over Weyl-symbol rows
+    # (eta = (-1j)^3) converges to the same closed form under step halving
+    stencil = (1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8)
     orders = []
-    r21 = build_state(RandomDensity(29), SUN(2, 1))
-    exact = complex(np.trace(r21 @ np.asarray(generator(2, 1, 3))))
-    errs = [abs(weyl_moments(r21, SUN(2, 1), (0, 0, 1), step=h) - exact)
-            for h in (0.4, 0.2, 0.1)]
-    orders += [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
-    errs = [abs(weyl_moments(rho, desc, (1, 0), step=h) - beta)
-            for h in (0.4, 0.2, 0.1)]
-    orders += [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
+    for M in (1, 2):
+        desc = SUN(2, M)
+        rho = build_state(RandomDensity(29 + M), desc)
+        exact = np.trace(rho @ np.linalg.matrix_power(np.asarray(generator(2, M, 3)), 3))
+        errs = []
+        for h in (0.4, 0.2, 0.1):
+            rows = np.zeros((7, 3))
+            rows[:, 2] = h * np.arange(-3, 4)
+            values = symbols_at(rho, KernelSpec("weyl", desc), rows)
+            errs.append(abs(1j * np.dot(stencil, values) / h**3 - exact))
+        orders += [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
 
-    ok = worst_val < 1e-6 and all(3.5 < p < 4.5 for p in orders)
+    ok = worst_val < 1e-12 and all(3.5 < p < 4.5 for p in orders)
     criterion(
-        11, "finite-difference moments", ok,
-        f"max moment residual {worst_val:.1e} (tol 1e-6), observed convergence "
-        f"orders {', '.join(f'{p:.2f}' for p in orders)} (must sit in 3.5..4.5)",
+        11, "exact Weyl-symbol moments", ok,
+        f"max moment residual over orders 1-4 {worst_val:.1e} (tol 1e-12), third-derivative "
+        f"stencil convergence orders {', '.join(f'{p:.2f}' for p in orders)} "
+        "(must sit in 3.5..4.5)",
     )

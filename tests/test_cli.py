@@ -96,6 +96,16 @@ def test_partition_and_mean_print_residuals(capsys):
     assert out["residual"] < 1e-8
 
 
+def test_mean_rejects_a_non_hermitian_observable(tmp_path, capsys):
+    path = tmp_path / "iI.json"
+    dump_matrix(1j * np.eye(2), path)
+    err = run_cli_err(
+        capsys, "mean", "--system", "su:2:1",
+        "--beta", "0.7", "--field", "0,0,1", "--observable", f"file:{path}",
+    )
+    assert "Hermitian" in err["error"]
+
+
 def test_freeenergy(capsys):
     out = run_cli(
         capsys, "freeenergy", "--system", "su:2:1",
@@ -307,7 +317,7 @@ FLAG_VALUE = {
     "radius": "3", "exactness": "pairs", "rotation": "arecchi", "beta": "1.3",
     "field": "0.5,0,0", "hamiltonian": "{h2}", "observable": "j:1", "point": "0.1,0.2",
     "shift": "0.3,0.2", "axis": "phi1", "samples": "0:1:5", "orders": "0,1,0",
-    "step": "0.01", "t_final": "0.03", "dt": "0.005", "frames": "1",
+    "t_final": "0.03", "dt": "0.005", "frames": "1",
     "preset": "ghz5-dicke", "infile": "missing.csv", "out": "out", "seed": "5",
 }
 

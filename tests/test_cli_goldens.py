@@ -9,7 +9,9 @@ from them) agree within 1e-12.  The goldens were written by running each
 case's command and saving stdout and the ``--out`` file(s) under the case
 name: the figure-data, autocorr, wigner and weyl cases with the per-point /
 plot-grid implementation, the other commands with the hand-built parser that
-preceded the command table.
+preceded the command table.  ``moments_hw8`` was re-captured when the
+finite-difference moments (and their ``--step`` flag) gave way to exact
+derivatives.
 """
 
 import json
@@ -73,7 +75,7 @@ CASES = {
     "freeenergy_su21": ["freeenergy", "--system", "su:2:1", "--beta", "2.0",
                         "--field", "0,0,0.5"],
     "moments_hw8": ["moments", "--system", "hw:8", "--state", "coherent:0.4+0.2j",
-                    "--orders", "1,1", "--step", "0.002"],
+                    "--orders", "1,1"],
     "crosscorr_su21_zero": ["crosscorr", "--system", "su:2:1", "--state", "random:4",
                             "--side", "wigner", "--shift", "0,0"],
     "evolve_su21": ["evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",

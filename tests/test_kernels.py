@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,6 @@ from wignerweyl import (
     dimension,
     euler_rotation,
     format_system,
-    hw_displacement,
     hw_grid,
     kernel_at,
     kernel_stack,
@@ -180,12 +180,18 @@ def test_hw_weyl_kernel_vacuum_column():
     assert np.max(np.abs(col - want)) < 1e-14
 
 
+def _truncated_expm(n_max, alpha):
+    """exp(alpha a^dagger - alpha* a) with the truncated ladder operators."""
+    a = np.diag(np.sqrt(np.arange(1.0, n_max)), 1)
+    return scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
+
+
 def test_hw_weyl_kernel_matches_truncated_exponential_below_cutoff():
     # the expm route is trustworthy where no amplitude reaches the cutoff;
     # there the two constructions must agree
     alpha = 0.5 + 0.3j
     closed = hw_weyl_kernel(40, alpha)
-    expm_route = hw_displacement(HW(40), alpha).matrix
+    expm_route = _truncated_expm(40, alpha)
     assert np.max(np.abs(closed[:8, :8] - expm_route[:8, :8])) < 1e-10
 
 
@@ -213,7 +219,7 @@ def test_hw_wigner_kernel_origin_and_hermiticity():
 def test_hw_wigner_kernel_is_displaced_parity():
     # 2 D(alpha) P D(alpha)^dagger evaluated with the expm route, small alpha
     n_max, alpha = 30, 0.4 - 0.6j
-    D = hw_displacement(HW(n_max), alpha).matrix
+    D = _truncated_expm(n_max, alpha)
     P = np.diag((-1.0) ** np.arange(n_max))
     oracle = 2.0 * D @ P @ D.conj().T
     K = hw_wigner_kernel(n_max, alpha)

@@ -1,4 +1,4 @@
-"""Rotations: Euler chain, coherence-group identity, truncated displacement."""
+"""Rotations: Euler chain and coherence-group identity."""
 
 import math
 
@@ -7,17 +7,14 @@ import pytest
 import scipy.linalg
 
 from wignerweyl import (
-    HW,
     SUN,
     EulerPoint,
     arecchi_rotation,
     build_generators,
-    coherent_vector,
     dimension,
     euler_angle_count,
     euler_rotation,
     expi_hermitian,
-    hw_displacement,
 )
 from wignerweyl.rotations import cartan_phase
 
@@ -140,32 +137,3 @@ def test_arecchi_identity_and_oracle(M):
 def test_arecchi_rejects_non_su2():
     with pytest.raises(TypeError):
         arecchi_rotation(SUN(3, 1), 0.1, 0.2)
-
-
-def test_hw_displacement_unitary_with_tiny_defect():
-    D, defect = hw_displacement(HW(16), 1.2 - 0.4j)
-    assert defect < 1e-12
-    assert np.max(np.abs(D.conj().T @ D - np.eye(16))) < 1e-12
-
-
-def test_hw_displacement_identity_and_inverse():
-    desc = HW(12)
-    D0, _ = hw_displacement(desc, 0.0)
-    assert np.max(np.abs(D0 - np.eye(12))) < 1e-14
-    Dp, _ = hw_displacement(desc, 0.8 + 0.3j)
-    Dm, _ = hw_displacement(desc, -0.8 - 0.3j)
-    assert np.max(np.abs(Dp @ Dm - np.eye(12))) < 1e-12
-
-
-def test_hw_displacement_builds_coherent_state():
-    # far below the cutoff the displaced vacuum is the coherent state
-    desc = HW(30)
-    alpha = 1.0 + 0.5j
-    D, _ = hw_displacement(desc, alpha)
-    vac = np.zeros(30)
-    vac[0] = 1.0
-    psi = D @ vac
-    assert np.max(np.abs(psi - coherent_vector(30, alpha))) < 1e-10
-    n_mean = float(np.sum(np.arange(30) * np.abs(psi) ** 2))
-    assert abs(n_mean - abs(alpha) ** 2) < 1e-6
-

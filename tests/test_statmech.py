@@ -22,6 +22,7 @@ from wignerweyl import (
     default_grid,
     dimension,
     free_energy,
+    generator,
     gibbs_operator,
     hw_grid,
     partition_function,
@@ -33,10 +34,12 @@ from wignerweyl import (
     reconstruct,
     sun_grid,
     symbol_at,
+    symbols_at,
     thermal_mean,
     weyl_axes,
     weyl_moments,
 )
+from wignerweyl.commands import _ordered_moment_oracle
 from wignerweyl.measures import _point_from_row
 
 SX, SY, SZ = (np.asarray(g) for g in build_generators(2, 1))
@@ -115,6 +118,13 @@ def test_thermal_mean_self_energy_vs_log_derivative():
     assert mean == pytest.approx(oracle, abs=1e-8)
 
 
+def test_thermal_mean_rejects_a_non_hermitian_observable():
+    # <iI> = i has no real mean; it must not come back as 0
+    t = ThermalSpec(SZ, 0.7)
+    with pytest.raises(ValueError, match="Hermitian"):
+        thermal_mean(1j * np.eye(2), t, cp_grid(SUN(2, 1)))
+
+
 def test_thermal_magnetization_direction():
     h = np.array([0.0, 0.0, 0.7])
     e = np.array([0.5, 0.0, 0.5])  # 45 degrees off the field, length != 1
@@ -157,35 +167,54 @@ def test_weyl_moments_validation():
 
 
 def test_cartan_moments_match_trace_oracle():
-    desc = SUN(2, 2)
-    rho = build_state(RandomDensity(5), desc)
-    J3 = np.asarray(build_generators(2, 2)[2])
-    got1 = weyl_moments(rho, desc, (0, 0, 1))
-    got2 = weyl_moments(rho, desc, (0, 0, 2))
-    assert abs(got1 - np.trace(rho @ J3)) < 1e-9
-    assert abs(got2 - np.trace(rho @ J3 @ J3)) < 1e-8
+    for M in (1, 2):
+        desc = SUN(2, M)
+        rho = build_state(RandomDensity(5), desc)
+        J3 = np.asarray(generator(2, M, 3))
+        for m in range(1, 5):
+            want = np.trace(rho @ np.linalg.matrix_power(J3, m))
+            assert abs(weyl_moments(rho, desc, (0, 0, m)) - want) < 1e-12, (M, m)
+
+
+@pytest.mark.parametrize("desc", [SUN(2, 2), SUN(3, 1)], ids=str)
+def test_mixed_moments_match_the_ordered_product(desc):
+    rho = build_state(RandomDensity(11), desc)
+    n = len(weyl_axes(desc))
+    rng = np.random.default_rng(4)
+    for total in (1, 2, 3, 4):
+        for _ in range(6):
+            orders = tuple(int(m) for m in np.bincount(rng.integers(0, n, total), minlength=n))
+            want = _ordered_moment_oracle(desc, rho, orders)
+            assert abs(weyl_moments(rho, desc, orders) - want) < 1e-12, orders
 
 
 def test_hw_moments_of_coherent_state():
+    # symmetric ordering: <S(a^p a^dag^q)> =
+    # sum_k C(p,k) C(q,k) k! 2^-k beta^(p-k) conj(beta)^(q-k), e.g. |beta|^2 + 1/2 at (1, 1)
     desc = HW(24)
     beta = 0.6 - 0.3j
     rho = build_state(Coherent(beta), desc)
-    assert abs(weyl_moments(rho, desc, (1, 0)) - beta) < 1e-9
-    assert abs(weyl_moments(rho, desc, (0, 1)) - np.conj(beta)) < 1e-9
-    # symmetric ordering: <S(a a^dag)> = |beta|^2 + 1/2
-    assert abs(weyl_moments(rho, desc, (1, 1)) - (abs(beta) ** 2 + 0.5)) < 1e-8
-    assert abs(weyl_moments(rho, desc, (2, 0)) - beta**2) < 1e-8
+    for p in range(5):
+        for q in range(5 - p):
+            want = sum(math.comb(p, k) * math.comb(q, k) * math.factorial(k) * 2.0**-k
+                       * beta ** (p - k) * np.conj(beta) ** (q - k)
+                       for k in range(min(p, q) + 1))
+            assert abs(weyl_moments(rho, desc, (p, q)) - want) < 1e-12, (p, q)
 
 
 def test_moment_stencils_are_fourth_order():
+    # an independent oracle: Fornberg's fourth-order row for the third
+    # derivative (offsets -3..3) over Weyl-symbol values, times eta = (-1j)^3
+    row = (1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8)
     desc = SUN(2, 1)
     rho = build_state(RandomDensity(3), desc)
-    J3 = np.asarray(build_generators(2, 1)[2])
-    exact = complex(np.trace(rho @ J3))
-    errs = [
-        abs(weyl_moments(rho, desc, (0, 0, 1), step=h) - exact)
-        for h in (0.4, 0.2, 0.1)
-    ]
+    exact = weyl_moments(rho, desc, (0, 0, 3))
+    errs = []
+    for h in (0.4, 0.2, 0.1):
+        rows = np.zeros((7, 3))
+        rows[:, 2] = h * np.arange(-3, 4)
+        values = symbols_at(rho, KernelSpec("weyl", desc), rows)
+        errs.append(abs(1j * np.dot(row, values) / h**3 - exact))
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
     assert 3.5 < order1 < 4.5

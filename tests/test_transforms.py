@@ -323,6 +323,14 @@ def test_verify_stratonovich_hw_within_truncation_tolerance():
     assert all(c.tolerance == 1e-4 for c in report.conditions)
 
 
+@pytest.mark.parametrize("n_max", [4, 8])
+def test_verify_hw_covariance_holds_below_the_cutoff(n_max):
+    report = verify_stratonovich(HW(n_max), "wigner")
+    assert report.passed
+    cov = {c.name: c.residual for c in report.conditions}["covariance"]
+    assert cov < 1e-12
+
+
 def test_verify_arecchi_negative_control():
     # the two-angle rotation family is not informationally complete
     report = verify_stratonovich(SUN(2, 1), "weyl", rotation="arecchi")
