@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from functools import cached_property, partial
-from itertools import permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -310,22 +310,20 @@ def _ordered_moment_oracle(desc, rho, orders) -> complex:
             idx += 1
         return complex(np.trace(rho @ P))
     if isinstance(desc, HW):
+        # index (p, q) targets the symmetric ordering S(a^p adag^q): the mean
+        # of its C(p+q, p) distinct words, one per choice of the positions of
+        # a, formed in a block padded by p+q levels so that their restriction
+        # to the truncated block is exact
         p, q = orders
         n = desc.n_max
-        a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(np.complex128)
-        # index (p, q) targets the symmetric ordering S(a^p adag^q)
-        ops = [a] * p + [a.conj().T] * q
-        if not ops:
-            return complex(np.trace(rho))
-        acc = np.zeros((n, n), dtype=np.complex128)
-        perms = set(permutations(range(len(ops))))
-        for sigma in perms:
-            term = np.eye(n, dtype=np.complex128)
-            for i in sigma:
-                term = term @ ops[i]
+        a = np.diag(np.sqrt(np.arange(1.0, n + p + q)), 1)
+        acc = np.zeros_like(a)
+        for at in combinations(range(p + q), p):
+            term = np.eye(len(a))
+            for i in range(p + q):
+                term = term @ (a if i in at else a.T)
             acc += term
-        acc /= len(perms)
-        return complex(np.trace(rho @ acc))
+        return complex(np.trace(rho @ acc[:n, :n]) / math.comb(p + q, p))
     raise TypeError("moment oracle needs a single HW or SUN factor")
 
 

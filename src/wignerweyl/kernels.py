@@ -10,17 +10,19 @@ for HW.
 Batched evaluation goes through one evaluator, ``_kernels``, over rows of
 coordinates in the grid column layout.  An SU(N) kernel is a chain of
 per-axis factors exp(i J(k) x), each evaluated once per distinct coordinate
-value and gathered onto the rows; HW kernels are evaluated elementwise and
+value and gathered onto the rows; HW kernels are a real radial matrix,
+evaluated once per distinct |alpha|, times per-point phases (``Polar``), and
 composite kernels are row-wise Kronecker products.  ``transforms.symbols_at``
 applies it to arbitrary coordinate tables in blocks of bounded size, and
 ``kernel_stack`` to every node of a grid, as a reference.
 
-The transforms never hold a grid's (n_nodes, d, d) kernel stack.  A grid is
-a tensor product over the columns of the factor chain, so
+The transforms never hold a grid's (n_nodes, d, d) kernel stack.  A SU(N)
+grid is a tensor product over the columns of the factor chain, so
 ``kernel_pieces`` splits the chain at one axis boundary into a left and a
 right stack over the two sub-grids (K = L R on the Weyl side,
-K = L (R Pi R^dagger) L^dagger on the Wigner side) and caches those per
-(grid, kernel spec).
+K = L (R Pi R^dagger) L^dagger on the Wigner side); an oscillator grid
+keeps its ``Polar`` form, K_mn = R_mn(|alpha|) e^{i (m-n) arg alpha}.  The
+pieces are cached per (grid, kernel spec).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from scipy.special import eval_genlaguerre, gammaln, xlogy
+from scipy.special import gammaln, xlogy
 
 from .algebra import HW, SUN, Composite, SystemDescriptor, basis_labels, dimension
 from .measures import QuadratureGrid
@@ -221,39 +223,174 @@ def parity_cartan_weights(desc: SUN) -> np.ndarray:
 # restricted elements decay, and they form an orthonormal function family
 # over d^2alpha/pi, so reconstruction on the truncated space is exact up to
 # the domain tail.
+#
+# With alpha = r e^{i psi} every element is a real radial function times a
+# phase, <m|D(alpha)|n> = R_mn(r) e^{i (m-n) psi} (Cahill & Glauber, Phys.
+# Rev. 177 (1969) 1857), and so is the Wigner kernel
+# 2 D(alpha) P D(alpha)^dagger = 2 D(2 alpha) P: R_mn(2r) 2 (-1)^n.  ``Polar``
+# holds the radial matrices once per distinct radius and the phases once per
+# point.
+
+# bytes of kernels, radial factors or formed pieces evaluated at once
+BLOCK_BYTES = 16_000_000
 
 
-def _displacement_elements(n_max: int, alphas: np.ndarray) -> np.ndarray:
-    """Block-restricted displacement matrices for an array of alphas.
+def _blocks(n: int, row_bytes: int):
+    """(start, stop) of consecutive row blocks of at most ``BLOCK_BYTES``."""
+    rows = max(1, BLOCK_BYTES // row_bytes)
+    for start in range(0, n, rows):
+        yield start, min(start + rows, n)
 
-    Returns shape alphas.shape + (n_max, n_max).  Stable in log space up to
-    the overflow envelope of the generalized Laguerre values (desk-scale
-    radii and truncations are far inside it).
+
+@lru_cache(maxsize=None)
+def _diagonals(d: int) -> tuple[np.ndarray, ...]:
+    """Diagonal-major order of the entries of a d x d matrix.
+
+    Returns the row m and column n of each entry, diagonal k = m - n running
+    from -(d-1) to d-1 (diagonal k fills ``bounds[k + d - 1]:bounds[k + d]``),
+    and the permutation that puts diagonal-major entries back in C order.
     """
-    alphas = np.asarray(alphas, dtype=np.complex128)
-    r = np.abs(alphas)[..., None, None]
-    psi = np.angle(alphas)[..., None, None]
-    m = np.arange(n_max)
-    mi, ni = m[:, None], m[None, :]
-    lo = np.minimum(mi, ni)
-    k = np.abs(mi - ni)
-    log_ratio = 0.5 * (gammaln(lo + 1.0) - gammaln(np.maximum(mi, ni) + 1.0))
-    x = r * r
-    lag = eval_genlaguerre(lo, k, x)
-    radial = np.exp(xlogy(k, r) + log_ratio - 0.5 * x) * lag
-    sign = np.where(ni > mi, (-1.0) ** (ni - mi), 1.0)
-    return radial * sign * np.exp(1j * (mi - ni) * psi)
+    ks = np.arange(1 - d, d)
+    m = np.concatenate([np.arange(max(k, 0), d + min(k, 0)) for k in ks])
+    n = m - np.repeat(ks, d - np.abs(ks))
+    bounds = np.concatenate([[0], np.cumsum(d - np.abs(ks))])
+    out = (m, n, bounds, np.argsort(m * d + n))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _radial_constants(d: int, side: str) -> tuple[np.ndarray, ...]:
+    """Constants of ``_radial``.
+
+    lo, |m - n|, log sqrt(lo!/hi!) and the sign factor of each diagonal-major
+    entry, and the Laguerre recurrence coefficients 2j + 1 + k and j + k for
+    j = 0 .. d-1 and every order k.
+    """
+    m, n, _, _ = _diagonals(d)
+    lo, k = np.minimum(m, n), np.abs(m - n)
+    log_ratio = 0.5 * (gammaln(lo + 1.0) - gammaln(lo + k + 1.0))
+    sign = np.where(n > m, (-1.0) ** k, 1.0)
+    if side == WIGNER:
+        sign = sign * 2.0 * (-1.0) ** n
+    j, orders = np.arange(d)[:, None], np.arange(d)
+    out = (lo, k, log_ratio, sign, 2.0 * j + 1 + orders, 1.0 * j + orders)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _radial(n_max: int, r: np.ndarray, side: str) -> np.ndarray:
+    """Real radial factors R(r) of the side's kernel, diagonal-major: (len(r), n_max^2).
+
+    Weyl side: R_mn(r) = (-1)^max(n-m, 0) sqrt(lo!/hi!) r^|m-n| e^{-r^2/2}
+    L_lo^(|m-n|)(r^2), lo/hi = min/max(m, n), at r = |alpha|.  Wigner side:
+    the same at r = |2 alpha|, times the parity 2 (-1)^n.  The Laguerre values
+    come from the three-term recurrence in lo, for every order at once, over
+    blocks of at most ``BLOCK_BYTES`` of radii.
+    """
+    d = n_max
+    lo, k, log_ratio, sign, a, b = _radial_constants(d, side)
+    out = np.empty((len(r), d * d))
+    for start, stop in _blocks(len(r), 8 * d * d):
+        x = r[start:stop, None]
+        u = x * x
+        L = np.empty((d, len(x), d))  # L[j][:, k] = L_j^(k)(u)
+        L[0] = 1.0
+        L[1] = a[0] - u
+        for j in range(1, d - 1):
+            L[j + 1] = ((a[j] - u) * L[j] - b[j] * L[j - 1]) / (j + 1)
+        out[start:stop] = (
+            np.exp(xlogy(k, x) + log_ratio - 0.5 * u) * L[lo, :, k].T * sign
+        )
+    return out
+
+
+@dataclass(frozen=True)
+class Polar:
+    """Oscillator kernels at a set of points, K_mn = R_mn(r) e^{i (m-n) psi}.
+
+    The points are held ring by ring, one ring per distinct radius, the
+    rings numbered so that those carrying fewer points come first: ``order``
+    lists the point indices in ring order, ``position`` is its inverse and
+    ``ring`` gives the ring of each point in ring order; ``groups`` lists the
+    runs of equally populated rings.  ``radial`` holds one real matrix per
+    ring in the diagonal-major order of ``_diagonals``, parity signs and
+    factors folded in, and ``phases`` holds e^{i k psi} for
+    k = -(d-1) .. d-1 at every point, in ring order.
+    """
+
+    radial: np.ndarray  # (n_rings, d^2) real
+    order: np.ndarray  # (n_points,)
+    position: np.ndarray  # (n_points,)
+    ring: np.ndarray  # (n_points,), nondecreasing
+    phases: np.ndarray  # (n_points, 2d - 1)
+    groups: tuple[tuple[int, int], ...]  # (points per ring, rings) of each run
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.radial.shape[1])
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.order)
+
+    def stack(self) -> np.ndarray:
+        """Kernels at every point, in point order: (n_points, d, d)."""
+        d = self.dim
+        m, n, _, to_c = _diagonals(d)
+        at = self.position
+        K = self.radial[self.ring[at]][:, to_c] * self.phases[at][:, (m - n + d - 1)[to_c]]
+        return K.reshape(-1, d, d)
+
+
+def _polar(n_max: int, alphas, side: str) -> Polar:
+    """The ``Polar`` kernels of one side of HW(n_max) at an array of alphas."""
+    alphas = np.asarray(alphas, dtype=np.complex128).ravel()
+    d = n_max
+    r = np.abs(alphas) * (2.0 if side == WIGNER else 1.0)
+    if len(r) == 1:  # one point is one ring
+        radii, order, groups = r, np.zeros(1, dtype=np.intp), ((1, 1),)
+        ring = order
+    else:
+        radii, ring, counts = np.unique(r, return_inverse=True, return_counts=True)
+        by_count = np.argsort(counts, kind="stable")
+        rank = np.empty_like(by_count)
+        rank[by_count] = np.arange(len(radii))
+        order = np.argsort(rank[ring], kind="stable")
+        radii, ring = radii[by_count], rank[ring][order]
+        runs, rings = np.unique(counts[by_count], return_counts=True)
+        groups = tuple(zip(runs.tolist(), rings.tolist()))
+    _check_bytes("oscillator kernel pieces",
+                 len(radii) * d * d * 8 + len(r) * ((2 * d - 1) * 16 + 24))
+    # e^{i k psi} as powers of alpha / |alpha|; negative k by conjugation
+    a = alphas[order]
+    ra = np.abs(a)
+    z = np.where(ra > 0, a / np.where(ra > 0, ra, 1.0), 1.0)
+    phases = np.empty((len(a), 2 * d - 1), dtype=np.complex128)
+    phases[:, d - 1] = 1.0
+    phases[:, d:] = np.cumprod(np.broadcast_to(z[:, None], (len(a), d - 1)), axis=1)
+    phases[:, : d - 1] = np.conj(phases[:, : d - 1: -1])
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return Polar(_radial(n_max, radii, side), order, position, ring, phases, groups)
+
+
+def _hw_kernels(n_max: int, alphas, side: str) -> np.ndarray:
+    """Kernels of one side of HW(n_max): shape alphas.shape + (n_max, n_max)."""
+    alphas = np.asarray(alphas)
+    return _polar(n_max, alphas, side).stack().reshape(alphas.shape + (n_max, n_max))
 
 
 def hw_wigner_kernel(n_max: int, alphas: np.ndarray) -> np.ndarray:
     """Displaced-parity kernels 2 D(alpha) P D(alpha)^dagger = 2 D(2 alpha) P."""
-    par = 2.0 * (-1.0) ** np.arange(n_max)
-    return _displacement_elements(n_max, 2.0 * np.asarray(alphas)) * par
+    return _hw_kernels(n_max, alphas, WIGNER)
 
 
 def hw_weyl_kernel(n_max: int, alphas: np.ndarray) -> np.ndarray:
     """Displacement kernels D(alpha) on the truncated block."""
-    return _displacement_elements(n_max, alphas)
+    return _hw_kernels(n_max, alphas, WEYL)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +515,14 @@ def _width(spec: KernelSpec) -> int:
     return 1 + max(col for _, _, col in _factor_table(desc.N, spec.side, spec.rotation))
 
 
+def _check_width(spec: KernelSpec, columns: int) -> None:
+    width = _width(spec)
+    if columns != width:
+        raise ValueError(
+            f"{spec.side} kernels of {spec.system} take {width} coordinate columns, got {columns}"
+        )
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row Kronecker products of two kernel stacks."""
     d = a.shape[-1] * b.shape[-1]
@@ -411,11 +556,7 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
     grid has this form already (axis nodes and the unravelled node index).
     """
     desc = spec.system
-    width = _width(spec)
-    if len(values) != width:
-        raise ValueError(
-            f"{spec.side} kernels of {desc} take {width} coordinate columns, got {len(values)}"
-        )
+    _check_width(spec, len(values))
     if isinstance(desc, Composite):
         out, at = None, 0
         for f in desc.factors:
@@ -430,10 +571,7 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
             at = cols.stop
         return out
     if isinstance(desc, HW):
-        alphas = values[0][index[0]] + 1j * values[1][index[1]]
-        if spec.side == WEYL:
-            return hw_weyl_kernel(desc.n_max, alphas)
-        return hw_wigner_kernel(desc.n_max, alphas)
+        return _hw_kernels(desc.n_max, values[0][index[0]] + 1j * values[1][index[1]], spec.side)
     U = _chain(desc, _factor_table(desc.N, spec.side, spec.rotation), values, index)
     return U if spec.side == WEYL else _rotated_parity(desc, U)
 
@@ -457,8 +595,7 @@ def _check_grid(spec: KernelSpec, grid: QuadratureGrid) -> None:
         )
 
 
-def _check_bytes(what: str, n: int, d: int) -> None:
-    need = n * d * d * 16
+def _check_bytes(what: str, need: int) -> None:
     if need > MAX_STACK_BYTES:
         raise OverflowError(
             f"{what} would need {need / 1e9:.1f} GB; evaluate symbols in "
@@ -478,7 +615,7 @@ def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
     through ``kernel_pieces`` and never build it.
     """
     _check_grid(spec, grid)
-    _check_bytes("kernel stack", grid.n_nodes, dimension(spec.system))
+    _check_bytes("kernel stack", grid.n_nodes * dimension(spec.system) ** 2 * 16)
     return _kernels(spec, [ax.nodes for ax in grid.axes], _tensor_index(grid.shape))
 
 
@@ -495,22 +632,37 @@ class Pieces:
     right: np.ndarray
     sandwich: bool
 
+    @property
+    def dim(self) -> int:
+        return self.left.shape[-1]
 
-def _split(spec: KernelSpec, grid: QuadratureGrid) -> Pieces:
+    @property
+    def n_nodes(self) -> int:
+        return len(self.left) * len(self.right)
+
+    def stack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Kernels of the nodes with left index start..stop, in C order: (n, d, d)."""
+        L = self.left[start:stop, None]
+        K = L @ self.right[None]
+        if self.sandwich:
+            K = K @ np.conj(np.swapaxes(L, 2, 3))
+        return K.reshape(-1, self.dim, self.dim)
+
+
+def _split(spec: KernelSpec, grid: QuadratureGrid) -> Pieces | Polar:
     desc, shape = spec.system, grid.shape
     nodes = [ax.nodes for ax in grid.axes]
     d = dimension(desc)
-    if isinstance(desc, HW):  # the square has no separable structure: R = I
-        _check_bytes("kernel pieces", grid.n_nodes + 1, d)
-        left = _kernels(spec, nodes, _tensor_index(shape))
-        return Pieces(left, np.eye(d, dtype=np.complex128)[None], False)
+    if isinstance(desc, HW):
+        ix, iy = _tensor_index(shape)
+        return _polar(desc.n_max, nodes[0][ix] + 1j * nodes[1][iy], spec.side)
     table = _factor_table(desc.N, spec.side, spec.rotation)
     # a boundary j splits the chain when every factor on columns < j comes
     # first (the arecchi rotation's column 0 sits on both sides: j = width)
     splits = [j for j in range(len(shape) + 1)
               if [col >= j for _, _, col in table] == sorted(col >= j for _, _, col in table)]
     j = min(splits, key=lambda j: math.prod(shape[:j]) + math.prod(shape[j:]))
-    _check_bytes("kernel pieces", math.prod(shape[:j]) + math.prod(shape[j:]), d)
+    _check_bytes("kernel pieces", (math.prod(shape[:j]) + math.prod(shape[j:])) * d * d * 16)
     index = _tensor_index(shape[:j]) + _tensor_index(shape[j:])
     left = _chain(desc, [f for f in table if f[2] < j], nodes, index)
     right = _chain(desc, [f for f in table if f[2] >= j], nodes, index)
@@ -519,14 +671,14 @@ def _split(spec: KernelSpec, grid: QuadratureGrid) -> Pieces:
     return Pieces(left, right, False)
 
 
-def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces, ...]:
+def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Polar, ...]:
     """Read-only split pieces of every factor of a grid, cached per (grid, spec).
 
-    One ``Pieces`` per tensor factor (one for a single system).  They hold
-    O((n_left + n_right) d^2) numbers where the kernel stack holds
-    O(n_nodes d^2); only the oscillator plane keeps its whole stack as
-    ``left``.  The cache is keyed weakly by grid identity; entries are
-    write-once, so concurrent readers are safe.
+    One entry per tensor factor (one for a single system): ``Pieces`` for
+    SU(N), holding O((n_left + n_right) d^2) numbers, and ``Polar`` for the
+    oscillator, holding O(n_rings d^2 + n_nodes d), where the kernel stack
+    holds O(n_nodes d^2).  The cache is keyed weakly by grid identity;
+    entries are write-once, so concurrent readers are safe.
     """
     _check_grid(spec, grid)
     if isinstance(spec.system, Composite):
@@ -535,7 +687,8 @@ def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces, ...]:
     per_grid = _PIECE_CACHE.setdefault(grid, {})
     if spec not in per_grid:
         pieces = _split(spec, grid)
-        pieces.left.flags.writeable = False
-        pieces.right.flags.writeable = False
+        for a in vars(pieces).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
         per_grid[spec] = pieces
     return (per_grid[spec],)

@@ -380,8 +380,8 @@ def hw_grid(desc: HW, radius: float, resolution: int) -> QuadratureGrid:
     """
     if not isinstance(desc, HW):
         raise TypeError("hw_grid needs an HW descriptor")
-    if radius <= 0 or resolution < 2:
-        raise ValueError("need radius > 0 and resolution >= 2")
+    if not math.isfinite(radius) or radius <= 0 or resolution < 2:
+        raise ValueError(f"need a finite radius > 0 and resolution >= 2, got {radius}, {resolution}")
     if resolution**2 > MAX_NODES:  # before the rule, whose cost grows as resolution^2
         raise OverflowError(
             f"grid holds {resolution**2} nodes (limit {MAX_NODES}); lower the resolution"

@@ -5,9 +5,13 @@ The forward map sends an operator to its symbol on a grid (or, through
 inverts it through the dual kernel (the kernel itself on the Wigner side,
 the adjoint displacement on the Weyl side).  On grids whose quadrature is
 exact for the relevant representation frequencies, forward-then-back is
-exact to rounding.  Both contract through the split pieces of
+exact to rounding.  Both contract through the pieces of
 ``kernels.kernel_pieces``, factor by factor on product grids, and never
-build a grid's kernel stack.
+build a grid's kernel stack.  An SU(N) piece has two routes, picked by a
+multiply-add count from the shapes: its factored form for few operators, and
+its kernels formed in bounded node blocks, one GEMM per block, for large
+batches (the second stage of a composite contraction).  An oscillator piece
+always contracts through its radial matrices and phases.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 
 from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, format_system
 from .kernels import (
-    WEYL, WIGNER, KernelSpec, _kernels, kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
+    WEYL, WIGNER, KernelSpec, Pieces, Polar, _blocks, _check_width, _diagonals, _kernels, _polar,
+    kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, PhasePoint
@@ -47,10 +52,6 @@ class PhaseFunction:
         return complex(np.dot(self.grid.weights(), self.values))
 
 
-# kernel bytes evaluated at once by symbols_at
-SYMBOL_BLOCK_BYTES = 16_000_000
-
-
 def _operator(A: np.ndarray, spec: KernelSpec) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
     d = dimension(spec.system)
@@ -67,22 +68,84 @@ def _traces(K: np.ndarray, A: np.ndarray) -> np.ndarray:
     return K.reshape(len(K), d * d) @ np.swapaxes(A, 1, 2).reshape(len(A), d * d).T
 
 
+def _rest_takes_the_batch(d1: int, n1: int, e: int, n_rest: int) -> bool:
+    """Which side of K_1 (x) K_rest takes the large batch in a composite contraction.
+
+    Contracting one side first turns B operators into B n_side operators for
+    the other.  Counting about n d^2 multiply-adds per operator on a factor
+    with n nodes and dimension d, the rest taking B n1 operators costs
+    n1 d1^2 e^2 + n1 n_rest e^2 per operator, and factor 1 taking B n_rest
+    costs n_rest e^2 d1^2 + n1 n_rest d1^2.
+    """
+    return n1 * (d1 * d1 + n_rest) * e * e <= n_rest * (e * e + n1) * d1 * d1
+
+
 def _forward(pieces, A: np.ndarray) -> np.ndarray:
     """Tr[A K(node)] on every node for a stack of operators: (B, d, d) -> (B, n_nodes)."""
     p, rest = pieces[0], pieces[1:]
     B = len(A)
-    if rest:
-        # K = K_1 (x) K_rest: A as d1 x d1 blocks of e x e operators; trace the
-        # block indices against factor 1, then each node's e x e partial trace
-        # against the rest
-        d1 = p.left.shape[-1]
-        e = A.shape[-1] // d1
-        X = A.reshape(B, d1, e, d1, e).transpose(0, 2, 4, 1, 3).reshape(-1, d1, d1)
-        Y = _forward(pieces[:1], X)
-        Y = Y.reshape(B, e, e, -1).transpose(0, 3, 1, 2).reshape(-1, e, e)
+    if not rest:
+        return _polar_forward(p, A) if isinstance(p, Polar) else _pieces_forward(p, A)
+    # K = K_1 (x) K_rest, with A as d1 x d1 blocks of e x e operators
+    d1, n1 = p.dim, p.n_nodes
+    e = A.shape[-1] // d1
+    n_rest = math.prod(q.n_nodes for q in rest)
+    blocks = A.reshape(B, d1, e, d1, e)
+    if _rest_takes_the_batch(d1, n1, e, n_rest):
+        # trace the block indices against factor 1, then each node's e x e
+        # partial trace against the rest
+        Y = _forward(pieces[:1], blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d1, d1))
+        Y = Y.reshape(B, e, e, n1).transpose(0, 3, 1, 2).reshape(-1, e, e)
         return _forward(rest, Y).reshape(B, -1)
+    # trace the indices within the blocks against the rest, then each rest
+    # node's d1 x d1 partial trace against factor 1
+    Y = _forward(rest, blocks.transpose(0, 1, 3, 2, 4).reshape(-1, e, e))
+    Y = Y.reshape(B, d1, d1, n_rest).transpose(0, 3, 1, 2).reshape(-1, d1, d1)
+    Y = _forward(pieces[:1], Y).reshape(B, n_rest, n1)
+    return Y.transpose(0, 2, 1).reshape(B, -1)
+
+
+def _kernel_sum(pieces, C: np.ndarray) -> np.ndarray:
+    """sum_n C[n, b] K(node n) for every column b: (n_nodes, B) -> (B, d, d)."""
+    p, rest = pieces[0], pieces[1:]
+    B = C.shape[1]
+    if not rest:
+        return _polar_sum(p, C) if isinstance(p, Polar) else _pieces_sum(p, C)
+    n1 = p.n_nodes
+    n_rest = C.shape[0] // n1
+    d1 = p.dim
+    e = math.prod(q.dim for q in rest)
+    if _rest_takes_the_batch(d1, n1, e, n_rest):
+        # sum over the rest for each (factor-1 node, b), then over factor 1
+        # with those e x e sums as coefficients
+        S = _kernel_sum(rest, C.reshape(n1, n_rest, B).transpose(1, 0, 2).reshape(n_rest, -1))
+        S = _kernel_sum(pieces[:1], S.reshape(n1, B * e * e))
+        return S.reshape(B, e, e, d1, d1).transpose(0, 3, 1, 4, 2).reshape(B, d1 * e, d1 * e)
+    # sum over factor 1 for each (rest node, b), then over the rest with
+    # those d1 x d1 sums as coefficients
+    S = _kernel_sum(pieces[:1], C.reshape(n1, n_rest * B))
+    S = _kernel_sum(rest, S.reshape(n_rest, B * d1 * d1))
+    return S.reshape(B, d1, d1, e, e).transpose(0, 1, 3, 2, 4).reshape(B, d1 * e, d1 * e)
+
+
+def _pieces_dense(p: Pieces, B: int) -> bool:
+    """Whether forming the kernels beats the factored route for B operators.
+
+    The factored route multiplies each operator with every left piece
+    (sandwich) or every right piece, B n_left d^3 (B n_right d^3); forming
+    the kernels costs n_nodes d^3 once.  Both then run the same GEMM.
+    """
+    return B > (len(p.right) if p.sandwich else len(p.left))
+
+
+def _pieces_forward(p: Pieces, A: np.ndarray) -> np.ndarray:
     L, R = p.left, p.right
-    d = L.shape[-1]
+    B, d = len(A), p.dim
+    if _pieces_dense(p, B):
+        out = np.empty((p.n_nodes, B), dtype=np.complex128)
+        for lo, hi in _blocks(len(L), 16 * d * d * len(R)):
+            out[lo * len(R): hi * len(R)] = _traces(p.stack(lo, hi), A)
+        return out.T
     if p.sandwich:  # Tr[A L P L^dagger] = Tr[(L^dagger A L) P]
         X = np.conj(np.swapaxes(L, 1, 2)) @ A[:, None] @ L
         out = _traces(R, X.reshape(-1, d, d)).reshape(len(R), B, len(L)).transpose(1, 2, 0)
@@ -92,21 +155,14 @@ def _forward(pieces, A: np.ndarray) -> np.ndarray:
     return out.reshape(B, -1)
 
 
-def _kernel_sum(pieces, C: np.ndarray) -> np.ndarray:
-    """sum_n C[n, b] K(node n) for every column b: (n_nodes, B) -> (B, d, d)."""
-    p, rest = pieces[0], pieces[1:]
-    B = C.shape[1]
+def _pieces_sum(p: Pieces, C: np.ndarray) -> np.ndarray:
     L, R = p.left, p.right
-    if rest:
-        # sum over the rest for each (factor-1 node, b), then over factor 1
-        # with those e x e sums as coefficients
-        n1 = len(L) * len(R)
-        S = _kernel_sum(rest, C.reshape(n1, -1, B).transpose(1, 0, 2).reshape(-1, n1 * B))
-        e = S.shape[-1]
-        S1 = _kernel_sum(pieces[:1], S.reshape(n1, B * e * e))
-        d1 = S1.shape[-1]
-        return S1.reshape(B, e, e, d1, d1).transpose(0, 3, 1, 4, 2).reshape(B, d1 * e, d1 * e)
-    d = L.shape[-1]
+    B, d = C.shape[1], p.dim
+    if _pieces_dense(p, B):
+        S = np.zeros((B, d * d), dtype=np.complex128)
+        for lo, hi in _blocks(len(L), 16 * d * d * len(R)):
+            S += C[lo * len(R): hi * len(R)].T @ p.stack(lo, hi).reshape(-1, d * d)
+        return S.reshape(B, d, d)
     C = C.reshape(len(L), len(R), B)
     if p.sandwich:  # sum_l L (sum_r C P) L^dagger
         Q = C.transpose(0, 2, 1).reshape(-1, len(R)) @ R.reshape(len(R), d * d)
@@ -115,6 +171,62 @@ def _kernel_sum(pieces, C: np.ndarray) -> np.ndarray:
     # sum_r (sum_l C L) R
     Q = (C.reshape(len(L), -1).T @ L.reshape(len(L), d * d)).reshape(len(R), B, d, d)
     return (Q @ R[:, None]).sum(axis=0)
+
+
+def _radial_products(p: Polar, X: np.ndarray, Y: np.ndarray, transpose: bool) -> None:
+    """One real GEMM per diagonal k: Y[:, k] = radial_k @ X_k, or Y_k = radial_k^T @ X[:, k].
+
+    X and Y are complex, held as real pairs (last axis 2B): the diagonal-major
+    operator entries (d^2, 2B) and the per-ring coefficients (n_rings, 2d - 1, 2B).
+    """
+    _, _, bounds, _ = _diagonals(p.dim)
+    for k in range(len(bounds) - 1):
+        s = slice(bounds[k], bounds[k + 1])
+        if transpose:
+            Y[s] = p.radial[:, s].T @ X[:, k]
+        else:
+            Y[:, k] = p.radial[:, s] @ X[s]
+
+
+def _ring_groups(p: Polar):
+    """(point slice, ring slice, points per ring, rings) of each run of equal rings."""
+    at = ring = 0
+    for count, rings in p.groups:
+        yield slice(at, at + count * rings), slice(ring, ring + rings), count, rings
+        at, ring = at + count * rings, ring + rings
+
+
+def _polar_forward(p: Polar, A: np.ndarray) -> np.ndarray:
+    B, d = len(A), p.dim
+    m, n, _, _ = _diagonals(d)
+    a = np.ascontiguousarray(A[:, n, m].T)  # A_nm at the diagonal-major entry (m, n)
+    out = np.empty((p.n_nodes, B), dtype=np.complex128)  # in ring order
+    # c_k(r) = sum_{m - n = k} R_mn(r) A_nm, then sum_k c_k(r) e^{i k psi}
+    c = np.empty((len(p.radial), 2 * d - 1, 2 * B))
+    _radial_products(p, a.view(np.float64), c, transpose=False)
+    c = c.view(np.complex128)
+    for pts, rings, count, n_rings in _ring_groups(p):
+        ph = p.phases[pts].reshape(n_rings, count, -1)
+        out[pts] = (ph @ c[rings]).reshape(-1, B)
+    return out[p.position].T
+
+
+def _polar_sum(p: Polar, C: np.ndarray) -> np.ndarray:
+    B, d = C.shape[1], p.dim
+    C = C[p.order]
+    # g_k(r) = sum over the ring's points of C e^{i k psi}, then
+    # S_mn = sum_r R_mn(r) g_{m-n}(r)
+    g = np.empty((len(p.radial), 2 * d - 1, B), dtype=np.complex128)
+    for pts, rings, count, n_rings in _ring_groups(p):
+        ph = p.phases[pts].reshape(n_rings, count, -1)
+        g[rings] = np.swapaxes(ph, 1, 2) @ C[pts].reshape(n_rings, count, B)
+    S = np.empty((d * d, 2 * B))
+    _radial_products(p, g.view(np.float64), S, transpose=True)
+    S = S.view(np.complex128).T
+    m, n, _, _ = _diagonals(d)
+    out = np.empty((B, d, d), dtype=np.complex128)
+    out[:, m, n] = S
+    return out
 
 
 def phase_function(A: np.ndarray, spec: KernelSpec, grid: QuadratureGrid) -> PhaseFunction:
@@ -133,20 +245,28 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
 
     ``coords`` has one row per point in the column layout of the matching
     grid (``grid.coords()``; composite rows concatenate the factor columns).
-    Rows are evaluated in blocks of at most ``SYMBOL_BLOCK_BYTES`` of kernels,
+    Rows are evaluated in blocks of at most ``kernels.BLOCK_BYTES`` of kernels,
     so memory stays bounded whatever the table size.
     """
     A = _operator(A, spec)
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2:
         raise ValueError(f"coords must be a 2-D table of rows, got shape {coords.shape}")
-    rows = max(1, SYMBOL_BLOCK_BYTES // (16 * A.shape[0] ** 2))
+    _check_width(spec, coords.shape[1])
+    bad = ~np.isfinite(coords).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"coordinate row {i} is not finite: {coords[i].tolist()}")
     out = np.empty(len(coords), dtype=np.complex128)
-    for start in range(0, len(coords), rows):
-        block = coords[start: start + rows]
+    for start, stop in _blocks(len(coords), 16 * A.shape[0] ** 2):
+        block = coords[start:stop]
+        if isinstance(spec.system, HW):
+            p = _polar(spec.system.n_max, block[:, 0] + 1j * block[:, 1], spec.side)
+            out[start:stop] = _polar_forward(p, A[None])[0]
+            continue
         columns = [np.unique(col, return_inverse=True) for col in block.T]
         K = _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
-        out[start: start + rows] = _traces(K, A)
+        out[start:stop] = _traces(K, A)
     return out
 
 

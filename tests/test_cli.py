@@ -131,6 +131,15 @@ def test_moments_hw_symmetric_order(capsys):
     assert out["residual"] < 1e-7
 
 
+def test_moments_hw_oracle_is_exact_at_order_four(capsys):
+    # the oracle's words are formed in a padded block, like weyl_moments'
+    out = run_cli(
+        capsys, "moments", "--system", "hw:16",
+        "--state", "coherent:1.0-1.0j", "--orders", "2,2",
+    )
+    assert out["residual"] < 1e-12
+
+
 def test_autocorr_r0_is_trace(capsys):
     out = run_cli(
         capsys, "autocorr", "--system", "su:2:1", "--state", "random:7",
@@ -221,6 +230,15 @@ def test_figure_data_rejects_flags_the_preset_does_not_read(preset, flag, value,
 def test_radius_is_rejected_without_an_hw_factor(command, args, capsys):
     payload = run_cli_err(capsys, command, *args, "--radius", "3")
     assert "--radius" in payload["error"] and "no hw factor" in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure-data", "--preset", "hw-cat", "--system", "hw:6", "--radius", "nan", "--grid-res", "5"],
+    ["wigner", "--system", "hw:4", "--state", "coherent:0.5", "--radius", "nan", "--grid-res", "8"],
+], ids=["figure-data", "wigner"])
+def test_non_finite_radius_exits_2(argv, capsys):
+    payload = run_cli_err(capsys, *argv)
+    assert "finite" in payload["error"]
 
 
 def test_config_file_then_flags_precedence(tmp_path, capsys):

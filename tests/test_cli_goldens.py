@@ -11,7 +11,8 @@ name: the figure-data, autocorr, wigner and weyl cases with the per-point /
 plot-grid implementation, the other commands with the hand-built parser that
 preceded the command table.  ``moments_hw8`` was re-captured when the
 finite-difference moments (and their ``--step`` flag) gave way to exact
-derivatives.
+derivatives, and again when the oscillator oracle began forming its words in
+a padded block (its oracle value and residual changed; the moment did not).
 """
 
 import json

@@ -297,9 +297,42 @@ def test_kernel_pieces_built_once_per_grid_and_read_only(spec, make_grid, monkey
     p1 = kernel_pieces(spec, grid)
     p2 = kernel_pieces(spec, grid)
     assert p1[0] is p2[0] and len(built) == 1
-    assert not p1[0].left.flags.writeable and not p1[0].right.flags.writeable
+    arrays = [a for a in vars(p1[0]).values() if isinstance(a, np.ndarray)]
+    want = 5 if spec.system == HW(6) else 2  # radial, order, position, ring, phases | left, right
+    assert len(arrays) == want and not any(a.flags.writeable for a in arrays)
     kernel_pieces(spec, default_grid(spec.system, spec.side))  # another grid, its own pieces
     assert len(built) == 2
+
+
+def test_default_oscillator_pieces_hold_no_node_stack():
+    grid = default_grid(HW(20), "wigner")
+    (p,) = kernel_pieces(KernelSpec("wigner", HW(20)), grid)
+    arrays = [a for a in vars(p).values() if isinstance(a, np.ndarray)]
+    assert not any(a.shape[:1] == (grid.n_nodes,) and a.ndim == 3 for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 50_000_000
+    assert len(p.radial) < grid.n_nodes / 4  # one radial matrix per distinct radius
+
+
+@pytest.mark.parametrize("side", ["weyl", "wigner"])
+def test_oscillator_kernels_match_the_laguerre_closed_form(side):
+    """Radial recurrence and phase powers against scipy's Laguerre values, up to n_max = 30."""
+    from scipy.special import eval_genlaguerre, gammaln, xlogy
+
+    n_max = 30
+    rng = np.random.default_rng(4)
+    alphas = rng.uniform(-4, 4, 40) + 1j * rng.uniform(-4, 4, 40)
+    alphas[:3] = [0.0, 1e-9, -2.5]
+    z = 2.0 * alphas if side == "wigner" else alphas
+    m, n = np.arange(n_max)[:, None], np.arange(n_max)[None, :]
+    lo, k = np.minimum(m, n), np.abs(m - n)
+    r = np.abs(z)[:, None, None]
+    radial = np.exp(xlogy(k, r) + 0.5 * (gammaln(lo + 1.0) - gammaln(lo + k + 1.0)) - 0.5 * r * r)
+    want = radial * eval_genlaguerre(lo, k, r * r) * np.exp(1j * (m - n) * np.angle(z)[:, None, None])
+    want = want * np.where(n > m, (-1.0) ** k, 1.0)
+    if side == "wigner":
+        want = want * 2.0 * (-1.0) ** n
+    got = (hw_wigner_kernel if side == "wigner" else hw_weyl_kernel)(n_max, alphas)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_kernel_stack_matches_pointwise():

@@ -168,6 +168,12 @@ def test_resolution_floor_enforced():
         hw_grid(HW(4), -1.0, 20)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+def test_hw_grid_rejects_a_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="finite radius"):
+        hw_grid(HW(4), radius, 8)
+
+
 def test_typed_points_match_coords():
     g = cp_grid(SUN(2, 1))
     pt = g.point(7)

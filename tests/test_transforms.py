@@ -117,6 +117,7 @@ def test_symbol_at_matches_grid_values():
     ],
 )
 def test_symbols_at_matches_grid_values_in_blocks(side, make_grid, monkeypatch):
+    import wignerweyl.kernels as kernels
     import wignerweyl.transforms as transforms
 
     grid = make_grid()
@@ -125,7 +126,7 @@ def test_symbols_at_matches_grid_values_in_blocks(side, make_grid, monkeypatch):
     A = _hermitian(d, 8)
     want = phase_function(A, spec, grid).values
     # a budget of 97 kernels forces several blocks with a partial tail
-    monkeypatch.setattr(transforms, "SYMBOL_BLOCK_BYTES", 97 * 16 * d * d)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 97 * 16 * d * d)
     got = transforms.symbols_at(A, spec, grid.coords())
     assert np.max(np.abs(got - want)) < 1e-12
     with pytest.raises(ValueError):
@@ -452,3 +453,62 @@ def test_default_grid_roundtrip_without_kernel_stack(system, side):
     A = _hermitian(dimension(desc), 5)
     back = reconstruct(phase_function(A, KernelSpec(side, desc), default_grid(desc, side)))
     assert np.max(np.abs(back - A)) < (1e-11 if side == "weyl" else 1e-8)
+
+
+def _check_batch_against_stack(spec, grid, B, seed=0):
+    """_forward on B operators and _kernel_sum on B columns equal the kernel_stack contractions."""
+    rng = np.random.default_rng(seed)
+    d = dimension(spec.system)
+    K = kernel_stack(spec, grid)
+    pieces = kernels_module.kernel_pieces(spec, grid)
+    A = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
+    got = transforms_module._forward(pieces, A)
+    assert np.max(np.abs(got - np.einsum("nij,bji->bn", K, A))) < 1e-12
+    C = grid.weights()[:, None] * (rng.standard_normal((grid.n_nodes, B))
+                                   + 1j * rng.standard_normal((grid.n_nodes, B)))
+    got = transforms_module._kernel_sum(pieces, C)
+    assert np.max(np.abs(got - np.einsum("nb,nij->bij", C, K))) < 1e-12
+
+
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+@pytest.mark.parametrize("resolution", [11, 12])
+@pytest.mark.parametrize("B", [1, 2, 40])
+def test_oscillator_routes_match_kernel_stack(side, resolution, B):
+    """The radial/phase contraction of the polar pieces, for one operator and for batches."""
+    spec, grid = KernelSpec(side, HW(5)), hw_grid(HW(5), 3.0, resolution)
+    _check_batch_against_stack(spec, grid, B)
+
+
+@pytest.mark.parametrize("spec, make_grid", [
+    (KernelSpec("wigner", SUN(2, 2)), lambda: cp_grid(SUN(2, 2))),
+    (KernelSpec("weyl", SUN(2, 2)), lambda: sun_grid(SUN(2, 2))),
+], ids=["su22-wigner", "su22-weyl"])
+@pytest.mark.parametrize("B", [1, 200])
+def test_split_piece_routes_match_kernel_stack(spec, make_grid, B):
+    grid = make_grid()
+    (p,) = kernels_module.kernel_pieces(spec, grid)
+    assert transforms_module._pieces_dense(p, B) == (B == 200)
+    _check_batch_against_stack(spec, grid, B)
+
+
+@pytest.mark.parametrize("system", ["hw:3*su:2:1", "su:2:1*hw:3"])
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+@pytest.mark.parametrize("B", [1, 3])
+def test_composite_oscillator_batches_match_kernel_stack(system, side, B):
+    """The oscillator first or last: each order of the two-stage contraction."""
+    desc = parse_system(system)
+    grid = product_grid([hw_grid(f, 2.5, 9) if isinstance(f, HW) else default_grid(f, side)
+                         for f in desc.factors])
+    first, second = grid.factors
+    d1, e = dimension(first.system), dimension(second.system)
+    # the factor with fewer nodes takes the large batch
+    assert transforms_module._rest_takes_the_batch(d1, first.n_nodes, e, second.n_nodes) == (
+        system.startswith("hw"))
+    _check_batch_against_stack(KernelSpec(side, desc), grid, B)
+
+
+def test_symbols_at_rejects_non_finite_rows():
+    spec = KernelSpec("wigner", HW(4))
+    rows = np.array([[0.1, 0.2], [0.3, np.inf], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="row 1 is not finite"):
+        transforms_module.symbols_at(np.eye(4), spec, rows)
