@@ -17,7 +17,7 @@ import numpy as np
 
 from . import transforms  # its evolve and reconstruct share names with handlers here
 from .algebra import (
-    HW, SUN, Composite, build_generators, dimension, generator, parse_system,
+    HW, SUN, Composite, build_generators, dimension, generator, is_hermitian, parse_system,
     trace_norm_constant,
 )
 from .kernels import WEYL, KernelSpec, kernel_at, parity
@@ -74,7 +74,10 @@ class Inputs:
     def hamiltonian(self) -> np.ndarray:
         """--hamiltonian file wins; otherwise --field couples to J(1..3)."""
         if self.cfg.hamiltonian:
-            return np.asarray(load_matrix(self.cfg.hamiltonian))
+            H = load_matrix(self.cfg.hamiltonian)
+            if H.shape[0] != H.shape[1] or not is_hermitian(H):
+                raise ValueError(f"--hamiltonian {self.cfg.hamiltonian} is not a Hermitian matrix")
+            return H
         if self.cfg.field:
             return _j_combination(self.desc, self.cfg.field, "--field")
         raise ValueError("provide --field or --hamiltonian")

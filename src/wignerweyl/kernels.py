@@ -34,8 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from scipy.special import gammaln, xlogy
-
 from .algebra import HW, SUN, Composite, SystemDescriptor, basis_labels, dimension
 from .measures import QuadratureGrid
 from .points import CompositePoint, CPPoint, EulerPoint, HWPoint, PhasePoint
@@ -270,7 +268,8 @@ def _radial_constants(d: int, side: str) -> tuple[np.ndarray, ...]:
     """
     m, n, _, _ = _diagonals(d)
     lo, k = np.minimum(m, n), np.abs(m - n)
-    log_ratio = 0.5 * (gammaln(lo + 1.0) - gammaln(lo + k + 1.0))
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(d)])
+    log_ratio = 0.5 * (log_fact[lo] - log_fact[lo + k])
     sign = np.where(n > m, (-1.0) ** k, 1.0)
     if side == WIGNER:
         sign = sign * 2.0 * (-1.0) ** n
@@ -298,12 +297,14 @@ def _radial(n_max: int, r: np.ndarray, side: str) -> np.ndarray:
         u = x * x
         L = np.empty((d, len(x), d))  # L[j][:, k] = L_j^(k)(u)
         L[0] = 1.0
-        L[1] = a[0] - u
+        if d > 1:
+            L[1] = a[0] - u
         for j in range(1, d - 1):
             L[j + 1] = ((a[j] - u) * L[j] - b[j] * L[j - 1]) / (j + 1)
-        out[start:stop] = (
-            np.exp(xlogy(k, x) + log_ratio - 0.5 * u) * L[lo, :, k].T * sign
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_log_x = k * np.log(x)
+        k_log_x[:, k == 0] = 0.0  # 0 log 0 = 0 at the origin
+        out[start:stop] = np.exp(k_log_x + log_ratio - 0.5 * u) * L[lo, :, k].T * sign
     return out
 
 

@@ -2,7 +2,18 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+
+
+def _angles(point, *names: str) -> None:
+    """Store each named field as a tuple of floats; raise ValueError on NaN or inf."""
+    for name in names:
+        values = tuple(float(x) for x in getattr(point, name))
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{name} must be finite, got {values}")
+        object.__setattr__(point, name, values)
 
 
 @dataclass(frozen=True)
@@ -10,6 +21,10 @@ class HWPoint:
     """A point alpha in the complex plane of a single HW mode."""
 
     alpha: complex
+
+    def __post_init__(self):
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -20,8 +35,7 @@ class CPPoint:
     theta: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(float(x) for x in self.phi))
-        object.__setattr__(self, "theta", tuple(float(x) for x in self.theta))
+        _angles(self, "phi", "theta")
         if len(self.phi) != len(self.theta):
             raise ValueError("phi and theta must have equal length")
 
@@ -35,9 +49,7 @@ class EulerPoint:
     Phi: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(float(x) for x in self.phi))
-        object.__setattr__(self, "theta", tuple(float(x) for x in self.theta))
-        object.__setattr__(self, "Phi", tuple(float(x) for x in self.Phi))
+        _angles(self, "phi", "theta", "Phi")
         if len(self.phi) != len(self.theta):
             raise ValueError("phi and theta must have equal length")
 

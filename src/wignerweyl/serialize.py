@@ -46,7 +46,7 @@ def write_csv(path, header: list[str], rows: np.ndarray) -> None:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != len(header):
         raise ValueError("rows must be 2-D with one column per header entry")
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(row_format * len(rows) % tuple(rows.ravel().tolist()))

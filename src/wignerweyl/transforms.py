@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, format_system
+from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, format_system, is_hermitian
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, _blocks, _check_width, _diagonals, _kernels, _polar,
     kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
@@ -395,7 +395,9 @@ def evolve(
     The bracket is evaluated through the reconstructed operators (hbar = 1).
     Drift of the reconstructed operator's trace beyond ``drift_tol`` aborts;
     the message names the grid when the current operator's round trip
-    misses by more than ``drift_tol``, and the step size otherwise.
+    misses by more than ``drift_tol``, and the step size otherwise.  A
+    Hamiltonian whose reconstruction is not Hermitian raises ValueError
+    before the first step.
     """
     _require_same_frame(f_rho, f_H)
     if dt <= 0 or t_final < 0:
@@ -403,6 +405,8 @@ def evolve(
     spec, grid = f_rho.spec, f_rho.grid
     w = grid.weights()
     Hop = reconstruct(f_H)
+    if not is_hermitian(Hop):
+        raise ValueError("the Hamiltonian must be Hermitian: reconstruct(f_H) is not")
     dual_side = spec.side == WIGNER
     # Tr[reconstruct(f)] = sum_s w_s f_s Tr[dual kernel at s]
     tr_K = phase_function(np.eye(dimension(spec.system)), spec, grid).values

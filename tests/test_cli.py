@@ -53,6 +53,20 @@ def test_kernel_point_evaluation(capsys):
     assert out["matrix"]["dim"] == [2, 2]
 
 
+def test_kernel_rejects_a_non_finite_point(capsys):
+    err = run_cli_err(capsys, "kernel", "--system", "hw:4", "--side", "wigner",
+                      "--point", "nan,0")
+    assert "alpha must be finite" in err["error"]
+
+
+def test_evolve_rejects_a_non_hermitian_hamiltonian_file(tmp_path, capsys):
+    h = tmp_path / "h.json"
+    dump_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), h)
+    err = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "random:3",
+                      "--hamiltonian", str(h), "--t-final", "0.1", "--dt", "0.01")
+    assert "not a Hermitian matrix" in err["error"]
+
+
 def test_wigner_sample_and_reconstruct_roundtrip(tmp_path, capsys):
     csv = tmp_path / "f.csv"
     out = run_cli(
@@ -452,3 +466,14 @@ def test_cli_import_and_parser_leave_numpy_unloaded():
                 "print('numpy' in sys.modules)")
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_commands_and_a_kernel_run_leave_scipy_unloaded():
+    r = _python(
+        "import sys, wignerweyl.commands; from wignerweyl.cli import main; "
+        "code = main(sys.argv[1:]); print('scipy' in sys.modules, file=sys.stderr); "
+        "sys.exit(code)",
+        "kernel", "--system", "hw:4", "--side", "wigner", "--point", "0.3,-0.2",
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.strip() == "False"

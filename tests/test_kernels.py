@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,29 @@ def test_oscillator_kernels_match_the_laguerre_closed_form(side):
         want = want * 2.0 * (-1.0) ** n
     got = (hw_wigner_kernel if side == "wigner" else hw_weyl_kernel)(n_max, alphas)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 12, 40])
+def test_radial_factors_at_the_origin(n_max):
+    """0 log 0 = 0: R(0) is I on the Weyl side and 2 (-1)^n on the Wigner diagonal."""
+    to_c = kernels_module._diagonals(n_max)[3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weyl, wigner = [
+            kernels_module._radial(n_max, np.zeros(1), side)[0, to_c].reshape(n_max, n_max)
+            for side in ("weyl", "wigner")
+        ]
+    assert np.array_equal(weyl, np.eye(n_max))
+    assert np.array_equal(wigner, np.diag(2.0 * (-1.0) ** np.arange(n_max)))
+
+
+def test_radial_log_ratios_match_gammaln():
+    from scipy.special import gammaln
+
+    for n_max in range(1, 41):
+        lo, k, log_ratio = kernels_module._radial_constants(n_max, "weyl")[:3]
+        want = 0.5 * (gammaln(lo + 1.0) - gammaln(lo + k + 1.0))
+        assert np.max(np.abs(log_ratio - want)) < 1e-13, n_max
 
 
 def test_kernel_stack_matches_pointwise():

@@ -229,6 +229,28 @@ def test_point_row_rejects_wrong_type_or_width():
         _row(CompositePoint((CPPoint((0.1,), (0.2,)), CPPoint((0.1,), (0.2,)))), prod)
 
 
+_POINT_FIELDS = [(HWPoint, "alpha"), (CPPoint, "phi"), (CPPoint, "theta"),
+                 (EulerPoint, "phi"), (EulerPoint, "theta"), (EulerPoint, "Phi")]
+
+
+@given(
+    case=st.sampled_from(_POINT_FIELDS),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    n=st.integers(1, 3),
+    at=st.integers(0, 2),
+    imag=st.booleans(),
+)
+def test_points_reject_non_finite_coordinates(case, bad, n, at, imag):
+    cls, name = case
+    if cls is HWPoint:
+        values = {"alpha": complex(0.5, bad) if imag else complex(bad, 0.5)}
+    else:
+        values = {f: [0.1] * n for f in ("phi", "theta", "Phi")[: 2 if cls is CPPoint else 3]}
+        values[name][at % n] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        cls(**values)
+
+
 def test_product_grid_composition():
     g1 = cp_grid(SUN(2, 1))
     g2 = hw_grid(HW(4), 3.0, 12)

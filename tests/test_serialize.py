@@ -55,3 +55,16 @@ def test_write_csv_validation(tmp_path):
         write_csv(tmp_path / "x.csv", ["a", "b"], np.zeros((2, 3)))
     with pytest.raises(ValueError):
         write_csv(tmp_path / "x.csv", ["a"], np.zeros(3))
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    rows = np.array([
+        [np.nan, np.inf, -np.inf],
+        [-0.0, 5e-324, 1e300],
+        [1e-300, -1e-300, -1e300],
+        [np.pi, -2.5000000000000004, 0.0],
+    ])
+    p = tmp_path / "t.csv"
+    write_csv(p, ["a", "b", "c"], rows)
+    want = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert p.read_bytes() == want.encode()

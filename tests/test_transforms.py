@@ -296,6 +296,17 @@ def test_evolve_validates_steps():
         evolve(f, f, 1.0, -0.1)
 
 
+def test_evolve_rejects_a_non_hermitian_hamiltonian(monkeypatch):
+    desc = SUN(2, 1)
+    spec = KernelSpec("wigner", desc)
+    grid = cp_grid(desc)
+    f_rho = phase_function(np.eye(2) / 2.0, spec, grid)
+    f_H = phase_function(np.array([[0.0, 1.0], [0.0, 0.0]]), spec, grid)
+    monkeypatch.setattr(transforms_module, "phase_function", None)  # fail before any transform
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve(f_rho, f_H, 0.1, 0.01)
+
+
 def test_verify_stratonovich_wigner_passes():
     report = verify_stratonovich(SUN(2, 1), "wigner")
     assert report.passed
