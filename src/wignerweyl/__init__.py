@@ -31,7 +31,6 @@ _EXPORTS = {
     "WEYL": ".kernels",
     "WIGNER": ".kernels",
     "KernelSpec": ".kernels",
-    "clebsch_gordan": ".kernels",
     "kernel_at": ".kernels",
     "kernel_stack": ".kernels",
     "parity": ".kernels",

@@ -3,9 +3,8 @@
 The Weyl kernel at a point is the displacement-type group element itself
 (SU(N) Euler rotation, or the block-restricted HW displacement).  The
 Wigner kernel is the rotated parity, U Pi U^dagger, where Pi is the
-generalized parity operator: a Clebsch-Gordan multipole sum for SUN(2, M),
-a closed diagonal form for SUN(N, 1), and twice the Fock-space parity
-for HW.
+generalized parity operator: one Stratonovich zonal sum for every SUN(N, M),
+and twice the Fock-space parity for HW.
 
 Batched evaluation goes through one evaluator, ``_kernels``, over rows of
 coordinates in the grid column layout.  An SU(N) kernel is a chain of
@@ -74,121 +73,49 @@ class KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Clebsch-Gordan coefficients
-
-
-def _as_two(x: float, what: str) -> int:
-    two = 2.0 * x
-    if abs(two - round(two)) > 1e-9:
-        raise ValueError(f"{what} must be integer or half-integer, got {x}")
-    return int(round(two))
-
-
-@lru_cache(maxsize=None)
-def _cg_cached(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
-    # all arguments are doubled to keep them integral
-    if tm1 + tm2 != tM:
-        return 0.0
-    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2:
-        return 0.0
-    if (tj1 + tj2 + tJ) % 2 != 0:
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
-        return 0.0
-    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
-        return 0.0
-
-    def lf(two_x: int) -> float:
-        # log((two_x / 2)!) for an even doubled argument
-        if two_x % 2:
-            raise ValueError("factorial of non-integer")
-        if two_x < 0:
-            return math.inf
-        return math.lgamma(two_x // 2 + 1)
-
-    log_pref = 0.5 * (
-        math.log(tJ + 1.0)
-        + lf(tj1 + tj2 - tJ)
-        + lf(tj1 - tj2 + tJ)
-        + lf(-tj1 + tj2 + tJ)
-        - lf(tj1 + tj2 + tJ + 2)
-        + lf(tj1 + tm1)
-        + lf(tj1 - tm1)
-        + lf(tj2 + tm2)
-        + lf(tj2 - tm2)
-        + lf(tJ + tM)
-        + lf(tJ - tM)
-    )
-    total = 0.0
-    k_lo = max(0, (tj2 - tJ - tm1) // 2, (tj1 + tm2 - tJ) // 2)
-    k_hi = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    for k in range(k_lo, k_hi + 1):
-        tk = 2 * k
-        log_den = (
-            lf(tk)
-            + lf(tj1 + tj2 - tJ - tk)
-            + lf(tj1 - tm1 - tk)
-            + lf(tj2 + tm2 - tk)
-            + lf(tJ - tj2 + tm1 + tk)
-            + lf(tJ - tj1 - tm2 + tk)
-        )
-        total += (-1.0) ** k * math.exp(log_pref - log_den)
-    return total
-
-
-def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, J: float, M: float) -> float:
-    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
-
-    Evaluated from the closed factorial sum with log-factorial
-    stabilization.  Selection-rule violations return 0; non-(half)integer
-    arguments raise.
-    """
-    args = [
-        _as_two(j1, "j1"), _as_two(m1, "m1"), _as_two(j2, "j2"),
-        _as_two(m2, "m2"), _as_two(J, "J"), _as_two(M, "M"),
-    ]
-    for tj, tm, name in ((args[0], args[1], "m1"), (args[2], args[3], "m2"), (args[4], args[5], "M")):
-        if (tj + tm) % 2:
-            raise ValueError(f"{name} must differ from its j by an integer")
-    return _cg_cached(*args)
-
-
-# ---------------------------------------------------------------------------
 # parity operators
 
 
+@lru_cache(maxsize=None)
 def parity(desc: SystemDescriptor) -> np.ndarray:
-    """Generalized parity: the Wigner kernel at the phase-space origin.
+    """Generalized parity, the Wigner kernel at the phase-space origin (cached, read-only).
 
-    SUN(2, M): the multipole sum over l = 0..M of
-    (2l+1)/(M+1) <j,-n; l,0 | j,-n> on the weight-n basis state (j = M/2),
-    oriented so the lowest-weight state carries the largest entry.
-    SUN(N, 1): (1/N) (1 - sqrt((N-1)N(N+1)/2) J(N^2-1)).
-    HW: twice the Fock parity, diag(2 (-1)^n).
-    Other SUN(N >= 3, M >= 2) parities are not supported.
+    HW: twice the Fock parity, diag(2 (-1)^n).  SUN(N, M): the Stratonovich
+    sum Pi = sum_l sqrt(D_l / d) Z_l, l = 0..M (Brif & Mann, PRA 59 (1999) 971),
+    over the zonal operators Z_l: the unit functions of n_N (the operators the
+    lowest weight's stabilizer leaves invariant) in the Casimir's eigenspaces
+    (l, 0, ..., 0, l), of dimension D_l = C(N+l-1, l)^2 - C(N+l-2, l-1)^2,
+    positive on the lowest-weight state.  The generators change n_N by at most
+    one, so the Casimir is tridiagonal on the functions of n_N and Z_l is the
+    degree-l orthonormal polynomial in n_N; Gram-Schmidt builds it with a
+    positive leading coefficient, hence positive at n_N = M beyond its roots.
+    (That value, which would orient a Casimir eigenvector, falls below
+    rounding for large l: under 1e-16 for l >= 71 at M = 80.)
     """
     if isinstance(desc, HW):
-        return np.diag(2.0 * (-1.0) ** np.arange(desc.n_max)).astype(np.complex128)
-    if not isinstance(desc, SUN):
+        Pi = np.diag(2.0 * (-1.0) ** np.arange(desc.n_max)).astype(np.complex128)
+    elif isinstance(desc, SUN):
+        N, M = desc.N, desc.M
+        n_last = np.array([lab[-1] for lab in basis_labels(N, M)])
+        w = np.bincount(n_last)  # basis states at each n_N = 0..M
+        d = len(n_last)
+        # Z[l, k]: Z_l on the states with n_N = k, times sqrt(w_k)
+        Z = np.empty((M + 1, M + 1))
+        Z[0] = np.sqrt(w / d)
+        n = np.arange(M + 1.0)
+        for l in range(1, M + 1):
+            v = n * Z[l - 1]
+            for _ in range(2):  # the second pass removes what rounding left
+                v -= Z[:l].T @ (Z[:l] @ v)
+            Z[l] = v / np.linalg.norm(v)
+        D = [math.comb(N + l - 1, l) ** 2 - (math.comb(N + l - 2, l - 1) ** 2 if l else 0)
+             for l in range(M + 1)]
+        diag = np.sqrt([D_l / d for D_l in D]) @ Z / np.sqrt(w)
+        Pi = np.diag(diag[n_last]).astype(np.complex128)
+    else:
         raise TypeError("parity takes a single HW or SUN factor")
-    N, M = desc.N, desc.M
-    if N == 2:
-        j = 0.5 * M
-        labels = basis_labels(2, M)
-        diag = []
-        for m1, m2 in labels:
-            n = 0.5 * (m1 - m2)
-            p = 0.0
-            for l in range(M + 1):
-                p += (2 * l + 1) / (M + 1) * clebsch_gordan(j, -n, l, 0, j, -n)
-            diag.append(p)
-        return np.diag(np.asarray(diag, dtype=np.complex128))
-    if M == 1:
-        from .algebra import generator
-
-        coef = math.sqrt((N - 1) * N * (N + 1) / 2.0)
-        return (np.eye(N) - coef * generator(N, 1, N * N - 1)) / N
-    raise ValueError(f"parity unsupported for SUN(N={N}, M={M}) with N >= 3, M >= 2")
+    Pi.flags.writeable = False
+    return Pi
 
 
 def parity_cartan_weights(desc: SUN) -> np.ndarray:
@@ -422,7 +349,7 @@ def wigner_kernel_at(desc: SystemDescriptor, point: PhasePoint) -> np.ndarray:
         if not isinstance(point, CPPoint):
             raise TypeError("SUN Wigner kernel needs a CPPoint")
         U = _cp_block_rotation(desc, point)
-        par = np.diag(parity(desc)).copy()
+        par = np.diag(parity(desc))
         return (U * par[None, :]) @ U.conj().T
     if isinstance(desc, Composite):
         if not isinstance(point, CompositePoint) or len(point.points) != len(desc.factors):
@@ -544,7 +471,7 @@ def _chain(desc: SUN, table, values, index) -> np.ndarray:
 
 def _rotated_parity(desc: SUN, U: np.ndarray) -> np.ndarray:
     """U Pi U^dagger for every rotation of a stack."""
-    par = np.diag(parity(desc)).copy()
+    par = np.diag(parity(desc))
     return (U * par[None, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, format_system, is_hermitian
 from .kernels import (
-    WEYL, WIGNER, KernelSpec, Pieces, Polar, _blocks, _check_width, _diagonals, _kernels, _polar,
-    kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
+    WEYL, WIGNER, KernelSpec, Pieces, Polar, _blocks, _check_grid, _check_width, _diagonals,
+    _kernels, _polar, kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, PhasePoint
@@ -40,6 +40,7 @@ class PhaseFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_grid(self.spec, self.grid)
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.grid.n_nodes,):
             raise ValueError(
@@ -582,10 +583,13 @@ def verify_stratonovich(
     """Residuals for the Stratonovich-Weyl conditions of a kernel family.
 
     Wigner side: linear invertibility, reality, standardization (kernel
-    normalization and symbol integral), traciality, and covariance (SUN with
-    N <= 3 and HW).  Weyl side: completeness round trip and the value of the
-    symbol at the origin.  Compact systems default to tolerance 1e-10; HW
-    carries truncation error and defaults to 1e-4.
+    normalization and symbol integral), traciality, and covariance (HW and
+    SUN(N, M) with N <= 3, any M; skipped, with the reason, elsewhere).  Weyl
+    side: completeness round trip and the value of the symbol at the origin.
+    Without a ``tolerance`` every condition gates at 1e-10, except that the
+    grid conditions of a system with an HW factor carry the truncation error
+    of its plane window and gate at 1e-4; the oscillator covariance probe
+    works in a padded block and keeps 1e-10.
     """
     spec = KernelSpec(side, desc, rotation)
     if grid is None:
@@ -596,6 +600,7 @@ def verify_stratonovich(
         isinstance(desc, Composite) and any(isinstance(f, HW) for f in desc.factors)
     )
     tol = tolerance if tolerance is not None else (1e-4 if has_hw else 1e-10)
+    cov_tol = tolerance if tolerance is not None else 1e-10
     rng = np.random.default_rng(seed)
     d = dimension(desc)
     report = VerifyReport(desc, side, rotation)
@@ -627,7 +632,7 @@ def verify_stratonovich(
         except NotImplementedError as exc:
             report.skipped.append(("covariance", str(exc)))
         else:
-            report.conditions.append(ConditionReport("covariance", cov, tol))
+            report.conditions.append(ConditionReport("covariance", cov, cov_tol))
     else:
         # standardization at the origin
         origin = np.zeros((1, len(grid.axes)))
@@ -664,7 +669,7 @@ def _covariance_residual(desc: SystemDescriptor, spec: KernelSpec, rng) -> float
             lhs = symbols_at(V @ low @ V.conj().T, padded, [(a.real, a.imag)])[0]
             err = max(err, abs(lhs - r))
         return err
-    if isinstance(desc, SUN) and (desc.N == 2 or (desc.N == 3 and desc.M == 1)):
+    if isinstance(desc, SUN) and desc.N in (2, 3):
         n_pairs, n_cartan = euler_angle_count(desc.N)
         err = 0.0
         for _ in range(3):
@@ -683,5 +688,5 @@ def _covariance_residual(desc: SystemDescriptor, spec: KernelSpec, rng) -> float
             err = max(err, float(np.max(np.abs(K1 - K2))))
         return err
     raise NotImplementedError(
-        f"no covariance probe for {format_system(desc)}: it covers hw:n, su:2:M and su:3:1"
+        f"no covariance probe for {format_system(desc)}: it covers hw:n, su:2:M and su:3:M"
     )

@@ -1,8 +1,10 @@
-"""Kernels: Clebsch-Gordan values, parity operators, displacement elements."""
+"""Kernels: parity operators against a Clebsch-Gordan oracle, displacement elements."""
 
 import math
 import re
 import warnings
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from wignerweyl import (
     EulerPoint,
     HWPoint,
     KernelSpec,
-    clebsch_gordan,
+    basis_labels,
+    build_generators,
     cp_grid,
     default_grid,
     diagonal_generator,
@@ -39,6 +42,83 @@ import wignerweyl.kernels as kernels_module
 from wignerweyl.kernels import _kernels, hw_weyl_kernel, hw_wigner_kernel, kernel_pieces
 
 _R2, _R3, _R6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
+
+
+# ---------------------------------------------------------------------------
+# Clebsch-Gordan oracle
+#
+# The closed factorial sum in exact rational arithmetic: evaluated in floats
+# its alternating terms cancel, and the SU(2, 80) multipole parity built on
+# it misses Tr Pi = 1 by 1.1e-6.
+
+
+def _as_two(x: float, what: str) -> int:
+    two = 2.0 * x
+    if abs(two - round(two)) > 1e-9:
+        raise ValueError(f"{what} must be integer or half-integer, got {x}")
+    return int(round(two))
+
+
+@lru_cache(maxsize=None)
+def _cg_cached(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    # all arguments are doubled to keep them integral
+    if tm1 + tm2 != tM:
+        return 0.0
+    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2:
+        return 0.0
+    if (tj1 + tj2 + tJ) % 2 != 0:
+        return 0.0
+    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
+        return 0.0
+    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
+        return 0.0
+
+    def f(two_x: int) -> int:
+        # (two_x / 2)! for an even, non-negative doubled argument
+        return math.factorial(two_x // 2)
+
+    pref = Fraction(
+        (tJ + 1) * f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(-tj1 + tj2 + tJ)
+        * f(tj1 + tm1) * f(tj1 - tm1) * f(tj2 + tm2) * f(tj2 - tm2) * f(tJ + tM) * f(tJ - tM),
+        f(tj1 + tj2 + tJ + 2),
+    )
+    k_lo = max(0, (tj2 - tJ - tm1) // 2, (tj1 + tm2 - tJ) // 2)
+    k_hi = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = sum(
+        Fraction((-1) ** k, f(2 * k) * f(tj1 + tj2 - tJ - 2 * k) * f(tj1 - tm1 - 2 * k)
+                 * f(tj2 + tm2 - 2 * k) * f(tJ - tj2 + tm1 + 2 * k) * f(tJ - tj1 - tm2 + 2 * k))
+        for k in range(k_lo, k_hi + 1)
+    )
+    return math.copysign(math.sqrt(pref * total * total), total)
+
+
+def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, J: float, M: float) -> float:
+    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
+
+    Selection-rule violations return 0; non-(half)integer arguments raise.
+    """
+    args = [
+        _as_two(j1, "j1"), _as_two(m1, "m1"), _as_two(j2, "j2"),
+        _as_two(m2, "m2"), _as_two(J, "J"), _as_two(M, "M"),
+    ]
+    for tj, tm, name in ((args[0], args[1], "m1"), (args[2], args[3], "m2"), (args[4], args[5], "M")):
+        if (tj + tm) % 2:
+            raise ValueError(f"{name} must differ from its j by an integer")
+    return _cg_cached(*args)
+
+
+def multipole_parity(M: int) -> np.ndarray:
+    """SU(2, M) parity diagonal: sum_l (2l+1)/(M+1) <j,-n; l,0 | j,-n>, j = M/2.
+
+    Entry i belongs to basis state i, of weight n = (m1 - m2) / 2; the
+    lowest-weight state (n = -j) comes last.
+    """
+    j = 0.5 * M
+    return np.array([
+        sum((2 * l + 1) / (M + 1) * clebsch_gordan(j, -n, l, 0, j, -n) for l in range(M + 1))
+        for n in (0.5 * (m1 - m2) for m1, m2 in basis_labels(2, M))
+    ])
+
 
 # hand-checked table values (Condon-Shortley phases)
 CG_TABLE = [
@@ -119,16 +199,26 @@ def test_parity_su21_closed_form():
     assert np.max(np.abs(parity(SUN(2, 1)) - want)) < 1e-14
 
 
-@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_parity_fundamental_closed_form(N):
     # N-1 equal entries (1 - sqrt(N+1))/N, lowest weight gets the rest
     a = (1.0 - math.sqrt(N + 1.0)) / N
     b = (1.0 + (N - 1.0) * math.sqrt(N + 1.0)) / N
     want = np.diag([a] * (N - 1) + [b])
-    assert np.max(np.abs(parity(SUN(N, 1)) - want)) < 1e-12
+    assert np.max(np.abs(parity(SUN(N, 1)) - want)) < 1e-13
 
 
-@pytest.mark.parametrize("desc", [SUN(2, 1), SUN(2, 2), SUN(2, 3), SUN(3, 1), SUN(4, 1)])
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 6, 20, 40, 80])
+def test_parity_matches_multipole_sum(M):
+    # a flipped zonal operator keeps both trace conditions but moves entries
+    # by O(1), as orienting Casimir eigenvectors at the lowest weight does at M = 80
+    assert np.max(np.abs(np.diag(parity(SUN(2, M))).real - multipole_parity(M))) < 1e-13
+
+
+@pytest.mark.parametrize("desc", [
+    SUN(2, 1), SUN(2, 2), SUN(2, 3), SUN(3, 1), SUN(4, 1),
+    SUN(2, 20), SUN(2, 40), SUN(2, 80), SUN(2, 120), SUN(3, 2), SUN(3, 3), SUN(4, 2),
+])
 def test_parity_trace_conditions(desc):
     # Tr[Pi] = 1 (standardization) and Tr[Pi^2] = d (self-duality scale)
     Pi = parity(desc)
@@ -138,14 +228,51 @@ def test_parity_trace_conditions(desc):
     assert np.max(np.abs(Pi - np.diag(np.diag(Pi)))) == 0.0  # diagonal
 
 
+@pytest.mark.parametrize("desc", [SUN(2, 6), SUN(3, 2), SUN(3, 3), SUN(4, 2), SUN(3, 5)])
+def test_parity_zonal_components(desc):
+    """Pi = sum_l sqrt(D_l / d) Z_l over the Casimir's eigen-operators.
+
+    Z_l are the unit eigenvectors of C(X) = sum_a [J_a, [J_a, X]] on the
+    projectors onto n_N = k, in ascending eigenvalue (l = 0..M), each
+    oriented positive on the lowest-weight state; D_l is the dimension of
+    the component (l, 0, ..., 0, l).
+    """
+    N, M = desc.N, desc.M
+    d = dimension(desc)
+    n_last = np.array([lab[-1] for lab in basis_labels(N, M)])
+    P = [np.diag(n_last == k) / math.sqrt(np.sum(n_last == k)) for k in range(M + 1)]
+    gens = build_generators(N, M)
+
+    def casimir(X):
+        return sum(J @ (J @ X - X @ J) - (J @ X - X @ J) @ J for J in gens)
+
+    C = np.array([[np.trace(a @ casimir(b)).real for b in P] for a in P])
+    lam, V = np.linalg.eigh(C)
+    assert lam[0] == pytest.approx(0.0, abs=1e-9) and np.all(np.diff(lam) > 1.0)
+    V = V * np.sign(V[M])  # row M: the lowest-weight state, P_M = its projector
+    assert np.min(np.abs(V[M])) > 1e-6  # so the orientation is well defined
+    Pi = parity(desc)
+    components = V.T @ [np.trace(p @ Pi).real for p in P]
+    D = [math.comb(N + l - 1, l) ** 2 - (math.comb(N + l - 2, l - 1) ** 2 if l else 0)
+         for l in range(M + 1)]
+    assert np.max(np.abs(components - np.sqrt(np.array(D) / d))) < 1e-13
+
+
 def test_parity_hw_is_doubled_fock_parity():
     want = np.diag(2.0 * (-1.0) ** np.arange(9))
     assert np.array_equal(parity(HW(9)), want)
 
 
 def test_parity_unsupported_raises():
-    with pytest.raises(ValueError):
-        parity(SUN(3, 2))
+    # every SUN(N, M) has a parity, a function of n_N largest on the lowest
+    # weight, cached read-only; composites have none
+    Pi = parity(SUN(3, 2))
+    assert parity(SUN(3, 2)) is Pi and not Pi.flags.writeable
+    diag = np.diag(Pi)
+    assert np.all(diag.imag == 0.0) and np.argmax(diag.real) == 5
+    n3 = np.array([lab[-1] for lab in basis_labels(3, 2)])
+    for k in range(3):
+        assert np.ptp(diag.real[n3 == k]) < 1e-15
     with pytest.raises(TypeError):
         parity(Composite((SUN(2, 1), SUN(2, 1))))
 

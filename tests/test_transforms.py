@@ -164,6 +164,17 @@ def test_phase_function_shape_validation():
         phase_function(np.eye(3), KernelSpec("wigner", desc), grid)
 
 
+def test_phase_function_rejects_a_grid_of_another_kernel_family():
+    # a Weyl spec on the CP grid used to make a PhaseFunction whose
+    # overlap read 2.0, and only reconstruct raised
+    desc = SUN(2, 1)
+    grid = cp_grid(desc)
+    with pytest.raises(ValueError, match="live on a SUN grid, got a CP grid"):
+        PhaseFunction(KernelSpec("weyl", desc), grid, np.ones(grid.n_nodes))
+    with pytest.raises(ValueError, match="does not match grid system"):
+        PhaseFunction(KernelSpec("wigner", SUN(2, 2)), grid, np.ones(grid.n_nodes))
+
+
 @pytest.mark.parametrize("side", ["wigner", "weyl"])
 def test_star_product_reproduces_operator_product(side):
     desc = SUN(2, 1)
@@ -332,7 +343,9 @@ def test_verify_stratonovich_weyl_passes():
 def test_verify_stratonovich_hw_within_truncation_tolerance():
     report = verify_stratonovich(HW(10), "wigner")
     assert report.passed  # default tolerance 1e-4 absorbs the domain tail
-    assert all(c.tolerance == 1e-4 for c in report.conditions)
+    # the padded covariance probe has no domain tail
+    assert [c.tolerance for c in report.conditions] == [1e-4] * 5 + [1e-10]
+    assert report.conditions[-1].name == "covariance"
 
 
 @pytest.mark.parametrize("n_max", [4, 8])
@@ -341,6 +354,15 @@ def test_verify_hw_covariance_holds_below_the_cutoff(n_max):
     assert report.passed
     cov = {c.name: c.residual for c in report.conditions}["covariance"]
     assert cov < 1e-12
+
+
+@pytest.mark.parametrize("desc", [SUN(3, 2), SUN(3, 3)])
+def test_verify_su3_wigner_checks_every_condition(desc):
+    report = verify_stratonovich(desc, "wigner")
+    assert report.passed and not report.skipped
+    assert all(c.tolerance == 1e-10 for c in report.conditions)
+    cov = {c.name: c.residual for c in report.conditions}["covariance"]
+    assert cov < 1e-13
 
 
 def test_verify_arecchi_negative_control():
