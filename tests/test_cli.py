@@ -365,7 +365,8 @@ CONTEXT = {
     ("weyl", "radius"): [*_HW_STATE, "--out", "f.csv"],
     ("weyl", "exactness"): ["--out", "f.csv"],
     ("crosscorr", "radius"): _HW_STATE,
-    ("evolve", "radius"): [*_HW_STATE, "--hamiltonian", "{h4}", "--grid-res", "40"],
+    # 60 nodes: the round trips of fock:1 and h4 hold to 2e-7 at radius 5 and 3
+    ("evolve", "radius"): [*_HW_STATE, "--hamiltonian", "{h4}", "--grid-res", "60"],
     ("verify", "radius"): _HW,
     ("partition", "radius"): _HW_THERMAL,
     ("freeenergy", "radius"): _HW_THERMAL,
@@ -424,6 +425,14 @@ def test_every_accepted_flag_changes_the_result(command, opt, run_in):
     base = run_in("base", argv)
     assert base[0] == 0, base[2]
     assert run_in("variant", [*argv, _flag(opt), FLAG_VALUE[opt]]) != base
+
+
+def test_evolve_refuses_a_grid_that_misses_the_round_trip(run_in):
+    """40 nodes miss the round trip of h4 by 3.4e-2: the abort names the grid."""
+    code, out, err, files = run_in("run", ["evolve", *BASE["evolve"], *_HW_STATE,
+                                           "--hamiltonian", "{h4}", "--grid-res", "40"])
+    assert code == 2 and out == "" and files == {}
+    assert "--grid-res" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize(

@@ -271,17 +271,103 @@ def test_evolve_weyl_side_oscillator():
 
 
 def test_evolve_abort_names_the_grid_when_it_is_under_resolved():
-    """hw:4 on a 10-node window drifts whatever dt is; the abort points at the grid."""
+    """hw:4 on a 10-node window misses the round trip; the abort names the grid before step 1."""
     desc = HW(4)
     spec = KernelSpec("wigner", desc)
     H = np.diag(np.arange(4.0)) + 0.1 * np.eye(4, k=1) + 0.1 * np.eye(4, k=-1)
     rho = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
     coarse = default_grid(desc, "wigner", 10)
-    with pytest.raises(RuntimeError, match=r"^trace drift .* at step 1 exceeds .*--grid-res"):
+    with pytest.raises(RuntimeError, match=r"^the grid misses the state's round trip .*--grid-res"):
         evolve(phase_function(rho, spec, coarse), phase_function(H, spec, coarse), 0.02, 0.01)
-    fine = default_grid(desc, "wigner", 20)
+    # 20 nodes miss too (by 0.14 on the state), which the per-step trace check
+    # let through; 60 nodes reproduce both operators to 2e-7
+    mid = default_grid(desc, "wigner", 20)
+    with pytest.raises(RuntimeError, match="--grid-res"):
+        evolve(phase_function(rho, spec, mid), phase_function(H, spec, mid), 0.02, 0.01)
+    fine = default_grid(desc, "wigner", 60)
     res = evolve(phase_function(rho, spec, fine), phase_function(H, spec, fine), 0.02, 0.01)
-    assert res.trace_drift < 1e-6
+    assert res.trace_drift < 1e-10
+
+
+def _symbol_rk4(f_rho, f_H, t_final, dt, n_frames):
+    """Oracle: RK4 on the symbols, each stage through reconstruct and phase_function.
+
+    Returns (times, frames, trace drift, purity drift), with evolve's step and
+    frame schedule.
+    """
+    spec, grid = f_rho.spec, f_rho.grid
+    w = grid.weights()
+    H = reconstruct(f_H)
+    dual_side = spec.side == "wigner"
+    tr_K = phase_function(np.eye(len(H)), spec, grid).values
+    trace_w = w * (tr_K if dual_side else np.conj(tr_K))
+
+    def rhs(v):
+        R = reconstruct(PhaseFunction(spec, grid, v))
+        return phase_function(-1j * (H @ R - R @ H), spec, grid).values
+
+    def purity(v):
+        return np.sum(w * v * (v if dual_side else np.conj(v)))
+
+    n_steps = int(round(t_final / dt))
+    frame_every = max(1, n_steps // n_frames)
+    v = f_rho.values
+    times, frames = [0.0], [v]
+    for s in range(1, n_steps + 1):
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * dt * k1)
+        k3 = rhs(v + 0.5 * dt * k2)
+        k4 = rhs(v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if s % frame_every == 0 or s == n_steps:
+            times.append(s * dt)
+            frames.append(v)
+    return times, frames, abs(np.dot(trace_w, v - frames[0])), abs(purity(v) - purity(frames[0]))
+
+
+@pytest.mark.parametrize("system, side", [
+    ("su:2:1", "wigner"), ("su:3:1", "weyl"), ("hw:6", "wigner"), ("hw:6", "weyl"),
+    ("su:2:1*su:2:1", "weyl"), ("su:2:1*hw:3", "wigner"),
+])
+def test_evolve_matches_the_symbol_space_rk4_oracle(system, side):
+    desc = parse_system(system)
+    spec, grid = KernelSpec(side, desc), default_grid(desc, side)
+    d = dimension(desc)
+    rho = _hermitian(d, 21) @ _hermitian(d, 21)
+    rho /= np.trace(rho)
+    f_rho, f_H = phase_function(rho, spec, grid), phase_function(_hermitian(d, 22), spec, grid)
+    res = evolve(f_rho, f_H, 0.05, 0.01, n_frames=2)
+    times, frames, trace_drift, purity_drift = _symbol_rk4(f_rho, f_H, 0.05, 0.01, 2)
+    np.testing.assert_allclose(res.times, times, rtol=0, atol=1e-15)
+    assert len(res.frames) == len(frames) == 4
+    for got, want in zip(res.frames, frames):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(res.final.values - frames[-1])) <= 1e-12
+    assert abs(res.trace_drift - trace_drift) <= 1e-12
+    assert abs(res.purity_drift - purity_drift) <= 1e-12
+
+
+def test_evolve_transform_count_does_not_grow_with_the_steps(monkeypatch):
+    desc = SUN(2, 2)
+    spec, grid = KernelSpec("weyl", desc), default_grid(desc, "weyl")
+    f_rho = phase_function(np.diag([1.0, 0.0, 0.0]), spec, grid)
+    f_H = phase_function(_hermitian(3, 23), spec, grid)
+    calls = []
+    for name in ("_forward", "_kernel_sum"):
+        real = getattr(transforms_module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(transforms_module, name, counted)
+    counts = []
+    for n_steps in (2, 200):
+        calls.clear()
+        evolve(f_rho, f_H, n_steps * 0.01, 0.01, n_frames=2)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert counts[0].count("_kernel_sum") == 1
 
 
 def test_verify_reports_skipped_covariance():
@@ -313,7 +399,9 @@ def test_evolve_rejects_a_non_hermitian_hamiltonian(monkeypatch):
     grid = cp_grid(desc)
     f_rho = phase_function(np.eye(2) / 2.0, spec, grid)
     f_H = phase_function(np.array([[0.0, 1.0], [0.0, 0.0]]), spec, grid)
-    monkeypatch.setattr(transforms_module, "phase_function", None)  # fail before any transform
+    # fail before any forward transform
+    monkeypatch.setattr(transforms_module, "phase_function", None)
+    monkeypatch.setattr(transforms_module, "_forward", None)
     with pytest.raises(ValueError, match="Hermitian"):
         evolve(f_rho, f_H, 0.1, 0.01)
 
