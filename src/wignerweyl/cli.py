@@ -48,8 +48,6 @@ class RunConfig:
     grid_res: int | None = _option("grid resolution (default: the system's natural grid)",
                                    type=int)
     radius: float | None = _option("oscillator window radius", type=float)
-    exactness: str | None = _option("Weyl-side su:N:M quadrature level",
-                                    choices=("pairs", "quads"))
     rotation: str = _option("rotation family", "euler", choices=("euler", "arecchi"))
     beta: float | None = _option("inverse temperature", type=float)
     field: str | None = _option("hx,hy,hz couples to J(1),J(2),J(3)")
@@ -99,17 +97,16 @@ class Command:
     side: str | None = None  # fixed kernel side; None reads --side
 
 
-_WIGNER_GRID = ("grid_res", "radius")  # Wigner-side grids have no exactness level
-_GRID = (*_WIGNER_GRID, "exactness")
+_GRID = ("grid_res", "radius")
 _H = ("field", "hamiltonian")
-_THERMAL = ("system", *_WIGNER_GRID, "beta", *_H)
+_THERMAL = ("system", *_GRID, "beta", *_H)
 
 COMMANDS = {
     "algebra": Command("dump the generator set of an su:N:M system", "algebra", ("system",)),
     "kernel": Command("evaluate a kernel matrix at one point", "kernel",
                       ("system", "side", "point", "rotation"), ("system", "point")),
     "wigner": Command("sample the wigner function of a state on a grid", "sample",
-                      ("system", "state", *_WIGNER_GRID), ("system", "state"), "csv", "wigner"),
+                      ("system", "state", *_GRID), ("system", "state"), "csv", "wigner"),
     "weyl": Command("sample the weyl function of a state on a grid", "sample",
                     ("system", "state", *_GRID), ("system", "state"), "csv", "weyl"),
     "reconstruct": Command("rebuild the operator from a sampled CSV", "reconstruct",

@@ -20,8 +20,8 @@ from .algebra import (
     HW, SUN, Composite, build_generators, dimension, generator, is_hermitian, parse_system,
     trace_norm_constant,
 )
-from .kernels import WEYL, KernelSpec, kernel_at, parity
-from .measures import cp_grid, sun_grid
+from .kernels import KernelSpec, kernel_at, parity
+from .measures import cp_grid
 from .points import CompositePoint, CPPoint, EulerPoint, HWPoint
 from .rotations import euler_angle_count, euler_factor_sequence
 from .serialize import load_matrix, matrix_to_json, write_csv
@@ -56,12 +56,6 @@ class Inputs:
         factors = self.desc.factors if isinstance(self.desc, Composite) else (self.desc,)
         if cfg.radius is not None and not any(isinstance(f, HW) for f in factors):
             raise ValueError(f"--radius sets the oscillator window; {cfg.system} has no hw factor")
-        if cfg.exactness is not None:
-            if not isinstance(self.desc, SUN) or self.side != WEYL or self.spec.rotation != "euler":
-                raise ValueError(
-                    "--exactness applies to the Euler-Weyl side of a single su:N:M system"
-                )
-            return sun_grid(self.desc, cfg.grid_res, cfg.exactness)
         if self.spec.rotation == "arecchi":  # a two-angle family: it lives on the sphere
             return cp_grid(self.desc, cfg.grid_res)
         return default_grid(self.desc, self.side, cfg.grid_res, cfg.radius)

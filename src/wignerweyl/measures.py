@@ -9,10 +9,17 @@ Grids are tensor products of one-dimensional rules:
   correction that integrates the finite frequency span of the representation
   exactly while keeping all weights positive.
 
-The per-direction frequency sets are computed from the eigenvalue differences
-of the generator attached to that direction ("pairs" level: entries of one
-kernel) or from pairwise sums of those differences ("quads" level: products
-of two kernel entries, as needed by self-conjugacy and star products).
+The per-direction frequency sets come from the eigenvalue differences of the
+generator attached to that direction, at one level per manifold, recorded as
+``QuadratureGrid.exactness`` ("hw" on the oscillator plane, the factors'
+levels joined by commas on products):
+
+* SU(N), the Weyl side, is built at "pairs", the differences themselves.  A
+  Weyl symbol Tr[A U(g)] is linear in the entries of U(g), and every group
+  integral the package takes pairs one entry with one conjugate entry;
+* CP^(N-1), the Wigner side, is built at "quads", sums and differences of two
+  differences: a Wigner kernel entry U Pi U^dagger already carries
+  differences, so a product of two entries needs their sums.
 
 Compact-manifold grids are volume-normalized so that the weights sum to the
 representation dimension.  HW grids integrate d^2alpha / pi over a square of
@@ -230,14 +237,10 @@ def _dedup(vals) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _level_freqs(N: int, M: int, k: int, level: str) -> tuple[float, ...]:
+def _quad_freqs(N: int, M: int, k: int) -> tuple[float, ...]:
+    """Sums and differences of two eigenvalue differences of J(k)."""
     diffs = _diff_freqs(N, M, k)
-    if level == "pairs":
-        return diffs
-    if level == "quads":
-        sums = [a + b for a in diffs for b in diffs] + [abs(a - b) for a in diffs for b in diffs]
-        return _dedup(sums)
-    raise ValueError(f"unknown exactness level {level!r}")
+    return _dedup(v for a in diffs for b in diffs for v in (a + b, abs(a - b)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +282,9 @@ def _check_resolution(desc: SUN, resolution: int | None) -> int:
 def cp_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     """Volume-normalized grid over CP^(N-1), the Wigner-side manifold.
 
-    Exact (to rounding) for products of two Wigner-kernel matrix elements,
-    which covers kernel normalization, self-conjugacy, and star-product
-    quadrature.
+    Built at the "quads" level: exact (to rounding) for products of two
+    Wigner-kernel matrix elements, which covers kernel normalization,
+    self-conjugacy, and star-product quadrature.
     """
     if not isinstance(desc, SUN):
         raise TypeError("cp_grid needs a SUN descriptor")
@@ -289,10 +292,10 @@ def cp_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     N, M = desc.N, desc.M
     axes = []
     for j in range(1, N):
-        phi_freqs = _level_freqs(N, M, 3, "quads")
+        phi_freqs = _quad_freqs(N, M, 3)
         axes.append(_uniform_axis(f"phi{j}", 0.0, _TWO_PI, phi_freqs, floor))
         k_theta = j * j + 1
-        th_freqs = _level_freqs(N, M, k_theta, "quads")
+        th_freqs = _quad_freqs(N, M, k_theta)
         axes.append(
             _corrected_axis(
                 f"theta{j}", 0.0, 0.5 * math.pi, th_freqs, _cp_theta_weight(N, j), floor
@@ -312,35 +315,31 @@ _SUN_PHI_RANGES = {
 }
 
 
-def sun_grid(
-    desc: SUN, resolution: int | None = None, exactness: str | None = None
-) -> QuadratureGrid:
+def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     """Volume-normalized grid over the full SU(N) group manifold (Weyl side).
 
-    Defaults to "quads" exactness for N = 2 and "pairs" for N = 3 (the
-    8-dimensional tensor grid at quads level is out of desk scale; pairs
-    level is exact for reconstruction and overlap integrals).  N outside
-    {2, 3, 4} is rejected.
+    Built at the "pairs" level: exact for the product of one U(g) entry with
+    one conjugate entry, which is every integrand a Weyl symbol Tr[A U(g)]
+    enters (reconstruction, overlap, the literal star product's inner sums).
+    N outside {2, 3, 4} is rejected.
     """
     if not isinstance(desc, SUN):
         raise TypeError("sun_grid needs a SUN descriptor")
     N, M = desc.N, desc.M
     if N not in (2, 3, 4):
         raise ValueError(f"sun_grid supports N in {{2, 3, 4}}, got N={N}")
-    if exactness is None:
-        exactness = "quads" if N == 2 else "pairs"
     floor = _check_resolution(desc, resolution)
     phi_ranges = _SUN_PHI_RANGES[N]
     axes = []
     for t, k_theta in euler_factor_sequence(N):
         hi = phi_ranges[t - 1]
-        phi_freqs = _level_freqs(N, M, 3, exactness)
+        phi_freqs = _diff_freqs(N, M, 3)
         if abs(hi - _TWO_PI) < 1e-12:
             axes.append(_uniform_axis(f"phi{t}", 0.0, hi, phi_freqs, floor))
         else:
             axes.append(_corrected_axis(f"phi{t}", 0.0, hi, phi_freqs, None, floor))
         p, q = _factor_pq(N, t)
-        th_freqs = _level_freqs(N, M, k_theta, exactness)
+        th_freqs = _diff_freqs(N, M, k_theta)
         axes.append(
             _corrected_axis(
                 f"theta{t}", 0.0, 0.5 * math.pi, th_freqs, _sun_theta_weight(p, q), floor
@@ -349,7 +348,7 @@ def sun_grid(
     for c in range(1, N):
         k = (c + 1) ** 2 - 1
         hi = math.pi * math.sqrt(2.0 * (c + 1) / c)
-        freqs = _level_freqs(N, M, k, exactness)
+        freqs = _diff_freqs(N, M, k)
         periodic = all(
             abs(nu * hi / _TWO_PI - round(nu * hi / _TWO_PI)) < 1e-9 for nu in freqs
         )
@@ -357,7 +356,7 @@ def sun_grid(
             axes.append(_uniform_axis(f"Phi{c}", 0.0, hi, freqs, floor))
         else:
             axes.append(_corrected_axis(f"Phi{c}", 0.0, hi, freqs, None, floor))
-    return _finalize(desc, "SUN", axes, exactness)
+    return _finalize(desc, "SUN", axes, "pairs")
 
 
 def _factor_pq(N: int, t: int) -> tuple[int, int]:

@@ -215,9 +215,6 @@ def test_verify_arecchi_reads_grid_flags(capsys):
                   "--rotation", "arecchi", "--grid-res", "4")
     want = verify_stratonovich(SUN(2, 1), "weyl", grid=cp_grid(SUN(2, 1), 4), rotation="arecchi")
     assert out == json.loads(json.dumps(want.as_dict()))
-    payload = run_cli_err(capsys, "verify", "--system", "su:2:1", "--side", "weyl",
-                          "--rotation", "arecchi", "--exactness", "pairs")
-    assert payload["error"].startswith("--exactness applies to the Euler-Weyl side")
 
 
 @pytest.mark.parametrize(
@@ -271,6 +268,18 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     payload = run_cli_err(capsys, "partition", "--config", str(cfgfile))
     assert "betaa" in payload["error"]
     assert payload["context"]["type"] == "ValueError"
+
+
+def test_the_quadrature_level_is_not_an_option(tmp_path, capsys):
+    """Each manifold has one quadrature level, so neither flag nor config key sets it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--system", "su:2:1", "--state", "random:3", "--exactness", "pairs"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exactness" in capsys.readouterr().err
+    cfgfile = tmp_path / "old.json"
+    cfgfile.write_text(json.dumps({"system": "su:2:1", "state": "random:3", "exactness": "pairs"}))
+    payload = run_cli_err(capsys, "weyl", "--config", str(cfgfile))
+    assert "'exactness'" in payload["error"]
 
 
 def test_error_payload_on_bad_system(capsys):
@@ -346,7 +355,7 @@ BASE = {
 # the value each flag takes in the variant run
 FLAG_VALUE = {
     "system": "su:2:2", "state": "random:9", "side": "weyl", "grid_res": "12",
-    "radius": "3", "exactness": "pairs", "rotation": "arecchi", "beta": "1.3",
+    "radius": "3", "rotation": "arecchi", "beta": "1.3",
     "field": "0.5,0,0", "hamiltonian": "{h2}", "observable": "j:1", "point": "0.1,0.2",
     "shift": "0.3,0.2", "axis": "phi1", "samples": "0:1:5", "orders": "0,1,0",
     "t_final": "0.03", "dt": "0.005", "frames": "1",
@@ -363,7 +372,6 @@ CONTEXT = {
     # weyl prints the grid-free origin value, so the grid shows in the CSV
     ("weyl", "grid_res"): ["--out", "f.csv"],
     ("weyl", "radius"): [*_HW_STATE, "--out", "f.csv"],
-    ("weyl", "exactness"): ["--out", "f.csv"],
     ("crosscorr", "radius"): _HW_STATE,
     # 60 nodes: the round trips of fock:1 and h4 hold to 2e-7 at radius 5 and 3
     ("evolve", "radius"): [*_HW_STATE, "--hamiltonian", "{h4}", "--grid-res", "60"],
@@ -375,10 +383,6 @@ CONTEXT = {
                                 "--radius", "4", "--infile", "{goldens}/weyl_hw4.csv"],
     ("figure-data", "radius"): ["--preset", "hw-cat", "--system", "hw:8", "--grid-res", "9",
                                 "--out", "f.csv"],
-    ("verify", "exactness"): ["--side", "weyl"],
-    ("crosscorr", "exactness"): ["--side", "weyl"],
-    ("evolve", "exactness"): ["--side", "weyl"],
-    ("reconstruct", "exactness"): ["--side", "weyl", "--infile", "{goldens}/weyl_su21.csv"],
 }
 
 _PAIRS = [(name, opt) for name, cmd in COMMANDS.items() for opt in (*cmd.options, "out")]

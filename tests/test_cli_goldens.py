@@ -13,6 +13,11 @@ preceded the command table.  ``moments_hw8`` was re-captured when the
 finite-difference moments (and their ``--step`` flag) gave way to exact
 derivatives, and again when the oscillator oracle began forming its words in
 a padded block (its oracle value and residual changed; the moment did not).
+``weyl_su21`` and ``weyl_su21_hw3`` were re-captured when the Euler-Weyl grid
+moved from the "quads" to the "pairs" level (150 to 36 SU(2) nodes); every new
+row was checked against per-point ``symbol_at`` to 1e-12 before saving, and
+``reconstruct --infile`` of the new ``weyl_su21.csv`` returns ``random:3`` to
+1e-12.
 """
 
 import json

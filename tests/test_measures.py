@@ -36,10 +36,16 @@ _SU23_CP = cp_grid(SUN(2, 3))
         (sun_grid(SUN(2, 1)), SUN(2, 1)),
         (sun_grid(SUN(2, 3)), SUN(2, 3)),
         (sun_grid(SUN(3, 1)), SUN(3, 1)),
+        (sun_grid(SUN(2, 4)), SUN(2, 4)),
+        (sun_grid(SUN(2, 10)), SUN(2, 10)),
     ],
 )
 def test_compact_grids_normalized_to_dimension(grid, desc):
     assert abs(grid.weights().sum() - dimension(desc)) < 1e-10
+    # one level per manifold: the Euler-Weyl grid integrates eigenvalue differences only
+    assert grid.exactness == ("quads" if grid.manifold == "CP" else "pairs")
+    if grid.manifold == "SUN" and desc.N == 2:
+        assert grid.n_nodes == {1: 36, 3: 392, 4: 810, 10: 9702}[desc.M]
 
 
 def test_weights_positive_everywhere():

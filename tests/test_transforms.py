@@ -186,17 +186,33 @@ def test_star_product_reproduces_operator_product(side):
     assert np.max(np.abs(prod - A @ B)) < 1e-11
 
 
+def _literal_star_residuals(spec, grid):
+    """(literal vs fast, reconstruct(literal) vs A @ B) for one random pair."""
+    d = dimension(spec.system)
+    A, B = _hermitian(d, 13), _hermitian(d, 14)
+    fA, fB = phase_function(A, spec, grid), phase_function(B, spec, grid)
+    literal = star_product(fA, fB, method="literal")
+    fast = star_product(fA, fB, method="fast")
+    return (np.max(np.abs(fast.values - literal.values)),
+            np.max(np.abs(reconstruct(literal) - A @ B)))
+
+
 def test_star_product_literal_path_agrees():
     desc = SUN(2, 1)
     spec = KernelSpec("wigner", desc)
-    grid = cp_grid(desc)
-    A, B = _hermitian(2, 13), _hermitian(2, 14)
-    fA, fB = phase_function(A, spec, grid), phase_function(B, spec, grid)
-    fast = star_product(fA, fB, method="fast")
-    literal = star_product(fA, fB, method="literal")
-    assert np.max(np.abs(fast.values - literal.values)) < 1e-11
+    assert max(_literal_star_residuals(spec, cp_grid(desc))) < 1e-12
+    f = phase_function(np.eye(2), spec, cp_grid(desc))
     with pytest.raises(ValueError):
-        star_product(fA, fB, method="cubature")
+        star_product(f, f, method="cubature")
+
+
+@pytest.mark.parametrize("system", ["su:2:4", "su:2:1*su:2:1"])
+def test_star_product_literal_path_agrees_on_default_weyl_grids(system):
+    """The pairs-level Euler-Weyl grids (810 and 1,296 nodes) fit under the literal cap."""
+    desc = parse_system(system)
+    grid = default_grid(desc, "weyl")
+    assert grid.n_nodes <= transforms_module.MAX_LITERAL_NODES
+    assert max(_literal_star_residuals(KernelSpec("weyl", desc), grid)) < 1e-12
 
 
 def test_star_product_literal_node_guard():
