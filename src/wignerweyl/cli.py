@@ -45,9 +45,12 @@ class RunConfig:
     system: str | None = _option("hw:<n_max> | su:<N>:<M> | factors joined by '*'")
     state: str | None = _option("state grammar, e.g. spincoherent:0.3,0.8")
     side: str = _option("kernel family", "wigner", choices=("wigner", "weyl"))
-    grid_res: int | None = _option("grid resolution (default: the system's natural grid)",
-                                   type=int)
-    radius: float | None = _option("oscillator window radius", type=float)
+    grid_res: int | None = _option(
+        "grid resolution; on an hw factor it selects the square window "
+        "(default: the system's natural grid)", type=int)
+    radius: float | None = _option(
+        "square oscillator window half-width (with --grid-res, except in figure-data)",
+        type=float)
     rotation: str = _option("rotation family", "euler", choices=("euler", "arecchi"))
     beta: float | None = _option("inverse temperature", type=float)
     field: str | None = _option("hx,hy,hz couples to J(1),J(2),J(3)")

@@ -387,9 +387,13 @@ def crosscorr(cfg, inp: Inputs) -> dict:
     )
     if inp.side == "wigner" and zero:
         purity = float(np.trace(rho @ rho).real)
-        oracle = purity / cc.volume
+        # on the unbounded plane rule the unnormalized integral is the purity
+        if cc.volume is None:
+            oracle, value = purity, cc.raw_value
+        else:
+            oracle, value = purity / cc.volume, cc.value
         result["zero_shift_oracle"] = oracle
-        result["residual"] = abs(cc.value - oracle)
+        result["residual"] = abs(value - oracle)
     return result
 
 

@@ -10,10 +10,11 @@ Batched evaluation goes through one evaluator, ``_kernels``, over rows of
 coordinates in the grid column layout.  An SU(N) kernel is a chain of
 per-axis factors exp(i J(k) x), each evaluated once per distinct coordinate
 value and gathered onto the rows; HW kernels are a real radial matrix,
-evaluated once per distinct |alpha|, times per-point phases (``Polar``), and
-composite kernels are row-wise Kronecker products.  ``transforms.symbols_at``
-applies it to arbitrary coordinate tables in blocks of bounded size, and
-``kernel_stack`` to every node of a grid, as a reference.
+evaluated once per distinct |alpha| (once per radius of a plane rule), times
+per-point phases (``Polar``), and composite kernels are row-wise Kronecker
+products.  ``transforms.symbols_at`` applies it to arbitrary coordinate
+tables in blocks of bounded size, and ``kernel_stack`` to every node of a
+grid, as a reference.
 
 The transforms never hold a grid's (n_nodes, d, d) kernel stack.  A SU(N)
 grid is a tensor product over the columns of the factor chain, so
@@ -305,6 +306,16 @@ def _polar(n_max: int, alphas, side: str) -> Polar:
     return Polar(_radial(n_max, radii, side), order, position, ring, phases, groups)
 
 
+def _polar_rule(n_max: int, r: np.ndarray, psi: np.ndarray, side: str) -> Polar:
+    """The ``Polar`` kernels of a plane rule: one ring per radius r, each at the angles psi."""
+    d, n = n_max, len(r) * len(psi)
+    _check_bytes("oscillator kernel pieces", len(r) * d * d * 8 + n * ((2 * d - 1) * 16 + 24))
+    order = np.arange(n)
+    phases = np.tile(np.exp(1j * np.outer(psi, np.arange(1 - d, d))), (len(r), 1))
+    radial = _radial(n_max, r * (2.0 if side == WIGNER else 1.0), side)
+    return Polar(radial, order, order, order // len(psi), phases, ((len(psi), len(r)),))
+
+
 def _hw_kernels(n_max: int, alphas, side: str) -> np.ndarray:
     """Kernels of one side of HW(n_max): shape alphas.shape + (n_max, n_max)."""
     alphas = np.asarray(alphas)
@@ -536,6 +547,25 @@ def _tensor_index(shape) -> tuple:
     return np.unravel_index(np.arange(math.prod(shape)), shape) if shape else ()
 
 
+def _grid_columns(grid: QuadratureGrid) -> tuple[list, list]:
+    """The nodes of a grid as ``_kernels`` columns: per-axis nodes and the unravelled node index.
+
+    A plane rule's (r, psi) axis pair becomes its (re, im) rows, both indexed
+    by the factor's node.
+    """
+    values, index = [], list(_tensor_index(grid.shape))
+    at = 0
+    for g in grid.factors or (grid,):
+        if g.polar:
+            rows = g.coords()
+            values += [rows[:, 0], rows[:, 1]]
+            index[at] = index[at + 1] = index[at] * g.shape[1] + index[at + 1]
+        else:
+            values += [ax.nodes for ax in g.axes]
+        at += len(g.axes)
+    return values, index
+
+
 def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
     """All kernels on a grid as one (n_nodes, d, d) array, evaluated afresh.
 
@@ -544,7 +574,7 @@ def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
     """
     _check_grid(spec, grid)
     _check_bytes("kernel stack", grid.n_nodes * dimension(spec.system) ** 2 * 16)
-    return _kernels(spec, [ax.nodes for ax in grid.axes], _tensor_index(grid.shape))
+    return _kernels(spec, *_grid_columns(grid))
 
 
 @dataclass(frozen=True)
@@ -582,6 +612,8 @@ def _split(spec: KernelSpec, grid: QuadratureGrid) -> Pieces | Polar:
     nodes = [ax.nodes for ax in grid.axes]
     d = dimension(desc)
     if isinstance(desc, HW):
+        if grid.polar:
+            return _polar_rule(desc.n_max, nodes[0], nodes[1], spec.side)
         ix, iy = _tensor_index(shape)
         return _polar(desc.n_max, nodes[0][ix] + 1j * nodes[1][iy], spec.side)
     table = _factor_table(desc.N, spec.side, spec.rotation)

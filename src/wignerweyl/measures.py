@@ -11,8 +11,8 @@ Grids are tensor products of one-dimensional rules:
 
 The per-direction frequency sets come from the eigenvalue differences of the
 generator attached to that direction, at one level per manifold, recorded as
-``QuadratureGrid.exactness`` ("hw" on the oscillator plane, the factors'
-levels joined by commas on products):
+``QuadratureGrid.exactness`` (the factors' levels joined by commas on
+products):
 
 * SU(N), the Weyl side, is built at "pairs", the differences themselves.  A
   Weyl symbol Tr[A U(g)] is linear in the entries of U(g), and every group
@@ -22,14 +22,18 @@ levels joined by commas on products):
   differences, so a product of two entries needs their sums.
 
 Compact-manifold grids are volume-normalized so that the weights sum to the
-representation dimension.  HW grids integrate d^2alpha / pi over a square of
-given radius and carry no such sum rule.
+representation dimension.  The oscillator plane has two grids for the
+measure d^2alpha / pi: ``plane_grid``, the default, exact by construction
+("pairs"; its measure is the whole plane, so ``raw_volume`` is infinite), and
+``hw_grid``, a Gauss-Legendre square of given radius and resolution
+("window"), exact only up to the tails the window cuts off.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,8 +91,16 @@ class QuadratureGrid:
         return n
 
     @property
+    def polar(self) -> bool:
+        """Whether this is a plane rule, whose axes are (r, psi) and rows (re, im)."""
+        return self.manifold == "HW_PLANE" and self.axes[0].kind == "laguerre"
+
+    @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(ax.name for ax in self.axes)
+        if self.factors:
+            return tuple(f"f{i}_{name}" for i, g in enumerate(self.factors, start=1)
+                         for name in g.column_names)
+        return ("re", "im") if self.polar else tuple(ax.name for ax in self.axes)
 
     def _check_materializable(self) -> None:
         # grids are cheap descriptions; only the flattened tensor is bounded
@@ -111,11 +123,23 @@ class QuadratureGrid:
         return self._weights
 
     def coords(self) -> np.ndarray:
-        """(n_nodes, n_axes) array of node coordinates, C order."""
+        """(n_nodes, n_axes) array of node coordinates, C order.
+
+        A product's rows are its factors' rows, concatenated; a plane rule's
+        rows are the Cartesian (re, im) of alpha = r e^{i psi}.
+        """
         if self._coords is None:
             self._check_materializable()
-            mesh = np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
-            c = np.stack([m.reshape(-1) for m in mesh], axis=1)
+            if self.factors:
+                rows = [g.coords() for g in self.factors]
+                index = np.unravel_index(np.arange(self.n_nodes), [len(r) for r in rows])
+                c = np.concatenate([r[i] for r, i in zip(rows, index)], axis=1)
+            elif self.polar:
+                r, psi = np.meshgrid(self.axes[0].nodes, self.axes[1].nodes, indexing="ij")
+                c = np.stack([(r * np.cos(psi)).ravel(), (r * np.sin(psi)).ravel()], axis=1)
+            else:
+                mesh = np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
+                c = np.stack([m.reshape(-1) for m in mesh], axis=1)
             c.flags.writeable = False
             self._coords = c
         return self._coords
@@ -373,9 +397,10 @@ def _factor_pq(N: int, t: int) -> tuple[int, int]:
 def hw_grid(desc: HW, radius: float, resolution: int) -> QuadratureGrid:
     """Gauss-Legendre grid over the square |Re alpha|, |Im alpha| <= radius.
 
-    Weights integrate d^2alpha / pi.  Choose radius >= sqrt(n_max) so the
-    truncated space is covered; the identity-trace check in the tests is the
-    practical coverage metric.
+    Weights integrate d^2alpha / pi, up to the tails outside the window (level
+    "window").  Choose radius >= sqrt(n_max) so the truncated space is
+    covered; the identity-trace check in the tests is the practical coverage
+    metric.  ``plane_grid`` is exact without a window.
     """
     if not isinstance(desc, HW):
         raise TypeError("hw_grid needs an HW descriptor")
@@ -388,7 +413,89 @@ def hw_grid(desc: HW, radius: float, resolution: int) -> QuadratureGrid:
     x, w = _gauss_base(-radius, radius, resolution)  # one rule serves both axes
     axes = [Axis(name, -radius, radius, x, w, kind="gauss") for name in ("re", "im")]
     raw = (2.0 * radius) ** 2
-    return QuadratureGrid(desc, "HW_PLANE", tuple(axes), 1.0 / math.pi, raw, "hw")
+    return QuadratureGrid(desc, "HW_PLANE", tuple(axes), 1.0 / math.pi, raw, "window")
+
+
+def _laguerre_functions(n: int, x: np.ndarray) -> np.ndarray:
+    """e^(-x/2) L_j(x) for j = 0 .. n, one row each (bounded by 1 for x >= 0), in x's dtype."""
+    out = np.empty((n + 1, len(x)), dtype=x.dtype)
+    out[0] = np.exp(-0.5 * x)
+    out[1] = (1.0 - x) * out[0]
+    for k in range(1, n):
+        out[k + 1] = ((2 * k + 1 - x) * out[k] - k * out[k - 1]) / (k + 1)
+    return out
+
+
+def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Laguerre nodes x and plain weights W.
+
+    sum W f(x) = int_0^inf f(u) du exactly when f is e^(-u) times a polynomial
+    of degree < 2n.  The nodes are the eigenvalues of the Jacobi matrix
+    (Golub & Welsch, Math. Comp. 23 (1969) 221), polished by two Newton steps
+    on the three-term recurrence.  With L_n' = n (L_n - L_(n-1)) / x, the
+    weight W = e^x / (x L_n'(x)^2) is x / (n (p - q))^2 in the Laguerre
+    functions p, q = e^(-x/2) L_n, e^(-x/2) L_(n-1), which do not overflow.
+    Both steps run in extended precision where the platform has it: in
+    doubles the recurrence loses about n ulps near the smallest nodes, which
+    carry the largest weights, and leaves the rule about 1e-14 off there;
+    with 80-bit long doubles the nodes and weights come out correctly rounded.
+    """
+    off = -np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(off, 1) + np.diag(off, -1))
+    x = x.astype(np.longdouble)
+    for _ in range(2):
+        q, p = _laguerre_functions(n, x)[-2:]
+        x = x - p * x / (n * (p - q))
+    q, p = _laguerre_functions(n, x)[-2:]
+    return x.astype(np.float64), (x / (n * (p - q)) ** 2).astype(np.float64)
+
+
+@lru_cache(maxsize=None)
+def _plane_radii(d: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes u and plain weights of the plane rule (cached, read-only).
+
+    The Weyl side takes d radii, exact on products of two kernel elements.
+    On the Wigner side a single kernel element averages over the angles to
+    e^(-u/2) L_j(u), j < d, whose integral 2 (-1)^j no Laguerre rule gets
+    exactly, so the rule grows from d radii until those moments hold to
+    1e-14 d.
+    """
+    moments, tol = 2.0 * (-1.0) ** np.arange(d), 1e-14 * d
+    n = d
+    u, W = _gauss_laguerre(n)
+    while side == "wigner" and np.abs(_laguerre_functions(d - 1, u) @ W - moments).max() > tol:
+        n += 1
+        u, W = _gauss_laguerre(n)
+    if not np.all(u < 1400.0):  # about 360 radii; e^(-u/2) leaves the normal doubles at 1417
+        raise OverflowError(f"the plane rule for n_max = {d} needs radii beyond u = 1400")
+    u.flags.writeable = False
+    W.flags.writeable = False
+    return u, W
+
+
+def plane_grid(desc: HW, side: str) -> QuadratureGrid:
+    """The oscillator plane's exact rule for one side: Gauss-Laguerre radii times uniform angles.
+
+    With alpha = r e^{i psi} every kernel element is a real radial function
+    times e^{i (m - n) psi} (Cahill & Glauber, Phys. Rev. 177 (1969) 1857), so
+    on 2d - 1 uniform angles a product of two elements is e^{-u} times a
+    polynomial of degree <= 2d - 2 in u = scale r^2 (scale 4 on the Wigner
+    side, whose kernel lives on 2 alpha, and 1 on the Weyl side), which d
+    Gauss-Laguerre radii in u integrate exactly (see ``_plane_radii`` for the
+    Wigner side's extra radii).  Node weight W_u / (scale n_psi) integrates
+    d^2alpha / pi = du dpsi / (2 pi scale).  Rows are Cartesian (re, im).
+    """
+    if not isinstance(desc, HW):
+        raise TypeError("plane_grid needs an HW descriptor")
+    if side not in ("wigner", "weyl"):
+        raise ValueError(f"side must be 'wigner' or 'weyl', got {side!r}")
+    scale = 4.0 if side == "wigner" else 1.0
+    u, W = _plane_radii(desc.n_max, side)
+    axes = (
+        Axis("r", 0.0, math.inf, np.sqrt(u / scale), W / scale, kind="laguerre"),
+        _uniform_axis("psi", 0.0, _TWO_PI, (), 2 * desc.n_max - 1),
+    )
+    return QuadratureGrid(desc, "HW_PLANE", axes, 1.0 / _TWO_PI, math.inf, "pairs")
 
 
 def product_grid(grids) -> QuadratureGrid:
@@ -396,10 +503,7 @@ def product_grid(grids) -> QuadratureGrid:
     grids = tuple(grids)
     if len(grids) < 2:
         raise ValueError("product_grid needs at least two factors")
-    axes = []
-    for i, g in enumerate(grids, start=1):
-        for ax in g.axes:
-            axes.append(Axis(f"f{i}_{ax.name}", ax.lo, ax.hi, ax.nodes, ax.weights, ax.kind))
+    axes = tuple(ax for g in grids for ax in g.axes)
     system = Composite(tuple(g.system for g in grids))
     norm = 1.0
     raw = 1.0
@@ -407,7 +511,7 @@ def product_grid(grids) -> QuadratureGrid:
         norm *= g.normalization
         raw *= g.raw_volume
     exact = ",".join(g.exactness for g in grids)
-    return QuadratureGrid(system, "PRODUCT", tuple(axes), norm, raw, exact, factors=grids)
+    return QuadratureGrid(system, "PRODUCT", axes, norm, raw, exact, factors=grids)
 
 
 def _finalize(desc: SUN, manifold: str, axes, exactness: str) -> QuadratureGrid:

@@ -10,7 +10,7 @@ printout, not in these code paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,25 +168,9 @@ def autocorrelation(
 
 @dataclass
 class CrossCorrelation:
-    value: complex
+    value: complex | None
     raw_value: complex
-    volume: float
-
-
-def _shifted_grid(grid: QuadratureGrid, row) -> QuadratureGrid:
-    """Same nodes and weights, coordinates offset by the row (uniform angles wrapped)."""
-    factors = None
-    if grid.factors:
-        ends = np.cumsum([len(sub.axes) for sub in grid.factors])
-        factors = tuple(_shifted_grid(sub, row[e - len(sub.axes): e])
-                        for sub, e in zip(grid.factors, ends))
-    axes = []
-    for ax, delta in zip(grid.axes, row):
-        nodes = ax.nodes + delta
-        if ax.kind == "uniform":
-            nodes = ax.lo + np.mod(nodes - ax.lo, ax.hi - ax.lo)
-        axes.append(replace(ax, nodes=nodes))
-    return replace(grid, axes=tuple(axes), factors=factors, _coords=None)
+    volume: float | None
 
 
 def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> CrossCorrelation:
@@ -194,22 +178,25 @@ def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> Cross
 
     ``shift`` is a point of the grid's manifold (``CPPoint`` on CP grids,
     ``EulerPoint`` on SU(N) grids, ``HWPoint`` on the oscillator plane,
-    ``CompositePoint`` on product grids); its coordinates are added column
-    by column, so a point of another type or width raises ValueError.  The
+    ``CompositePoint`` on product grids); its coordinates are added to every
+    grid row, so a point of another type or width raises ValueError.  The
     shifted values are evaluated exactly through the reconstructed operator
-    on a coordinate-shifted copy of the grid (periodic angles wrapped into
-    range).  The Weyl side conjugates the unshifted factor.
-    ``shift=None`` means zero shift; there the Wigner value is
-    purity / dimension for a density operator.  ``raw_value`` is the
-    unnormalized integral.
+    with ``symbols_at`` at the shifted rows.  The Weyl side conjugates the
+    unshifted factor.  ``raw_value`` is the unnormalized integral.  On a grid
+    of finite measure, ``shift=None`` (zero shift) gives the Wigner value
+    purity / dimension for a density operator; on an unbounded measure (the
+    oscillator's plane rule) ``value`` and ``volume`` are None and the
+    zero-shift ``raw_value`` is the purity.
     """
     if shift is None:
-        f_shift = f
+        shifted = f.values
     else:
-        shifted = _shifted_grid(f.grid, _row(shift, f.grid))
-        f_shift = phase_function(reconstruct(f), f.spec, shifted)
+        rows = f.grid.coords() + np.asarray(_row(shift, f.grid))
+        shifted = symbols_at(reconstruct(f), f.spec, rows)
     w = f.grid.weights()
     second = f.values if f.spec.side == WIGNER else np.conj(f.values)
-    raw = complex(np.sum(w * f_shift.values * second))
+    raw = complex(np.sum(w * shifted * second))
+    if not math.isfinite(f.grid.raw_volume):
+        return CrossCorrelation(None, raw, None)
     V = float(np.sum(w))
     return CrossCorrelation(raw / V, raw, V)

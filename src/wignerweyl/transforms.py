@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, format_system, is_hermitian
+from .algebra import HW, SUN, SystemDescriptor, dimension, format_system, is_hermitian
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, _blocks, _check_grid, _check_width, _diagonals,
     _kernels, _polar, kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
 )
-from .measures import QuadratureGrid, cp_grid, hw_grid, product_grid, sun_grid
+from .measures import QuadratureGrid, cp_grid, hw_grid, plane_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, PhasePoint
 from .rotations import euler_angle_count, euler_rotation
 
@@ -525,29 +525,24 @@ class VerifyReport:
 
 def default_grid(desc: SystemDescriptor, side: str, resolution: int | None = None,
                  radius: float | None = None) -> QuadratureGrid:
-    """The natural grid for a kernel family: SU(N) at pairs, CP at quads, HW sized to n_max."""
+    """The natural grid for a kernel family: SU(N) at pairs, CP at quads, the plane rule for HW.
+
+    The oscillator's default is ``plane_grid``, exact by construction: d
+    Gauss-Laguerre radii on the Weyl side (hw:12: 276 nodes) and as many as
+    the single-kernel moments need on the Wigner side (hw:12: 736, hw:20:
+    1,677 nodes), times 2d - 1 angles.  A ``resolution`` selects the square
+    ``hw_grid`` window instead, of half-width ``radius`` (default
+    sqrt(n_max) + 3 on the Wigner side, 2 sqrt(n_max) + 3 on the Weyl side);
+    a radius without a resolution raises ValueError.
+    """
     if isinstance(desc, HW):
-        # Kernel elements oscillate at up to 2 sqrt(n_max) rad/unit on the
-        # Weyl side and twice that on the Wigner side (the displaced parity
-        # lives on 2 alpha), and extend out to 2 sqrt(n_max) / sqrt(n_max)
-        # respectively.  Quadrature integrands are products of two such
-        # elements, doubling the band; node counts carry a 2.1x margin over
-        # nu L / pi on that doubled band (the empirical convergence knee
-        # sits near 1.9x).  The Gaussian envelope contributes an n-independent
-        # band on top (about 22 / 11 nodes per unit radius), which dominates
-        # below n_max ~ 16; without that floor small systems stall near 1e-7.
+        if resolution is None:
+            if radius is not None:
+                raise ValueError("an oscillator window radius needs a resolution (--grid-res)")
+            return plane_grid(desc, side)
         root = math.sqrt(desc.n_max)
-        if side == WIGNER:
-            r = radius if radius is not None else root + 3.0
-            res = resolution if resolution is not None else max(
-                60, int(math.ceil(max(5.35 * root, 22.0) * r))
-            )
-        else:
-            r = radius if radius is not None else 2.0 * root + 3.0
-            res = resolution if resolution is not None else max(
-                60, int(math.ceil(max(2.68 * root, 11.0) * r))
-            )
-        return hw_grid(desc, r, res)
+        default_radius = root + 3.0 if side == WIGNER else 2.0 * root + 3.0
+        return hw_grid(desc, radius if radius is not None else default_radius, resolution)
     if isinstance(desc, SUN):
         if side == WIGNER:
             return cp_grid(desc, resolution)
@@ -604,19 +599,17 @@ def verify_stratonovich(
     SUN(N, M) with N <= 3, any M; skipped, with the reason, elsewhere).  Weyl
     side: completeness round trip and the value of the symbol at the origin.
     Without a ``tolerance`` every condition gates at 1e-10, except that the
-    grid conditions of a system with an HW factor carry the truncation error
-    of its plane window and gate at 1e-4; the oscillator covariance probe
-    works in a padded block and keeps 1e-10.
+    grid conditions on a grid with a square oscillator window (level
+    "window") carry the truncation error of the window and gate at 1e-4; the
+    oscillator covariance probe works in a padded block and keeps 1e-10.
     """
     spec = KernelSpec(side, desc, rotation)
     if grid is None:
         # the arecchi family is parameterized by the two sphere angles, so
         # its natural measure is the CP grid, not the full group manifold
         grid = cp_grid(desc) if rotation == "arecchi" else default_grid(desc, side)
-    has_hw = isinstance(desc, HW) or (
-        isinstance(desc, Composite) and any(isinstance(f, HW) for f in desc.factors)
-    )
-    tol = tolerance if tolerance is not None else (1e-4 if has_hw else 1e-10)
+    windowed = "window" in grid.exactness.split(",")
+    tol = tolerance if tolerance is not None else (1e-4 if windowed else 1e-10)
     cov_tol = tolerance if tolerance is not None else 1e-10
     rng = np.random.default_rng(seed)
     d = dimension(desc)

@@ -322,10 +322,10 @@ def test_criterion_10_fourier_bridge(criterion):
     f2 = generalized_fourier(f1, KernelSpec("wigner", desc), gw)
     err_h = float(np.max(np.abs(f2.values - f0.values)))
 
-    ok = err_s < 1e-8 and err_h < 1e-4
+    ok = err_s < 1e-8 and err_h < 1e-10
     criterion(
         10, "Wigner-Weyl-Wigner bridge roundtrip", ok,
-        f"spin-1/2 {err_s:.1e} (tol 1e-8), oscillator n_max=20 {err_h:.1e} (tol 1e-4)",
+        f"spin-1/2 {err_s:.1e} (tol 1e-8), oscillator n_max=20 {err_h:.1e} (tol 1e-10)",
     )
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wignerweyl import build_state, parse_state, parse_system
 from wignerweyl.cli import COMMANDS, RunConfig, main
 from wignerweyl.serialize import dump_matrix
 
@@ -82,6 +83,30 @@ def test_wigner_sample_and_reconstruct_roundtrip(tmp_path, capsys):
     assert out2["hermiticity_defect"] < 1e-10
     A = np.asarray(out2["matrix"]["re"]) + 1j * np.asarray(out2["matrix"]["im"])
     assert abs(np.trace(A) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("system, state", [("hw:12", "coherent:0.8-0.5j"),
+                                           ("su:2:1*hw:3", "random:6")])
+def test_default_plane_grid_csv_roundtrip(system, state, tmp_path, capsys):
+    """wigner --out on the default oscillator rule keeps (re, im) rows, and reconstruct reads them back."""
+    csv = tmp_path / "f.csv"
+    out = run_cli(capsys, "wigner", "--system", system, "--state", state, "--out", str(csv))
+    assert out["integral_residual"] < 1e-12
+    header = csv.read_text().splitlines()[0].split(",")
+    assert header[-5:] == (["re", "im"] if system.startswith("hw") else ["f2_re", "f2_im"]) + [
+        "weight", "value_re", "value_im"]
+    out2 = run_cli(capsys, "reconstruct", "--system", system, "--side", "wigner",
+                   "--infile", str(csv))
+    assert out2["roundtrip_residual"] < 1e-12
+    back = np.asarray(out2["matrix"]["re"]) + 1j * np.asarray(out2["matrix"]["im"])
+    desc = parse_system(system)
+    assert np.max(np.abs(back - build_state(parse_state(state, desc), desc))) < 1e-12
+
+
+def test_radius_without_grid_res_exits_2(capsys):
+    err = run_cli_err(capsys, "wigner", "--system", "hw:4", "--state", "fock:1",
+                      "--radius", "3")
+    assert "--grid-res" in err["error"]
 
 
 def test_weyl_sample_reports_origin_residual(capsys):
@@ -170,6 +195,14 @@ def test_crosscorr_zero_shift_oracle(capsys):
     )
     assert out["shift"] == "zero"
     assert out["residual"] < 1e-10
+
+
+def test_crosscorr_zero_shift_on_the_plane_rule_compares_the_raw_value(capsys):
+    out = run_cli(capsys, "crosscorr", "--system", "hw:8", "--state", "random:4",
+                  "--side", "wigner")
+    assert out["value"] is None and out["volume"] is None
+    assert out["zero_shift_oracle"] == pytest.approx(out["raw_value"]["re"], abs=1e-12)
+    assert out["residual"] < 1e-12
 
 
 def test_evolve_reports_drifts(capsys):

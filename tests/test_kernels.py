@@ -438,7 +438,7 @@ def test_default_oscillator_pieces_hold_no_node_stack():
     arrays = [a for a in vars(p).values() if isinstance(a, np.ndarray)]
     assert not any(a.shape[:1] == (grid.n_nodes,) and a.ndim == 3 for a in arrays)
     assert sum(a.nbytes for a in arrays) <= 50_000_000
-    assert len(p.radial) < grid.n_nodes / 4  # one radial matrix per distinct radius
+    assert len(p.radial) == grid.shape[0]  # one radial matrix per radius of the rule
 
 
 @pytest.mark.parametrize("side", ["weyl", "wigner"])

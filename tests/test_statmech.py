@@ -283,6 +283,16 @@ def test_cross_correlation_hw_gaussian_overlap():
     assert out.raw_value.real == pytest.approx(math.exp(-abs(b) ** 2), abs=1e-8)
 
 
+def test_cross_correlation_zero_shift_on_the_plane_rule_is_purity():
+    # the plane's measure is unbounded: no volume, and the raw value is the purity
+    desc = HW(8)
+    rho = build_state(RandomDensity(9), desc)
+    f = phase_function(rho, KernelSpec("wigner", desc), default_grid(desc, "wigner"))
+    out = phase_cross_correlation(f, None)
+    assert out.volume is None and out.value is None
+    assert abs(out.raw_value - np.trace(rho @ rho).real) < 1e-12
+
+
 _CROSS_CASES = {
     "su21-wigner": ("wigner", lambda: cp_grid(SUN(2, 1)), (0.7, -0.3)),
     "su22-weyl": ("weyl", lambda: sun_grid(SUN(2, 2)), (5.9, 0.4, -1.1)),

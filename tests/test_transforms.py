@@ -23,6 +23,7 @@ from wignerweyl import (
     generalized_fourier,
     grid_roundtrip_residual,
     hw_grid,
+    kernel_at,
     kernel_stack,
     moyal_bracket,
     overlap,
@@ -33,11 +34,11 @@ from wignerweyl import (
     star_product,
     sun_grid,
     symbol_at,
+    symbols_at,
     verify_stratonovich,
 )
 import wignerweyl.kernels as kernels_module
 import wignerweyl.transforms as transforms_module
-from wignerweyl.statmech import _shifted_grid
 from wignerweyl.transforms import PhaseFunction
 
 
@@ -218,7 +219,7 @@ def test_star_product_literal_path_agrees_on_default_weyl_grids(system):
 def test_star_product_literal_node_guard():
     desc = HW(8)
     spec = KernelSpec("weyl", desc)
-    grid = default_grid(desc, "weyl")  # ~4e4 nodes, far over the literal cap
+    grid = hw_grid(desc, 4.0, 60)  # 3,600 nodes, over the literal cap
     f = phase_function(_hermitian(8, 15), spec, grid)
     with pytest.raises(OverflowError):
         star_product(f, f, method="literal")
@@ -445,8 +446,16 @@ def test_verify_stratonovich_weyl_passes():
 
 
 def test_verify_stratonovich_hw_within_truncation_tolerance():
+    # the default plane rule is exact, so every condition gates at 1e-10
     report = verify_stratonovich(HW(10), "wigner")
-    assert report.passed  # default tolerance 1e-4 absorbs the domain tail
+    assert report.passed
+    assert [c.tolerance for c in report.conditions] == [1e-10] * 6
+    assert report.conditions[-1].name == "covariance"
+
+
+def test_verify_stratonovich_hw_window_gates_at_truncation_tolerance():
+    report = verify_stratonovich(HW(10), "wigner", hw_grid(HW(10), math.sqrt(10) + 3, 136))
+    assert report.passed  # the window's tolerance 1e-4 absorbs the domain tail
     # the padded covariance probe has no domain tail
     assert [c.tolerance for c in report.conditions] == [1e-4] * 5 + [1e-10]
     assert report.conditions[-1].name == "covariance"
@@ -478,18 +487,107 @@ def test_verify_arecchi_negative_control():
     assert completeness.residual >= 0.1
 
 
+# Gauss-Laguerre radii of the default plane rule: d on the Weyl side, and on
+# the Wigner side as many as the single-kernel moments need
+_PLANE_RADII = {4: 21, 8: 27, 12: 32, 16: 38, 20: 43, 30: 55, 40: 67}
+
+
 def test_default_grid_shapes():
-    desc = HW(20)
-    gw = default_grid(desc, "wigner")
-    gv = default_grid(desc, "weyl")
-    # the Wigner kernel lives on 2 alpha: half the radius, twice the density
-    r_w = gw.axes[0].hi
-    r_v = gv.axes[0].hi
-    assert r_v > r_w
-    assert len(gw.axes[0].nodes) / r_w > len(gv.axes[0].nodes) / r_v
+    for n, radii in _PLANE_RADII.items():
+        gw, gv = default_grid(HW(n), "wigner"), default_grid(HW(n), "weyl")
+        assert gw.shape == (radii, 2 * n - 1) and gv.shape == (n, 2 * n - 1)
+        for g in (gw, gv):
+            assert g.column_names == ("re", "im") and g.exactness == "pairs"
+            assert g.raw_volume == math.inf
+    assert default_grid(HW(20), "wigner").n_nodes == 1677
+    # the square window is chosen by a resolution alone or with a radius
+    assert default_grid(HW(9), "wigner", 40).axes[0].hi == 6.0
+    assert default_grid(HW(9), "weyl", 40, 4.0).shape == (40, 40)
+    with pytest.raises(ValueError, match="--grid-res"):
+        default_grid(HW(9), "wigner", radius=4.0)
     comp = Composite((SUN(2, 1), HW(6)))
     gc = default_grid(comp, "wigner")
     assert gc.manifold == "PRODUCT"
+    assert gc.column_names == ("f1_phi1", "f1_theta1", "f2_re", "f2_im")
+
+
+@pytest.mark.parametrize("n", sorted(_PLANE_RADII))
+def test_plane_rule_integrates_single_kernels_exactly(n):
+    """sum w K = I and int W = Tr on the Wigner side, to 1e-12 with O(1) probes."""
+    desc, spec = HW(n), KernelSpec("wigner", HW(n))
+    grid = default_grid(desc, "wigner")
+    ksum = reconstruct(PhaseFunction(spec, grid, np.ones(grid.n_nodes)))
+    assert np.max(np.abs(ksum - np.eye(n))) < 1e-12
+    A = _hermitian(n, 41) / n
+    assert abs(phase_function(A, spec, grid).integral() - np.trace(A)) < 1e-12
+
+
+@pytest.mark.parametrize("n", sorted(_PLANE_RADII))
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+def test_plane_rule_roundtrip_is_exact(n, side):
+    spec, grid = KernelSpec(side, HW(n)), default_grid(HW(n), side)
+    A = _hermitian(n, 42) / n
+    assert np.max(np.abs(reconstruct(phase_function(A, spec, grid)) - A)) < 1e-12
+
+
+@pytest.mark.parametrize("n", sorted(set(_PLANE_RADII.values()) | {4, 12}))
+def test_gauss_laguerre_rule_matches_scipy(n):
+    from scipy.special import roots_laguerre
+
+    from wignerweyl.measures import _gauss_laguerre
+
+    x, W = _gauss_laguerre(n)
+    xs, ws = roots_laguerre(n)
+    assert np.max(np.abs(x - xs) / xs) < 1e-12
+    assert np.max(np.abs(W * np.exp(-x) - ws) / ws) < 1e-12
+
+
+def test_plane_rule_refuses_radii_past_its_range():
+    # 380 Weyl radii reach u = 1480, where e^(-u/2) is no longer a normal double
+    with pytest.raises(OverflowError, match="u = 1400"):
+        default_grid(HW(380), "weyl")
+
+
+def test_plane_rule_is_cached_read_only():
+    from wignerweyl.measures import _plane_radii
+
+    u, W = _plane_radii(7, "wigner")
+    assert _plane_radii(7, "wigner")[0] is u
+    assert not u.flags.writeable and not W.flags.writeable
+
+
+_DEFAULT_ORACLE_SYSTEMS = ["hw:4", "hw:12", "su:2:1*hw:3", "su:2:1", "su:2:1*su:2:1"]
+
+
+@pytest.mark.parametrize("system", _DEFAULT_ORACLE_SYSTEMS)
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+def test_symbols_at_grid_rows_equals_phase_function_on_default_grids(system, side):
+    desc = parse_system(system)
+    spec, grid = KernelSpec(side, desc), default_grid(desc, side)
+    A = _hermitian(dimension(desc), 43)
+    got = symbols_at(A, spec, grid.coords())
+    assert np.max(np.abs(got - phase_function(A, spec, grid).values)) < 1e-12
+
+
+@pytest.mark.parametrize("system", _DEFAULT_ORACLE_SYSTEMS)
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+def test_kernel_stack_equals_kernel_at_on_default_grids(system, side):
+    desc = parse_system(system)
+    spec, grid = KernelSpec(side, desc), default_grid(desc, side)
+    K = kernel_stack(spec, grid)
+    for i in range(0, grid.n_nodes, 7):
+        assert np.max(np.abs(K[i] - kernel_at(spec, grid.point(i)))) < 1e-13, i
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+def test_star_product_literal_path_agrees_on_default_plane_grids(n, side):
+    spec, grid = KernelSpec(side, HW(n)), default_grid(HW(n), side)
+    A, B = _hermitian(n, 44) / n, _hermitian(n, 45) / n
+    fA, fB = phase_function(A, spec, grid), phase_function(B, spec, grid)
+    literal = star_product(fA, fB, method="literal")
+    assert np.max(np.abs(literal.values - star_product(fA, fB).values)) < 1e-12
+    assert np.max(np.abs(reconstruct(literal) - A @ B)) < 1e-12
 
 
 def test_kernel_grid_manifold_mismatch_rejected():
@@ -550,7 +648,7 @@ ORACLE_CASES = {
     "su21*hw3*su21-wigner": (KernelSpec("wigner", _THREE), lambda: product_grid(
         [cp_grid(SUN(2, 1)), hw_grid(HW(3), 2.5, 4), cp_grid(SUN(2, 1))])),
     "su21*hw3*su21-weyl": (KernelSpec("weyl", _THREE),
-                           lambda: _truncated(default_grid(_THREE, "weyl", radius=3.0), 3)),
+                           lambda: _truncated(default_grid(_THREE, "weyl"), 3)),
 }
 
 
@@ -558,6 +656,22 @@ ORACLE_CASES = {
 def test_split_transforms_match_kernel_stack(case):
     spec, make_grid = ORACLE_CASES[case]
     _check_against_stack(spec, make_grid())
+
+
+def _shifted_grid(grid, row):
+    """Same weights, axis nodes offset by the row (uniform angles wrapped into range)."""
+    factors = None
+    if grid.factors:
+        ends = np.cumsum([len(sub.axes) for sub in grid.factors])
+        factors = tuple(_shifted_grid(sub, row[e - len(sub.axes): e])
+                        for sub, e in zip(grid.factors, ends))
+    axes = []
+    for ax, delta in zip(grid.axes, row):
+        nodes = ax.nodes + delta
+        if ax.kind == "uniform":
+            nodes = ax.lo + np.mod(nodes - ax.lo, ax.hi - ax.lo)
+        axes.append(replace(ax, nodes=nodes))
+    return replace(grid, axes=tuple(axes), factors=factors, _coords=None)
 
 
 @pytest.mark.parametrize("case", ["su22-arecchi", "su31-weyl", "hw5-wigner", "su21*hw3-weyl"])
@@ -575,7 +689,7 @@ def test_transforms_never_build_the_kernel_stack(monkeypatch):
     monkeypatch.setattr(kernels_module, "kernel_stack", refuse)
     monkeypatch.setattr(transforms_module, "kernel_stack", refuse)
     for desc, side in [(SUN(2, 2), "wigner"), (SUN(2, 1), "weyl"), (_SU21_HW3, "wigner")]:
-        spec, grid = KernelSpec(side, desc), default_grid(desc, side, radius=4.5)
+        spec, grid = KernelSpec(side, desc), default_grid(desc, side)
         d = dimension(desc)
         A, H = _hermitian(d, 1), _hermitian(d, 2)
         fA, fH = phase_function(A, spec, grid), phase_function(H, spec, grid)
