@@ -10,13 +10,13 @@ printout, not in these code paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import HW, SUN, SystemDescriptor, dimension, generator, is_hermitian
 from .kernels import WEYL, WIGNER, KernelSpec, _factor_table
-from .measures import QuadratureGrid
+from .measures import QuadratureGrid, plane_grid, product_grid
 from .points import PhasePoint, _row
 from .rotations import euler_angle_count
 from .states import ThermalSpec
@@ -173,6 +173,45 @@ class CrossCorrelation:
     volume: float | None
 
 
+def _shifted_grid(grid: QuadratureGrid, row) -> QuadratureGrid:
+    """Same nodes and weights, coordinates offset by the row (uniform angles wrapped)."""
+    factors = None
+    if grid.factors:
+        ends = np.cumsum([len(sub.axes) for sub in grid.factors])
+        factors = tuple(_shifted_grid(sub, row[e - len(sub.axes): e])
+                        for sub, e in zip(grid.factors, ends))
+    axes = []
+    for ax, delta in zip(grid.axes, row):
+        nodes = ax.nodes + delta
+        if ax.kind == "uniform":
+            nodes = ax.lo + np.mod(nodes - ax.lo, ax.hi - ax.lo)
+        axes.append(replace(ax, nodes=nodes))
+    return replace(grid, axes=tuple(axes), factors=factors, _coords=None)
+
+
+def _shifted_pair(f: PhaseFunction, row: np.ndarray):
+    """Weights and the values at x + row and at x of a rule for the shifted integrand.
+
+    A grid without plane rules keeps its nodes, and the shifted values come
+    from the factored transform on a coordinate-shifted copy (periodic angles
+    wrapped into range).  A shift in alpha is no offset of a plane rule's
+    (r, psi) axes, and the shifted integrand needs more angles than the
+    rule has, so there each plane rule becomes its midpoint rule, centred on
+    -b/2 for that factor's shift b, and both factors come from ``symbols_at``
+    at the rows.
+    """
+    A = reconstruct(f)
+    factors = f.grid.factors or (f.grid,)
+    if not any(g.polar for g in factors):
+        moved = phase_function(A, f.spec, _shifted_grid(f.grid, row))
+        return f.grid.weights(), moved.values, f.values
+    mids = [plane_grid(g.system, f.spec.side, midpoint=True) if g.polar else g for g in factors]
+    grid = product_grid(mids) if f.grid.factors else mids[0]
+    half = np.concatenate([np.full(len(g.axes), 0.5 if g.polar else 0.0) for g in factors])
+    rows = grid.coords() - half * row
+    return grid.weights(), symbols_at(A, f.spec, rows + row), symbols_at(A, f.spec, rows)
+
+
 def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> CrossCorrelation:
     """(1/V) Int f(Omega + shift) f(Omega) dOmega, V = total normalized measure.
 
@@ -181,21 +220,20 @@ def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> Cross
     ``CompositePoint`` on product grids); its coordinates are added to every
     grid row, so a point of another type or width raises ValueError.  The
     shifted values are evaluated exactly through the reconstructed operator
-    with ``symbols_at`` at the shifted rows.  The Weyl side conjugates the
-    unshifted factor.  ``raw_value`` is the unnormalized integral.  On a grid
-    of finite measure, ``shift=None`` (zero shift) gives the Wigner value
-    purity / dimension for a density operator; on an unbounded measure (the
-    oscillator's plane rule) ``value`` and ``volume`` are None and the
-    zero-shift ``raw_value`` is the purity.
+    (see ``_shifted_pair`` for the rule a shift is integrated on).  The Weyl
+    side conjugates the unshifted factor.  ``raw_value`` is the unnormalized
+    integral.  On a grid of finite measure, ``shift=None`` (zero shift)
+    gives the Wigner value purity / dimension for a density operator; on an
+    unbounded measure (the oscillator's plane rule) ``value`` and ``volume``
+    are None and the zero-shift ``raw_value`` is the purity.
     """
     if shift is None:
-        shifted = f.values
+        w, first, second = f.grid.weights(), f.values, f.values
     else:
-        rows = f.grid.coords() + np.asarray(_row(shift, f.grid))
-        shifted = symbols_at(reconstruct(f), f.spec, rows)
-    w = f.grid.weights()
-    second = f.values if f.spec.side == WIGNER else np.conj(f.values)
-    raw = complex(np.sum(w * shifted * second))
+        w, first, second = _shifted_pair(f, np.asarray(_row(shift, f.grid)))
+    if f.spec.side == WEYL:
+        second = np.conj(second)
+    raw = complex(np.sum(w * first * second))
     if not math.isfinite(f.grid.raw_volume):
         return CrossCorrelation(None, raw, None)
     V = float(np.sum(w))

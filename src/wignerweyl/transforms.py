@@ -528,9 +528,9 @@ def default_grid(desc: SystemDescriptor, side: str, resolution: int | None = Non
     """The natural grid for a kernel family: SU(N) at pairs, CP at quads, the plane rule for HW.
 
     The oscillator's default is ``plane_grid``, exact by construction: d
-    Gauss-Laguerre radii on the Weyl side (hw:12: 276 nodes) and as many as
-    the single-kernel moments need on the Wigner side (hw:12: 736, hw:20:
-    1,677 nodes), times 2d - 1 angles.  A ``resolution`` selects the square
+    Gauss-Laguerre radii on the Weyl side (hw:12: 276 nodes) and enough for
+    the single-kernel moments on the Wigner side (hw:12: 782, hw:20: 1,716
+    nodes), times 2d - 1 angles.  A ``resolution`` selects the square
     ``hw_grid`` window instead, of half-width ``radius`` (default
     sqrt(n_max) + 3 on the Wigner side, 2 sqrt(n_max) + 3 on the Weyl side);
     a radius without a resolution raises ValueError.

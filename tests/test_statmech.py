@@ -9,6 +9,7 @@ from wignerweyl import (
     HW,
     SUN,
     Coherent,
+    Composite,
     CPPoint,
     EulerPoint,
     HWPoint,
@@ -291,6 +292,45 @@ def test_cross_correlation_zero_shift_on_the_plane_rule_is_purity():
     out = phase_cross_correlation(f, None)
     assert out.volume is None and out.value is None
     assert abs(out.raw_value - np.trace(rho @ rho).real) < 1e-12
+
+
+# square windows that resolve hw:8 and its shifts up to |b| = 2 to rounding;
+# a Weyl kernel decays as e^(-|alpha|^2 / 2), a Wigner kernel four times faster
+_WINDOW = {"wigner": (6.0, 120), "weyl": (12.0, 160)}
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+@pytest.mark.parametrize("size", [1.0, 2.0])
+def test_cross_correlation_shift_on_the_plane_rule_is_exact(n, side, size):
+    # the vacuum gives exp(-|b|^2) (Wigner) and exp(-|b|^2 / 4) (Weyl); a
+    # random state is checked against a square window that resolves it
+    desc, spec = HW(n), KernelSpec(side, HW(n))
+    b = HWPoint(size * complex(math.cos(0.7), math.sin(0.7)))
+    vacuum = phase_function(build_state(Coherent(0.0), desc), spec, default_grid(desc, side))
+    oracle = math.exp(-size**2 / (1.0 if side == "wigner" else 4.0))
+    assert abs(phase_cross_correlation(vacuum, b).raw_value - oracle) < 1e-10
+    rho = build_state(RandomDensity(5), desc)
+    out = phase_cross_correlation(phase_function(rho, spec, default_grid(desc, side)), b)
+    window = phase_cross_correlation(phase_function(rho, spec, hw_grid(desc, *_WINDOW[side])), b)
+    assert out.volume is None and out.value is None
+    assert abs(out.raw_value - window.raw_value) < 1e-10
+
+
+_SU21_HW3 = Composite((SUN(2, 1), HW(3)))
+
+
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+def test_cross_correlation_shift_on_a_product_with_a_plane_rule(side):
+    grid = default_grid(_SU21_HW3, side)
+    spec = KernelSpec(side, _SU21_HW3)
+    rho = build_state(RandomDensity(3), _SU21_HW3)
+    shift = [0.4, 0.1] + ([0.3] if side == "weyl" else []) + [0.8, -0.6]
+    point = _point_from_row(grid, np.asarray(shift))
+    out = phase_cross_correlation(phase_function(rho, spec, grid), point)
+    windowed = product_grid((grid.factors[0], hw_grid(HW(3), *_WINDOW[side])))
+    window = phase_cross_correlation(phase_function(rho, spec, windowed), point)
+    assert abs(out.raw_value - window.raw_value) < 1e-10
 
 
 _CROSS_CASES = {

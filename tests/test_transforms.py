@@ -39,6 +39,7 @@ from wignerweyl import (
 )
 import wignerweyl.kernels as kernels_module
 import wignerweyl.transforms as transforms_module
+from wignerweyl.statmech import _shifted_grid
 from wignerweyl.transforms import PhaseFunction
 
 
@@ -489,7 +490,7 @@ def test_verify_arecchi_negative_control():
 
 # Gauss-Laguerre radii of the default plane rule: d on the Weyl side, and on
 # the Wigner side as many as the single-kernel moments need
-_PLANE_RADII = {4: 21, 8: 27, 12: 32, 16: 38, 20: 43, 30: 55, 40: 67}
+_PLANE_RADII = {4: 22, 8: 28, 12: 34, 16: 39, 20: 44, 30: 56, 40: 68}
 
 
 def test_default_grid_shapes():
@@ -499,7 +500,7 @@ def test_default_grid_shapes():
         for g in (gw, gv):
             assert g.column_names == ("re", "im") and g.exactness == "pairs"
             assert g.raw_volume == math.inf
-    assert default_grid(HW(20), "wigner").n_nodes == 1677
+    assert default_grid(HW(20), "wigner").n_nodes == 1716
     # the square window is chosen by a resolution alone or with a radius
     assert default_grid(HW(9), "wigner", 40).axes[0].hi == 6.0
     assert default_grid(HW(9), "weyl", 40, 4.0).shape == (40, 40)
@@ -546,6 +547,19 @@ def test_plane_rule_refuses_radii_past_its_range():
     # 380 Weyl radii reach u = 1480, where e^(-u/2) is no longer a normal double
     with pytest.raises(OverflowError, match="u = 1400"):
         default_grid(HW(380), "weyl")
+
+
+def test_plane_rule_wigner_radii_hold_the_single_kernel_moments_with_margin():
+    """int e^(-u/2) L_j(u) du = 2 (-1)^j, j < d, to half of 1e-14 d on every Wigner rule."""
+    from wignerweyl.measures import _laguerre_functions, _plane_radii
+
+    for d in list(range(2, 41)) + [60, 100, 200, 310]:
+        u, W = _plane_radii(d, "wigner")
+        assert len(u) == math.ceil(d + 3.7 * d**0.4 + 11.3)
+        miss = np.abs(_laguerre_functions(d - 1, u) @ W - 2.0 * (-1.0) ** np.arange(d)).max()
+        assert miss < 0.5e-14 * d, d
+    with pytest.raises(OverflowError, match="u = 1400"):
+        _plane_radii(311, "wigner")
 
 
 def test_plane_rule_is_cached_read_only():
@@ -656,22 +670,6 @@ ORACLE_CASES = {
 def test_split_transforms_match_kernel_stack(case):
     spec, make_grid = ORACLE_CASES[case]
     _check_against_stack(spec, make_grid())
-
-
-def _shifted_grid(grid, row):
-    """Same weights, axis nodes offset by the row (uniform angles wrapped into range)."""
-    factors = None
-    if grid.factors:
-        ends = np.cumsum([len(sub.axes) for sub in grid.factors])
-        factors = tuple(_shifted_grid(sub, row[e - len(sub.axes): e])
-                        for sub, e in zip(grid.factors, ends))
-    axes = []
-    for ax, delta in zip(grid.axes, row):
-        nodes = ax.nodes + delta
-        if ax.kind == "uniform":
-            nodes = ax.lo + np.mod(nodes - ax.lo, ax.hi - ax.lo)
-        axes.append(replace(ax, nodes=nodes))
-    return replace(grid, axes=tuple(axes), factors=factors, _coords=None)
 
 
 @pytest.mark.parametrize("case", ["su22-arecchi", "su31-weyl", "hw5-wigner", "su21*hw3-weyl"])
