@@ -7,7 +7,13 @@ Grids are tensor products of one-dimensional rules:
 * aperiodic directions (colatitudes with their measure factors, half-range or
   irrational-length angles) get Gauss-Legendre nodes with a least-norm moment
   correction that integrates the finite frequency span of the representation
-  exactly while keeping all weights positive.
+  exactly while keeping all weights positive.  The target moments come from
+  a (4n + 120)-node Gauss-Legendre reference rule.  Each [-1, 1] Legendre
+  table is built once per process and cached; the moments must not be
+  computed another way (closed forms, a smaller rule, another solver): the
+  correction's normal equations have condition 1e16 to 1e17, so rounding
+  differences move the weights by up to 2e-7 and decide whether near-zero
+  endpoint weights come out positive.
 
 The per-direction frequency sets come from the eigenvalue differences of the
 generator attached to that direction, at one level per manifold, recorded as
@@ -39,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import HW, SUN, Composite, SystemDescriptor, dimension
+from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, format_system
 from .points import CompositePoint, CPPoint, EulerPoint, HWPoint, PhasePoint
 from .rotations import _gen_eig, euler_factor_sequence
 
@@ -190,8 +196,17 @@ def _point_from_row(grid: QuadratureGrid, row: np.ndarray) -> PhasePoint:
 # one-dimensional rules
 
 
-def _gauss_base(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] (cached, read-only)."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_base(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _legendre(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -219,7 +234,7 @@ def _uniform_axis(name, lo, hi, freqs, n_floor) -> Axis:
     return Axis(name, lo, hi, nodes, weights, kind="uniform")
 
 
-def _corrected_axis(name, lo, hi, freqs, weight_fn, n_floor) -> Axis:
+def _corrected_axis(desc, name, lo, hi, freqs, weight_fn, n_floor) -> Axis:
     """Gauss-Legendre rule moment-corrected to be exact on the trig span."""
     pos = sorted({float(f) for f in freqs if f > 1e-12})
     L = hi - lo
@@ -227,11 +242,17 @@ def _corrected_axis(name, lo, hi, freqs, weight_fn, n_floor) -> Axis:
     # one node of headroom over the moment-constraint count; the retry loop
     # below grows the rule whenever positivity or exactness fails
     n = max(n_floor, 2 * len(pos) + 2, math.ceil(numax * L / 6.0) + 2)
-    # high-resolution reference for the true moments
+    # The true moments come from the cached (4n + 120)-node Legendre table.
+    # Keep them computed exactly this way: A A^T has condition 1e16 to 1e17,
+    # so moments that differ by rounding (closed forms, another rule) move
+    # the weights by up to 2e-7 relative and can flip the sign of a
+    # near-zero endpoint weight, changing which retry succeeds.
     xr, wr = _gauss_base(lo, hi, 4 * n + 120)
     fr = weight_fn(xr) if weight_fn is not None else np.ones_like(xr)
     moments = _trig_basis(xr, pos) @ (wr * fr)
+    tried = []
     for _ in range(6):
+        tried.append(n)
         x, w = _gauss_base(lo, hi, n)
         base = w * (weight_fn(x) if weight_fn is not None else 1.0)
         A = _trig_basis(x, pos)
@@ -241,7 +262,10 @@ def _corrected_axis(name, lo, hi, freqs, weight_fn, n_floor) -> Axis:
         if wts.min() >= 0.0 and np.max(np.abs(A @ wts - moments)) < 1e-12:
             return Axis(name, lo, hi, x, wts, kind="gauss")
         n = n + max(2, n // 2)
-    raise RuntimeError(f"could not build a positive exact rule for axis {name}")
+    raise RuntimeError(
+        f"could not build a positive exact rule for axis {name} of {format_system(desc)} "
+        f"(tried {', '.join(map(str, tried))} nodes)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +348,7 @@ def cp_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
         th_freqs = _quad_freqs(N, M, k_theta)
         axes.append(
             _corrected_axis(
-                f"theta{j}", 0.0, 0.5 * math.pi, th_freqs, _cp_theta_weight(N, j), floor
+                desc, f"theta{j}", 0.0, 0.5 * math.pi, th_freqs, _cp_theta_weight(N, j), floor
             )
         )
     return _finalize(desc, "CP", axes, "quads")
@@ -363,12 +387,12 @@ def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
         if abs(hi - _TWO_PI) < 1e-12:
             axes.append(_uniform_axis(f"phi{t}", 0.0, hi, phi_freqs, floor))
         else:
-            axes.append(_corrected_axis(f"phi{t}", 0.0, hi, phi_freqs, None, floor))
+            axes.append(_corrected_axis(desc, f"phi{t}", 0.0, hi, phi_freqs, None, floor))
         p, q = _factor_pq(N, t)
         th_freqs = _diff_freqs(N, M, k_theta)
         axes.append(
             _corrected_axis(
-                f"theta{t}", 0.0, 0.5 * math.pi, th_freqs, _sun_theta_weight(p, q), floor
+                desc, f"theta{t}", 0.0, 0.5 * math.pi, th_freqs, _sun_theta_weight(p, q), floor
             )
         )
     for c in range(1, N):
@@ -381,7 +405,7 @@ def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
         if periodic:
             axes.append(_uniform_axis(f"Phi{c}", 0.0, hi, freqs, floor))
         else:
-            axes.append(_corrected_axis(f"Phi{c}", 0.0, hi, freqs, None, floor))
+            axes.append(_corrected_axis(desc, f"Phi{c}", 0.0, hi, freqs, None, floor))
     return _finalize(desc, "SUN", axes, "pairs")
 
 
