@@ -265,11 +265,11 @@ class Polar:
     def n_nodes(self) -> int:
         return len(self.order)
 
-    def stack(self) -> np.ndarray:
-        """Kernels at every point, in point order: (n_points, d, d)."""
+    def stack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Kernels of the points start..stop, in point order: (n, d, d)."""
         d = self.dim
         m, n, _, to_c = _diagonals(d)
-        at = self.position
+        at = self.position[start:stop]
         K = self.radial[self.ring[at]][:, to_c] * self.phases[at][:, (m - n + d - 1)[to_c]]
         return K.reshape(-1, d, d)
 

@@ -7,11 +7,13 @@ the adjoint displacement on the Weyl side).  On grids whose quadrature is
 exact for the relevant representation frequencies, forward-then-back is
 exact to rounding.  Both contract through the pieces of
 ``kernels.kernel_pieces``, factor by factor on product grids, and never
-build a grid's kernel stack.  An SU(N) piece has two routes, picked by a
-multiply-add count from the shapes: its factored form for few operators, and
-its kernels formed in bounded node blocks, one GEMM per block, for large
-batches (the second stage of a composite contraction).  An oscillator piece
-always contracts through its radial matrices and phases.
+build a grid's kernel stack.  They are batch-first, (B, d, d) <-> (B, n_nodes),
+and each GEMM writes node order, so no node-sized array is transposed.  An
+SU(N) piece has two routes, picked by a multiply-add count from the shapes:
+its factored form for few operators, and its kernels formed in bounded node
+blocks, one GEMM per block, for large batches (as is a composite's first
+factor when it is the second stage).  An oscillator piece otherwise contracts
+through its radial matrices and phases.
 """
 
 from __future__ import annotations
@@ -62,11 +64,16 @@ def _operator(A: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def _traces(K: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Tr[A K_n] for every kernel of a stack: (n,) for one operator, (n, B) for B of them."""
+    """Tr[A_b K_n] for operators (B, d, d) and kernels (n, d, d): (B, n)."""
     d = K.shape[-1]
-    if A.ndim == 2:
-        return K.reshape(len(K), d * d) @ A.T.reshape(d * d)
-    return K.reshape(len(K), d * d) @ np.swapaxes(A, 1, 2).reshape(len(A), d * d).T
+    return np.swapaxes(A, 1, 2).reshape(len(A), d * d) @ K.reshape(len(K), d * d).T
+
+
+def _kernel_blocks(p: Pieces | Polar):
+    """(node slice, kernels) of a factor's nodes, in blocks of at most ``BLOCK_BYTES``."""
+    m = len(p.right) if isinstance(p, Pieces) else 1  # nodes per stack() index
+    for lo, hi in _blocks(p.n_nodes // m, 16 * p.dim * p.dim * m):
+        yield slice(lo * m, hi * m), p.stack(lo, hi)
 
 
 def _rest_takes_the_batch(d1: int, n1: int, e: int, n_rest: int) -> bool:
@@ -98,80 +105,77 @@ def _forward(pieces, A: np.ndarray) -> np.ndarray:
         Y = _forward(pieces[:1], blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d1, d1))
         Y = Y.reshape(B, e, e, n1).transpose(0, 3, 1, 2).reshape(-1, e, e)
         return _forward(rest, Y).reshape(B, -1)
-    # trace the indices within the blocks against the rest, then each rest
-    # node's d1 x d1 partial trace against factor 1
-    Y = _forward(rest, blocks.transpose(0, 1, 3, 2, 4).reshape(-1, e, e))
-    Y = Y.reshape(B, d1, d1, n_rest).transpose(0, 3, 1, 2).reshape(-1, d1, d1)
-    Y = _forward(pieces[:1], Y).reshape(B, n_rest, n1)
-    return Y.transpose(0, 2, 1).reshape(B, -1)
+    # trace the indices within the blocks against the rest, block (a, c) at
+    # row c d1 + a, then (n1, d1^2) @ (d1^2, n_rest) against factor 1's kernels
+    Y = _forward(rest, blocks.transpose(0, 3, 1, 2, 4).reshape(-1, e, e)).reshape(B, -1, n_rest)
+    out = np.empty((B, n1, n_rest), dtype=np.complex128)
+    for nodes, K in _kernel_blocks(p):
+        np.matmul(K.reshape(-1, d1 * d1), Y, out=out[:, nodes])
+    return out.reshape(B, -1)
 
 
 def _kernel_sum(pieces, C: np.ndarray) -> np.ndarray:
-    """sum_n C[n, b] K(node n) for every column b: (n_nodes, B) -> (B, d, d)."""
+    """sum_n C[b, n] K(node n) for every row b: (B, n_nodes) -> (B, d, d)."""
     p, rest = pieces[0], pieces[1:]
-    B = C.shape[1]
+    B = len(C)
     if not rest:
         return _polar_sum(p, C) if isinstance(p, Polar) else _pieces_sum(p, C)
-    n1 = p.n_nodes
-    n_rest = C.shape[0] // n1
-    d1 = p.dim
+    d1, n1 = p.dim, p.n_nodes
+    n_rest = C.shape[1] // n1
     e = math.prod(q.dim for q in rest)
     if _rest_takes_the_batch(d1, n1, e, n_rest):
-        # sum over the rest for each (factor-1 node, b), then over factor 1
+        # sum over the rest for each (b, factor-1 node), then over factor 1
         # with those e x e sums as coefficients
-        S = _kernel_sum(rest, C.reshape(n1, n_rest, B).transpose(1, 0, 2).reshape(n_rest, -1))
-        S = _kernel_sum(pieces[:1], S.reshape(n1, B * e * e))
+        S = _kernel_sum(rest, C.reshape(B * n1, n_rest)).reshape(B, n1, e * e)
+        S = _kernel_sum(pieces[:1], S.transpose(0, 2, 1).reshape(-1, n1))
         return S.reshape(B, e, e, d1, d1).transpose(0, 3, 1, 4, 2).reshape(B, d1 * e, d1 * e)
-    # sum over factor 1 for each (rest node, b), then over the rest with
-    # those d1 x d1 sums as coefficients
-    S = _kernel_sum(pieces[:1], C.reshape(n1, n_rest * B))
-    S = _kernel_sum(rest, S.reshape(n_rest, B * d1 * d1))
+    # sum factor 1's kernels for each (b, rest node), (d1^2, n1) @ (n1, n_rest),
+    # then over the rest with those d1 x d1 sums as coefficients
+    C = C.reshape(B, n1, n_rest)
+    S = sum(K.reshape(-1, d1 * d1).T @ C[:, nodes] for nodes, K in _kernel_blocks(p))
+    S = _kernel_sum(rest, S.reshape(-1, n_rest))
     return S.reshape(B, d1, d1, e, e).transpose(0, 1, 3, 2, 4).reshape(B, d1 * e, d1 * e)
 
 
 def _pieces_dense(p: Pieces, B: int) -> bool:
     """Whether forming the kernels beats the factored route for B operators.
 
-    The factored route multiplies each operator with every left piece
-    (sandwich) or every right piece, B n_left d^3 (B n_right d^3); forming
-    the kernels costs n_nodes d^3 once.  Both then run the same GEMM.
+    The factored route multiplies each operator with every left piece,
+    B n_left d^3 (twice on the Wigner sandwich); forming the kernels costs
+    n_left n_right d^3 once.  Both then run the same GEMM.
     """
-    return B > (len(p.right) if p.sandwich else len(p.left))
+    return B > len(p.right)
 
 
 def _pieces_forward(p: Pieces, A: np.ndarray) -> np.ndarray:
     L, R = p.left, p.right
     B, d = len(A), p.dim
     if _pieces_dense(p, B):
-        out = np.empty((p.n_nodes, B), dtype=np.complex128)
-        for lo, hi in _blocks(len(L), 16 * d * d * len(R)):
-            out[lo * len(R): hi * len(R)] = _traces(p.stack(lo, hi), A)
-        return out.T
-    if p.sandwich:  # Tr[A L P L^dagger] = Tr[(L^dagger A L) P]
-        X = np.conj(np.swapaxes(L, 1, 2)) @ A[:, None] @ L
-        out = _traces(R, X.reshape(-1, d, d)).reshape(len(R), B, len(L)).transpose(1, 2, 0)
-    else:  # Tr[A L R] = Tr[(R A) L]
-        RA = R @ A[:, None]
-        out = _traces(L, RA.reshape(-1, d, d)).reshape(len(L), B, len(R)).transpose(1, 0, 2)
-    return out.reshape(B, -1)
+        out = np.empty((B, p.n_nodes), dtype=np.complex128)
+        for nodes, K in _kernel_blocks(p):
+            out[:, nodes] = _traces(K, A)
+        return out
+    # Tr[A K] = Tr[X R] with X = A L, or X = L^dagger A L on the sandwich;
+    # X^T = L^T A^T (conj L) against R's rows makes one GEMM that writes
+    # (B, n_left, n_right), node order
+    X = (np.swapaxes(L, 1, 2).reshape(-1, d) @ np.swapaxes(A, 1, 2)).reshape(B, len(L), d, d)
+    if p.sandwich:
+        X = X @ np.conj(L)
+    return (X.reshape(-1, d * d) @ R.reshape(len(R), d * d).T).reshape(B, -1)
 
 
 def _pieces_sum(p: Pieces, C: np.ndarray) -> np.ndarray:
     L, R = p.left, p.right
-    B, d = C.shape[1], p.dim
+    B, d = len(C), p.dim
     if _pieces_dense(p, B):
-        S = np.zeros((B, d * d), dtype=np.complex128)
-        for lo, hi in _blocks(len(L), 16 * d * d * len(R)):
-            S += C[lo * len(R): hi * len(R)].T @ p.stack(lo, hi).reshape(-1, d * d)
+        S = sum(C[:, nodes] @ K.reshape(-1, d * d) for nodes, K in _kernel_blocks(p))
         return S.reshape(B, d, d)
-    C = C.reshape(len(L), len(R), B)
-    if p.sandwich:  # sum_l L (sum_r C P) L^dagger
-        Q = C.transpose(0, 2, 1).reshape(-1, len(R)) @ R.reshape(len(R), d * d)
-        Q = Q.reshape(len(L), B, d, d)
-        return (L[:, None] @ Q @ np.conj(np.swapaxes(L, 1, 2))[:, None]).sum(axis=0)
-    # sum_r (sum_l C L) R
-    Q = (C.reshape(len(L), -1).T @ L.reshape(len(L), d * d)).reshape(len(R), B, d, d)
-    return (Q @ R[:, None]).sum(axis=0)
+    # sum_l L_l Q_l with Q_l = sum_r C_lr R_r (times L_l^dagger on the sandwich):
+    # GEMMs (B n_left, n_right) @ (n_right, d^2), then (d, n_left d) @ (n_left d, d)
+    Q = (C.reshape(-1, len(R)) @ R.reshape(len(R), d * d)).reshape(B, len(L), d, d)
+    if p.sandwich:
+        Q = Q @ np.conj(np.swapaxes(L, 1, 2))
+    return np.swapaxes(L, 0, 1).reshape(d, -1) @ Q.reshape(B, -1, d)
 
 
 def _radial_products(p: Polar, X: np.ndarray, Y: np.ndarray, transpose: bool) -> None:
@@ -201,26 +205,26 @@ def _polar_forward(p: Polar, A: np.ndarray) -> np.ndarray:
     B, d = len(A), p.dim
     m, n, _, _ = _diagonals(d)
     a = np.ascontiguousarray(A[:, n, m].T)  # A_nm at the diagonal-major entry (m, n)
-    out = np.empty((p.n_nodes, B), dtype=np.complex128)  # in ring order
+    out = np.empty((B, p.n_nodes), dtype=np.complex128)  # in ring order
     # c_k(r) = sum_{m - n = k} R_mn(r) A_nm, then sum_k c_k(r) e^{i k psi}
     c = np.empty((len(p.radial), 2 * d - 1, 2 * B))
     _radial_products(p, a.view(np.float64), c, transpose=False)
     c = c.view(np.complex128)
     for pts, rings, count, n_rings in _ring_groups(p):
         ph = p.phases[pts].reshape(n_rings, count, -1)
-        out[pts] = (ph @ c[rings]).reshape(-1, B)
-    return out[p.position].T
+        out[:, pts] = (ph @ c[rings]).reshape(-1, B).T
+    return np.take(out, p.position, axis=1)
 
 
 def _polar_sum(p: Polar, C: np.ndarray) -> np.ndarray:
-    B, d = C.shape[1], p.dim
-    C = C[p.order]
+    B, d = len(C), p.dim
+    C = np.take(C, p.order, axis=1)
     # g_k(r) = sum over the ring's points of C e^{i k psi}, then
     # S_mn = sum_r R_mn(r) g_{m-n}(r)
     g = np.empty((len(p.radial), 2 * d - 1, B), dtype=np.complex128)
     for pts, rings, count, n_rings in _ring_groups(p):
         ph = p.phases[pts].reshape(n_rings, count, -1)
-        g[rings] = np.swapaxes(ph, 1, 2) @ C[pts].reshape(n_rings, count, B)
+        g[rings] = np.swapaxes(ph, 1, 2) @ C[:, pts].reshape(B, n_rings, count).transpose(1, 2, 0)
     S = np.empty((d * d, 2 * B))
     _radial_products(p, g.view(np.float64), S, transpose=True)
     S = S.view(np.complex128).T
@@ -267,24 +271,24 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
             continue
         columns = [np.unique(col, return_inverse=True) for col in block.T]
         K = _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
-        out[start:stop] = _traces(K, A)
+        out[start:stop] = _traces(K, A[None])[0]
     return out
 
 
 def _reconstructed(spec: KernelSpec, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
-    """Operators of the symbols in the columns of ``values``: (n_nodes, B) -> (B, d, d)."""
+    """Operators of the symbols in the rows of ``values``: (B, n_nodes) -> (B, d, d)."""
     pieces = kernel_pieces(spec, grid)
-    wv = grid.weights()[:, None] * values
+    wv = values * grid.weights()
     if spec.side == WIGNER:
         return _kernel_sum(pieces, wv)
     # Weyl side reconstructs through the adjoint displacement:
     # sum w f K^dagger = (sum conj(w f) K)^dagger
-    return np.conj(np.swapaxes(_kernel_sum(pieces, np.conj(wv)), 1, 2))
+    return np.conj(np.swapaxes(_kernel_sum(pieces, np.conj(wv, out=wv)), 1, 2))
 
 
 def reconstruct(f: PhaseFunction) -> np.ndarray:
     """Inverse transform: operator from its symbol by dual-kernel quadrature."""
-    return _reconstructed(f.spec, f.grid, f.values[:, None])[0]
+    return _reconstructed(f.spec, f.grid, f.values[None])[0]
 
 
 def grid_roundtrip_residual(spec: KernelSpec, grid: QuadratureGrid, seed: int = 0) -> float:
@@ -424,7 +428,7 @@ def evolve(
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
     spec, grid = f_rho.spec, f_rho.grid
-    R, H = _reconstructed(spec, grid, np.stack([f_rho.values, f_H.values], axis=1))
+    R, H = _reconstructed(spec, grid, np.stack([f_rho.values, f_H.values]))
     if not is_hermitian(H):
         raise ValueError("the Hamiltonian must be Hermitian: reconstruct(f_H) is not")
     pieces = kernel_pieces(spec, grid)

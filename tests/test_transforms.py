@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -704,19 +705,21 @@ def test_default_grid_roundtrip_without_kernel_stack(system, side):
     assert np.max(np.abs(back - A)) < (1e-11 if side == "weyl" else 1e-8)
 
 
-def _check_batch_against_stack(spec, grid, B, seed=0):
-    """_forward on B operators and _kernel_sum on B columns equal the kernel_stack contractions."""
-    rng = np.random.default_rng(seed)
-    d = dimension(spec.system)
-    K = kernel_stack(spec, grid)
-    pieces = kernels_module.kernel_pieces(spec, grid)
+def _check_routes(pieces, K, w, B, rng):
+    """_forward on B operators and _kernel_sum on B rows of weighted coefficients against a stack."""
+    d = K.shape[-1]
     A = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
     got = transforms_module._forward(pieces, A)
     assert np.max(np.abs(got - np.einsum("nij,bji->bn", K, A))) < 1e-12
-    C = grid.weights()[:, None] * (rng.standard_normal((grid.n_nodes, B))
-                                   + 1j * rng.standard_normal((grid.n_nodes, B)))
+    C = w * (rng.standard_normal((B, len(K))) + 1j * rng.standard_normal((B, len(K))))
     got = transforms_module._kernel_sum(pieces, C)
-    assert np.max(np.abs(got - np.einsum("nb,nij->bij", C, K))) < 1e-12
+    assert np.max(np.abs(got - np.einsum("bn,nij->bij", C, K))) < 1e-12
+
+
+def _check_batch_against_stack(spec, grid, B, seed=0):
+    """_forward on B operators and _kernel_sum on B rows equal the kernel_stack contractions."""
+    _check_routes(kernels_module.kernel_pieces(spec, grid), kernel_stack(spec, grid),
+                  grid.weights(), B, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("side", ["wigner", "weyl"])
@@ -736,23 +739,93 @@ def test_oscillator_routes_match_kernel_stack(side, resolution, B):
 def test_split_piece_routes_match_kernel_stack(spec, make_grid, B):
     grid = make_grid()
     (p,) = kernels_module.kernel_pieces(spec, grid)
+    assert transforms_module._pieces_dense(p, B) == (B > len(p.right))
     assert transforms_module._pieces_dense(p, B) == (B == 200)
     _check_batch_against_stack(spec, grid, B)
 
 
-@pytest.mark.parametrize("system", ["hw:3*su:2:1", "su:2:1*hw:3"])
+@pytest.mark.parametrize("system, side, split", [
+    ("su:3:1", "weyl", (324, 216)), ("su:2:3", "weyl", (7, 56)), ("su:2:3", "wigner", (13, 14)),
+])
+def test_split_piece_routes_at_evolve_batch_sizes(system, side, split):
+    """Uneven splits at evolve's batch sizes and on both sides of the dense rule.
+
+    The routes run on the nodes of the first five left pieces: the rule reads
+    len(right) only, and a batch of len(right) + 1 over all of su:3:1's 69,984
+    Weyl nodes would take 243 MB per array.
+    """
+    desc = parse_system(system)
+    spec, grid = KernelSpec(side, desc), default_grid(desc, side)
+    (p,) = kernels_module.kernel_pieces(spec, grid)
+    assert (len(p.left), len(p.right)) == split
+    part = kernels_module.Pieces(p.left[:5], p.right, p.sandwich)
+    K = kernel_stack(spec, grid)[:part.n_nodes]
+    w = grid.weights()[:part.n_nodes]
+    rng = np.random.default_rng(1)
+    for B in (1, 2, 3, len(p.right), len(p.right) + 1):
+        assert transforms_module._pieces_dense(part, B) == (B > len(p.right))
+        _check_routes((part,), K, w, B, rng)
+
+
+@pytest.mark.parametrize("system", ["su:2:1*su:2:2", "su:2:2*su:2:1"])
 @pytest.mark.parametrize("side", ["wigner", "weyl"])
 @pytest.mark.parametrize("B", [1, 3])
-def test_composite_oscillator_batches_match_kernel_stack(system, side, B):
-    """The oscillator first or last: each order of the two-stage contraction."""
+def test_composite_su_batches_match_kernel_stack(system, side, B):
+    """Two SU(N) factors: factor 1 as the second stage (its kernels in blocks) and as the first."""
     desc = parse_system(system)
+    grid = default_grid(desc, side)
+    first, second = grid.factors
+    d1, e = dimension(first.system), dimension(second.system)
+    assert transforms_module._rest_takes_the_batch(d1, first.n_nodes, e, second.n_nodes) == (
+        system == "su:2:2*su:2:1")
+    _check_batch_against_stack(KernelSpec(side, desc), grid, B)
+
+
+@pytest.mark.parametrize("system, side", [("su:4:1", "wigner"), ("su:3:1", "weyl")])
+def test_batched_contractions_hold_no_node_sized_temporaries(system, side):
+    """At B = 3 the forward map allocates little beyond its (B, n_nodes) output and the
+    kernel sum a fraction of its input: no node-sized transposed copy (tracemalloc sees
+    every numpy allocation)."""
+    desc = parse_system(system)
+    grid = default_grid(desc, side)
+    pieces = kernels_module.kernel_pieces(KernelSpec(side, desc), grid)
+    B, d, n = 3, dimension(desc), grid.n_nodes
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
+    C = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
+
+    def peak(call):
+        call()  # first-call caches are not part of the contraction
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: transforms_module._forward(pieces, A)) <= 1.25 * B * n * 16
+    assert peak(lambda: transforms_module._kernel_sum(pieces, C)) <= C.nbytes / 4
+
+
+@pytest.mark.parametrize("system", ["hw:3*su:2:1", "su:2:1*hw:3", "hw:2*su:2:1"])
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+@pytest.mark.parametrize("B", [1, 3])
+def test_composite_oscillator_batches_match_kernel_stack(system, side, B, monkeypatch):
+    """The oscillator first or last: each order of the two-stage contraction.
+
+    On hw:2*su:2:1 the oscillator factor is the second stage, so its kernels
+    are formed in blocks.
+    """
+    desc = parse_system(system)
+    # a budget of 7 kernels of the first factor forces several blocks
+    d1 = dimension(desc.factors[0])
+    monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 7 * 16 * d1 * d1)
     grid = product_grid([hw_grid(f, 2.5, 9) if isinstance(f, HW) else default_grid(f, side)
                          for f in desc.factors])
     first, second = grid.factors
-    d1, e = dimension(first.system), dimension(second.system)
-    # the factor with fewer nodes takes the large batch
+    e = dimension(second.system)
     assert transforms_module._rest_takes_the_batch(d1, first.n_nodes, e, second.n_nodes) == (
-        system.startswith("hw"))
+        system == "hw:3*su:2:1")
     _check_batch_against_stack(KernelSpec(side, desc), grid, B)
 
 
