@@ -1,19 +1,24 @@
 """Invariant-measure quadrature grids for CP^(N-1), SU(N), and the HW plane.
 
-Grids are tensor products of one-dimensional rules:
+Grids are tensor products of one-dimensional rules, each exact by
+construction; nothing is corrected after the fact:
 
-* periodic angle directions get uniform rules, exact for every trigonometric
-  frequency the kernels can produce;
-* aperiodic directions (colatitudes with their measure factors, half-range or
-  irrational-length angles) get Gauss-Legendre nodes with a least-norm moment
-  correction that integrates the finite frequency span of the representation
-  exactly while keeping all weights positive.  The target moments come from
-  a (4n + 120)-node Gauss-Legendre reference rule.  Each [-1, 1] Legendre
-  table is built once per process and cached; the moments must not be
-  computed another way (closed forms, a smaller rule, another solver): the
-  correction's normal equations have condition 1e16 to 1e17, so rounding
-  differences move the weights by up to 2e-7 and decide whether near-zero
-  endpoint weights come out positive.
+* angle directions get uniform rules on a full period of every
+  trigonometric frequency the kernels can produce.  Where the chart's range
+  is not one (the pi-range phi axes of SU(4), the Cartan angles Phi_c), the
+  range is extended to the least multiple that is: each added copy is a
+  right translation by a diagonal SU(N) element, so the extended chart
+  covers the group uniformly and normalization removes the multiplicity;
+* colatitudes get Gauss-Jacobi rules.  With s = sin^2 theta the measure
+  factor c cos^(2a+1) theta sin^(2b+1) theta dtheta is (c/2) (1 - s)^a s^b ds,
+  and the invariant measures push forward to the uniform measure on the
+  simplex of the |z_i|^2 (Duistermaat & Heckman, Invent. Math. 69 (1982)
+  259).  Once the uniform angles have averaged out the phases, a product of
+  two Wigner-kernel entries is a polynomial of degree <= 2M in s, and a U(g)
+  entry times a conjugate one of degree <= M, so M + 1 (CP) and
+  floor(M/2) + 1 (SU) nodes per colatitude are exact (Stroud's conical
+  product rule).  ``_shift_rule`` integrates kernels at two points a
+  colatitude apart, which are no such polynomial.
 
 The per-direction frequency sets come from the eigenvalue differences of the
 generator attached to that direction, at one level per manifold, recorded as
@@ -34,20 +39,21 @@ measure d^2alpha / pi: ``plane_grid``, the default, exact by construction
 ``hw_grid``, a Gauss-Legendre square of given radius and resolution
 ("window"), exact only up to the tails the window cuts off.  A plane rule
 built with ``midpoint=True`` ("midpoint") integrates a product of kernels at
-two different points, as a shifted cross-correlation needs.
+two different points, as a shifted cross-correlation needs.  The 1-D rule
+tables (Legendre, Jacobi, Laguerre) are built once per process and cached.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, format_system
+from .algebra import HW, SUN, Composite, SystemDescriptor, dimension
 from .points import CompositePoint, CPPoint, EulerPoint, HWPoint, PhasePoint
-from .rotations import _gen_eig, euler_factor_sequence
+from .rotations import _gen_eig
 
 MAX_NODES = 20_000_000
 
@@ -211,14 +217,6 @@ def _gauss_base(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
-def _trig_basis(x: np.ndarray, pos_freqs) -> np.ndarray:
-    rows = [np.ones_like(x)]
-    for nu in pos_freqs:
-        rows.append(np.cos(nu * x))
-        rows.append(np.sin(nu * x))
-    return np.asarray(rows)
-
-
 def _uniform_axis(name, lo, hi, freqs, n_floor) -> Axis:
     """Uniform rule on a full period of every frequency in the set."""
     L = hi - lo
@@ -234,38 +232,42 @@ def _uniform_axis(name, lo, hi, freqs, n_floor) -> Axis:
     return Axis(name, lo, hi, nodes, weights, kind="uniform")
 
 
-def _corrected_axis(desc, name, lo, hi, freqs, weight_fn, n_floor) -> Axis:
-    """Gauss-Legendre rule moment-corrected to be exact on the trig span."""
-    pos = sorted({float(f) for f in freqs if f > 1e-12})
-    L = hi - lo
-    numax = pos[-1] if pos else 0.0
-    # one node of headroom over the moment-constraint count; the retry loop
-    # below grows the rule whenever positivity or exactness fails
-    n = max(n_floor, 2 * len(pos) + 2, math.ceil(numax * L / 6.0) + 2)
-    # The true moments come from the cached (4n + 120)-node Legendre table.
-    # Keep them computed exactly this way: A A^T has condition 1e16 to 1e17,
-    # so moments that differ by rounding (closed forms, another rule) move
-    # the weights by up to 2e-7 relative and can flip the sign of a
-    # near-zero endpoint weight, changing which retry succeeds.
-    xr, wr = _gauss_base(lo, hi, 4 * n + 120)
-    fr = weight_fn(xr) if weight_fn is not None else np.ones_like(xr)
-    moments = _trig_basis(xr, pos) @ (wr * fr)
-    tried = []
-    for _ in range(6):
-        tried.append(n)
-        x, w = _gauss_base(lo, hi, n)
-        base = w * (weight_fn(x) if weight_fn is not None else 1.0)
-        A = _trig_basis(x, pos)
-        resid = moments - A @ base
-        delta = A.T @ np.linalg.solve(A @ A.T, resid)
-        wts = base + delta
-        if wts.min() >= 0.0 and np.max(np.abs(A @ wts - moments)) < 1e-12:
-            return Axis(name, lo, hi, x, wts, kind="gauss")
-        n = n + max(2, n // 2)
-    raise RuntimeError(
-        f"could not build a positive exact rule for axis {name} of {format_system(desc)} "
-        f"(tried {', '.join(map(str, tried))} nodes)"
-    )
+@lru_cache(maxsize=None)
+def _gauss_jacobi(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Jacobi colatitudes t in [0, pi/2] and weights for cos^(2a+1) t sin^(2b+1) t dt.
+
+    With s = sin^2 t that measure is (1 - s)^a s^b ds / 2, so the rule is exact
+    on every polynomial in s of degree < 2n.  The nodes s are the eigenvalues
+    of the Jacobi matrix of P^(a, b)(2s - 1) (Golub & Welsch, Math. Comp. 23
+    (1969) 221), polished by two Newton steps on the orthonormal recurrence
+    p_k; the weights are the Christoffel numbers 1 / sum_(k<n) p_k(s)^2.  Both
+    steps run in extended precision where the platform has it.  Returns
+    t = arcsin sqrt(s) (cached, read-only).
+    """
+    k = np.arange(n + 1, dtype=np.longdouble)
+    c = 2.0 * k + a + b  # at a = b = 0, c = 0 at k = 0, where b^2 - a^2 = 0 too
+    diag = 0.5 + 0.5 * np.divide(b * b - a * a, c * (c + 2.0), out=np.zeros_like(c), where=c > 0)
+    k, c = k[1:], c[1:]
+    off = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (c * c * (c + 1.0) * (c - 1.0)))
+    mu = np.longdouble(math.factorial(a) * math.factorial(b)) / (2 * math.factorial(a + b + 1))
+    s = np.linalg.eigvalsh((np.diag(diag[:n]) + np.diag(off[:-1], -1)).astype(np.float64))
+    s = s.astype(np.longdouble)
+
+    def recurrence(s):  # p_n, p_n' and sum_(k<n) p_k^2 at every s
+        p0, p, d0, d, total = 0.0, np.full_like(s, 1.0 / np.sqrt(mu)), 0.0, 0.0, 0.0
+        for j in range(n):
+            total, back = total + p * p, (off[j - 1] if j else 0.0)
+            p0, p, d0, d = (p, ((s - diag[j]) * p - back * p0) / off[j],
+                            d, (p + (s - diag[j]) * d - back * d0) / off[j])
+        return p, d, total
+
+    for _ in range(2):
+        p, d, _ = recurrence(s)
+        s = s - p / d
+    t = np.arctan2(np.sqrt(s), np.sqrt(1.0 - s)).astype(np.float64)
+    w = (1.0 / recurrence(s)[2]).astype(np.float64)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +296,61 @@ def _quad_freqs(N: int, M: int, k: int) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# measure factors (colatitude weights)
+# colatitudes
 
 
-def _cp_theta_weight(N: int, j: int):
-    """Weight for theta_j in the CP^(N-1) measure, j = 1 .. N-1 (k = j + 1)."""
-    k = j + 1
-    if k == 2:
-        return lambda t: np.sin(2.0 * t)
-    if k < N:
-        return lambda t: np.cos(t) ** (2 * k - 3) * np.sin(t)
-    return lambda t: np.cos(t) * np.sin(t) ** (2 * N - 3)
-
-
-def _sun_theta_weight(p: int, q: int):
-    """Weight attached to the theta of factor (p, q) in the full SU(N) measure."""
+def _theta_measure(p: int, q: int) -> tuple[int, int, float]:
+    """(a, b, c) of the measure factor c cos^(2a+1) t sin^(2b+1) t of colatitude block (p, q)."""
     if p == 2:
-        return lambda t: np.sin(2.0 * t)
+        return 0, 0, 2.0  # sin 2t
     if p < q:
-        return lambda t: np.cos(t) ** (2 * p - 3) * np.sin(t)
-    return lambda t: np.cos(t) * np.sin(t) ** (2 * q - 3)
+        return p - 2, 0, 1.0  # cos^(2p-3) t sin t
+    return 0, q - 2, 1.0  # cos t sin^(2q-3) t
+
+
+def _colatitude_blocks(desc: SUN, manifold: str) -> list[tuple[int, int]]:
+    """(p, q) of each colatitude, in axis order: theta_j of CP^(N-1) is block (j + 1, N)."""
+    N = desc.N
+    if manifold == "CP":
+        return [(j + 1, N) for j in range(1, N)]
+    return [(p, q) for q in range(N, 1, -1) for p in range(2, q + 1)]
+
+
+def _jacobi_axis(name: str, p: int, q: int, n: int) -> Axis:
+    a, b, c = _theta_measure(p, q)
+    t, w = _gauss_jacobi(n, a, b)
+    return Axis(name, 0.0, 0.5 * math.pi, t, c * w, kind="jacobi")
+
+
+def _shift_rule(grid: QuadratureGrid) -> QuadratureGrid:
+    """``grid`` with each Jacobi colatitude on the rule for kernels at two points.
+
+    Kernels at theta + delta and at theta multiply to a trigonometric
+    polynomial of frequency at most F = 4M (CP^(N-1)) or 2M (SU(N)), plus
+    2(a + b + 1) from the measure factor, but to no polynomial in sin^2 theta.
+    Gauss-Legendre nodes with the measure factor in their weights integrate
+    e^(iFt) over [0, pi/2] from ceil(F pi / 8 + 5.5 F^(1/3)) + 1 nodes, half
+    the phase spanned plus the transition width: no fewer than the least
+    count that misses the closed form by under 1e-14 for every half-integer
+    F up to 160, and within 4e-14 up to F = 700.  A count fixed in advance
+    keeps the rule free of the platform's rounding.  Other axes and grids
+    come back unchanged.
+    """
+    if grid.manifold not in ("CP", "SUN"):
+        return grid
+    blocks = iter(_colatitude_blocks(grid.system, grid.manifold))
+    degree = (4 if grid.manifold == "CP" else 2) * grid.system.M
+    axes = []
+    for ax in grid.axes:
+        if ax.kind == "jacobi":
+            a, b, c = _theta_measure(*next(blocks))
+            F = degree + 2 * (a + b + 1)
+            n = max(len(ax.nodes), math.ceil(F * math.pi / 8.0 + 5.5 * F ** (1.0 / 3.0)) + 1)
+            t, w = _gauss_base(ax.lo, ax.hi, n)
+            w = c * w * np.cos(t) ** (2 * a + 1) * np.sin(t) ** (2 * b + 1)
+            ax = Axis(ax.name, ax.lo, ax.hi, t, w)
+        axes.append(ax)
+    return replace(grid, axes=tuple(axes), _weights=None, _coords=None)
 
 
 # ---------------------------------------------------------------------------
@@ -334,35 +371,19 @@ def cp_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
 
     Built at the "quads" level: exact (to rounding) for products of two
     Wigner-kernel matrix elements, which covers kernel normalization,
-    self-conjugacy, and star-product quadrature.
+    self-conjugacy, and star-product quadrature.  Each phi_j is uniform and
+    each theta_j takes M + 1 Gauss-Jacobi nodes; an explicit ``resolution``
+    is the node count of every colatitude and the least of every angle.
     """
     if not isinstance(desc, SUN):
         raise TypeError("cp_grid needs a SUN descriptor")
     floor = _check_resolution(desc, resolution)
-    N, M = desc.N, desc.M
+    phi_freqs = _quad_freqs(desc.N, desc.M, 3)
     axes = []
-    for j in range(1, N):
-        phi_freqs = _quad_freqs(N, M, 3)
+    for j, (p, q) in enumerate(_colatitude_blocks(desc, "CP"), start=1):
         axes.append(_uniform_axis(f"phi{j}", 0.0, _TWO_PI, phi_freqs, floor))
-        k_theta = j * j + 1
-        th_freqs = _quad_freqs(N, M, k_theta)
-        axes.append(
-            _corrected_axis(
-                desc, f"theta{j}", 0.0, 0.5 * math.pi, th_freqs, _cp_theta_weight(N, j), floor
-            )
-        )
+        axes.append(_jacobi_axis(f"theta{j}", p, q, floor))
     return _finalize(desc, "CP", axes, "quads")
-
-
-# Euler angle ranges for the phi directions, per group.  theta is always
-# [0, pi/2]; Phi_c spans [0, pi sqrt(2(c+1)/c)].
-_SUN_PHI_RANGES = {
-    2: [_TWO_PI],
-    # phi_1 and phi_3 extended to a uniform double cover (shift by pi is a
-    # left/right translation by diag(-1,-1,1)), so every phi is a full period.
-    3: [_TWO_PI, _TWO_PI, _TWO_PI],
-    4: [math.pi, _TWO_PI, _TWO_PI, math.pi, _TWO_PI, math.pi],
-}
 
 
 def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
@@ -371,7 +392,11 @@ def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     Built at the "pairs" level: exact for the product of one U(g) entry with
     one conjugate entry, which is every integrand a Weyl symbol Tr[A U(g)]
     enters (reconstruction, overlap, the literal star product's inner sums).
-    N outside {2, 3, 4} is rejected.
+    Every phi_t spans [0, 2 pi) and Phi_c spans [0, pi sqrt(2c(c + 1))), c
+    times the chart's range, the least multiples on which every frequency is
+    periodic (see the module docstring for why the cover is uniform).  Each
+    theta_t takes floor(M/2) + 1 Gauss-Jacobi nodes, or an explicit
+    ``resolution``.  N outside {2, 3, 4} is rejected.
     """
     if not isinstance(desc, SUN):
         raise TypeError("sun_grid needs a SUN descriptor")
@@ -379,45 +404,16 @@ def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     if N not in (2, 3, 4):
         raise ValueError(f"sun_grid supports N in {{2, 3, 4}}, got N={N}")
     floor = _check_resolution(desc, resolution)
-    phi_ranges = _SUN_PHI_RANGES[N]
+    n_theta = M // 2 + 1 if resolution is None else floor
+    phi_freqs = _diff_freqs(N, M, 3)
     axes = []
-    for t, k_theta in euler_factor_sequence(N):
-        hi = phi_ranges[t - 1]
-        phi_freqs = _diff_freqs(N, M, 3)
-        if abs(hi - _TWO_PI) < 1e-12:
-            axes.append(_uniform_axis(f"phi{t}", 0.0, hi, phi_freqs, floor))
-        else:
-            axes.append(_corrected_axis(desc, f"phi{t}", 0.0, hi, phi_freqs, None, floor))
-        p, q = _factor_pq(N, t)
-        th_freqs = _diff_freqs(N, M, k_theta)
-        axes.append(
-            _corrected_axis(
-                desc, f"theta{t}", 0.0, 0.5 * math.pi, th_freqs, _sun_theta_weight(p, q), floor
-            )
-        )
+    for t, (p, q) in enumerate(_colatitude_blocks(desc, "SUN"), start=1):
+        axes.append(_uniform_axis(f"phi{t}", 0.0, _TWO_PI, phi_freqs, floor))
+        axes.append(_jacobi_axis(f"theta{t}", p, q, n_theta))
     for c in range(1, N):
-        k = (c + 1) ** 2 - 1
-        hi = math.pi * math.sqrt(2.0 * (c + 1) / c)
-        freqs = _diff_freqs(N, M, k)
-        periodic = all(
-            abs(nu * hi / _TWO_PI - round(nu * hi / _TWO_PI)) < 1e-9 for nu in freqs
-        )
-        if periodic:
-            axes.append(_uniform_axis(f"Phi{c}", 0.0, hi, freqs, floor))
-        else:
-            axes.append(_corrected_axis(desc, f"Phi{c}", 0.0, hi, freqs, None, floor))
+        hi = math.pi * math.sqrt(2.0 * c * (c + 1))
+        axes.append(_uniform_axis(f"Phi{c}", 0.0, hi, _diff_freqs(N, M, (c + 1) ** 2 - 1), floor))
     return _finalize(desc, "SUN", axes, "pairs")
-
-
-def _factor_pq(N: int, t: int) -> tuple[int, int]:
-    """(p, q) block coordinates of the t-th (phi, theta) factor."""
-    i = 0
-    for q in range(N, 1, -1):
-        for p in range(2, q + 1):
-            i += 1
-            if i == t:
-                return p, q
-    raise ValueError(f"factor index {t} out of range")
 
 
 def hw_grid(desc: HW, radius: float, resolution: int) -> QuadratureGrid:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import HW, SUN, SystemDescriptor, dimension, generator, is_hermitian
 from .kernels import WEYL, WIGNER, KernelSpec, _factor_table
-from .measures import QuadratureGrid, plane_grid, product_grid
+from .measures import QuadratureGrid, _shift_rule, plane_grid, product_grid
 from .points import PhasePoint, _row
 from .rotations import euler_angle_count
 from .states import ThermalSpec
@@ -192,21 +192,23 @@ def _shifted_grid(grid: QuadratureGrid, row) -> QuadratureGrid:
 def _shifted_pair(f: PhaseFunction, row: np.ndarray):
     """Weights and the values at x + row and at x of a rule for the shifted integrand.
 
-    A grid without plane rules keeps its nodes, and the shifted values come
-    from the factored transform on a coordinate-shifted copy (periodic angles
-    wrapped into range).  A shift in alpha is no offset of a plane rule's
-    (r, psi) axes, and the shifted integrand needs more angles than the
-    rule has, so there each plane rule becomes its midpoint rule, centred on
-    -b/2 for that factor's shift b, and both factors come from ``symbols_at``
-    at the rows.
+    Both sets are symbols of the reconstructed operator, on a rule whose
+    colatitudes take a shift (``measures._shift_rule``).  Without plane rules
+    both come from the factored transform, the shifted set on a
+    coordinate-shifted copy (periodic angles wrapped into range).  A shift in
+    alpha is no offset of a plane rule's (r, psi) axes, and the shifted
+    integrand needs more angles than the rule has, so there each plane rule
+    becomes its midpoint rule, centred on -b/2 for that factor's shift b, and
+    both sets come from ``symbols_at`` at the rows.
     """
     A = reconstruct(f)
     factors = f.grid.factors or (f.grid,)
-    if not any(g.polar for g in factors):
-        moved = phase_function(A, f.spec, _shifted_grid(f.grid, row))
-        return f.grid.weights(), moved.values, f.values
-    mids = [plane_grid(g.system, f.spec.side, midpoint=True) if g.polar else g for g in factors]
+    mids = [plane_grid(g.system, f.spec.side, midpoint=True) if g.polar else _shift_rule(g)
+            for g in factors]
     grid = product_grid(mids) if f.grid.factors else mids[0]
+    if not any(g.polar for g in factors):
+        moved = phase_function(A, f.spec, _shifted_grid(grid, row))
+        return grid.weights(), moved.values, phase_function(A, f.spec, grid).values
     half = np.concatenate([np.full(len(g.axes), 0.5 if g.polar else 0.0) for g in factors])
     rows = grid.coords() - half * row
     return grid.weights(), symbols_at(A, f.spec, rows + row), symbols_at(A, f.spec, rows)
@@ -218,14 +220,14 @@ def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> Cross
     ``shift`` is a point of the grid's manifold (``CPPoint`` on CP grids,
     ``EulerPoint`` on SU(N) grids, ``HWPoint`` on the oscillator plane,
     ``CompositePoint`` on product grids); its coordinates are added to every
-    grid row, so a point of another type or width raises ValueError.  The
-    shifted values are evaluated exactly through the reconstructed operator
-    (see ``_shifted_pair`` for the rule a shift is integrated on).  The Weyl
-    side conjugates the unshifted factor.  ``raw_value`` is the unnormalized
-    integral.  On a grid of finite measure, ``shift=None`` (zero shift)
-    gives the Wigner value purity / dimension for a density operator; on an
-    unbounded measure (the oscillator's plane rule) ``value`` and ``volume``
-    are None and the zero-shift ``raw_value`` is the purity.
+    grid row, so a point of another type or width raises ValueError.  Under
+    a shift both factors are evaluated exactly through the reconstructed
+    operator (see ``_shifted_pair`` for the rule a shift is integrated on).
+    The Weyl side conjugates the unshifted factor.  ``raw_value`` is the
+    unnormalized integral.  On a grid of finite measure, ``shift=None`` (zero
+    shift) gives the Wigner value purity / dimension for a density operator;
+    on an unbounded measure (the oscillator's plane rule) ``value`` and
+    ``volume`` are None and the zero-shift ``raw_value`` is the purity.
     """
     if shift is None:
         w, first, second = f.grid.weights(), f.values, f.values

@@ -17,7 +17,15 @@ a padded block (its oracle value and residual changed; the moment did not).
 moved from the "quads" to the "pairs" level (150 to 36 SU(2) nodes); every new
 row was checked against per-point ``symbol_at`` to 1e-12 before saving, and
 ``reconstruct --infile`` of the new ``weyl_su21.csv`` returns ``random:3`` to
-1e-12.
+1e-12.  ``wigner_su21``, ``weyl_su21``, ``wigner_su21_hw3``, ``weyl_su21_hw3``
+and ``evolve_su21`` were re-captured when every CP and SU(N) colatitude
+moved to its Gauss-Jacobi rule and every SU(N) angle to a uniform one
+(su:2:1: 30 to 10 Wigner nodes, 36 to 9 Weyl nodes), with key sets
+unchanged: every row matched per-point ``symbols_at`` of its state to
+2.3e-16 (the ``evolve`` frames: of U rho U^dagger, to 3.5e-11 at t = 0.02,
+inside the 1e-8 propagator tolerance), the printed residuals stayed at
+their previous sizes, and ``reconstruct --infile`` of the new
+``wigner_su21.csv`` and ``weyl_su21.csv`` returns their states to 5e-16.
 """
 
 import json

@@ -510,7 +510,7 @@ def test_guard_messages_name_existing_apis():
         kernel_stack(KernelSpec("weyl", HW(64)), hw_grid(HW(64), 8.0, 160))
     messages.append(str(err.value))
     with pytest.raises(OverflowError) as err:
-        sun_grid(SUN(4, 1)).weights()  # beyond the node ceiling
+        sun_grid(SUN(4, 2)).weights()  # beyond the node ceiling
     messages.append(str(err.value))
     named = [name for msg in messages for name in re.findall(r"(\w+)\(", msg)]
     assert "symbols_at" in named

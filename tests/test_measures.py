@@ -45,7 +45,7 @@ def test_compact_grids_normalized_to_dimension(grid, desc):
     # one level per manifold: the Euler-Weyl grid integrates eigenvalue differences only
     assert grid.exactness == ("quads" if grid.manifold == "CP" else "pairs")
     if grid.manifold == "SUN" and desc.N == 2:
-        assert grid.n_nodes == {1: 36, 3: 392, 4: 810, 10: 9702}[desc.M]
+        assert grid.n_nodes == {1: 9, 3: 98, 4: 243, 10: 2646}[desc.M]
 
 
 def test_weights_positive_everywhere():
@@ -60,32 +60,27 @@ def test_su2_sphere_volume():
     assert sun_grid(SUN(2, 1)).raw_volume == pytest.approx(4.0 * math.pi ** 2, rel=1e-12)
 
 
-# frequency content of spin-3/2 kernel products: phi any integer <= 12,
-# theta even frequencies <= 12 against the sin(2 theta) measure
+# Terms of a spin-3/2 kernel product: products of two spherical harmonics of
+# degree <= 3 in (2 theta, phi), so e^(i m phi) sin^|m|(2 theta) cos^j(2 theta)
+# with |m| + j <= 6.  (A lone sin(2 nu theta) at m = 0 is no such term.)
 @settings(max_examples=60, deadline=None)
 @given(
-    nu_phi=st.integers(min_value=0, max_value=12),
-    nu_theta=st.integers(min_value=0, max_value=6),
+    m=st.integers(min_value=0, max_value=6),
+    j=st.integers(min_value=0, max_value=6),
     use_sin_phi=st.booleans(),
-    use_sin_theta=st.booleans(),
 )
-def test_cp_grid_trig_exactness(nu_phi, nu_theta, use_sin_phi, use_sin_theta):
+def test_cp_grid_trig_exactness(m, j, use_sin_phi):
+    j = min(j, 6 - m)
     grid = _SU23_CP
     coords = grid.coords()
     phi, theta = coords[:, 0], coords[:, 1]
-    f_phi = np.sin(nu_phi * phi) if use_sin_phi else np.cos(nu_phi * phi)
-    f_theta = (
-        np.sin(2 * nu_theta * theta) if use_sin_theta else np.cos(2 * nu_theta * theta)
-    )
+    f_phi = np.sin(m * phi) if use_sin_phi else np.cos(m * phi)
+    f_theta = np.sin(2.0 * theta) ** m * np.cos(2.0 * theta) ** j
     got = float(np.dot(grid.weights(), f_phi * f_theta))
 
-    if use_sin_phi or nu_phi != 0:
-        want_phi = 0.0
-    else:
-        want_phi = 2.0 * math.pi
-    trig = math.sin if use_sin_theta else math.cos
+    want_phi = 0.0 if use_sin_phi or m != 0 else 2.0 * math.pi
     want_theta, _ = scipy.integrate.quad(
-        lambda t: trig(2 * nu_theta * t) * math.sin(2.0 * t), 0.0, 0.5 * math.pi
+        lambda t: math.sin(2.0 * t) ** (m + 1) * math.cos(2.0 * t) ** j, 0.0, 0.5 * math.pi
     )
     want = grid.normalization * want_phi * want_theta
     assert abs(got - want) < 1e-10
@@ -108,15 +103,23 @@ def test_hw_grid_integrates_coherent_normalization():
     assert abs(val - 1.0) < 1e-12
 
 
+# The SU(4) grid doubles the pi-range phi1, phi4 and phi6 and the Cartan Phi2
+# and triples Phi3, so it covers the Euler chart 2^3 * 2 * 3 times.
+_SU4_COVER = 2 ** 3 * 2 * 3
+
+
 def test_su4_volume_closed_form():
     grid = sun_grid(SUN(4, 1))
-    assert grid.raw_volume == pytest.approx(math.sqrt(2.0) / 3.0 * math.pi ** 9, rel=1e-10)
+    assert grid.raw_volume == pytest.approx(
+        _SU4_COVER * math.sqrt(2.0) / 3.0 * math.pi ** 9, rel=1e-10
+    )
 
 
 def test_su4_volume_monte_carlo():
     """MC integration of the documented measure reproduces the grid volume.
 
-    Box: phi ranges (pi, 2pi, 2pi, pi, 2pi, pi), six colatitudes on [0, pi/2]
+    The grid covers this chart ``_SU4_COVER`` times.  Box: phi ranges
+    (pi, 2pi, 2pi, pi, 2pi, pi), six colatitudes on [0, pi/2]
     with their p-dependent weights, Cartan ranges pi sqrt(2(c+1)/c).  2e6
     samples put the estimator sigma near 0.2%, so 1% is a 5-sigma gate.
     """
@@ -141,14 +144,14 @@ def test_su4_volume_monte_carlo():
     )
     estimate = float(np.mean(w)) * theta_box * phi_box * cartan_box
     target = sun_grid(SUN(4, 1)).raw_volume
-    assert abs(estimate - target) / target < 0.01
+    assert abs(_SU4_COVER * estimate - target) / target < 0.01
 
 
 def test_lazy_grids_and_node_guard():
     with pytest.raises(OverflowError):
         hw_grid(HW(4), 5.0, 4600)  # 21.2M nodes: refused before its rule is built
-    grid = product_grid([hw_grid(HW(4), 5.0, 100), sun_grid(SUN(3, 1))])
-    assert grid.n_nodes == 100 ** 2 * sun_grid(SUN(3, 1)).n_nodes  # construction itself is cheap
+    grid = product_grid([hw_grid(HW(4), 5.0, 100), sun_grid(SUN(4, 2))])
+    assert grid.n_nodes == 100 ** 2 * sun_grid(SUN(4, 2)).n_nodes  # construction itself is cheap
     with pytest.raises(OverflowError):
         grid.weights()
     with pytest.raises(OverflowError):
@@ -156,9 +159,9 @@ def test_lazy_grids_and_node_guard():
 
 
 def test_su4_weyl_grid_is_lazy():
-    # the full 15-angle SU(4) tensor grid is far beyond desk scale; the
-    # descriptor must still build instantly and refuse to materialize
-    grid = sun_grid(SUN(4, 1))
+    # the full 15-angle SU(4) tensor grid at M = 2 (315M nodes) is far beyond
+    # desk scale; the descriptor must still build instantly and refuse to materialize
+    grid = sun_grid(SUN(4, 2))
     assert len(grid.axes) == 15
     assert grid.n_nodes > 20_000_000
     with pytest.raises(OverflowError):
@@ -290,22 +293,68 @@ def test_legendre_table_is_cached_read_only():
     assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
 
-def test_second_grid_build_reuses_the_legendre_tables(monkeypatch):
+def test_jacobi_table_is_cached_read_only():
+    from wignerweyl.measures import _gauss_jacobi
+
+    t, w = _gauss_jacobi(7, 1, 0)
+    assert _gauss_jacobi(7, 1, 0)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("n,a,b", [(1, 0, 0), (4, 0, 0), (11, 0, 0), (21, 0, 0),
+                                   (3, 1, 0), (6, 2, 0), (5, 0, 1), (9, 0, 3), (30, 0, 5)])
+def test_gauss_jacobi_matches_scipy_and_the_beta_moments(n, a, b):
+    """t = arcsin sqrt(s), weights for cos^(2a+1) t sin^(2b+1) t dt = (1 - s)^a s^b ds / 2."""
+    from scipy.special import roots_jacobi
+
+    from wignerweyl.measures import _gauss_jacobi
+
+    t, w = _gauss_jacobi(n, a, b)
+    x, wx = roots_jacobi(n, a, b)  # weight (1 - x)^a (1 + x)^b on [-1, 1], x = 2s - 1
+    assert np.max(np.abs(t - np.arcsin(np.sqrt((1.0 + x) / 2.0)))) < 1e-14
+    assert np.max(np.abs(w / (wx / 2.0 ** (a + b + 2)) - 1.0)) < 1e-12
+    s = np.sin(t) ** 2
+    for k in range(2 * n):  # int (1 - s)^a s^(b + k) ds / 2 = B(a + 1, b + k + 1) / 2
+        beta = math.factorial(a) * math.factorial(b + k) / math.factorial(a + b + k + 1)
+        assert abs(np.dot(w, s**k) / (0.5 * beta) - 1.0) < 1e-13, k
+
+
+def test_second_grid_build_reuses_the_jacobi_tables(monkeypatch):
     cp_grid(SUN(3, 1))
+    sun_grid(SUN(3, 1))
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda n: calls.append(n) or leggauss(n))
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
     cp_grid(SUN(3, 1))
+    sun_grid(SUN(3, 1))
     assert calls == []
 
 
-def test_rounding_sensitive_retries_stay_pinned():
-    # theta3 of CP^3 rests on near-zero endpoint weights whose sign decides
-    # which retry succeeds; these outcomes hold only with unchanged moments
-    assert cp_grid(SUN(4, 1)).shape == (5, 10, 5, 10, 5, 15)
-    grid = cp_grid(SUN(4, 2))
-    assert all(ax.weights.min() > 0.0 for ax in grid.axes)
+def _with_colatitude_count(grid, n):
+    """``grid`` with every colatitude on the n-point Jacobi rule."""
+    from wignerweyl.measures import _colatitude_blocks, _finalize, _jacobi_axis
+
+    blocks = iter(_colatitude_blocks(grid.system, grid.manifold))
+    axes = [_jacobi_axis(ax.name, *next(blocks), n) if ax.kind == "jacobi" else ax
+            for ax in grid.axes]
+    return _finalize(grid.system, grid.manifold, axes, grid.exactness)
+
+
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+@pytest.mark.parametrize("N,M", [(2, 10), (3, 2), (4, 1)])
+def test_colatitude_counts_are_tight(side, N, M):
+    """M + 1 (CP) or floor(M/2) + 1 (SU) Jacobi nodes pass; one fewer fails at O(1)."""
+    from wignerweyl import verify_stratonovich
+
+    desc = SUN(N, M)
+    grid = cp_grid(desc) if side == "wigner" else sun_grid(desc)
+    n = M + 1 if side == "wigner" else M // 2 + 1
+    thetas = [ax for ax in grid.axes if ax.name.startswith("theta")]
+    assert thetas and all(ax.kind == "jacobi" and len(ax.nodes) == n for ax in thetas)
+    assert verify_stratonovich(desc, side, grid=grid).passed
+    if n > 1:
+        report = verify_stratonovich(desc, side, grid=_with_colatitude_count(grid, n - 1))
+        assert max(c.residual for c in report.conditions) > 1e-2
 
 
 def _closed_form_moments(lo, hi, pos, weight_fn):
@@ -341,47 +390,37 @@ _ORACLE_SYSTEMS = [(2, 1), (2, 2), (2, 5), (2, 10), (2, 20), (2, 40),
     "side,N,M",
     [(side, N, M) for side in ("wigner", "weyl") for N, M in _ORACLE_SYSTEMS] + [("wigner", 5, 1)],
 )
-def test_corrected_axes_match_closed_form_moments(monkeypatch, side, N, M):
-    from wignerweyl import measures
+def test_corrected_axes_match_closed_form_moments(side, N, M, colatitude_measures):
+    """Every colatitude, once moment-corrected, now exact from its Jacobi rule.
 
-    built = []
-    corrected_axis = measures._corrected_axis
-
-    def record(desc, name, lo, hi, freqs, weight_fn, n_floor):
-        axis = corrected_axis(desc, name, lo, hi, freqs, weight_fn, n_floor)
-        built.append((axis, freqs, weight_fn))
-        return axis
-
-    monkeypatch.setattr(measures, "_corrected_axis", record)
-    (cp_grid if side == "wigner" else sun_grid)(SUN(N, M))
-    assert built
-    for axis, freqs, weight_fn in built:
-        pos = sorted({float(f) for f in freqs if f > 1e-12})
+    An n-node rule integrates cos(2 nu theta), a polynomial of degree nu in
+    sin^2 theta, against its measure factor for every nu < 2n; the closed
+    form comes from the factor's Fourier series.
+    """
+    grid = (cp_grid if side == "wigner" else sun_grid)(SUN(N, M))
+    thetas = [ax for ax in grid.axes if ax.name.startswith("theta")]
+    weights = colatitude_measures(N, grid.manifold)
+    assert len(thetas) == len(weights)
+    for axis, weight_fn in zip(thetas, weights):
+        assert axis.kind == "jacobi" and axis.weights.min() > 0.0
+        pos = [2.0 * nu for nu in range(1, 2 * len(axis.nodes))]
         x = axis.nodes
-        A = np.asarray([np.ones_like(x)] + [g(nu * x) for nu in pos for g in (np.cos, np.sin)])
-        want = _closed_form_moments(axis.lo, axis.hi, pos, weight_fn)
+        A = np.asarray([np.ones_like(x)] + [np.cos(nu * x) for nu in pos])
+        moments = _closed_form_moments(axis.lo, axis.hi, pos, weight_fn)
+        want = np.concatenate([moments[:1], moments[1::2]])  # 1 and the cosines
         miss = np.abs(A @ axis.weights - want) / np.maximum(1.0, np.abs(want))
         assert miss.max() <= 1e-12, (axis.name, miss.max())
 
 
-def test_failed_axis_names_the_system_and_the_node_counts():
-    from wignerweyl.measures import _corrected_axis
-
-    # a negative measure factor admits no positive rule: every retry fails
-    with pytest.raises(RuntimeError, match=(
-        r"^could not build a positive exact rule for axis theta1 of su:2:1 "
-        r"\(tried 4, 6, 9, 13, 19, 28 nodes\)$"
-    )):
-        _corrected_axis(SUN(2, 1), "theta1", 0.0, 0.5 * math.pi, (2.0,),
-                        lambda t: -np.sin(2.0 * t), 2)
-
-
-# The measure factor vanishes to high order at one end of theta_K, so Gauss
-# nodes there carry base weights of 1e-11 to 1e-27, below the rounding of the
-# ill-conditioned correction, and one of them comes out negative on every retry.
-@pytest.mark.xfail(raises=RuntimeError, strict=True,
-                   reason="no positive exact rule for a theta axis at rounding level")
 @pytest.mark.parametrize("N,M", [(4, 3), (5, 2), (6, 1), (6, 2), (7, 1), (7, 2)])
 def test_default_wigner_grid_builds_for_larger_systems(N, M):
+    from wignerweyl import verify_stratonovich
+
     grid = cp_grid(SUN(N, M))
     assert all(ax.weights.min() > 0.0 for ax in grid.axes)
+    if M == 2 and N >= 6:  # 14.3M and 387M nodes: built lazily, never materialized here
+        assert grid.n_nodes == ((4 * M + 1) * (M + 1)) ** (N - 1)
+        return
+    report = verify_stratonovich(SUN(N, M), "wigner", grid=grid)
+    assert report.passed, report.as_dict()
+    assert [name for name, _ in report.skipped] == ["covariance"]

@@ -1,6 +1,7 @@
 """Thermal layer: partition functions, moments, correlation functions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -335,6 +336,9 @@ def test_cross_correlation_shift_on_a_product_with_a_plane_rule(side):
 
 _CROSS_CASES = {
     "su21-wigner": ("wigner", lambda: cp_grid(SUN(2, 1)), (0.7, -0.3)),
+    "su23-wigner": ("wigner", lambda: cp_grid(SUN(2, 3)), (0.7, -0.3)),
+    "su210-wigner-theta": ("wigner", lambda: cp_grid(SUN(2, 10)), (0.0, 0.37)),
+    "su31-wigner": ("wigner", lambda: cp_grid(SUN(3, 1)), (0.3, 0.2, -0.4, 0.25)),
     "su22-weyl": ("weyl", lambda: sun_grid(SUN(2, 2)), (5.9, 0.4, -1.1)),
     "hw4-wigner": ("wigner", lambda: hw_grid(HW(4), 3.5, 16), (0.3, -0.2)),
     "su21*hw3-wigner": (
@@ -345,9 +349,34 @@ _CROSS_CASES = {
 }
 
 
+def _reference_rule(grid, measures, n=80):
+    """``grid`` with every colatitude on an n-point Gauss-Legendre rule times its measure.
+
+    80 nodes resolve every frequency these cases reach (at most 42, for
+    su:2:10 with its measure) about twice over; uniform angles and square
+    windows, which define the integral they take, are kept.
+    """
+    if grid.factors:
+        return product_grid(_reference_rule(g, measures, n) for g in grid.factors)
+    x, w = np.polynomial.legendre.leggauss(n)
+    t, w = 0.25 * math.pi * (x + 1.0), 0.25 * math.pi * w
+    windowed = grid.manifold == "HW_PLANE"
+    axes, factors = [], iter(() if windowed else measures(grid.system.N, grid.manifold))
+    for ax in grid.axes:
+        if ax.name.startswith("theta"):
+            ax = replace(ax, nodes=t, weights=w * next(factors)(t))
+        axes.append(ax)
+    return replace(grid, axes=tuple(axes), _weights=None, _coords=None)
+
+
 @pytest.mark.parametrize("case", sorted(_CROSS_CASES))
-def test_cross_correlation_shift_matches_per_point_oracle(case):
-    """sum_i w_i symbol_at(A, shifted node i) f_i, f_i conjugated on the Weyl side."""
+def test_cross_correlation_shift_matches_per_point_oracle(case, colatitude_measures):
+    """sum_i w_i a(node i + shift) a(node i) on a converged rule, a = symbol of reconstruct(f).
+
+    The reference does not use the rule under test: each colatitude is a
+    plain Gauss-Legendre rule far past convergence, and both factors come
+    from ``symbols_at`` node by node; the Weyl side conjugates the second.
+    """
     side, make_grid, shift = _CROSS_CASES[case]
     grid = make_grid()
     spec = KernelSpec(side, grid.system)
@@ -355,11 +384,15 @@ def test_cross_correlation_shift_matches_per_point_oracle(case):
     f = phase_function(rho, spec, grid)
     out = phase_cross_correlation(f, _point_from_row(grid, np.asarray(shift)))
     A = reconstruct(f)
-    shifted = [symbol_at(A, spec, _point_from_row(grid, row + shift)) for row in grid.coords()]
-    second = f.values if side == "wigner" else np.conj(f.values)
-    oracle = np.sum(grid.weights() * np.asarray(shifted) * second)
+    ref = _reference_rule(grid, colatitude_measures)
+    rows = ref.coords()
+    second = symbols_at(A, spec, rows)
+    if side == "weyl":
+        second = np.conj(second)
+    oracle = np.sum(ref.weights() * symbols_at(A, spec, rows + np.asarray(shift)) * second)
     assert abs(out.raw_value - oracle) < 1e-12
-    assert abs(out.raw_value - np.sum(grid.weights() * f.values * second)) > 1e-6
+    unshifted = f.values if side == "wigner" else np.conj(f.values)
+    assert abs(out.raw_value - np.sum(grid.weights() * f.values * unshifted)) > 1e-6
 
 
 def test_cross_correlation_rejects_shift_of_wrong_type_or_width():

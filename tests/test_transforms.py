@@ -106,7 +106,7 @@ def test_symbol_at_matches_grid_values():
     grid = cp_grid(desc)
     A = _hermitian(2, 4)
     f = phase_function(A, spec, grid)
-    for i in (0, 9, 17):
+    for i in (0, 5, 9):
         assert abs(symbol_at(A, spec, grid.point(i)) - f.values[i]) < 1e-12
 
 
@@ -744,26 +744,24 @@ def test_split_piece_routes_match_kernel_stack(spec, make_grid, B):
 
 
 @pytest.mark.parametrize("system, side, split", [
-    ("su:3:1", "weyl", (324, 216)), ("su:2:3", "weyl", (7, 56)), ("su:2:3", "wigner", (13, 14)),
+    ("su:3:1", "weyl", (27, 12)), ("su:2:3", "weyl", (7, 14)), ("su:2:3", "wigner", (13, 4)),
 ])
 def test_split_piece_routes_at_evolve_batch_sizes(system, side, split):
-    """Uneven splits at evolve's batch sizes and on both sides of the dense rule.
-
-    The routes run on the nodes of the first five left pieces: the rule reads
-    len(right) only, and a batch of len(right) + 1 over all of su:3:1's 69,984
-    Weyl nodes would take 243 MB per array.
-    """
+    """Uneven splits at evolve's batch sizes and on both sides of the dense rule."""
     desc = parse_system(system)
     spec, grid = KernelSpec(side, desc), default_grid(desc, side)
     (p,) = kernels_module.kernel_pieces(spec, grid)
     assert (len(p.left), len(p.right)) == split
-    part = kernels_module.Pieces(p.left[:5], p.right, p.sandwich)
-    K = kernel_stack(spec, grid)[:part.n_nodes]
-    w = grid.weights()[:part.n_nodes]
+    K, w = kernel_stack(spec, grid), grid.weights()
     rng = np.random.default_rng(1)
     for B in (1, 2, 3, len(p.right), len(p.right) + 1):
-        assert transforms_module._pieces_dense(part, B) == (B > len(p.right))
-        _check_routes((part,), K, w, B, rng)
+        assert transforms_module._pieces_dense(p, B) == (B > len(p.right))
+        _check_routes((p,), K, w, B, rng)
+
+
+# explicit resolutions large enough that node-sized arrays dominate the fixed
+# per-piece temporaries: 117,649 and 65,536 nodes
+_NODE_DOMINATED = {("su:4:1", "wigner"): 7, ("su:3:1", "weyl"): 4}
 
 
 @pytest.mark.parametrize("system, side", [("su:4:1", "wigner"), ("su:3:1", "weyl")])
@@ -772,7 +770,8 @@ def test_batched_contractions_hold_no_node_sized_temporaries(system, side):
     kernel sum a fraction of its input: no node-sized transposed copy (tracemalloc sees
     every numpy allocation)."""
     desc = parse_system(system)
-    grid = default_grid(desc, side)
+    resolution = _NODE_DOMINATED[system, side]
+    grid = (cp_grid if side == "wigner" else sun_grid)(desc, resolution)
     pieces = kernels_module.kernel_pieces(KernelSpec(side, desc), grid)
     B, d, n = 3, dimension(desc), grid.n_nodes
     rng = np.random.default_rng(0)
