@@ -20,13 +20,17 @@ The transforms never hold a grid's (n_nodes, d, d) kernel stack.  A SU(N)
 grid is a tensor product over the columns of the factor chain, so
 ``kernel_pieces`` splits the chain at one axis boundary into a left and a
 right stack over the two sub-grids (K = L R on the Weyl side,
-K = L (R Pi R^dagger) L^dagger on the Wigner side); an oscillator grid
-keeps its ``Polar`` form, K_mn = R_mn(|alpha|) e^{i (m-n) arg alpha}.  The
-pieces are cached per (grid, kernel spec).
+K = L (R Pi R^dagger) L^dagger on the Wigner side).  An oscillator plane
+rule keeps its ``Polar`` form, K_mn = R_mn(|alpha|) e^{i (m-n) arg alpha};
+a square window is a tensor grid in (x, y), and its ``Window`` pieces hold
+Hermite functions of each axis and a transfer table,
+K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y).  The pieces are cached per
+(grid, kernel spec).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -314,6 +318,139 @@ def _polar_rule(n_max: int, r: np.ndarray, psi: np.ndarray, side: str) -> Polar:
     phases = np.tile(np.exp(1j * np.outer(psi, np.arange(1 - d, d))), (len(r), 1))
     radial = _radial(n_max, r * (2.0 if side == WIGNER else 1.0), side)
     return Polar(radial, order, order, order // len(psi), phases, ((len(psi), len(r)),))
+
+
+# On a square window the same elements are separable instead.  As a function
+# of beta = u + i v (beta = alpha on the Weyl side, 2 alpha on the Wigner
+# side), <m|D(beta)|n> is a Laguerre-Gauss mode of total order N = m + n, an
+# eigenfunction of the two-dimensional oscillator, so it is a finite sum of
+# Hermite-Gauss products h_a(u) h_(N-a)(v), a = 0 .. N (Beijersbergen et
+# al., Opt. Commun. 96 (1993) 123).  ``Window`` holds the Hermite functions
+# at the scaled axis nodes and a transfer table of those coefficients, cached
+# per (d, side) and stored per order N: O(d^3) numbers.
+
+
+@dataclass(frozen=True)
+class HermiteTransfer:
+    """Coefficients of the side's kernel elements on Hermite-function products.
+
+    ``table[N, a, i]`` is the coefficient of h_a(u) h_(N-a)(v) in the i-th
+    element (m, n) of order N = m + n, elements numbered by increasing n; it
+    is zero for a > N and for i past the order's last element.  ``take[N, i]``
+    is the flat index n d + m of the operator entry A_nm that element traces
+    against in Tr[A K], and ``where`` the position N d + i of element (m, n)
+    at C-order index m d + n.  ``anti[N, a]`` = (N - a) mod (2d - 1) is the
+    second Hermite index: as (N, a) runs over all pairs, (a, anti[N, a])
+    runs over all pairs of indices once, those with a > N landing on
+    a + b >= 2d - 1, where no element has a coefficient.
+    """
+
+    table: np.ndarray  # (2d - 1, 2d - 1, d) complex
+    take: np.ndarray  # (2d - 1, d)
+    where: np.ndarray  # (d * d,)
+    anti: np.ndarray  # (2d - 1, 2d - 1)
+
+
+@lru_cache(maxsize=None)
+def _hermite_transfer(d: int, side: str) -> HermiteTransfer:
+    """The ``HermiteTransfer`` of HW(d) on one side (cached, read-only).
+
+    Only the leading homogeneous part of a mode fixes its coefficients: that
+    of <m|D(beta)|n> e^{|beta|^2/2} is beta^m (-conj beta)^n / sqrt(m! n!)
+    (normal order, e^{beta a^dagger} e^{-conj(beta) a}), and that of
+    h_a(u) h_b(v) e^{(u^2+v^2)/2} is 2^{N/2} u^a v^b / sqrt(pi a! b!).  The
+    coefficient of u^a v^b in (u + i v)^m (u - i v)^n is i^b k_b, with k_b the
+    coefficient of t^b in (1 + t)^m (1 - t)^n.  The k_b are summed in
+    integers and k_b^2 a! b! / (m! n! 2^N) is divided exactly before its
+    square root, so every coefficient is within a few roundings of exact at
+    every d, where a float Krawtchouk sum would cancel.  Wigner elements carry
+    2 (-1)^n on top: 2 D(2 alpha) P.
+    """
+    D = 2 * d - 1
+    _check_bytes("oscillator transfer table", D * D * d * 16 + D * D * 40)
+    fact = [math.factorial(k) for k in range(D)]
+    root_pi = math.sqrt(math.pi)
+    table = np.zeros((D, D, d), dtype=np.complex128)
+    take = np.zeros((D, d), dtype=np.intp)
+    where = np.empty(d * d, dtype=np.intp)
+    for N in range(D):
+        lo, hi = max(0, N - d + 1), min(N, d - 1)
+        # k_b of (1 + t)^(N - lo) (1 - t)^lo, then times (1 - t)/(1 + t) per step in n
+        k = [sum(math.comb(N - lo, j) * math.comb(lo, b - j) * (-1) ** (b - j)
+                 for j in range(max(0, b - lo), min(b, N - lo) + 1)) for b in range(N + 1)]
+        for i, n in enumerate(range(lo, hi + 1)):
+            if i:
+                q = list(itertools.accumulate(k, lambda prev, c: c - prev))
+                k = [q[0]] + [q[b] - q[b - 1] for b in range(1, N + 1)]
+            m = N - n
+            # (-1)^n of (-conj beta)^n, times 2 (-1)^n on the Wigner side
+            sign = 2.0 if side == WIGNER else (-1.0) ** n
+            den = fact[m] * fact[n] << N
+            for b, kb in enumerate(k):
+                if kb:
+                    v = math.sqrt(kb * kb * fact[N - b] * fact[b] / den) * root_pi
+                    table[N, N - b, i] = math.copysign(v, kb) * sign * 1j ** (b % 4)
+            take[N, i] = n * d + m
+            where[m * d + n] = N * d + i
+    a = np.arange(D)
+    out = HermiteTransfer(table, take, where, (a[:, None] - a[None, :]) % D)
+    for x in vars(out).values():
+        x.flags.writeable = False
+    return out
+
+
+def _hermite_functions(D: int, u: np.ndarray) -> np.ndarray:
+    """Hermite functions h_a(u), a = 0 .. D-1, one row per point: (len(u), D).
+
+    h_a = (2^a a! sqrt(pi))^(-1/2) H_a(u) e^(-u^2/2), orthonormal on the line,
+    by the recurrence h_(a+1) = sqrt(2/(a+1)) u h_a - sqrt(a/(a+1)) h_(a-1).
+    """
+    h = np.empty((len(u), D))
+    h[:, 0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
+    if D > 1:
+        h[:, 1] = math.sqrt(2.0) * u * h[:, 0]
+    for a in range(1, D - 1):
+        h[:, a + 1] = math.sqrt(2.0 / (a + 1)) * u * h[:, a] - math.sqrt(a / (a + 1)) * h[:, a - 1]
+    return h
+
+
+@dataclass(frozen=True)
+class Window:
+    """Oscillator kernels on a tensor (x, y) grid, K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y).
+
+    s is 2 on the Wigner side and 1 on the Weyl side; ``hx`` and ``hy`` hold
+    h_0 .. h_(2d-2) at the scaled nodes of each axis, and ``transfer`` the
+    coefficients T.  Node (i, j) is at index i n_y + j, the grid's C order.
+    """
+
+    hx: np.ndarray  # (n_x, 2d - 1) real
+    hy: np.ndarray  # (n_y, 2d - 1) real
+    transfer: HermiteTransfer
+
+    @property
+    def dim(self) -> int:
+        return self.transfer.table.shape[2]
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.hx) * len(self.hy)
+
+    def stack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Kernels of the nodes start..stop, in node order: (n, d, d)."""
+        t, d = self.transfer, self.dim
+        i, j = np.divmod(np.arange(self.n_nodes)[start:stop], len(self.hy))
+        W = self.hx[i][:, None, :] * self.hy[j][:, t.anti]  # h_a(x) h_(N-a)(y) at [node, N, a]
+        # element i of order N at [N, node, i], one real GEMM per order
+        K = np.matmul(W.transpose(1, 0, 2), t.table.view(np.float64)).view(np.complex128)
+        return K.transpose(1, 0, 2).reshape(len(i), -1)[:, t.where].reshape(-1, d, d)
+
+
+def _window(n_max: int, x: np.ndarray, y: np.ndarray, side: str) -> Window:
+    """The ``Window`` kernels of one side of HW(n_max) on the grid x (x) y."""
+    D, s = 2 * n_max - 1, (2.0 if side == WIGNER else 1.0)
+    _check_bytes("oscillator window pieces", (len(x) + len(y)) * D * 8)
+    transfer = _hermite_transfer(n_max, side)
+    return Window(_hermite_functions(D, s * x), _hermite_functions(D, s * y), transfer)
 
 
 def _hw_kernels(n_max: int, alphas, side: str) -> np.ndarray:
@@ -607,15 +744,14 @@ class Pieces:
         return K.reshape(-1, self.dim, self.dim)
 
 
-def _split(spec: KernelSpec, grid: QuadratureGrid) -> Pieces | Polar:
+def _split(spec: KernelSpec, grid: QuadratureGrid) -> Pieces | Polar | Window:
     desc, shape = spec.system, grid.shape
     nodes = [ax.nodes for ax in grid.axes]
     d = dimension(desc)
     if isinstance(desc, HW):
         if grid.polar:
             return _polar_rule(desc.n_max, nodes[0], nodes[1], spec.side)
-        ix, iy = _tensor_index(shape)
-        return _polar(desc.n_max, nodes[0][ix] + 1j * nodes[1][iy], spec.side)
+        return _window(desc.n_max, nodes[0], nodes[1], spec.side)
     table = _factor_table(desc.N, spec.side, spec.rotation)
     # a boundary j splits the chain when every factor on columns < j comes
     # first (the arecchi rotation's column 0 sits on both sides: j = width)
@@ -631,14 +767,16 @@ def _split(spec: KernelSpec, grid: QuadratureGrid) -> Pieces | Polar:
     return Pieces(left, right, False)
 
 
-def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Polar, ...]:
+def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Polar | Window, ...]:
     """Read-only split pieces of every factor of a grid, cached per (grid, spec).
 
     One entry per tensor factor (one for a single system): ``Pieces`` for
-    SU(N), holding O((n_left + n_right) d^2) numbers, and ``Polar`` for the
-    oscillator, holding O(n_rings d^2 + n_nodes d), where the kernel stack
-    holds O(n_nodes d^2).  The cache is keyed weakly by grid identity;
-    entries are write-once, so concurrent readers are safe.
+    SU(N), holding O((n_left + n_right) d^2) numbers; ``Polar`` for an
+    oscillator plane rule, holding O(n_rings d^2 + n_nodes d); and ``Window``
+    for a square oscillator window, holding O((n_x + n_y) d) numbers and the
+    O(d^3) transfer table it shares with every window of the same (d, side).
+    The kernel stack would hold O(n_nodes d^2).  The cache is keyed weakly by
+    grid identity; entries are write-once, so concurrent readers are safe.
     """
     _check_grid(spec, grid)
     if isinstance(spec.system, Composite):

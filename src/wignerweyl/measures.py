@@ -40,7 +40,8 @@ measure d^2alpha / pi: ``plane_grid``, the default, exact by construction
 ("window"), exact only up to the tails the window cuts off.  A plane rule
 built with ``midpoint=True`` ("midpoint") integrates a product of kernels at
 two different points, as a shifted cross-correlation needs.  The 1-D rule
-tables (Legendre, Jacobi, Laguerre) are built once per process and cached.
+tables (Legendre, Jacobi, Laguerre) and the frequency sets are built once per
+process and cached.
 """
 
 from __future__ import annotations
@@ -274,8 +275,9 @@ def _gauss_jacobi(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 # frequency sets from the generators
 
 
+@lru_cache(maxsize=None)
 def _diff_freqs(N: int, M: int, k: int) -> tuple[float, ...]:
-    """Nonnegative pairwise eigenvalue differences of J(k) in representation (N, M)."""
+    """Nonnegative pairwise eigenvalue differences of J(k) in representation (N, M) (cached)."""
     w, _ = _gen_eig(N, M, k)
     diffs = np.abs(w[:, None] - w[None, :]).reshape(-1)
     return _dedup(diffs)
@@ -289,8 +291,9 @@ def _dedup(vals) -> tuple[float, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _quad_freqs(N: int, M: int, k: int) -> tuple[float, ...]:
-    """Sums and differences of two eigenvalue differences of J(k)."""
+    """Sums and differences of two eigenvalue differences of J(k) (cached)."""
     diffs = _diff_freqs(N, M, k)
     return _dedup(v for a in diffs for b in diffs for v in (a + b, abs(a - b)))
 

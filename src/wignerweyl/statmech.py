@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import measures
 from .algebra import HW, SUN, SystemDescriptor, dimension, generator, is_hermitian
 from .kernels import WEYL, WIGNER, KernelSpec, _factor_table
 from .measures import QuadratureGrid, _shift_rule, plane_grid, product_grid
@@ -201,11 +202,17 @@ def _shifted_pair(f: PhaseFunction, row: np.ndarray):
     becomes its midpoint rule, centred on -b/2 for that factor's shift b, and
     both sets come from ``symbols_at`` at the rows.
     """
-    A = reconstruct(f)
     factors = f.grid.factors or (f.grid,)
     mids = [plane_grid(g.system, f.spec.side, midpoint=True) if g.polar else _shift_rule(g)
             for g in factors]
     grid = product_grid(mids) if f.grid.factors else mids[0]
+    if grid.n_nodes > measures.MAX_NODES:
+        raise OverflowError(
+            "a shifted cross-correlation on this grid integrates on a shift rule of "
+            f"{grid.n_nodes} nodes (limit {measures.MAX_NODES}); shift=None, the zero "
+            "shift, integrates on the grid itself"
+        )
+    A = reconstruct(f)
     if not any(g.polar for g in factors):
         moved = phase_function(A, f.spec, _shifted_grid(grid, row))
         return grid.weights(), moved.values, phase_function(A, f.spec, grid).values
@@ -222,12 +229,14 @@ def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> Cross
     ``CompositePoint`` on product grids); its coordinates are added to every
     grid row, so a point of another type or width raises ValueError.  Under
     a shift both factors are evaluated exactly through the reconstructed
-    operator (see ``_shifted_pair`` for the rule a shift is integrated on).
-    The Weyl side conjugates the unshifted factor.  ``raw_value`` is the
-    unnormalized integral.  On a grid of finite measure, ``shift=None`` (zero
-    shift) gives the Wigner value purity / dimension for a density operator;
-    on an unbounded measure (the oscillator's plane rule) ``value`` and
-    ``volume`` are None and the zero-shift ``raw_value`` is the purity.
+    operator (see ``_shifted_pair`` for the rule a shift is integrated on);
+    a rule of more than ``measures.MAX_NODES`` nodes raises OverflowError
+    before any transform.  The Weyl side conjugates the unshifted factor.
+    ``raw_value`` is the unnormalized integral.  On a grid of finite measure,
+    ``shift=None`` (zero shift) gives the Wigner value purity / dimension for
+    a density operator; on an unbounded measure (the oscillator's plane
+    rule) ``value`` and ``volume`` are None and the zero-shift ``raw_value``
+    is the purity.
     """
     if shift is None:
         w, first, second = f.grid.weights(), f.values, f.values

@@ -13,7 +13,8 @@ SU(N) piece has two routes, picked by a multiply-add count from the shapes:
 its factored form for few operators, and its kernels formed in bounded node
 blocks, one GEMM per block, for large batches (as is a composite's first
 factor when it is the second stage).  An oscillator piece otherwise contracts
-through its radial matrices and phases.
+through its own factors: a plane rule's radial matrices and phases, ring by
+ring, and a square window's Hermite-function tables, Hx P Hy^T, axis by axis.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .algebra import HW, SUN, SystemDescriptor, dimension, format_system, is_hermitian
 from .kernels import (
-    WEYL, WIGNER, KernelSpec, Pieces, Polar, _blocks, _check_grid, _check_width, _diagonals,
-    _kernels, _polar, kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
+    WEYL, WIGNER, KernelSpec, Pieces, Polar, Window, _blocks, _check_grid, _check_width,
+    _diagonals, _kernels, _polar, kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, plane_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, PhasePoint
@@ -69,7 +70,7 @@ def _traces(K: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, 1, 2).reshape(len(A), d * d) @ K.reshape(len(K), d * d).T
 
 
-def _kernel_blocks(p: Pieces | Polar):
+def _kernel_blocks(p: Pieces | Polar | Window):
     """(node slice, kernels) of a factor's nodes, in blocks of at most ``BLOCK_BYTES``."""
     m = len(p.right) if isinstance(p, Pieces) else 1  # nodes per stack() index
     for lo, hi in _blocks(p.n_nodes // m, 16 * p.dim * p.dim * m):
@@ -93,7 +94,7 @@ def _forward(pieces, A: np.ndarray) -> np.ndarray:
     p, rest = pieces[0], pieces[1:]
     B = len(A)
     if not rest:
-        return _polar_forward(p, A) if isinstance(p, Polar) else _pieces_forward(p, A)
+        return _FORWARD[type(p)](p, A)
     # K = K_1 (x) K_rest, with A as d1 x d1 blocks of e x e operators
     d1, n1 = p.dim, p.n_nodes
     e = A.shape[-1] // d1
@@ -119,7 +120,7 @@ def _kernel_sum(pieces, C: np.ndarray) -> np.ndarray:
     p, rest = pieces[0], pieces[1:]
     B = len(C)
     if not rest:
-        return _polar_sum(p, C) if isinstance(p, Polar) else _pieces_sum(p, C)
+        return _SUM[type(p)](p, C)
     d1, n1 = p.dim, p.n_nodes
     n_rest = C.shape[1] // n1
     e = math.prod(q.dim for q in rest)
@@ -234,10 +235,47 @@ def _polar_sum(p: Polar, C: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window_forward(p: Window, A: np.ndarray) -> np.ndarray:
+    t, B, d = p.transfer, len(A), p.dim
+    D = len(t.anti)
+    # P_b[a, N - a] = sum over the elements (m, n) of order N of A_nm T_mn^a,
+    # one GEMM per order (every entry of P written once, see HermiteTransfer),
+    # then Hx P_b Hy^T, the last product a real GEMM that writes (n_x, n_y)
+    # in node order
+    P = np.empty((B, D, D), dtype=np.complex128)
+    P[:, np.arange(D), t.anti] = np.matmul(
+        A.reshape(B, d * d)[:, t.take].transpose(1, 0, 2), t.table.transpose(0, 2, 1)
+    ).transpose(1, 0, 2)
+    Q = np.matmul(P, p.hy.T)  # (B, D, n_y)
+    out = np.empty((B, p.n_nodes), dtype=np.complex128)
+    np.matmul(p.hx, Q.view(np.float64), out=out.view(np.float64).reshape(B, len(p.hx), -1))
+    return out
+
+
+def _window_sum(p: Window, C: np.ndarray) -> np.ndarray:
+    t, B, d = p.transfer, len(C), p.dim
+    # G_b = Hx^T C_b Hy (the first product a real GEMM reading C in node
+    # order), then S_mn = sum_a T_mn^a G_b[a, m + n - a], one GEMM per order
+    C = np.ascontiguousarray(C, dtype=np.complex128).view(np.float64)
+    G = np.matmul(np.matmul(p.hx.T, C.reshape(B, len(p.hx), -1)).view(np.complex128), p.hy)
+    S = np.matmul(G[:, np.arange(len(t.anti)), t.anti].transpose(1, 0, 2), t.table)
+    return S.transpose(1, 0, 2).reshape(B, -1)[:, t.where].reshape(B, d, d)
+
+
+_FORWARD = {Pieces: _pieces_forward, Polar: _polar_forward, Window: _window_forward}
+_SUM = {Pieces: _pieces_sum, Polar: _polar_sum, Window: _window_sum}
+
+
+def _grid_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple:
+    """``kernel_pieces`` of a grid whose node-sized results fit, checked before any piece."""
+    grid._check_materializable()
+    return kernel_pieces(spec, grid)
+
+
 def phase_function(A: np.ndarray, spec: KernelSpec, grid: QuadratureGrid) -> PhaseFunction:
     """Forward transform: values Tr[A K(node)] on every grid node."""
     A = _operator(A, spec)
-    return PhaseFunction(spec, grid, _forward(kernel_pieces(spec, grid), A[None])[0])
+    return PhaseFunction(spec, grid, _forward(_grid_pieces(spec, grid), A[None])[0])
 
 
 def symbol_at(A: np.ndarray, spec: KernelSpec, point: PhasePoint) -> complex:
@@ -277,7 +315,7 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
 
 def _reconstructed(spec: KernelSpec, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
     """Operators of the symbols in the rows of ``values``: (B, n_nodes) -> (B, d, d)."""
-    pieces = kernel_pieces(spec, grid)
+    pieces = _grid_pieces(spec, grid)
     wv = values * grid.weights()
     if spec.side == WIGNER:
         return _kernel_sum(pieces, wv)
@@ -431,7 +469,7 @@ def evolve(
     R, H = _reconstructed(spec, grid, np.stack([f_rho.values, f_H.values]))
     if not is_hermitian(H):
         raise ValueError("the Hamiltonian must be Hermitian: reconstruct(f_H) is not")
-    pieces = kernel_pieces(spec, grid)
+    pieces = _grid_pieces(spec, grid)
     v0, h, tr_K = _forward(pieces, np.stack([R, H, np.eye(len(H))]))
     for name, f, back in (("state", f_rho.values, v0), ("Hamiltonian", f_H.values, h)):
         miss = float(np.max(np.abs(back - f))) / max(1.0, float(np.max(np.abs(f))))

@@ -514,6 +514,19 @@ def test_cli_import_and_parser_leave_numpy_unloaded():
     assert r.stdout.strip() == "False"
 
 
+def test_commands_import_loads_no_polynomial_module():
+    """Importing the command layer loads no numpy.polynomial module that numpy does not.
+
+    The quadrature tables reach numpy.polynomial lazily, at their first build,
+    so that start-up stays lean.
+    """
+    r = _python("import sys, numpy\n"
+                "def poly(): return {m for m in sys.modules if m.startswith('numpy.polynomial')}\n"
+                "before = poly(); import wignerweyl.commands; print(sorted(poly() - before))")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_commands_and_a_kernel_run_leave_scipy_unloaded():
     r = _python(
         "import sys, wignerweyl.commands; from wignerweyl.cli import main; "

@@ -426,7 +426,9 @@ def test_kernel_pieces_built_once_per_grid_and_read_only(spec, make_grid, monkey
     p2 = kernel_pieces(spec, grid)
     assert p1[0] is p2[0] and len(built) == 1
     arrays = [a for a in vars(p1[0]).values() if isinstance(a, np.ndarray)]
-    want = 5 if spec.system == HW(6) else 2  # radial, order, position, ring, phases | left, right
+    if spec.system == HW(6):  # hx, hy and the shared transfer table's arrays
+        arrays += [a for a in vars(p1[0].transfer).values() if isinstance(a, np.ndarray)]
+    want = 6 if spec.system == HW(6) else 2  # hx, hy + 4 transfer arrays | left, right
     assert len(arrays) == want and not any(a.flags.writeable for a in arrays)
     kernel_pieces(spec, default_grid(spec.system, spec.side))  # another grid, its own pieces
     assert len(built) == 2
@@ -439,6 +441,29 @@ def test_default_oscillator_pieces_hold_no_node_stack():
     assert not any(a.shape[:1] == (grid.n_nodes,) and a.ndim == 3 for a in arrays)
     assert sum(a.nbytes for a in arrays) <= 50_000_000
     assert len(p.radial) == grid.shape[0]  # one radial matrix per radius of the rule
+
+
+@pytest.mark.parametrize("side", ["weyl", "wigner"])
+@pytest.mark.parametrize("n_max", [1, 2, 7, 20, 40])
+def test_hermite_transfer_matches_pointwise_kernels(n_max, side):
+    """Window kernels from the Hermite transfer table against per-point (polar) kernels.
+
+    Unequal x and y nodes out to where the elements have decayed; the error is
+    relative to the largest kernel element.  The table is stored per order,
+    (2d - 1)^2 d complex numbers and a few index arrays: O(d^3), where a dense
+    (d^2, (2d - 1)^2) transfer matrix would be O(d^4).
+    """
+    reach = (math.sqrt(n_max) + 4.0) / (2.0 if side == "wigner" else 1.0)
+    x = np.linspace(-reach, 0.9 * reach, 6)
+    y = np.linspace(-0.8 * reach, reach, 5) + 0.01
+    K = kernels_module._window(n_max, x, y, side).stack()
+    one = hw_wigner_kernel if side == "wigner" else hw_weyl_kernel
+    want = np.stack([one(n_max, complex(a, b)) for a in x for b in y])
+    assert np.max(np.abs(K - want)) < 1e-13 * np.max(np.abs(want))
+    transfer = kernels_module._hermite_transfer(n_max, side)
+    arrays = [a for a in vars(transfer).values() if isinstance(a, np.ndarray)]
+    assert not any(a.flags.writeable for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 16 * (2 * n_max - 1) ** 2 * (n_max + 4)
 
 
 @pytest.mark.parametrize("side", ["weyl", "wigner"])

@@ -21,6 +21,7 @@ from wignerweyl import (
     product_grid,
     sun_grid,
 )
+import wignerweyl.measures as measures_module
 from wignerweyl.points import _row
 
 _SU21_CP = cp_grid(SUN(2, 1))
@@ -424,3 +425,16 @@ def test_default_wigner_grid_builds_for_larger_systems(N, M):
     report = verify_stratonovich(SUN(N, M), "wigner", grid=grid)
     assert report.passed, report.as_dict()
     assert [name for name, _ in report.skipped] == ["covariance"]
+
+
+@pytest.mark.parametrize("build, freqs", [
+    (cp_grid, measures_module._quad_freqs), (sun_grid, measures_module._diff_freqs),
+])
+def test_frequency_sets_are_cached_per_representation(build, freqs):
+    """A second build reads the frequency sets from the cache; its axes are bit for bit the same."""
+    first = build(SUN(2, 10))
+    hits = freqs.cache_info().hits
+    second = build(SUN(2, 10))
+    assert freqs.cache_info().hits > hits
+    for a, b in zip(first.axes, second.axes, strict=True):
+        assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)

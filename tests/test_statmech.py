@@ -41,8 +41,10 @@ from wignerweyl import (
     weyl_axes,
     weyl_moments,
 )
+import wignerweyl.kernels as kernels_module
+import wignerweyl.measures as measures_module
 from wignerweyl.commands import _ordered_moment_oracle
-from wignerweyl.measures import _point_from_row
+from wignerweyl.measures import _point_from_row, _shift_rule
 
 SX, SY, SZ = (np.asarray(g) for g in build_generators(2, 1))
 
@@ -402,3 +404,21 @@ def test_cross_correlation_rejects_shift_of_wrong_type_or_width():
     for shift in wrong:
         with pytest.raises(ValueError):
             phase_cross_correlation(f, shift)
+
+
+def test_cross_correlation_shift_rule_guard_fires_before_any_transform(monkeypatch):
+    """A shift rule past MAX_NODES raises before any piece is built, naming it and shift=None."""
+    desc = SUN(2, 3)
+    spec, grid = KernelSpec("weyl", desc), sun_grid(desc)
+    f = phase_function(np.eye(4) / 4, spec, grid)
+    rule = _shift_rule(grid).n_nodes
+    assert rule > grid.n_nodes
+    built = []
+    split = kernels_module._split
+    monkeypatch.setattr(kernels_module, "_split", lambda *a: built.append(a) or split(*a))
+    monkeypatch.setattr(measures_module, "MAX_NODES", grid.n_nodes)
+    with pytest.raises(OverflowError, match=f"shift rule of {rule} nodes") as err:
+        phase_cross_correlation(f, EulerPoint((0.1,), (0.2,), (0.3,)))
+    assert "shift=None" in str(err.value) and "resolution" not in str(err.value)
+    assert built == []
+    assert phase_cross_correlation(f, None).value is not None  # the zero shift still works

@@ -39,6 +39,7 @@ from wignerweyl import (
     verify_stratonovich,
 )
 import wignerweyl.kernels as kernels_module
+import wignerweyl.measures as measures_module
 import wignerweyl.transforms as transforms_module
 from wignerweyl.statmech import _shifted_grid
 from wignerweyl.transforms import PhaseFunction
@@ -726,9 +727,35 @@ def _check_batch_against_stack(spec, grid, B, seed=0):
 @pytest.mark.parametrize("resolution", [11, 12])
 @pytest.mark.parametrize("B", [1, 2, 40])
 def test_oscillator_routes_match_kernel_stack(side, resolution, B):
-    """The radial/phase contraction of the polar pieces, for one operator and for batches."""
+    """The Hermite-Gauss contraction of the window pieces, for one operator and for batches."""
     spec, grid = KernelSpec(side, HW(5)), hw_grid(HW(5), 3.0, resolution)
     _check_batch_against_stack(spec, grid, B)
+
+
+_WINDOWS = {"hw:2": (2.5, 7), "hw:5": (3.0, 12), "hw:12": (5.0, 21)}
+
+
+@pytest.mark.parametrize("system", sorted(_WINDOWS))
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+@pytest.mark.parametrize("shifted", [False, True], ids=["square", "shifted"])
+def test_window_pieces_match_kernel_stack(system, side, shifted):
+    """Square windows contract through Hermite-function tables; kernel_stack (polar) is the oracle.
+
+    The shifted copy moves the axes by different amounts, so h(s x) and h(s y)
+    are tables of different nodes.
+    """
+    desc = parse_system(system)
+    grid = hw_grid(desc, *_WINDOWS[system])
+    if shifted:
+        grid = _shifted_grid(grid, [0.31, -0.17])
+    spec = KernelSpec(side, desc)
+    (p,) = kernels_module.kernel_pieces(spec, grid)
+    assert isinstance(p, kernels_module.Window)
+    assert not np.array_equal(p.hx, p.hy) if shifted else np.array_equal(p.hx, p.hy)
+    K, w, rng = kernel_stack(spec, grid), grid.weights(), np.random.default_rng(2)
+    for B in (1, 3, 40):
+        _check_routes((p,), K, w, B, rng)
+    assert np.max(np.abs(p.stack(5, 23) - K[5:23])) < 1e-12
 
 
 @pytest.mark.parametrize("spec, make_grid", [
@@ -760,18 +787,22 @@ def test_split_piece_routes_at_evolve_batch_sizes(system, side, split):
 
 
 # explicit resolutions large enough that node-sized arrays dominate the fixed
-# per-piece temporaries: 117,649 and 65,536 nodes
-_NODE_DOMINATED = {("su:4:1", "wigner"): 7, ("su:3:1", "weyl"): 4}
+# per-piece temporaries: 117,649, 65,536 and 65,536 nodes
+_NODE_DOMINATED = {
+    ("su:4:1", "wigner"): lambda desc: cp_grid(desc, 7),
+    ("su:3:1", "weyl"): lambda desc: sun_grid(desc, 4),
+    ("hw:6", "wigner"): lambda desc: hw_grid(desc, 5.5, 256),
+}
 
 
-@pytest.mark.parametrize("system, side", [("su:4:1", "wigner"), ("su:3:1", "weyl")])
+@pytest.mark.parametrize("system, side", [("su:4:1", "wigner"), ("su:3:1", "weyl"),
+                                          ("hw:6", "wigner")])
 def test_batched_contractions_hold_no_node_sized_temporaries(system, side):
     """At B = 3 the forward map allocates little beyond its (B, n_nodes) output and the
     kernel sum a fraction of its input: no node-sized transposed copy (tracemalloc sees
     every numpy allocation)."""
     desc = parse_system(system)
-    resolution = _NODE_DOMINATED[system, side]
-    grid = (cp_grid if side == "wigner" else sun_grid)(desc, resolution)
+    grid = _NODE_DOMINATED[system, side](desc)
     pieces = kernels_module.kernel_pieces(KernelSpec(side, desc), grid)
     B, d, n = 3, dimension(desc), grid.n_nodes
     rng = np.random.default_rng(0)
@@ -820,3 +851,40 @@ def test_symbols_at_rejects_non_finite_rows():
     rows = np.array([[0.1, 0.2], [0.3, np.inf], [np.nan, 0.0]])
     with pytest.raises(ValueError, match="row 1 is not finite"):
         transforms_module.symbols_at(np.eye(4), spec, rows)
+
+
+@pytest.mark.parametrize("n_max", [2, 5, 12])
+def test_symbols_at_on_mixed_ring_populations_matches_kernel_at(n_max):
+    """Point sets still contract in polar form, over rings holding 1, 4 and 8 points.
+
+    An odd mesh holds the origin (a ring of one), the axes and diagonals
+    (rings of four) and the rest (rings of eight, where the mesh is
+    mirror-symmetric to the last bit), so ``_polar_forward`` and
+    ``_polar_sum`` run several ring groups.
+    """
+    x = np.linspace(-2.0, 2.0, 9)
+    rows = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(n_max)
+    for side in ("wigner", "weyl"):
+        spec = KernelSpec(side, HW(n_max))
+        p = kernels_module._polar(n_max, rows[:, 0] + 1j * rows[:, 1], side)
+        assert len(p.groups) >= 3
+        K = np.stack([kernel_at(spec, HWPoint(complex(*row))) for row in rows])
+        A = _hermitian(n_max, 7) + 1j * _hermitian(n_max, 8)
+        assert np.max(np.abs(symbols_at(A, spec, rows) - np.einsum("nij,ji->n", K, A))) < 1e-12
+        C = rng.standard_normal((2, len(rows))) + 1j * rng.standard_normal((2, len(rows)))
+        got = transforms_module._polar_sum(p, C)
+        assert np.max(np.abs(got - np.einsum("bn,nij->bij", C, K))) < 1e-12
+
+
+def test_node_guard_fires_before_any_piece_is_built(monkeypatch):
+    """phase_function, reconstruct and evolve check the node count before kernel_pieces."""
+    desc = SUN(2, 20)
+    spec, grid = KernelSpec("wigner", desc), default_grid(desc, "wigner")
+    f = PhaseFunction(spec, grid, np.zeros(grid.n_nodes))
+    monkeypatch.setattr(measures_module, "MAX_NODES", grid.n_nodes - 1)
+    for call in (lambda: phase_function(np.eye(21), spec, grid), lambda: reconstruct(f),
+                 lambda: evolve(f, f, 0.02, 0.01)):
+        with pytest.raises(OverflowError, match=f"{grid.n_nodes} nodes"):
+            call()
+    assert grid not in kernels_module._PIECE_CACHE
