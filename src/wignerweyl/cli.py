@@ -138,15 +138,24 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, or with a ``command`` the parser of that command alone.
+
+    A run parses one command, so ``main`` builds only its subparser.  The
+    command list then goes in the usage line as a fixed metavar, so help for
+    that command and every error it can raise read as from the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="wignerweyl",
         description="Phase-space representations of finite quantum systems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     flags = {f.name: dict(f.metadata) for f in fields(RunConfig) if f.metadata}
     flags["config"] = {"help": "JSON config file; explicit flags override it"}
     for name, cmd in COMMANDS.items():
+        if command is not None and name != command:
+            continue
         p = sub.add_parser(name, help=cmd.help)
         flags["out"] = {"help": _OUT_HELP[cmd.out]}
         for opt in (*cmd.options, "out", "threads", "config"):
@@ -219,7 +228,8 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)

@@ -435,13 +435,13 @@ def evolve(cfg, inp: Inputs) -> dict:
 
 
 def _sphere_mesh(res: int | None):
-    """Full-sphere mesh in rotation-parameter coordinates.
+    """Full-sphere mesh in rotation-parameter coordinates, C order over (phi, theta).
 
     theta in [0, pi/2] covers the sphere: the rotation angle doubles onto the
     colatitude (the lowest-weight state sits at the south pole at theta = 0,
     the equator is theta = pi/4).
     """
-    n_theta = res if res else 61
+    n_theta = 61 if res is None else res
     n_phi = 2 * n_theta - 1
     theta = np.linspace(0.0, 0.5 * math.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
@@ -480,7 +480,7 @@ def _preset_hw_cat(cfg, inp: Inputs) -> dict:
     comps = tuple(-3.0 * np.exp(2j * math.pi * k / 3.0) for k in range(3))
     rho = build_state(HWCat(comps), desc)
 
-    res = cfg.grid_res if cfg.grid_res else 161
+    res = 161 if cfg.grid_res is None else cfg.grid_res
     if res % 2 == 0:
         res += 1  # keep the alpha = 0 row on the mesh
     R = cfg.radius if cfg.radius else 6.0
@@ -576,4 +576,6 @@ def figure_data(cfg, inp: Inputs) -> dict:
     for name in ("system", "radius"):
         if getattr(cfg, name) is not None and name not in PRESET_READS.get(cfg.preset, ()):
             raise ValueError(f"figure-data --preset {cfg.preset} does not read --{name}")
+    if cfg.grid_res is not None and cfg.grid_res < 2:
+        raise ValueError(f"figure-data --grid-res must be at least 2, got {cfg.grid_res}")
     return PRESETS[cfg.preset](cfg, inp)

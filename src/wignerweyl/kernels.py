@@ -12,20 +12,22 @@ per-axis factors exp(i J(k) x), each evaluated once per distinct coordinate
 value and gathered onto the rows; HW kernels are a real radial matrix,
 evaluated once per distinct |alpha| (once per radius of a plane rule), times
 per-point phases (``Polar``), and composite kernels are row-wise Kronecker
-products.  ``transforms.symbols_at`` applies it to arbitrary coordinate
-tables in blocks of bounded size, and ``kernel_stack`` to every node of a
-grid, as a reference.
+products.  ``transforms.symbols_at`` applies it to coordinate tables that
+are no tensor mesh, in blocks of bounded size, and ``kernel_stack`` to every
+node of a grid, as a reference.
 
 The transforms never hold a grid's (n_nodes, d, d) kernel stack.  A SU(N)
-grid is a tensor product over the columns of the factor chain, so
-``kernel_pieces`` splits the chain at one axis boundary into a left and a
-right stack over the two sub-grids (K = L R on the Weyl side,
-K = L (R Pi R^dagger) L^dagger on the Wigner side).  An oscillator plane
-rule keeps its ``Polar`` form, K_mn = R_mn(|alpha|) e^{i (m-n) arg alpha};
-a square window is a tensor grid in (x, y), and its ``Window`` pieces hold
-Hermite functions of each axis and a transfer table,
-K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y).  The pieces are cached per
-(grid, kernel spec).
+grid is a tensor product over the columns of the factor chain, so ``_split``
+splits the chain at one axis boundary into a left and a right stack over the
+two sub-grids (K = L R on the Weyl side, K = L (R Pi R^dagger) L^dagger on
+the Wigner side, and K = L R L^dagger with L = e^{i J3 phi} for the arecchi
+rotation).  An oscillator plane rule keeps its ``Polar`` form,
+K_mn = R_mn(|alpha|) e^{i (m-n) arg alpha}; a square window is a tensor grid
+in (x, y), and its ``Window`` pieces hold Hermite functions of each axis and
+a transfer table, K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y).  ``_split``
+reads per-axis nodes, so it serves both grids, whose pieces
+``kernel_pieces`` caches per (grid, kernel spec), and the tensor meshes that
+``symbols_at`` finds in coordinate tables, whose pieces are not cached.
 """
 
 from __future__ import annotations
@@ -719,8 +721,10 @@ class Pieces:
     """The kernels of a single-system grid, split at one axis boundary.
 
     Node (l, r) in C order, with l indexing the leading axes and r the rest,
-    carries K = left[l] @ right[r]; with ``sandwich`` (Wigner side of SU(N),
-    where right[r] = R Pi R^dagger) it carries left[l] @ right[r] @ left[l]^dagger.
+    carries K = left[l] @ right[r]; with ``sandwich`` it carries
+    left[l] @ right[r] @ left[l]^dagger (the Wigner side of SU(N), where
+    right[r] = R Pi R^dagger, and the arecchi rotation, where left[l] =
+    e^{i J3 phi} and right[r] = e^{i J2 theta}).
     """
 
     left: np.ndarray
@@ -744,27 +748,34 @@ class Pieces:
         return K.reshape(-1, self.dim, self.dim)
 
 
-def _split(spec: KernelSpec, grid: QuadratureGrid) -> Pieces | Polar | Window:
-    desc, shape = spec.system, grid.shape
-    nodes = [ax.nodes for ax in grid.axes]
+def _split(spec: KernelSpec, nodes, polar: bool = False) -> Pieces | Polar | Window:
+    """The pieces of a single system's kernels on the tensor mesh of the per-axis ``nodes``.
+
+    ``polar`` marks an oscillator plane rule, whose axes are (r, psi); other
+    oscillator meshes are (x, y) windows.
+    """
+    desc, shape = spec.system, tuple(len(x) for x in nodes)
     d = dimension(desc)
     if isinstance(desc, HW):
-        if grid.polar:
+        if polar:
             return _polar_rule(desc.n_max, nodes[0], nodes[1], spec.side)
         return _window(desc.n_max, nodes[0], nodes[1], spec.side)
     table = _factor_table(desc.N, spec.side, spec.rotation)
-    # a boundary j splits the chain when every factor on columns < j comes
-    # first (the arecchi rotation's column 0 sits on both sides: j = width)
-    splits = [j for j in range(len(shape) + 1)
-              if [col >= j for _, _, col in table] == sorted(col >= j for _, _, col in table)]
-    j = min(splits, key=lambda j: math.prod(shape[:j]) + math.prod(shape[j:]))
+    if spec.rotation == "arecchi":
+        # e^{i J3 phi} e^{i J2 theta} (e^{i J3 phi})^dagger: a sandwich split at phi
+        table, j = table[:2], 1
+    else:
+        # a boundary j splits the chain when every factor on columns < j comes first
+        splits = [j for j in range(len(shape) + 1)
+                  if [col >= j for _, _, col in table] == sorted(col >= j for _, _, col in table)]
+        j = min(splits, key=lambda j: math.prod(shape[:j]) + math.prod(shape[j:]))
     _check_bytes("kernel pieces", (math.prod(shape[:j]) + math.prod(shape[j:])) * d * d * 16)
     index = _tensor_index(shape[:j]) + _tensor_index(shape[j:])
     left = _chain(desc, [f for f in table if f[2] < j], nodes, index)
     right = _chain(desc, [f for f in table if f[2] >= j], nodes, index)
     if spec.side == WIGNER:
         return Pieces(left, _rotated_parity(desc, right), True)
-    return Pieces(left, right, False)
+    return Pieces(left, right, spec.rotation == "arecchi")
 
 
 def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Polar | Window, ...]:
@@ -784,7 +795,7 @@ def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Pola
                      for p in kernel_pieces(KernelSpec(spec.side, f), g))
     per_grid = _PIECE_CACHE.setdefault(grid, {})
     if spec not in per_grid:
-        pieces = _split(spec, grid)
+        pieces = _split(spec, [ax.nodes for ax in grid.axes], grid.polar)
         for a in vars(pieces).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False

@@ -15,6 +15,11 @@ blocks, one GEMM per block, for large batches (as is a composite's first
 factor when it is the second stage).  An oscillator piece otherwise contracts
 through its own factors: a plane rule's radial matrices and phases, ring by
 ring, and a square window's Hermite-function tables, Hx P Hy^T, axis by axis.
+
+``symbols_at`` contracts a coordinate table that is a tensor mesh through
+the same pieces, built from its per-axis nodes; composite rows that are no
+mesh through per-row partial traces, factor by factor; and any other table
+through kernels formed in row blocks.
 """
 
 from __future__ import annotations
@@ -24,10 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import HW, SUN, SystemDescriptor, dimension, format_system, is_hermitian
+from .algebra import (
+    HW, SUN, Composite, SystemDescriptor, dimension, format_system, is_hermitian,
+)
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, Window, _blocks, _check_grid, _check_width,
-    _diagonals, _kernels, _polar, kernel_at, kernel_pieces, kernel_stack, wigner_kernel_at,
+    _diagonals, _kernels, _polar, _split, _width, kernel_at, kernel_pieces, kernel_stack,
+    wigner_kernel_at,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, plane_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, PhasePoint
@@ -283,13 +291,103 @@ def symbol_at(A: np.ndarray, spec: KernelSpec, point: PhasePoint) -> complex:
     return complex(np.trace(np.asarray(A, dtype=np.complex128) @ kernel_at(spec, point)))
 
 
+# Rows per oscillator level from which a mesh's Window, transfer table built
+# cold, beats the Polar row route: on an n x n HW(d) mesh the two cost the
+# same at about 200, 1,100, 1,700, 2,500, 3,000 and 6,000 rows for d = 4, 8,
+# 12, 20, 40 and 60 (Wigner side, one BLAS thread).
+WINDOW_ROWS_PER_LEVEL = 100
+
+
+def _mesh(coords: np.ndarray) -> list[np.ndarray] | None:
+    """Per-axis nodes of a coordinate table that is a tensor mesh, else None.
+
+    Column c takes n_c distinct values.  Read in C order over (n_1, n_2, ...),
+    the table is a mesh when each column varies along its own axis only; the
+    nodes keep the table's order along their axis, sorted or not.
+    """
+    counts = [1 + int(np.count_nonzero(np.diff(np.sort(col)))) for col in coords.T]
+    if math.prod(counts) != len(coords):
+        return None
+    nodes = []
+    for c, col in enumerate(coords.T):
+        col = np.moveaxis(col.reshape(counts), c, -1)
+        line = col[(0,) * (len(counts) - 1)]
+        if not np.array_equal(col, np.broadcast_to(line, col.shape)):
+            return None
+        nodes.append(line.copy())
+    return nodes
+
+
+def _mesh_pieces(spec: KernelSpec, nodes) -> tuple | None:
+    """The pieces of every factor on a mesh of per-axis nodes (not cached).
+
+    An oscillator factor takes a ``Window`` from ``WINDOW_ROWS_PER_LEVEL`` d
+    rows on, where it pays for building its transfer table.  None sends the
+    table to the row routes: an oscillator factor with fewer rows, or pieces
+    over ``MAX_STACK_BYTES``.
+    """
+    subs = ([KernelSpec(spec.side, f) for f in spec.system.factors]
+            if isinstance(spec.system, Composite) else [spec])
+    pieces, at = [], 0
+    for sub in subs:
+        axes, at = nodes[at:at + _width(sub)], at + _width(sub)
+        f = sub.system
+        if isinstance(f, HW) and len(axes[0]) * len(axes[1]) < WINDOW_ROWS_PER_LEVEL * f.n_max:
+            return None
+        try:
+            pieces.append(_split(sub, axes))
+        except OverflowError:
+            return None
+    return tuple(pieces)
+
+
+def _row_kernels(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
+    """Kernels of a single system at rows of coordinates: (n, d, d)."""
+    columns = [np.unique(col, return_inverse=True) for col in rows.T]
+    return _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
+
+
+def _composite_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
+    """Tr[A K(row)] on composite rows by partial traces, factor by factor.
+
+    Tr[A (K_1 (x) K_rest)] = Tr[Tr_1[A (K_1 (x) 1)] K_rest]: factor 1's
+    kernels turn A into one operator on the rest per row, and so on down to
+    the last factor, in blocks of rows; no row's full kernel is formed.  A's
+    indices are reordered once to (c_1, a_1, c_2, a_2, ...), column before
+    row per factor, so every partial trace reads its operators in place.
+    """
+    subs = [KernelSpec(spec.side, f) for f in spec.system.factors]
+    dims = [dimension(f) for f in spec.system.factors]
+    k = len(dims)
+    X0 = A.reshape(dims + dims).transpose([i for f in range(k) for i in (k + f, f)])
+    X0 = X0.reshape(dims[0] ** 2, -1)
+    out = np.empty(len(coords), dtype=np.complex128)
+    for start, stop in _blocks(len(coords), 16 * (X0.shape[1] + sum(d * d for d in dims))):
+        X, at = None, 0
+        for sub, d in zip(subs, dims):
+            K = _row_kernels(sub, coords[start:stop, at:at + _width(sub)])
+            at += _width(sub)
+            # sum over (c, a) of K[c, a] X[(c, a), rest]
+            if X is None:
+                X = K.reshape(-1, d * d) @ X0
+            else:
+                X = np.matmul(K.reshape(-1, 1, d * d), X.reshape(len(X), d * d, -1))
+        out[start:stop] = X.reshape(-1)
+    return out
+
+
 def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
     """Forward transform Tr[A K(row)] at every row of a coordinate table.
 
     ``coords`` has one row per point in the column layout of the matching
     grid (``grid.coords()``; composite rows concatenate the factor columns).
-    Rows are evaluated in blocks of at most ``kernels.BLOCK_BYTES`` of kernels,
-    so memory stays bounded whatever the table size.
+    A table that is a tensor mesh in C order (each column varying along its
+    own axis, as ``grid.coords()`` and ``np.meshgrid(..., indexing="ij")``
+    lay it out) contracts through the kernels' factor pieces, as a grid
+    does.  Other composite tables contract row by row through per-factor
+    partial traces, and other single-system tables form their kernels in
+    blocks of at most ``kernels.BLOCK_BYTES``, so memory stays bounded
+    whatever the table size.
     """
     A = _operator(A, spec)
     coords = np.asarray(coords, dtype=np.float64)
@@ -300,16 +398,20 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"coordinate row {i} is not finite: {coords[i].tolist()}")
+    nodes = _mesh(coords) if len(coords) else None
+    pieces = _mesh_pieces(spec, nodes) if nodes is not None else None
+    if pieces is not None:
+        return _forward(pieces, A[None])[0]
+    if isinstance(spec.system, Composite):
+        return _composite_rows(A, spec, coords)
     out = np.empty(len(coords), dtype=np.complex128)
     for start, stop in _blocks(len(coords), 16 * A.shape[0] ** 2):
         block = coords[start:stop]
         if isinstance(spec.system, HW):
             p = _polar(spec.system.n_max, block[:, 0] + 1j * block[:, 1], spec.side)
             out[start:stop] = _polar_forward(p, A[None])[0]
-            continue
-        columns = [np.unique(col, return_inverse=True) for col in block.T]
-        K = _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
-        out[start:stop] = _traces(K, A[None])[0]
+        else:
+            out[start:stop] = _traces(_row_kernels(spec, block), A[None])[0]
     return out
 
 

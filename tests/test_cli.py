@@ -266,6 +266,19 @@ def test_figure_data_rejects_flags_the_preset_does_not_read(preset, flag, value,
     assert payload["error"] == f"figure-data --preset {preset} does not read {flag}"
 
 
+@pytest.mark.parametrize("preset", ["hw-cat", "spin-cat", "ghz5-dicke", "ghz5-equal-angle"])
+def test_figure_data_grid_res_below_two_is_rejected(preset, capsys):
+    for res in ("0", "-3", "1"):
+        payload = run_cli_err(capsys, "figure-data", "--preset", preset, "--grid-res", res)
+        assert payload["error"] == f"figure-data --grid-res must be at least 2, got {res}"
+    extra = ["--system", "hw:4"] if preset == "hw-cat" else []
+    out = run_cli(capsys, "figure-data", "--preset", preset, *extra, "--grid-res", "2")
+    # hw-cat bumps an even count to keep the origin row: 3 x 3; spheres are 3 x 2
+    assert out["n_rows"] == (9 if preset == "hw-cat" else 6)
+    if preset == "hw-cat":
+        assert out["origin_residual"] < 1e-12
+
+
 @pytest.mark.parametrize("command, args", [
     ("wigner", ["--system", "su:2:1", "--state", "spincoherent:0.3,0.5"]),
     ("verify", ["--system", "su:2:1*su:2:1", "--side", "weyl"]),
@@ -507,6 +520,44 @@ def test_threads_flag_fails_once_numpy_is_loaded():
     assert "numpy is already loaded" in json.loads(r.stderr)["error"]
 
 
+_PARSER_ARGVS = [
+    [], ["--help"], ["frobnicate"], ["--system", "su:2:1"],
+    *([name, "--help"] for name in COMMANDS),
+    *([name, "--no-such-flag", "1"] for name in COMMANDS),
+    *([name, "stray"] for name in COMMANDS),
+    ["wigner", "--system"], ["verify", "--side", "sideways"], ["evolve", "--frames", "x"],
+    ["figure-data", "--preset", "hw-cat", "--point", "1,2"],
+    ["figure-data", "--preset", "nope"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_one_command_parser_reads_as_the_full_parser(argv, capsys):
+    """main builds only the invoked command's flags; help, errors and parses are unchanged."""
+    from wignerweyl.cli import _build_parser
+
+    outcomes = []
+    for parser in (_build_parser(), _build_parser(argv[0] if argv and argv[0] in COMMANDS
+                                                   else None)):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        outcomes.append((result, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1].out or outcomes[0][1].err
+
+
+def test_one_command_parser_parses_every_flag_as_the_full_parser():
+    from wignerweyl.cli import _build_parser
+
+    for name, cmd in COMMANDS.items():
+        argv = [name, "--threads", "2", "--out", "o"]
+        for opt in cmd.options:
+            argv += [_flag(opt), FLAG_VALUE[opt]]
+        assert vars(_build_parser(name).parse_args(argv)) == vars(_build_parser().parse_args(argv))
+
+
 def test_cli_import_and_parser_leave_numpy_unloaded():
     r = _python("import sys, wignerweyl.cli as c; c._build_parser(); "
                 "print('numpy' in sys.modules)")
@@ -525,6 +576,20 @@ def test_commands_import_loads_no_polynomial_module():
                 "before = poly(); import wignerweyl.commands; print(sorted(poly() - before))")
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_figure_data_and_sampling_leave_numpy_ma_unloaded(tmp_path):
+    """symbols_at's mesh test and row routes load no numpy.ma (a plain np.unique would)."""
+    r = _python(
+        "import sys; from wignerweyl.cli import main; "
+        "codes = [main(sys.argv[1:8]), main(sys.argv[8:])]; "
+        "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)",
+        "figure-data", "--preset", "ghz5-equal-angle", "--grid-res", "5",
+        "--out", str(tmp_path / "g.csv"),
+        "weyl", "--system", "su:2:2", "--state", "random:3",
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.strip() == "[0, 0] False"
 
 
 def test_commands_and_a_kernel_run_leave_scipy_unloaded():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,7 @@ from wignerweyl import (
     parity,
     parity_cartan_weights,
     sun_grid,
+    symbols_at,
     weyl_kernel_at,
     wigner_kernel_at,
 )
@@ -631,3 +633,231 @@ def test_kernel_stack_rejects_mismatched_grid():
     grid = hw_grid(HW(6), 3.0, 12)
     with pytest.raises(ValueError):
         kernel_stack(KernelSpec("weyl", HW(8)), grid)
+
+
+# ---------------------------------------------------------------------------
+# symbols_at routes against the per-point oracle
+
+
+def _sphere_rows(n_theta):
+    """The figure-data sphere mesh: C order over (phi, theta), phi = 0 and 2 pi both present."""
+    phi, theta = np.meshgrid(np.linspace(0.0, 2.0 * math.pi, 2 * n_theta - 1),
+                             np.linspace(0.0, 0.5 * math.pi, n_theta), indexing="ij")
+    return np.stack([phi.ravel(), theta.ravel()], axis=1)
+
+
+def _random_mesh(spec, counts, seed):
+    """A C-order tensor mesh over random axis nodes, unsorted, one axis per column."""
+    rng = np.random.default_rng(seed)
+    nodes = []
+    for kind, n in zip(_column_kinds(spec), counts):
+        lo, hi = (-3.0, 3.0) if kind == "alpha" else (-0.5, _ANGLE_HI[kind] + 0.5)
+        nodes.append(rng.uniform(lo, hi, n))
+    return np.stack([m.ravel() for m in np.meshgrid(*nodes, indexing="ij")], axis=1)
+
+
+def _hw_mesh(n_x, n_y, radius):
+    x, y = np.meshgrid(np.linspace(-radius, radius, n_x), np.linspace(-radius, radius, n_y),
+                       indexing="ij")
+    return np.stack([x.ravel(), y.ravel()], axis=1)
+
+
+def _ghz_rows(side, n_theta):
+    phi, theta = _sphere_rows(n_theta).T
+    return np.stack(([phi, theta] if side == "wigner" else [phi, theta, -phi]) * 5, axis=1)
+
+
+def _route(monkeypatch, A, spec, rows):
+    """symbols_at at the rows, and the route it took: 'mesh', 'composite rows' or 'rows'."""
+    import wignerweyl.transforms as transforms
+
+    taken = []
+    with monkeypatch.context() as m:
+        for name, route in (("_forward", "mesh"), ("_composite_rows", "composite rows")):
+            fn = getattr(transforms, name)
+            m.setattr(transforms, name,
+                      lambda *a, fn=fn, route=route: taken.append(route) or fn(*a))
+        vals = symbols_at(A, spec, rows)
+    return vals, (taken[0] if taken else "rows")
+
+
+def _check_oracle(spec, rows, vals, stride=1):
+    """Every stride-th row against kernel_at, relative to max(1, |value|)."""
+    A = _symbols_operator(spec)
+    for i in range(0, len(rows), stride):
+        want = np.trace(A @ kernel_at(spec, _row_point(spec, rows[i])))
+        assert abs(vals[i] - want) <= 1e-13 * max(1.0, abs(want)), (i, vals[i], want)
+
+
+def _symbols_operator(spec):
+    d = dimension(spec.system)
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / (2.0 * d)
+
+
+ROUTE_CASES = {
+    "cp-su21": (KernelSpec("wigner", SUN(2, 1)), lambda: _sphere_rows(9), "mesh", 1),
+    "cp-su220": (KernelSpec("wigner", SUN(2, 20)), lambda: _sphere_rows(21), "mesh", 7),
+    "cp-su31": (KernelSpec("wigner", SUN(3, 1)),
+                lambda: _random_mesh(KernelSpec("wigner", SUN(3, 1)), (3, 4, 2, 3), 1), "mesh", 1),
+    "sun-su23": (KernelSpec("weyl", SUN(2, 3)),
+                 lambda: _random_mesh(KernelSpec("weyl", SUN(2, 3)), (5, 4, 3), 2), "mesh", 1),
+    "sun-su31": (KernelSpec("weyl", SUN(3, 1)),
+                 lambda: _random_mesh(KernelSpec("weyl", SUN(3, 1)), (2, 2, 3, 2, 2, 2, 2, 2),
+                                      3), "mesh", 3),
+    "arecchi-su25": (KernelSpec("weyl", SUN(2, 5), "arecchi"), lambda: _sphere_rows(11),
+                     "mesh", 1),
+    "su21*hw3": (KernelSpec("weyl", Composite((SUN(2, 1), HW(3)))),
+                 lambda: _random_mesh(KernelSpec("weyl", Composite((SUN(2, 1), HW(3)))),
+                                      (3, 2, 2, 4, 5), 4), "composite rows", 1),
+    "su21*hw3-wigner": (KernelSpec("wigner", Composite((SUN(2, 1), HW(3)))),
+                        lambda: np.concatenate([np.repeat(_sphere_rows(3), 400, axis=0),
+                                                np.tile(_hw_mesh(20, 20, 3.0), (15, 1))],
+                                               axis=1), "mesh", 97),
+    "su21*su21": (KernelSpec("wigner", Composite((SUN(2, 1), SUN(2, 1)))),
+                  lambda: _random_mesh(KernelSpec("wigner", Composite((SUN(2, 1), SUN(2, 1)))),
+                                       (3, 2, 4, 3), 5), "mesh", 1),
+    "ghz5-wigner": (KernelSpec("wigner", Composite((SUN(2, 1),) * 5)),
+                    lambda: _ghz_rows("wigner", 7), "composite rows", 1),
+    "ghz5-weyl": (KernelSpec("weyl", Composite((SUN(2, 1),) * 5)),
+                  lambda: _ghz_rows("weyl", 7), "composite rows", 1),
+    # 121^10 61^5 distinct-value combinations: past int64
+    "ghz5-weyl-61": (KernelSpec("weyl", Composite((SUN(2, 1),) * 5)),
+                     lambda: _ghz_rows("weyl", 61), "composite rows", 97),
+}
+for _d, _square, _unequal in ((4, 21, (25, 17)), (12, 37, (45, 29)), (40, 67, (81, 51))):
+    for _side in ("wigner", "weyl"):
+        _spec = KernelSpec(_side, HW(_d))
+        ROUTE_CASES[f"hw{_d}-{_side}-square"] = (
+            _spec, lambda n=_square: _hw_mesh(n, n, 5.0), "mesh", 31)
+        ROUTE_CASES[f"hw{_d}-{_side}-unequal"] = (
+            _spec, lambda n=_unequal: _hw_mesh(*n, 5.0), "mesh", 31)
+        ROUTE_CASES[f"hw{_d}-{_side}-small"] = (
+            _spec, lambda: _hw_mesh(9, 7, 5.0), "rows", 5)
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_symbols_at_routes_match_kernel_at(case, monkeypatch):
+    spec, make_rows, want_route, stride = ROUTE_CASES[case]
+    rows = make_rows()
+    vals, route = _route(monkeypatch, _symbols_operator(spec), spec, rows)
+    assert route == want_route
+    _check_oracle(spec, rows, vals, stride)
+
+
+@pytest.mark.parametrize("case", ["cp-su220", "arecchi-su25", "sun-su23", "su21*hw3"])
+def test_symbols_at_row_route_matches_kernel_at_off_the_mesh(case, monkeypatch):
+    """A shuffled mesh, or one with a row repeated or missing, takes the row route."""
+    spec, make_rows, _, stride = ROUTE_CASES[case]
+    mesh = make_rows()
+    rng = np.random.default_rng(6)
+    tables = {
+        "shuffled": mesh[rng.permutation(len(mesh))],
+        "repeated": np.concatenate([mesh, mesh[-1:]]),
+        "missing": mesh[1:],
+    }
+    want = "composite rows" if isinstance(spec.system, Composite) else "rows"
+    for name, rows in tables.items():
+        vals, route = _route(monkeypatch, _symbols_operator(spec), spec, rows)
+        assert route == want, name
+        _check_oracle(spec, rows, vals, stride)
+
+
+def test_symbols_at_mesh_detection():
+    from wignerweyl.transforms import _mesh
+
+    rows = _sphere_rows(4)
+    nodes = _mesh(rows)
+    assert [len(x) for x in nodes] == [7, 4]
+    assert np.array_equal(nodes[0], rows[::4, 0]) and np.array_equal(nodes[1], rows[:4, 1])
+    wrapped = rows[4:].copy()  # without phi = 0, which would wrap onto phi = 2 pi
+    wrapped[:, 0] = np.mod(wrapped[:, 0] + 3.0, 2.0 * math.pi)  # unsorted phi nodes
+    assert np.array_equal(_mesh(wrapped)[0], wrapped[::4, 0])
+    assert _mesh(rows[:, ::-1]) is None  # Fortran order
+    assert _mesh(rows[np.r_[1, 0, 2:len(rows)]]) is None  # two rows swapped
+    assert [len(x) for x in _mesh(rows[:1])] == [1, 1]
+    # a plane rule's (re, im) rows and the covariance probe's points are no mesh
+    grid = default_grid(HW(4), "wigner")
+    assert _mesh(grid.coords()) is None
+    assert _mesh(np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])) is None
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("wigner", HW(4)), KernelSpec("weyl", SUN(2, 2)),
+                                  KernelSpec("weyl", Composite((SUN(2, 1), HW(3))))],
+                         ids=["hw4", "su22", "su21*hw3"])
+def test_symbols_at_empty_and_single_rows(spec):
+    d = dimension(spec.system)
+    A = _symbols_operator(spec)
+    width = len(_column_kinds(spec))
+    out = symbols_at(A, spec, np.empty((0, width)))
+    assert out.shape == (0,) and out.dtype == np.complex128
+    row = np.random.default_rng(d).uniform(0.1, 1.2, (1, width))
+    _check_oracle(spec, row, symbols_at(A, spec, row))
+
+
+def test_single_oscillator_points_build_no_transfer_table(monkeypatch):
+    """verify's origin row and autocorr's rows go through the row route."""
+    from wignerweyl import autocorrelation, verify_stratonovich
+    from wignerweyl.states import build_state, parse_state
+
+    def refuse(*args):
+        raise AssertionError("transfer table built")
+
+    monkeypatch.setattr(kernels_module, "_hermite_transfer", refuse)
+    desc = HW(4)
+    report = verify_stratonovich(desc, "weyl")
+    assert report.passed
+    rho = build_state(parse_state("coherent:0.3+0.1j", desc), desc)
+    for axis in ("q", "p"):
+        vals = autocorrelation(rho, desc, axis, np.linspace(-2.0, 2.0, 11))
+        assert vals.shape == (11,)
+
+
+@pytest.mark.parametrize("spec, make_grid", [
+    (KernelSpec("wigner", SUN(2, 3)), lambda: cp_grid(SUN(2, 3))),
+    (KernelSpec("weyl", SUN(3, 1)), lambda: sun_grid(SUN(3, 1))),
+    (KernelSpec("weyl", Composite((SUN(2, 1), SUN(2, 1)))),
+     lambda: default_grid(Composite((SUN(2, 1), SUN(2, 1))), "weyl")),
+], ids=["cp-su23", "sun-su31", "su21*su21"])
+def test_symbols_at_falls_back_to_rows_past_the_piece_limit(spec, make_grid, monkeypatch):
+    """Past MAX_STACK_BYTES for a grid's pieces, symbols_at(A, spec, grid.coords()) works."""
+    from wignerweyl import phase_function
+
+    grid = make_grid()
+    A = _symbols_operator(spec)
+    want = phase_function(A, spec, grid).values
+    monkeypatch.setattr(kernels_module, "MAX_STACK_BYTES", 100)
+    with pytest.raises(OverflowError, match=r"symbols_at\(A, spec, grid\.coords\(\)\)"):
+        phase_function(A, spec, make_grid())
+    vals, route = _route(monkeypatch, A, spec, grid.coords())
+    assert route == ("composite rows" if isinstance(spec.system, Composite) else "rows")
+    assert np.max(np.abs(vals - want)) < 1e-13
+
+
+@pytest.mark.parametrize("spec, rows", [
+    (KernelSpec("wigner", SUN(2, 20)), _sphere_rows(61)),
+    (KernelSpec("weyl", SUN(2, 20), "arecchi"), _sphere_rows(61)),
+    (KernelSpec("wigner", HW(40)), _hw_mesh(81, 81, 6.0)),
+], ids=["su220-wigner", "su220-arecchi", "hw40-81"])
+def test_symbols_at_on_a_mesh_holds_no_row_stack(spec, rows):
+    """The peak stays below a quarter of one (n_rows, d, d) complex stack."""
+    A = _symbols_operator(spec)
+    symbols_at(A, spec, rows)  # the transfer table and generator tables are cached
+    tracemalloc.start()
+    try:
+        symbols_at(A, spec, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(rows) * dimension(spec.system) ** 2 * 16 / 4
+
+
+def test_arecchi_pieces_split_at_phi():
+    """The arecchi family splits as e^{i J3 phi} e^{i J2 theta} (e^{i J3 phi})^dagger."""
+    desc = SUN(2, 3)
+    spec, grid = KernelSpec("weyl", desc, "arecchi"), cp_grid(desc)
+    (p,) = kernel_pieces(spec, grid)
+    assert p.sandwich and (len(p.left), len(p.right)) == grid.shape
+    K = kernel_stack(spec, grid)
+    assert np.max(np.abs(p.stack() - K)) < 1e-13
