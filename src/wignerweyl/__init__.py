@@ -34,9 +34,6 @@ _EXPORTS = {
     "kernel_at": ".kernels",
     "kernel_stack": ".kernels",
     "parity": ".kernels",
-    "parity_cartan_weights": ".kernels",
-    "weyl_kernel_at": ".kernels",
-    "wigner_kernel_at": ".kernels",
     "Axis": ".measures",
     "QuadratureGrid": ".measures",
     "cp_grid": ".measures",

@@ -6,15 +6,18 @@ Wigner kernel is the rotated parity, U Pi U^dagger, where Pi is the
 generalized parity operator: one Stratonovich zonal sum for every SUN(N, M),
 and twice the Fock-space parity for HW.
 
-Batched evaluation goes through one evaluator, ``_kernels``, over rows of
+Every kernel is evaluated by one evaluator, ``_kernels``, over rows of
 coordinates in the grid column layout.  An SU(N) kernel is a chain of
 per-axis factors exp(i J(k) x), each evaluated once per distinct coordinate
 value and gathered onto the rows; HW kernels are a real radial matrix,
 evaluated once per distinct |alpha| (once per radius of a plane rule), times
 per-point phases (``Polar``), and composite kernels are row-wise Kronecker
-products.  ``transforms.symbols_at`` applies it to coordinate tables that
-are no tensor mesh, in blocks of bounded size, and ``kernel_stack`` to every
-node of a grid, as a reference.
+products.  ``kernel_at`` is ``_kernels`` at the one row of a typed point
+(``_point_row``), ``transforms.symbols_at`` applies it to coordinate tables
+that are no tensor mesh, in blocks of bounded size, and ``kernel_stack`` to
+every node of a grid, as a reference for the split pieces.  Constructions
+independent of it (matrix exponentials of the factor sequence, the Laguerre
+closed form, Kronecker products) live in the tests.
 
 The transforms never hold a grid's (n_nodes, d, d) kernel stack.  A SU(N)
 grid is a tensor product over the columns of the factor chain, so ``_split``
@@ -43,12 +46,7 @@ import numpy as np
 from .algebra import HW, SUN, Composite, SystemDescriptor, basis_labels, dimension
 from .measures import QuadratureGrid
 from .points import CompositePoint, CPPoint, EulerPoint, HWPoint, PhasePoint
-from .rotations import (
-    _gen_eig,
-    arecchi_rotation,
-    euler_factor_sequence,
-    euler_rotation,
-)
+from .rotations import _gen_eig, euler_factor_sequence
 
 WIGNER = "wigner"
 WEYL = "weyl"
@@ -123,23 +121,6 @@ def parity(desc: SystemDescriptor) -> np.ndarray:
         raise TypeError("parity takes a single HW or SUN factor")
     Pi.flags.writeable = False
     return Pi
-
-
-def parity_cartan_weights(desc: SUN) -> np.ndarray:
-    """Coefficients beta_l of the parity in the Cartan basis (l = 0 .. N-1).
-
-    Recovered a posteriori by projection: beta_0 = Tr[Pi]/d and
-    beta_l = Tr[Pi J] / Tr[J^2] for each diagonal generator J.
-    """
-    from .algebra import diagonal_generator
-
-    Pi = parity(desc)
-    d = dimension(desc)
-    out = [np.trace(Pi).real / d]
-    for l in range(1, desc.N):
-        J = diagonal_generator(desc.N, desc.M, l)
-        out.append(float(np.trace(Pi @ J).real / np.trace(J @ J).real))
-    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------
@@ -455,97 +436,6 @@ def _window(n_max: int, x: np.ndarray, y: np.ndarray, side: str) -> Window:
     return Window(_hermite_functions(D, s * x), _hermite_functions(D, s * y), transfer)
 
 
-def _hw_kernels(n_max: int, alphas, side: str) -> np.ndarray:
-    """Kernels of one side of HW(n_max): shape alphas.shape + (n_max, n_max)."""
-    alphas = np.asarray(alphas)
-    return _polar(n_max, alphas, side).stack().reshape(alphas.shape + (n_max, n_max))
-
-
-def hw_wigner_kernel(n_max: int, alphas: np.ndarray) -> np.ndarray:
-    """Displaced-parity kernels 2 D(alpha) P D(alpha)^dagger = 2 D(2 alpha) P."""
-    return _hw_kernels(n_max, alphas, WIGNER)
-
-
-def hw_weyl_kernel(n_max: int, alphas: np.ndarray) -> np.ndarray:
-    """Displacement kernels D(alpha) on the truncated block."""
-    return _hw_kernels(n_max, alphas, WEYL)
-
-
-# ---------------------------------------------------------------------------
-# kernels at a single point
-
-
-def _cp_block_rotation(desc: SUN, point: CPPoint) -> np.ndarray:
-    """The coset-block rotation carrying the lowest-weight state over CP^(N-1)."""
-    N, M = desc.N, desc.M
-    if len(point.phi) != N - 1:
-        raise ValueError(f"CP^{N-1} point needs {N - 1} (phi, theta) pairs")
-    from .rotations import _expi_gen
-
-    U = np.eye(dimension(desc), dtype=np.complex128)
-    for p in range(2, N + 1):
-        U = U @ _expi_gen(N, M, 3, point.phi[p - 2])
-        U = U @ _expi_gen(N, M, (p - 1) ** 2 + 1, point.theta[p - 2])
-    return U
-
-
-def wigner_kernel_at(desc: SystemDescriptor, point: PhasePoint) -> np.ndarray:
-    """Rotated-parity (Wigner) kernel at one phase-space point."""
-    if isinstance(desc, HW):
-        if not isinstance(point, HWPoint):
-            raise TypeError("HW Wigner kernel needs an HWPoint")
-        return hw_wigner_kernel(desc.n_max, point.alpha)
-    if isinstance(desc, SUN):
-        if not isinstance(point, CPPoint):
-            raise TypeError("SUN Wigner kernel needs a CPPoint")
-        U = _cp_block_rotation(desc, point)
-        par = np.diag(parity(desc))
-        return (U * par[None, :]) @ U.conj().T
-    if isinstance(desc, Composite):
-        if not isinstance(point, CompositePoint) or len(point.points) != len(desc.factors):
-            raise TypeError("composite kernel needs a matching CompositePoint")
-        out = None
-        for f, p in zip(desc.factors, point.points):
-            k = wigner_kernel_at(f, p)
-            out = k if out is None else np.kron(out, k)
-        return out
-    raise TypeError(f"not a system descriptor: {desc!r}")
-
-
-def weyl_kernel_at(desc: SystemDescriptor, point: PhasePoint) -> np.ndarray:
-    """Displacement-type (Weyl) kernel at one phase-space point."""
-    if isinstance(desc, HW):
-        if not isinstance(point, HWPoint):
-            raise TypeError("HW Weyl kernel needs an HWPoint")
-        return hw_weyl_kernel(desc.n_max, point.alpha)
-    if isinstance(desc, SUN):
-        if not isinstance(point, EulerPoint):
-            raise TypeError("SUN Weyl kernel needs an EulerPoint")
-        return euler_rotation(desc, point)
-    if isinstance(desc, Composite):
-        if not isinstance(point, CompositePoint) or len(point.points) != len(desc.factors):
-            raise TypeError("composite kernel needs a matching CompositePoint")
-        out = None
-        for f, p in zip(desc.factors, point.points):
-            k = weyl_kernel_at(f, p)
-            out = k if out is None else np.kron(out, k)
-        return out
-    raise TypeError(f"not a system descriptor: {desc!r}")
-
-
-def kernel_at(spec: KernelSpec, point: PhasePoint) -> np.ndarray:
-    """Kernel of the given spec at one point."""
-    if spec.rotation == "arecchi":
-        if not isinstance(point, CPPoint):
-            raise TypeError("arecchi kernel needs a CPPoint")
-        return arecchi_rotation(spec.system, point.phi[0], point.theta[0])
-    if spec.side == WIGNER:
-        return wigner_kernel_at(spec.system, point)
-    return weyl_kernel_at(spec.system, point)
-
-
-
-
 # ---------------------------------------------------------------------------
 # batched kernels over rows of coordinates; split pieces over grids, cached
 # per (grid, kernel spec)
@@ -649,9 +539,46 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
             at = cols.stop
         return out
     if isinstance(desc, HW):
-        return _hw_kernels(desc.n_max, values[0][index[0]] + 1j * values[1][index[1]], spec.side)
+        return _polar(desc.n_max, values[0][index[0]] + 1j * values[1][index[1]], spec.side).stack()
     U = _chain(desc, _factor_table(desc.N, spec.side, spec.rotation), values, index)
     return U if spec.side == WEYL else _rotated_parity(desc, U)
+
+
+def _point_row(spec: KernelSpec, point: PhasePoint) -> tuple[float, ...]:
+    """The point's coordinates in the column layout of the spec's kernels (inverse of ``grid.point``).
+
+    Raises TypeError when the point is not of the family's type (``HWPoint``
+    on the plane, ``CPPoint`` on the Wigner side and for the arecchi
+    rotation, ``EulerPoint`` on the Weyl side, ``CompositePoint`` with one
+    point per factor), and ValueError when its angles do not fill the columns.
+    """
+    desc = spec.system
+    if isinstance(desc, Composite):
+        if not isinstance(point, CompositePoint) or len(point.points) != len(desc.factors):
+            raise TypeError(f"{desc} kernels take a CompositePoint of {len(desc.factors)} "
+                            f"points, got {point!r}")
+        return sum((_point_row(KernelSpec(spec.side, f), p)
+                    for f, p in zip(desc.factors, point.points)), ())
+    if isinstance(desc, HW):
+        want = HWPoint
+    else:
+        want = CPPoint if spec.side == WIGNER or spec.rotation == "arecchi" else EulerPoint
+    if not isinstance(point, want):
+        raise TypeError(f"{spec.side} kernels of {desc} take a {want.__name__}, got {point!r}")
+    if want is HWPoint:
+        return (point.alpha.real, point.alpha.imag)
+    Phi = getattr(point, "Phi", ())
+    row = tuple(x for pair in zip(point.phi, point.theta) for x in pair) + Phi
+    if len(row) != _width(spec) or (want is EulerPoint and len(Phi) != desc.N - 1):
+        raise ValueError(f"{point!r} does not fill the {_width(spec)} coordinate columns of "
+                         f"{spec.side} kernels of {desc}")
+    return row
+
+
+def kernel_at(spec: KernelSpec, point: PhasePoint) -> np.ndarray:
+    """Kernel of the given spec at one point: ``_kernels`` at the point's row."""
+    row = _point_row(spec, point)
+    return _kernels(spec, [np.array([x]) for x in row], [np.zeros(1, dtype=np.intp)] * len(row))[0]
 
 
 def _grid_manifold(spec: KernelSpec) -> str:

@@ -65,26 +65,3 @@ class CompositePoint:
 
 
 PhasePoint = HWPoint | CPPoint | EulerPoint | CompositePoint
-
-_GRID_POINT = {"HW_PLANE": HWPoint, "CP": CPPoint, "SUN": EulerPoint, "PRODUCT": CompositePoint}
-
-
-def _row(point: PhasePoint, grid) -> tuple[float, ...]:
-    """The point's coordinates in the column layout of ``grid`` (inverse of ``grid.point``).
-
-    Raises ValueError when the point is not of the grid manifold's type, or
-    its coordinates do not fill the grid's columns.
-    """
-    want = _GRID_POINT[grid.manifold]
-    if not isinstance(point, want):
-        raise ValueError(f"a {grid.manifold} grid takes a {want.__name__}, got {point!r}")
-    if isinstance(point, HWPoint):
-        row = (point.alpha.real, point.alpha.imag)
-    elif isinstance(point, CompositePoint):
-        row = sum((_row(p, sub) for p, sub in zip(point.points, grid.factors, strict=True)), ())
-    else:
-        row = tuple(x for pair in zip(point.phi, point.theta) for x in pair)
-        row += getattr(point, "Phi", ())
-    if len(row) != len(grid.axes):
-        raise ValueError(f"{point!r} has {len(row)} coordinates for {len(grid.axes)} grid columns")
-    return row

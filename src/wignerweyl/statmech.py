@@ -16,9 +16,9 @@ import numpy as np
 
 from . import measures
 from .algebra import HW, SUN, SystemDescriptor, dimension, generator, is_hermitian
-from .kernels import WEYL, WIGNER, KernelSpec, _factor_table
+from .kernels import WEYL, WIGNER, KernelSpec, _factor_table, _point_row
 from .measures import QuadratureGrid, _shift_rule, plane_grid, product_grid
-from .points import PhasePoint, _row
+from .points import PhasePoint
 from .rotations import euler_angle_count
 from .states import ThermalSpec
 from .transforms import (
@@ -241,7 +241,11 @@ def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> Cross
     if shift is None:
         w, first, second = f.grid.weights(), f.values, f.values
     else:
-        w, first, second = _shifted_pair(f, np.asarray(_row(shift, f.grid)))
+        try:
+            row = _point_row(f.spec, shift)
+        except TypeError as exc:  # the shift is an argument value here, as its width is
+            raise ValueError(str(exc)) from None
+        w, first, second = _shifted_pair(f, np.asarray(row))
     if f.spec.side == WEYL:
         second = np.conj(second)
     raw = complex(np.sum(w * first * second))

@@ -19,11 +19,16 @@ ring, and a square window's Hermite-function tables, Hx P Hy^T, axis by axis.
 ``symbols_at`` contracts a coordinate table that is a tensor mesh through
 the same pieces, built from its per-axis nodes; composite rows that are no
 mesh through per-row partial traces, factor by factor; and any other table
-through kernels formed in row blocks.
+through kernels formed in row blocks.  ``symbol_at`` traces one
+``kernel_at`` row.  Every route evaluates kernels through
+``kernels._kernels`` or its pieces; the independent constructions they are
+tested against, the literal triple-kernel star product among them, live in
+the tests.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -34,11 +39,10 @@ from .algebra import (
 )
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, Window, _blocks, _check_grid, _check_width,
-    _diagonals, _kernels, _polar, _split, _width, kernel_at, kernel_pieces, kernel_stack,
-    wigner_kernel_at,
+    _diagonals, _kernels, _polar, _split, _width, kernel_at, kernel_pieces,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, plane_grid, product_grid, sun_grid
-from .points import CPPoint, EulerPoint, PhasePoint
+from .points import CPPoint, EulerPoint, HWPoint, PhasePoint
 from .rotations import euler_angle_count, euler_rotation
 
 
@@ -477,63 +481,24 @@ def _require_same_frame(fA: PhaseFunction, fB: PhaseFunction) -> None:
         raise ValueError("phase functions must share one grid and kernel spec")
 
 
-MAX_LITERAL_NODES = 2000
-
-
-def star_product(fA: PhaseFunction, fB: PhaseFunction, method: str = "fast") -> PhaseFunction:
+def star_product(fA: PhaseFunction, fB: PhaseFunction) -> PhaseFunction:
     """Symbol of the operator product.
 
-    ``method="fast"`` reconstructs both operators, multiplies, and transforms
-    back.  ``method="literal"`` evaluates the triple-kernel quadrature
-    sum_{s,r} w_s w_r fA(s) fB(r) Tr[K(t) K(s)^dagger K(r)^dagger] node by
-    node as an independent cross-check (small grids only); the two agree to
-    rounding, and both give the symbol of A B where the round trip is exact.
+    Reconstructs both operators, multiplies, and transforms back; where the
+    round trip is exact this is the triple-kernel quadrature
+    sum_{s,r} w_s w_r fA(s) fB(r) Tr[K(t) K(s)^dagger K(r)^dagger] to rounding.
     """
     _require_same_frame(fA, fB)
-    if method == "fast":
-        A = reconstruct(fA)
-        B = reconstruct(fB)
-        return phase_function(A @ B, fA.spec, fA.grid)
-    if method != "literal":
-        raise ValueError(f"unknown star-product method {method!r}")
-    grid = fA.grid
-    n = grid.n_nodes
-    if n > MAX_LITERAL_NODES:
-        raise OverflowError(
-            f"literal star product on {n} nodes is out of desk scale; use method='fast'"
-        )
-    K = kernel_stack(fA.spec, grid)
-    w = grid.weights()
-    if fA.spec.side == WIGNER:
-        dual = K
-    else:
-        dual = np.conj(np.swapaxes(K, 1, 2))
-    a = w * fA.values
-    b = w * fB.values
-    # literal triple trace, pair products first: (s, r) -> K_s^dual K_r^dual,
-    # a block of s rows at a time so the pair tensor stays near 64 MB
-    d = K.shape[1]
-    step = max(1, 2**22 // (n * d * d))
-    vals = np.zeros(n, dtype=complex)
-    for lo in range(0, n, step):
-        pair = np.einsum("sij,rjk->srik", dual[lo:lo + step], dual, optimize=True)
-        vals += np.einsum("tij,srji,s,r->t", K, pair, a[lo:lo + step], b, optimize=True)
-    return PhaseFunction(fA.spec, grid, vals)
+    A = reconstruct(fA)
+    B = reconstruct(fB)
+    return phase_function(A @ B, fA.spec, fA.grid)
 
 
-def moyal_bracket(fA: PhaseFunction, fB: PhaseFunction, method: str = "fast") -> PhaseFunction:
-    """Symbol of the commutator: fA * fB - fB * fA.
-
-    ``method="fast"`` transforms the commutator of the reconstructed operators
-    once; ``method="literal"`` subtracts two literal star products.
-    """
-    if method == "fast":
-        _require_same_frame(fA, fB)
-        A, B = reconstruct(fA), reconstruct(fB)
-        return phase_function(A @ B - B @ A, fA.spec, fA.grid)
-    ab = star_product(fA, fB, method)
-    ba = star_product(fB, fA, method)
-    return PhaseFunction(fA.spec, fA.grid, ab.values - ba.values)
+def moyal_bracket(fA: PhaseFunction, fB: PhaseFunction) -> PhaseFunction:
+    """Symbol of the commutator, fA * fB - fB * fA, as one transform of [A, B]."""
+    _require_same_frame(fA, fB)
+    A, B = reconstruct(fA), reconstruct(fB)
+    return phase_function(A @ B - B @ A, fA.spec, fA.grid)
 
 
 @dataclass
@@ -559,14 +524,18 @@ def evolve(
     steps the reconstructed d x d operator and only the stored frames and the
     final state are transformed back: the grid work does not grow with the
     step count.  ``trace_drift`` and ``purity_drift`` are measured on the
-    symbols.  A Hamiltonian whose reconstruction is not Hermitian raises
-    ValueError before any forward transform; a grid whose round trip misses
-    f_rho or f_H by more than ``tol``, relative to max(1, max|f|), raises
-    RuntimeError naming the grid before the first step.
+    symbols.  Besides the initial frame, a frame is stored every
+    n_steps // ``n_frames`` steps and at the final step (with 0, only there).
+    A negative ``n_frames``, and a Hamiltonian whose reconstruction is not
+    Hermitian, raise ValueError before any transform; a grid whose round trip
+    misses f_rho or f_H by more than ``tol``, relative to max(1, max|f|),
+    raises RuntimeError naming the grid before the first step.
     """
     _require_same_frame(f_rho, f_H)
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
+    if n_frames < 0:
+        raise ValueError(f"the frame count must be >= 0, got {n_frames}")
     spec, grid = f_rho.spec, f_rho.grid
     R, H = _reconstructed(spec, grid, np.stack([f_rho.values, f_H.values]))
     if not is_hermitian(H):
@@ -702,30 +671,33 @@ def _random_hermitian(d: int, rng) -> np.ndarray:
 def _compose_cp_point(desc: SUN, v: EulerPoint, omega: CPPoint) -> CPPoint:
     """CP coordinates of U(v) U(omega) acting on the lowest-weight state.
 
-    Works through the defining representation: the coherent-state orbit
-    coordinates are read off from the rotated last basis column.
+    Works through the defining representation, where the chart is nested
+    spherical coordinates of the rotated last basis column psi = G e_N
+    (Tilma & Sudarshan, J. Phys. A 35 (2002) 10467).  The factor pair p
+    rotates the running first component w into psi_p as w cos(theta)
+    e^{i phi} and -w sin(theta) (times e^{-i phi} at p = 2), so the pairs are
+    peeled from the left, p = 2 .. N - 1, and the last pair rotates e_N into
+    e_1 with the opposite sign.  The overall phase of psi drops out.
     """
-    fund = SUN(desc.N, 1)
-    n_pairs, _ = euler_angle_count(desc.N)
+    N = desc.N
+    fund = SUN(N, 1)
+    n_pairs, _ = euler_angle_count(N)
     omega_full = EulerPoint(
         tuple(omega.phi) + (0.0,) * (n_pairs - len(omega.phi)),
         tuple(omega.theta) + (0.0,) * (n_pairs - len(omega.theta)),
-        (0.0,) * (desc.N - 1),
+        (0.0,) * (N - 1),
     )
-    G = euler_rotation(fund, v) @ euler_rotation(fund, omega_full)
-    psi = G[:, -1]
-    if desc.N == 2:
-        theta = math.atan2(abs(psi[0]), abs(psi[1]))
-        phi = 0.5 * (math.atan2(psi[0].imag, psi[0].real) - math.atan2(psi[1].imag, psi[1].real))
-        return CPPoint((phi,), (theta,))
-    if desc.N == 3:
-        chi = psi * np.exp(-1j * np.angle(psi[2]))
-        theta2 = math.atan2(math.hypot(abs(chi[0]), abs(chi[1])), chi[2].real)
-        theta1 = math.atan2(abs(chi[1]), abs(chi[0]))
-        a1 = np.angle(chi[0])
-        a2 = np.angle(-chi[1])
-        return CPPoint((0.5 * (a1 - a2), 0.5 * (a1 + a2)), (theta1, theta2))
-    raise NotImplementedError("covariance composition implemented for N = 2, 3")
+    psi = (euler_rotation(fund, v) @ euler_rotation(fund, omega_full))[:, -1]
+    phi, theta = [], []
+    w = complex(psi[0])
+    for p in range(1, N):
+        last = p == N - 1
+        out = complex(psi[p] if last else -psi[p])  # what pair p took out of w
+        phase = cmath.phase(w) - cmath.phase(out)
+        phi.append(0.5 * phase if p == 1 else phase)
+        theta.append(math.atan2(abs(w), abs(out)) if last else math.atan2(abs(out), abs(w)))
+        w = cmath.rect(math.hypot(abs(w), abs(out)), cmath.phase(w) - phi[-1])
+    return CPPoint(tuple(phi), tuple(theta))
 
 
 def verify_stratonovich(
@@ -740,7 +712,7 @@ def verify_stratonovich(
 
     Wigner side: linear invertibility, reality, standardization (kernel
     normalization and symbol integral), traciality, and covariance (HW and
-    SUN(N, M) with N <= 3, any M; skipped, with the reason, elsewhere).  Weyl
+    every SUN(N, M); skipped, with the reason, on composites).  Weyl
     side: completeness round trip and the value of the symbol at the origin.
     Without a ``tolerance`` every condition gates at 1e-10, except that the
     grid conditions on a grid with a square oscillator window (level
@@ -807,8 +779,6 @@ def _covariance_residual(desc: SystemDescriptor, spec: KernelSpec, rng) -> float
         # probes concentrated well below the cutoff and modest shifts b.
         # V rho V^dag is formed and sampled in a block padded by 24 levels,
         # where the elements below the cutoff are the untruncated ones.
-        from .kernels import hw_weyl_kernel
-
         n = desc.n_max + 24
         padded = KernelSpec(spec.side, HW(n))
         q = max(2, desc.n_max // 4)
@@ -819,11 +789,11 @@ def _covariance_residual(desc: SystemDescriptor, spec: KernelSpec, rng) -> float
         rhs = symbols_at(low, padded, [(a.real - b.real, a.imag - b.imag) for a, b in ab])
         err = 0.0
         for (a, b), r in zip(ab, rhs):
-            V = hw_weyl_kernel(n, b)
+            V = kernel_at(KernelSpec(WEYL, HW(n)), HWPoint(b))
             lhs = symbols_at(V @ low @ V.conj().T, padded, [(a.real, a.imag)])[0]
             err = max(err, abs(lhs - r))
         return err
-    if isinstance(desc, SUN) and desc.N in (2, 3):
+    if isinstance(desc, SUN):
         n_pairs, n_cartan = euler_angle_count(desc.N)
         err = 0.0
         for _ in range(3):
@@ -837,10 +807,10 @@ def _covariance_residual(desc: SystemDescriptor, spec: KernelSpec, rng) -> float
                 tuple(rng.uniform(0.1, 0.5 * math.pi - 0.1, desc.N - 1)),
             )
             V = euler_rotation(desc, v)
-            K1 = V @ wigner_kernel_at(desc, omega) @ V.conj().T
-            K2 = wigner_kernel_at(desc, _compose_cp_point(desc, v, omega))
+            K1 = V @ kernel_at(spec, omega) @ V.conj().T
+            K2 = kernel_at(spec, _compose_cp_point(desc, v, omega))
             err = max(err, float(np.max(np.abs(K1 - K2))))
         return err
     raise NotImplementedError(
-        f"no covariance probe for {format_system(desc)}: it covers hw:n, su:2:M and su:3:M"
+        f"no covariance probe for {format_system(desc)}: it covers hw:n and su:N:M"
     )

@@ -1,0 +1,136 @@
+"""Constructions the package is tested against, independent of its kernel evaluator.
+
+``wignerweyl.kernels._kernels`` (with the pieces the transforms contract
+through) is the package's only kernel evaluator.  The references here share
+none of its code:
+
+- SU(N) kernels are products of ``scipy.linalg.expm`` of the generators in
+  the chart's documented factor sequence, with the parity rotated on the
+  Wigner side;
+- oscillator kernels are the Laguerre closed form, with scipy's Laguerre
+  polynomials and log-gamma;
+- composite kernels are ``np.kron`` products of the factor kernels;
+- the arecchi family is ``rotations.arecchi_rotation``, exp(xi J+ - xi* J-);
+- the star product is the literal triple-kernel quadrature over these kernels;
+- the parity's Cartan weights are its trace projections on the diagonal
+  generators.
+"""
+
+import numpy as np
+import scipy.linalg
+from scipy.special import eval_genlaguerre, gammaln, xlogy
+
+from wignerweyl import (
+    HW,
+    Composite,
+    KernelSpec,
+    PhaseFunction,
+    arecchi_rotation,
+    diagonal_generator,
+    dimension,
+    generator,
+    parity,
+)
+
+
+def _expi(N: int, M: int, k: int, x: float) -> np.ndarray:
+    return scipy.linalg.expm(1j * x * generator(N, M, k))
+
+
+def cp_rotation(desc, phi, theta) -> np.ndarray:
+    """prod_j e^{i J3 phi_j} e^{i J(j^2 + 1) theta_j}, j = 1 .. N-1: the CP^(N-1) chart."""
+    U = np.eye(dimension(desc), dtype=complex)
+    for j, (f, t) in enumerate(zip(phi, theta, strict=True), start=1):
+        U = U @ _expi(desc.N, desc.M, 3, f) @ _expi(desc.N, desc.M, j * j + 1, t)
+    return U
+
+
+def euler_rotation(desc, phi, theta, Phi) -> np.ndarray:
+    """The SU(N) Euler chain: pairs over blocks q = N .. 2 with inner p = 2 .. q, then Cartan angles.
+
+    Pair t is e^{i J3 phi_t} e^{i J((p-1)^2 + 1) theta_t}; Cartan angle c is
+    e^{i J((c+1)^2 - 1) Phi_c}.
+    """
+    N, M = desc.N, desc.M
+    gens = [(p - 1) ** 2 + 1 for q in range(N, 1, -1) for p in range(2, q + 1)]
+    U = np.eye(dimension(desc), dtype=complex)
+    for k, f, t in zip(gens, phi, theta, strict=True):
+        U = U @ _expi(N, M, 3, f) @ _expi(N, M, k, t)
+    for c, x in enumerate(Phi, start=1):
+        U = U @ _expi(N, M, (c + 1) ** 2 - 1, x)
+    return U
+
+
+def hw_kernels(n_max: int, alphas, side: str) -> np.ndarray:
+    """Oscillator kernels at alphas from the closed form: alphas.shape + (n_max, n_max).
+
+    Weyl side, at z = alpha: <m|D(z)|n> = sqrt(n!/m!) z^(m-n) e^{-|z|^2/2}
+    L_n^(m-n)(|z|^2) for m >= n, and sqrt(m!/n!) (-conj z)^(n-m) e^{-|z|^2/2}
+    L_m^(n-m)(|z|^2) for m < n (Cahill & Glauber 1969).  Wigner side:
+    2 D(alpha) P D(alpha)^dagger = 2 D(2 alpha) P, P = diag((-1)^n).
+    """
+    z = np.asarray(alphas, dtype=complex)[..., None, None] * (2.0 if side == "wigner" else 1.0)
+    m, n = np.arange(n_max)[:, None], np.arange(n_max)[None, :]
+    lo, k = np.minimum(m, n), np.abs(m - n)
+    r = np.abs(z)
+    log_radial = xlogy(k, r) + 0.5 * (gammaln(lo + 1.0) - gammaln(lo + k + 1.0)) - 0.5 * r * r
+    K = np.exp(log_radial) * eval_genlaguerre(lo, k, r * r) * np.exp(1j * (m - n) * np.angle(z))
+    K = K * np.where(n > m, (-1.0) ** k, 1.0)
+    if side == "wigner":
+        K = K * 2.0 * (-1.0) ** n
+    return K
+
+
+def kernel(spec: KernelSpec, point) -> np.ndarray:
+    """The kernel of a family at one typed point."""
+    desc = spec.system
+    if isinstance(desc, Composite):
+        out = np.ones((1, 1))
+        for f, p in zip(desc.factors, point.points, strict=True):
+            out = np.kron(out, kernel(KernelSpec(spec.side, f), p))
+        return out
+    if isinstance(desc, HW):
+        return hw_kernels(desc.n_max, point.alpha, spec.side)
+    if spec.rotation == "arecchi":
+        (phi,), (theta,) = point.phi, point.theta
+        return arecchi_rotation(desc, phi, theta)
+    if spec.side == "weyl":
+        return euler_rotation(desc, point.phi, point.theta, point.Phi)
+    U = cp_rotation(desc, point.phi, point.theta)
+    return U @ parity(desc) @ U.conj().T
+
+
+def star_product(fA: PhaseFunction, fB: PhaseFunction) -> PhaseFunction:
+    """The literal triple-kernel quadrature of the star product.
+
+    sum_{s,r} w_s w_r fA(s) fB(r) Tr[K(t) K~(s) K~(r)] over the grid nodes,
+    K~ the dual kernel (K itself on the Wigner side, K^dagger on the Weyl
+    side); where the grid's round trip is exact it is the symbol of A B.
+    """
+    grid, spec = fA.grid, fA.spec
+    K = np.stack([kernel(spec, grid.point(i)) for i in range(grid.n_nodes)])
+    dual = K if spec.side == "wigner" else np.conj(np.swapaxes(K, 1, 2))
+    w = grid.weights()
+    a, b = w * fA.values, w * fB.values
+    # the pair products a block of s rows at a time, so the pair tensor stays near 64 MB
+    n, d = len(K), K.shape[1]
+    step = max(1, 2**22 // (n * d * d))
+    vals = np.zeros(n, dtype=complex)
+    for lo in range(0, n, step):
+        pair = np.einsum("sij,rjk->srik", dual[lo:lo + step], dual, optimize=True)
+        vals += np.einsum("tij,srji,s,r->t", K, pair, a[lo:lo + step], b, optimize=True)
+    return PhaseFunction(spec, grid, vals)
+
+
+def parity_cartan_weights(desc) -> np.ndarray:
+    """Coefficients beta_l of the parity in the Cartan basis (l = 0 .. N-1).
+
+    By projection: beta_0 = Tr[Pi]/d and beta_l = Tr[Pi J] / Tr[J^2] for each
+    diagonal generator J.
+    """
+    Pi = parity(desc)
+    out = [np.trace(Pi).real / dimension(desc)]
+    for l in range(1, desc.N):
+        J = diagonal_generator(desc.N, desc.M, l)
+        out.append(float(np.trace(Pi @ J).real / np.trace(J @ J).real))
+    return np.asarray(out)

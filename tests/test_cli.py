@@ -205,6 +205,12 @@ def test_crosscorr_zero_shift_on_the_plane_rule_compares_the_raw_value(capsys):
     assert out["residual"] < 1e-12
 
 
+def test_evolve_rejects_a_negative_frame_count(capsys):
+    err = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
+                      "--field", "0,0,1", "--t-final", "0.1", "--dt", "0.01", "--frames", "-3")
+    assert "frame count" in err["error"] and err["context"]["type"] == "ValueError"
+
+
 def test_evolve_reports_drifts(capsys):
     out = run_cli(
         capsys, "evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
@@ -556,6 +562,13 @@ def test_one_command_parser_parses_every_flag_as_the_full_parser():
         for opt in cmd.options:
             argv += [_flag(opt), FLAG_VALUE[opt]]
         assert vars(_build_parser(name).parse_args(argv)) == vars(_build_parser().parse_args(argv))
+
+
+def test_every_exported_name_resolves():
+    import wignerweyl
+
+    for name in wignerweyl.__all__:
+        getattr(wignerweyl, name)
 
 
 def test_cli_import_and_parser_leave_numpy_unloaded():

@@ -1,4 +1,5 @@
-"""Kernels: parity operators against a Clebsch-Gordan oracle, displacement elements."""
+"""Kernels: parity operators against a Clebsch-Gordan oracle, kernel_at and the batched
+evaluator against the independent constructions of ``oracles``."""
 
 import math
 import re
@@ -34,14 +35,14 @@ from wignerweyl import (
     kernel_at,
     kernel_stack,
     parity,
-    parity_cartan_weights,
+    parse_system,
     sun_grid,
     symbols_at,
-    weyl_kernel_at,
-    wigner_kernel_at,
 )
 import wignerweyl.kernels as kernels_module
-from wignerweyl.kernels import _kernels, hw_weyl_kernel, hw_wigner_kernel, kernel_pieces
+from wignerweyl.kernels import _kernels, kernel_pieces
+
+import oracles
 
 _R2, _R3, _R6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 
@@ -283,27 +284,31 @@ def test_parity_cartan_weights_reconstruct():
     # for M = 1 the Cartan elements span the whole diagonal, so the
     # projection coefficients rebuild the parity exactly
     for desc in (SUN(2, 1), SUN(3, 1), SUN(4, 1)):
-        beta = parity_cartan_weights(desc)
+        beta = oracles.parity_cartan_weights(desc)
         assert len(beta) == desc.N
         total = sum(
             beta[l] * diagonal_generator(desc.N, desc.M, l) for l in range(desc.N)
         )
         assert np.max(np.abs(total - parity(desc))) < 1e-12
-    assert parity_cartan_weights(SUN(2, 1)) == pytest.approx([0.5, -_R3 / 2.0])
+    assert oracles.parity_cartan_weights(SUN(2, 1)) == pytest.approx([0.5, -_R3 / 2.0])
 
 
 # ---------------------------------------------------------------------------
 # HW displacement elements
 
 
+def _hw_kernel(side, n_max, alpha):
+    return kernel_at(KernelSpec(side, HW(n_max)), HWPoint(alpha))
+
+
 def test_hw_weyl_kernel_identity_at_origin():
-    assert np.max(np.abs(hw_weyl_kernel(12, 0.0) - np.eye(12))) < 1e-14
+    assert np.max(np.abs(_hw_kernel("weyl", 12, 0.0) - np.eye(12))) < 1e-14
 
 
 def test_hw_weyl_kernel_vacuum_column():
     # <m|D(alpha)|0> = alpha^m / sqrt(m!) e^{-|alpha|^2/2}
     alpha = 0.8 - 0.5j
-    col = hw_weyl_kernel(10, alpha)[:, 0]
+    col = _hw_kernel("weyl", 10, alpha)[:, 0]
     m = np.arange(10)
     want = alpha ** m / np.sqrt([math.factorial(int(k)) for k in m])
     want = want * math.exp(-abs(alpha) ** 2 / 2.0)
@@ -320,7 +325,7 @@ def test_hw_weyl_kernel_matches_truncated_exponential_below_cutoff():
     # the expm route is trustworthy where no amplitude reaches the cutoff;
     # there the two constructions must agree
     alpha = 0.5 + 0.3j
-    closed = hw_weyl_kernel(40, alpha)
+    closed = _hw_kernel("weyl", 40, alpha)
     expm_route = _truncated_expm(40, alpha)
     assert np.max(np.abs(closed[:8, :8] - expm_route[:8, :8])) < 1e-10
 
@@ -331,9 +336,7 @@ def test_hw_displacement_element_orthonormality():
     # Laguerre-polynomial tail of order 1e-7 at radius 6
     n_max = 5
     grid = hw_grid(HW(n_max), 7.0, 96)
-    coords = grid.coords()
-    alphas = coords[:, 0] + 1j * coords[:, 1]
-    D = hw_weyl_kernel(n_max, alphas)  # (nodes, n, n)
+    D = kernel_stack(KernelSpec("weyl", HW(n_max)), grid)  # (nodes, n, n)
     w = grid.weights()
     G = np.einsum("s,sab,scd->abcd", w, D, np.conj(D), optimize=True)
     want = np.einsum("ac,bd->abcd", np.eye(n_max), np.eye(n_max))
@@ -341,8 +344,8 @@ def test_hw_displacement_element_orthonormality():
 
 
 def test_hw_wigner_kernel_origin_and_hermiticity():
-    assert np.array_equal(hw_wigner_kernel(8, 0.0), parity(HW(8)))
-    K = hw_wigner_kernel(8, 0.7 + 0.2j)
+    assert np.array_equal(_hw_kernel("wigner", 8, 0.0), parity(HW(8)))
+    K = _hw_kernel("wigner", 8, 0.7 + 0.2j)
     assert np.max(np.abs(K - K.conj().T)) < 1e-13
 
 
@@ -352,7 +355,7 @@ def test_hw_wigner_kernel_is_displaced_parity():
     D = _truncated_expm(n_max, alpha)
     P = np.diag((-1.0) ** np.arange(n_max))
     oracle = 2.0 * D @ P @ D.conj().T
-    K = hw_wigner_kernel(n_max, alpha)
+    K = _hw_kernel("wigner", n_max, alpha)
     assert np.max(np.abs(K[:10, :10] - oracle[:10, :10])) < 1e-9
 
 
@@ -363,7 +366,7 @@ def test_coherent_state_wigner_spot_values():
     v = coherent_vector(n_max, beta)
     rho = np.outer(v, v.conj())
     for alpha in (0.0, 0.5, 0.9 - 0.2j, 1.0j):
-        K = hw_wigner_kernel(n_max, alpha)
+        K = _hw_kernel("wigner", n_max, alpha)
         got = np.trace(rho @ K).real
         want = 2.0 * math.exp(-2.0 * abs(alpha - beta) ** 2)
         assert abs(got - want) < 1e-10
@@ -373,19 +376,32 @@ def test_coherent_state_wigner_spot_values():
 # dispatch, stacks, guards
 
 
-def test_kernel_point_type_dispatch():
-    with pytest.raises(TypeError):
-        wigner_kernel_at(SUN(2, 1), EulerPoint((0.0,), (0.0,), (0.0,)))
-    with pytest.raises(TypeError):
-        weyl_kernel_at(SUN(2, 1), CPPoint((0.0,), (0.0,)))
-    with pytest.raises(TypeError):
-        wigner_kernel_at(HW(4), CPPoint((0.0,), (0.0,)))
+def test_kernel_point_type_dispatch(monkeypatch):
+    """A point of the wrong type, width or factor count raises before any evaluation."""
+    monkeypatch.setattr(kernels_module, "_kernels", None)
+    p1 = CPPoint((0.0,), (0.0,))
+    for spec, point, error in [
+        (KernelSpec("wigner", SUN(2, 1)), EulerPoint((0.0,), (0.0,), (0.0,)), TypeError),
+        (KernelSpec("weyl", SUN(2, 1)), p1, TypeError),
+        (KernelSpec("wigner", HW(4)), p1, TypeError),
+        (KernelSpec("weyl", SUN(2, 1), "arecchi"), EulerPoint((0.0,), (0.0,), (0.0,)), TypeError),
+        (KernelSpec("wigner", Composite((SUN(2, 1), SUN(2, 1)))), CompositePoint((p1,)), TypeError),
+        (KernelSpec("wigner", Composite((SUN(2, 1), HW(3)))), CompositePoint((p1, p1)), TypeError),
+        (KernelSpec("wigner", SUN(2, 1)), CompositePoint((p1,)), TypeError),
+        (KernelSpec("wigner", SUN(3, 1)), p1, ValueError),
+        (KernelSpec("weyl", SUN(2, 1), "arecchi"), CPPoint((0.0, 0.1), (0.0, 0.1)), ValueError),
+        (KernelSpec("weyl", SUN(2, 1)), EulerPoint((0.0,), (0.0,), ()), ValueError),
+        # eight columns for SU(3), split as two pairs and four Cartan angles
+        (KernelSpec("weyl", SUN(3, 1)), EulerPoint((0.0,) * 2, (0.0,) * 2, (0.0,) * 4), ValueError),
+    ]:
+        with pytest.raises(error):
+            kernel_at(spec, point)
 
 
 def test_weyl_kernel_is_euler_rotation():
     pt = EulerPoint((0.4,), (0.3,), (1.1,))
     assert np.array_equal(
-        weyl_kernel_at(SUN(2, 2), pt), euler_rotation(SUN(2, 2), pt)
+        kernel_at(KernelSpec("weyl", SUN(2, 2)), pt), euler_rotation(SUN(2, 2), pt)
     )
 
 
@@ -393,14 +409,41 @@ def test_composite_kernel_is_kron():
     desc = Composite((SUN(2, 1), SUN(2, 1)))
     p1 = CPPoint((0.3,), (0.2,))
     p2 = CPPoint((1.0,), (0.7,))
-    K = wigner_kernel_at(desc, CompositePoint((p1, p2)))
-    oracle = np.kron(wigner_kernel_at(SUN(2, 1), p1), wigner_kernel_at(SUN(2, 1), p2))
+    K = kernel_at(KernelSpec("wigner", desc), CompositePoint((p1, p2)))
+    one = KernelSpec("wigner", SUN(2, 1))
+    oracle = np.kron(oracles.kernel(one, p1), oracles.kernel(one, p2))
     assert np.max(np.abs(K - oracle)) < 1e-14
     # Weyl side: Euler rotation (x) block-restricted displacement
     pt, a = EulerPoint((0.3,), (0.4,), (0.5,)), 0.6 - 0.2j
-    K = weyl_kernel_at(Composite((SUN(2, 1), HW(4))), CompositePoint((pt, HWPoint(a))))
-    oracle = np.kron(euler_rotation(SUN(2, 1), pt), hw_weyl_kernel(4, a))
+    K = kernel_at(KernelSpec("weyl", Composite((SUN(2, 1), HW(4)))),
+                  CompositePoint((pt, HWPoint(a))))
+    oracle = np.kron(oracles.kernel(KernelSpec("weyl", SUN(2, 1)), pt),
+                     oracles.hw_kernels(4, a, "weyl"))
     assert np.max(np.abs(K - oracle)) < 1e-14
+
+
+# every kernel family, 3-factor composites and the arecchi rotation included
+ORACLE_SPECS = [
+    KernelSpec(side, parse_system(system))
+    for system in ["su:2:1", "su:2:5", "su:3:1", "su:3:2", "su:4:1", "su:5:1", "hw:4", "hw:12",
+                   "hw:40", "su:2:1*hw:6", "su:2:1*su:2:1*su:2:1", "su:3:1*su:2:2"]
+    for side in ("wigner", "weyl")
+] + [KernelSpec("weyl", SUN(2, M), "arecchi") for M in (1, 3, 8)]
+
+
+@pytest.mark.parametrize(
+    "spec", ORACLE_SPECS, ids=lambda s: f"{s.side}-{format_system(s.system)}-{s.rotation}",
+)
+def test_kernel_at_matches_the_oracle(spec):
+    """Off-grid points, angles past their chart ranges, alpha with parts up to 5 in size."""
+    rng = np.random.default_rng(dimension(spec.system))
+    kinds = _column_kinds(spec)
+    for _ in range(6):
+        row = [rng.uniform(-5.0, 5.0) if kind == "alpha" else
+               rng.uniform(-0.5, _ANGLE_HI[kind] + 0.5) for kind in kinds]
+        point = _row_point(spec, row)
+        assert kernels_module._point_row(spec, point) == tuple(row)
+        assert np.max(np.abs(kernel_at(spec, point) - oracles.kernel(spec, point))) < 1e-13
 
 
 def test_kernel_spec_validation():
@@ -448,7 +491,7 @@ def test_default_oscillator_pieces_hold_no_node_stack():
 @pytest.mark.parametrize("side", ["weyl", "wigner"])
 @pytest.mark.parametrize("n_max", [1, 2, 7, 20, 40])
 def test_hermite_transfer_matches_pointwise_kernels(n_max, side):
-    """Window kernels from the Hermite transfer table against per-point (polar) kernels.
+    """Window kernels from the Hermite transfer table against the Laguerre closed form.
 
     Unequal x and y nodes out to where the elements have decayed; the error is
     relative to the largest kernel element.  The table is stored per order,
@@ -459,8 +502,7 @@ def test_hermite_transfer_matches_pointwise_kernels(n_max, side):
     x = np.linspace(-reach, 0.9 * reach, 6)
     y = np.linspace(-0.8 * reach, reach, 5) + 0.01
     K = kernels_module._window(n_max, x, y, side).stack()
-    one = hw_wigner_kernel if side == "wigner" else hw_weyl_kernel
-    want = np.stack([one(n_max, complex(a, b)) for a in x for b in y])
+    want = oracles.hw_kernels(n_max, (x[:, None] + 1j * y[None, :]).ravel(), side)
     assert np.max(np.abs(K - want)) < 1e-13 * np.max(np.abs(want))
     transfer = kernels_module._hermite_transfer(n_max, side)
     arrays = [a for a in vars(transfer).values() if isinstance(a, np.ndarray)]
@@ -471,22 +513,12 @@ def test_hermite_transfer_matches_pointwise_kernels(n_max, side):
 @pytest.mark.parametrize("side", ["weyl", "wigner"])
 def test_oscillator_kernels_match_the_laguerre_closed_form(side):
     """Radial recurrence and phase powers against scipy's Laguerre values, up to n_max = 30."""
-    from scipy.special import eval_genlaguerre, gammaln, xlogy
-
     n_max = 30
     rng = np.random.default_rng(4)
     alphas = rng.uniform(-4, 4, 40) + 1j * rng.uniform(-4, 4, 40)
     alphas[:3] = [0.0, 1e-9, -2.5]
-    z = 2.0 * alphas if side == "wigner" else alphas
-    m, n = np.arange(n_max)[:, None], np.arange(n_max)[None, :]
-    lo, k = np.minimum(m, n), np.abs(m - n)
-    r = np.abs(z)[:, None, None]
-    radial = np.exp(xlogy(k, r) + 0.5 * (gammaln(lo + 1.0) - gammaln(lo + k + 1.0)) - 0.5 * r * r)
-    want = radial * eval_genlaguerre(lo, k, r * r) * np.exp(1j * (m - n) * np.angle(z)[:, None, None])
-    want = want * np.where(n > m, (-1.0) ** k, 1.0)
-    if side == "wigner":
-        want = want * 2.0 * (-1.0) ** n
-    got = (hw_wigner_kernel if side == "wigner" else hw_weyl_kernel)(n_max, alphas)
+    want = oracles.hw_kernels(n_max, alphas, side)
+    got = np.stack([_hw_kernel(side, n_max, a) for a in alphas])
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -518,7 +550,7 @@ def test_kernel_stack_matches_pointwise():
     spec = KernelSpec("wigner", HW(6))
     stack = kernel_stack(spec, grid)
     for i in (0, 37, 91):
-        K = kernel_at(spec, grid.point(i))
+        K = oracles.kernel(spec, grid.point(i))
         assert np.max(np.abs(stack[i] - K)) < 1e-12
 
 
@@ -547,7 +579,7 @@ def test_guard_messages_name_existing_apis():
 
 
 # ---------------------------------------------------------------------------
-# the batched evaluator against the per-point oracle
+# the batched evaluator against kernel_at and the oracle
 
 _ANGLE_HI = {"phi": 2.0 * math.pi, "theta": 0.5 * math.pi, "Phi": 2.0 * math.pi}
 
@@ -605,7 +637,11 @@ def _row_point(spec, row):
 @settings(max_examples=15, deadline=None)
 @given(n_rows=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), repeat=st.floats(0.0, 1.0))
 def test_batched_kernels_match_kernel_at(spec, n_rows, seed, repeat):
-    """Off-grid rows, with each coordinate repeated from a small pool at rate `repeat`."""
+    """Off-grid rows, with each coordinate repeated from a small pool at rate `repeat`.
+
+    Every row of the batch equals kernel_at at the row's point, its one-row
+    evaluation, and the oracle's construction.
+    """
     rng = np.random.default_rng(seed)
     kinds = _column_kinds(spec)
     rows = np.empty((n_rows, len(kinds)))
@@ -619,8 +655,9 @@ def test_batched_kernels_match_kernel_at(spec, n_rows, seed, repeat):
     d = dimension(spec.system)
     assert K.shape == (n_rows, d, d)
     for r in range(n_rows):
-        oracle = kernel_at(spec, _row_point(spec, rows[r]))
-        assert np.max(np.abs(K[r] - oracle)) < 1e-12
+        point = _row_point(spec, rows[r])
+        assert np.max(np.abs(K[r] - kernel_at(spec, point))) < 1e-12
+        assert np.max(np.abs(K[r] - oracles.kernel(spec, point))) < 1e-12
 
 
 def test_batched_kernels_reject_wrong_column_count():
@@ -636,7 +673,7 @@ def test_kernel_stack_rejects_mismatched_grid():
 
 
 # ---------------------------------------------------------------------------
-# symbols_at routes against the per-point oracle
+# symbols_at routes against the oracle
 
 
 def _sphere_rows(n_theta):
@@ -682,10 +719,10 @@ def _route(monkeypatch, A, spec, rows):
 
 
 def _check_oracle(spec, rows, vals, stride=1):
-    """Every stride-th row against kernel_at, relative to max(1, |value|)."""
+    """Every stride-th row against the oracle's kernels, relative to max(1, |value|)."""
     A = _symbols_operator(spec)
     for i in range(0, len(rows), stride):
-        want = np.trace(A @ kernel_at(spec, _row_point(spec, rows[i])))
+        want = np.trace(A @ oracles.kernel(spec, _row_point(spec, rows[i])))
         assert abs(vals[i] - want) <= 1e-13 * max(1.0, abs(want)), (i, vals[i], want)
 
 

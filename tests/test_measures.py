@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wignerweyl import (
     HW,
     SUN,
+    Composite,
     CompositePoint,
     CPPoint,
     EulerPoint,
@@ -22,7 +23,7 @@ from wignerweyl import (
     sun_grid,
 )
 import wignerweyl.measures as measures_module
-from wignerweyl.points import _row
+from wignerweyl.kernels import KernelSpec, _point_row
 
 _SU21_CP = cp_grid(SUN(2, 1))
 _SU23_CP = cp_grid(SUN(2, 3))
@@ -217,26 +218,29 @@ def test_typed_points_match_coords():
     ids=["cp21", "cp31", "sun22", "sun31", "hw", "cp21*hw", "sun21*sun21"],
 )
 def test_point_row_inverts_grid_point(grid):
+    """The kernels' point-to-row map reads a node's point back as the grid's row."""
+    manifolds = [g.manifold for g in grid.factors or (grid,)]
+    spec = KernelSpec("weyl" if "SUN" in manifolds else "wigner", grid.system)
     coords = grid.coords()
     for i in np.random.default_rng(0).integers(0, grid.n_nodes, 25):
-        assert _row(grid.point(i), grid) == tuple(coords[i])
+        assert _point_row(spec, grid.point(i)) == tuple(coords[i])
 
 
 def test_point_row_rejects_wrong_type_or_width():
-    cp = _SU21_CP
-    with pytest.raises(ValueError, match="CPPoint"):
-        _row(EulerPoint((0.1,), (0.2,), (0.3,)), cp)
-    with pytest.raises(ValueError, match="CPPoint"):
-        _row(HWPoint(0.5j), cp)
+    cp = KernelSpec("wigner", SUN(2, 1))
+    with pytest.raises(TypeError, match="CPPoint"):
+        _point_row(cp, EulerPoint((0.1,), (0.2,), (0.3,)))
+    with pytest.raises(TypeError, match="CPPoint"):
+        _point_row(cp, HWPoint(0.5j))
     with pytest.raises(ValueError, match="columns"):
-        _row(CPPoint((0.1, 0.2), (0.3, 0.4)), cp)
+        _point_row(cp, CPPoint((0.1, 0.2), (0.3, 0.4)))
     with pytest.raises(ValueError, match="columns"):
-        _row(EulerPoint((0.1,), (0.2,), ()), sun_grid(SUN(2, 1)))
-    prod = product_grid((cp, hw_grid(HW(3), 2.5, 4)))
-    with pytest.raises(ValueError):
-        _row(CompositePoint((CPPoint((0.1,), (0.2,)),)), prod)
-    with pytest.raises(ValueError, match="HWPoint"):
-        _row(CompositePoint((CPPoint((0.1,), (0.2,)), CPPoint((0.1,), (0.2,)))), prod)
+        _point_row(KernelSpec("weyl", SUN(2, 1)), EulerPoint((0.1,), (0.2,), ()))
+    prod = KernelSpec("wigner", Composite((SUN(2, 1), HW(3))))
+    with pytest.raises(TypeError, match="CompositePoint of 2 points"):
+        _point_row(prod, CompositePoint((CPPoint((0.1,), (0.2,)),)))
+    with pytest.raises(TypeError, match="HWPoint"):
+        _point_row(prod, CompositePoint((CPPoint((0.1,), (0.2,)), CPPoint((0.1,), (0.2,)))))
 
 
 _POINT_FIELDS = [(HWPoint, "alpha"), (CPPoint, "phi"), (CPPoint, "theta"),
@@ -424,7 +428,8 @@ def test_default_wigner_grid_builds_for_larger_systems(N, M):
         return
     report = verify_stratonovich(SUN(N, M), "wigner", grid=grid)
     assert report.passed, report.as_dict()
-    assert [name for name, _ in report.skipped] == ["covariance"]
+    assert not report.skipped
+    assert {c.name: c.residual for c in report.conditions}["covariance"] < 1e-10
 
 
 @pytest.mark.parametrize("build, freqs", [

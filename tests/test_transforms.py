@@ -44,6 +44,8 @@ import wignerweyl.transforms as transforms_module
 from wignerweyl.statmech import _shifted_grid
 from wignerweyl.transforms import PhaseFunction
 
+import oracles
+
 
 def _hermitian(d, seed):
     rng = np.random.default_rng(seed)
@@ -195,8 +197,8 @@ def _literal_star_residuals(spec, grid):
     d = dimension(spec.system)
     A, B = _hermitian(d, 13), _hermitian(d, 14)
     fA, fB = phase_function(A, spec, grid), phase_function(B, spec, grid)
-    literal = star_product(fA, fB, method="literal")
-    fast = star_product(fA, fB, method="fast")
+    literal = oracles.star_product(fA, fB)
+    fast = star_product(fA, fB)
     return (np.max(np.abs(fast.values - literal.values)),
             np.max(np.abs(reconstruct(literal) - A @ B)))
 
@@ -205,27 +207,14 @@ def test_star_product_literal_path_agrees():
     desc = SUN(2, 1)
     spec = KernelSpec("wigner", desc)
     assert max(_literal_star_residuals(spec, cp_grid(desc))) < 1e-12
-    f = phase_function(np.eye(2), spec, cp_grid(desc))
-    with pytest.raises(ValueError):
-        star_product(f, f, method="cubature")
 
 
 @pytest.mark.parametrize("system", ["su:2:4", "su:2:1*su:2:1"])
 def test_star_product_literal_path_agrees_on_default_weyl_grids(system):
-    """The pairs-level Euler-Weyl grids (810 and 1,296 nodes) fit under the literal cap."""
+    """The pairs-level Euler-Weyl grids (243 and 81 nodes)."""
     desc = parse_system(system)
     grid = default_grid(desc, "weyl")
-    assert grid.n_nodes <= transforms_module.MAX_LITERAL_NODES
     assert max(_literal_star_residuals(KernelSpec("weyl", desc), grid)) < 1e-12
-
-
-def test_star_product_literal_node_guard():
-    desc = HW(8)
-    spec = KernelSpec("weyl", desc)
-    grid = hw_grid(desc, 4.0, 60)  # 3,600 nodes, over the literal cap
-    f = phase_function(_hermitian(8, 15), spec, grid)
-    with pytest.raises(OverflowError):
-        star_product(f, f, method="literal")
 
 
 def test_moyal_bracket_is_commutator_symbol():
@@ -400,6 +389,7 @@ def test_verify_reports_skipped_covariance():
         {"name": "covariance", "reason": report.skipped[0][1]}
     ]
     assert "su:2:1*su:2:1" in report.skipped[0][1]
+    assert "hw:n and su:N:M" in report.skipped[0][1]
     # nothing skipped: no "skipped" key, so existing outputs keep their shape
     assert "skipped" not in verify_stratonovich(SUN(2, 1), "wigner").as_dict()
 
@@ -411,6 +401,18 @@ def test_evolve_validates_steps():
     f = phase_function(np.eye(2) / 2.0, spec, grid)
     with pytest.raises(ValueError):
         evolve(f, f, 1.0, -0.1)
+
+
+def test_evolve_rejects_a_negative_frame_count(monkeypatch):
+    desc = SUN(2, 1)
+    spec = KernelSpec("wigner", desc)
+    grid = cp_grid(desc)
+    f = phase_function(np.eye(2) / 2.0, spec, grid)
+    # fail before any transform
+    for name in ("phase_function", "_forward", "_reconstructed"):
+        monkeypatch.setattr(transforms_module, name, None)
+    with pytest.raises(ValueError, match="frame count"):
+        evolve(f, f, 0.1, 0.01, n_frames=-3)
 
 
 def test_evolve_rejects_a_non_hermitian_hamiltonian(monkeypatch):
@@ -479,6 +481,37 @@ def test_verify_su3_wigner_checks_every_condition(desc):
     assert all(c.tolerance == 1e-10 for c in report.conditions)
     cov = {c.name: c.residual for c in report.conditions}["covariance"]
     assert cov < 1e-13
+
+
+@pytest.mark.parametrize("system", ["su:2:1", "su:2:5", "su:3:1", "su:3:2", "su:4:1", "su:4:2",
+                                    "su:4:3", "su:5:1", "su:6:1", "su:7:1"])
+def test_verify_covariance_on_every_sun(system):
+    """The CP chart read back from the rotated fundamental column holds for every N."""
+    desc = parse_system(system)
+    report = verify_stratonovich(desc, "wigner")
+    assert report.passed and not report.skipped
+    cov = {c.name: c.residual for c in report.conditions}["covariance"]
+    assert cov < 1e-13
+
+
+def test_compose_cp_point_inverts_the_chart():
+    """The composed point's chart rotation carries e_N to U(v) U(omega) e_N, up to a phase."""
+    from wignerweyl.rotations import euler_angle_count
+
+    rng = np.random.default_rng(3)
+    for N in range(2, 8):
+        fund = SUN(N, 1)
+        n_pairs, n_cartan = euler_angle_count(N)
+        v = EulerPoint(tuple(rng.uniform(0, 2 * math.pi, n_pairs)),
+                       tuple(rng.uniform(0, 0.5 * math.pi, n_pairs)),
+                       tuple(rng.uniform(0, 2 * math.pi, n_cartan)))
+        omega = CPPoint(tuple(rng.uniform(0, 2 * math.pi, N - 1)),
+                        tuple(rng.uniform(0.1, 0.5 * math.pi - 0.1, N - 1)))
+        got = transforms_module._compose_cp_point(fund, v, omega)
+        assert all(0.0 <= t <= 0.5 * math.pi for t in got.theta)
+        psi = euler_rotation(fund, v) @ oracles.cp_rotation(fund, omega.phi, omega.theta)[:, -1]
+        chi = oracles.cp_rotation(fund, got.phi, got.theta)[:, -1]
+        assert abs(abs(np.vdot(chi, psi)) - 1.0) < 1e-14, N
 
 
 def test_verify_arecchi_negative_control():
@@ -593,6 +626,7 @@ def test_kernel_stack_equals_kernel_at_on_default_grids(system, side):
     K = kernel_stack(spec, grid)
     for i in range(0, grid.n_nodes, 7):
         assert np.max(np.abs(K[i] - kernel_at(spec, grid.point(i)))) < 1e-13, i
+        assert np.max(np.abs(K[i] - oracles.kernel(spec, grid.point(i)))) < 1e-13, i
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -601,7 +635,7 @@ def test_star_product_literal_path_agrees_on_default_plane_grids(n, side):
     spec, grid = KernelSpec(side, HW(n)), default_grid(HW(n), side)
     A, B = _hermitian(n, 44) / n, _hermitian(n, 45) / n
     fA, fB = phase_function(A, spec, grid), phase_function(B, spec, grid)
-    literal = star_product(fA, fB, method="literal")
+    literal = oracles.star_product(fA, fB)
     assert np.max(np.abs(literal.values - star_product(fA, fB).values)) < 1e-12
     assert np.max(np.abs(reconstruct(literal) - A @ B)) < 1e-12
 
@@ -687,7 +721,6 @@ def test_transforms_never_build_the_kernel_stack(monkeypatch):
         raise AssertionError("kernel_stack called")
 
     monkeypatch.setattr(kernels_module, "kernel_stack", refuse)
-    monkeypatch.setattr(transforms_module, "kernel_stack", refuse)
     for desc, side in [(SUN(2, 2), "wigner"), (SUN(2, 1), "weyl"), (_SU21_HW3, "wigner")]:
         spec, grid = KernelSpec(side, desc), default_grid(desc, side)
         d = dimension(desc)
@@ -869,7 +902,7 @@ def test_symbols_at_on_mixed_ring_populations_matches_kernel_at(n_max):
         spec = KernelSpec(side, HW(n_max))
         p = kernels_module._polar(n_max, rows[:, 0] + 1j * rows[:, 1], side)
         assert len(p.groups) >= 3
-        K = np.stack([kernel_at(spec, HWPoint(complex(*row))) for row in rows])
+        K = oracles.hw_kernels(n_max, rows[:, 0] + 1j * rows[:, 1], side)
         A = _hermitian(n_max, 7) + 1j * _hermitian(n_max, 8)
         assert np.max(np.abs(symbols_at(A, spec, rows) - np.einsum("nij,ji->n", K, A))) < 1e-12
         C = rng.standard_normal((2, len(rows))) + 1j * rng.standard_normal((2, len(rows)))
