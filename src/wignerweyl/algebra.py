@@ -172,6 +172,15 @@ def generator(N: int, M: int, k: int) -> np.ndarray:
     return gens[k - 1]
 
 
+@lru_cache(maxsize=None)
+def _gen_eig(N: int, M: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, V) of generator J(k); J = V diag(w) V^dagger (cached, read-only)."""
+    w, V = np.linalg.eigh(generator(N, M, k))
+    w.flags.writeable = False
+    V.flags.writeable = False
+    return w, V
+
+
 def diagonal_generator(N: int, M: int, l: int) -> np.ndarray:
     """Cartan element: identity for l = 0, else J((l+1)^2 - 1), 1 <= l <= N-1."""
     if l == 0:

@@ -17,13 +17,13 @@ import numpy as np
 
 from . import transforms  # its evolve and reconstruct share names with handlers here
 from .algebra import (
-    HW, SUN, Composite, build_generators, dimension, generator, is_hermitian, parse_system,
-    trace_norm_constant,
+    HW, SUN, Composite, build_generators, diagonal_generator, dimension, generator, is_hermitian,
+    parse_system, trace_norm_constant,
 )
-from .kernels import KernelSpec, kernel_at, parity
+from .kernels import KernelSpec, _point_row, _row_point, kernel_at, parity
 from .measures import cp_grid
-from .points import CompositePoint, CPPoint, EulerPoint, HWPoint
-from .rotations import euler_angle_count, euler_factor_sequence
+from .points import CompositePoint
+from .rotations import euler_factor_sequence
 from .serialize import load_matrix, matrix_to_json, write_csv
 from .states import HWCat, SpinCat, ThermalSpec, build_state, parse_state
 from .statmech import (
@@ -91,42 +91,18 @@ def _j_combination(desc, text: str, what: str) -> np.ndarray:
     return sum(e[i] * generator(desc.N, desc.M, i + 1) for i in range(3))
 
 
-def _parse_point(desc, side: str, text: str, rotation: str = "euler"):
-    """Coordinate grammar: per-factor comma floats, factors joined by ';'."""
-
-    def one(factor, chunk: str):
-        vals = [float(v) for v in chunk.split(",") if v.strip() != ""]
-        if isinstance(factor, HW):
-            if len(vals) != 2:
-                raise ValueError(f"HW point needs 're,im', got {chunk!r}")
-            return HWPoint(complex(vals[0], vals[1]))
-        if isinstance(factor, SUN):
-            if rotation == "arecchi" or (side == "wigner" and rotation == "euler"):
-                n = factor.N - 1
-                if rotation == "arecchi":
-                    n = 1
-                if len(vals) != 2 * n:
-                    raise ValueError(
-                        f"{factor.N=} point needs {2 * n} values (phi,theta pairs), got {len(vals)}"
-                    )
-                return CPPoint(phi=tuple(vals[0::2]), theta=tuple(vals[1::2]))
-            n_pairs, n_cartan = euler_angle_count(factor.N)
-            if len(vals) != 2 * n_pairs + n_cartan:
-                raise ValueError(
-                    f"SU({factor.N}) Euler point needs {2 * n_pairs + n_cartan} values, got {len(vals)}"
-                )
-            pair = vals[: 2 * n_pairs]
-            return EulerPoint(tuple(pair[0::2]), tuple(pair[1::2]), tuple(vals[2 * n_pairs:]))
-        raise TypeError(f"no point grammar for {factor!r}")
-
+def _parse_point(spec: KernelSpec, text: str):
+    """Coordinate grammar: per-factor comma floats in the kernels' columns, joined by ';'."""
+    desc = spec.system
+    composite = isinstance(desc, Composite)
+    subs = [KernelSpec(spec.side, f) for f in desc.factors] if composite else [spec]
     chunks = text.split(";")
-    if isinstance(desc, Composite):
-        if len(chunks) != len(desc.factors):
-            raise ValueError(f"{len(desc.factors)} factor points needed, got {len(chunks)}")
-        return CompositePoint(tuple(one(f, c) for f, c in zip(desc.factors, chunks)))
-    if len(chunks) != 1:
-        raise ValueError("single-factor system takes a single point chunk")
-    return one(desc, chunks[0])
+    if len(chunks) != len(subs):
+        raise ValueError(f"{desc} takes {len(subs)} ';'-separated factor point(s), "
+                         f"got {len(chunks)}")
+    points = [_row_point(sub, [float(v) for v in chunk.split(",") if v.strip() != ""])
+              for sub, chunk in zip(subs, chunks)]
+    return CompositePoint(points) if composite else points[0]
 
 
 def _write_values_csv(path: str, grid, values) -> None:
@@ -164,7 +140,7 @@ def algebra(cfg, inp: Inputs) -> dict:
 
 def kernel(cfg, inp: Inputs) -> dict:
     spec = inp.spec
-    point = _parse_point(inp.desc, inp.side, cfg.point, spec.rotation)
+    point = _parse_point(spec, cfg.point)
     K = kernel_at(spec, point)
     hermiticity = float(np.max(np.abs(K - K.conj().T)))
     unitarity = float(np.max(np.abs(K.conj().T @ K - np.eye(K.shape[0]))))
@@ -294,17 +270,13 @@ def freeenergy(cfg, inp: Inputs) -> dict:
 def _ordered_moment_oracle(desc, rho, orders) -> complex:
     """Hilbert-space value of the ordered-product moment that weyl_moments targets."""
     if isinstance(desc, SUN):
-        d = rho.shape[0]
-        P = np.eye(d, dtype=np.complex128)
-        idx = 0
-        for _, k_theta in euler_factor_sequence(desc.N):
-            for k, m in ((3, orders[idx]), (k_theta, orders[idx + 1])):
-                P = P @ np.linalg.matrix_power(generator(desc.N, desc.M, k), m)
-            idx += 2
-        for c in range(1, desc.N):
-            k = (c + 1) ** 2 - 1
-            P = P @ np.linalg.matrix_power(generator(desc.N, desc.M, k), orders[idx])
-            idx += 1
+        N, M = desc.N, desc.M
+        # J(3) and J(k_theta) per Euler pair, then the Cartan generators
+        gens = [generator(N, M, k) for _, k_theta in euler_factor_sequence(N) for k in (3, k_theta)]
+        gens += [diagonal_generator(N, M, c) for c in range(1, N)]
+        P = np.eye(rho.shape[0], dtype=np.complex128)
+        for J, m in zip(gens, orders):
+            P = P @ np.linalg.matrix_power(J, m)
         return complex(np.trace(rho @ P))
     if isinstance(desc, HW):
         # index (p, q) targets the symmetric ordering S(a^p adag^q): the mean
@@ -369,9 +341,7 @@ def autocorr(cfg, inp: Inputs) -> dict:
 def crosscorr(cfg, inp: Inputs) -> dict:
     spec, grid, rho = inp.spec, inp.grid, inp.rho
     f = phase_function(rho, spec, grid)
-    shift = None
-    if cfg.shift is not None:
-        shift = _parse_point(inp.desc, inp.side, cfg.shift, spec.rotation)
+    shift = None if cfg.shift is None else _parse_point(spec, cfg.shift)
     cc = phase_cross_correlation(f, shift)
     result = {
         "system": cfg.system,
@@ -382,10 +352,7 @@ def crosscorr(cfg, inp: Inputs) -> dict:
         "raw_value": cc.raw_value,
         "volume": cc.volume,
     }
-    zero = shift is None or all(
-        float(v) == 0.0 for chunk in cfg.shift.split(";") for v in chunk.split(",")
-    )
-    if inp.side == "wigner" and zero:
+    if inp.side == "wigner" and (shift is None or not any(_point_row(spec, shift))):
         purity = float(np.trace(rho @ rho).real)
         # on the unbounded plane rule the unnormalized integral is the purity
         if cc.volume is None:
@@ -474,6 +441,9 @@ def _preset_hw_cat(cfg, inp: Inputs) -> dict:
     desc = inp.desc if cfg.system else HW(40)
     if not isinstance(desc, HW):
         raise ValueError("hw-cat preset needs an hw:<n_max> system")
+    R = 6.0 if cfg.radius is None else cfg.radius
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"need a finite radius > 0, got {R}")
     side = inp.side
     spec = KernelSpec(side, desc)
     # three coherent components of radius 3, spaced by 2 pi / 3 from alpha = -3
@@ -483,7 +453,6 @@ def _preset_hw_cat(cfg, inp: Inputs) -> dict:
     res = 161 if cfg.grid_res is None else cfg.grid_res
     if res % 2 == 0:
         res += 1  # keep the alpha = 0 row on the mesh
-    R = cfg.radius if cfg.radius else 6.0
     line = np.linspace(-R, R, res)
     xs, ys = (m.reshape(-1) for m in np.meshgrid(line, line, indexing="ij"))
     vals = symbols_at(rho, spec, np.stack([xs, ys], axis=1))

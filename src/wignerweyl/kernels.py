@@ -12,10 +12,14 @@ per-axis factors exp(i J(k) x), each evaluated once per distinct coordinate
 value and gathered onto the rows; HW kernels are a real radial matrix,
 evaluated once per distinct |alpha| (once per radius of a plane rule), times
 per-point phases (``Polar``), and composite kernels are row-wise Kronecker
-products.  ``kernel_at`` is ``_kernels`` at the one row of a typed point
-(``_point_row``), ``transforms.symbols_at`` applies it to coordinate tables
-that are no tensor mesh, in blocks of bounded size, and ``kernel_stack`` to
-every node of a grid, as a reference for the split pieces.  Constructions
+products.  The columns are the chart of the spec's manifold
+(``_grid_manifold``; see ``measures``): ``_factor_table`` reads its pairs
+and generators, ``_columns`` its names, and ``_point_row``/``_row_point``
+are the only maps between typed points and rows.  ``kernel_at`` is
+``_kernels`` at the one row of a typed point, ``transforms.symbols_at``
+applies ``_row_kernels`` to coordinate tables that are no tensor mesh, in
+blocks of bounded size, and ``kernel_stack`` to a grid's ``coords()``, as a
+reference for the split pieces.  Constructions
 independent of it (matrix exponentials of the factor sequence, the Laguerre
 closed form, Kronecker products) live in the tests.
 
@@ -43,10 +47,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import HW, SUN, Composite, SystemDescriptor, basis_labels, dimension
-from .measures import QuadratureGrid
-from .points import CompositePoint, CPPoint, EulerPoint, HWPoint, PhasePoint
-from .rotations import _gen_eig, euler_factor_sequence
+from .algebra import HW, SUN, Composite, SystemDescriptor, _gen_eig, basis_labels, dimension
+from .measures import QuadratureGrid, _angle_columns, _colatitude_blocks, _factor_columns
+from .points import _POINT_TYPE, CompositePoint, PhasePoint
 
 WIGNER = "wigner"
 WEYL = "weyl"
@@ -453,42 +456,46 @@ def _axis_factor_stack(N: int, M: int, k: int, nodes: np.ndarray, sign: float = 
 
 
 @lru_cache(maxsize=None)
-def _factor_table(N: int, side: str, rotation: str) -> tuple[tuple[int, float, int], ...]:
+def _factor_table(spec: KernelSpec) -> tuple[tuple[int, float, int], ...]:
     """(generator k, sign, column) of each factor exp(i sign J(k) x_column), left to right.
 
-    Columns follow the grid layout: (phi_j, theta_j) pairs on CP^(N-1) for
-    the Wigner side and the arecchi rotation; Euler (phi_t, theta_t) pairs
-    followed by the Cartan angles Phi_c on the Weyl side.
+    Pair j of the chart's colatitude blocks, block (p, q), is
+    exp(i J(3) phi_j) exp(i J((p-1)^2 + 1) theta_j) on columns 2j and 2j + 1;
+    on SU(N) the Cartan factors exp(i J((c+1)^2 - 1) Phi_c) follow.
     """
-    if rotation == "arecchi":
+    if spec.rotation == "arecchi":
         # R(phi, theta) = e^{i J3 phi} e^{i J2 theta} e^{-i J3 phi}
         return ((3, 1.0, 0), (2, 1.0, 1), (3, -1.0, 0))
-    if side == WIGNER:
-        pairs = [(j * j + 1, 2 * j - 2) for j in range(1, N)]
-    else:
-        pairs = [(k_theta, 2 * t - 2) for t, k_theta in euler_factor_sequence(N)]
-    table = [f for k, col in pairs for f in ((3, 1.0, col), (k, 1.0, col + 1))]
-    if side == WEYL:
-        table += [((c + 1) ** 2 - 1, 1.0, 2 * len(pairs) + c - 1) for c in range(1, N)]
+    N, manifold = spec.system.N, _grid_manifold(spec)
+    blocks = _colatitude_blocks(N, manifold)
+    table = [f for j, (p, _) in enumerate(blocks)
+             for f in ((3, 1.0, 2 * j), ((p - 1) ** 2 + 1, 1.0, 2 * j + 1))]
+    if manifold == "SUN":
+        table += [((c + 1) ** 2 - 1, 1.0, 2 * len(blocks) + c - 1) for c in range(1, N)]
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _columns(spec: KernelSpec) -> tuple[str, ...]:
+    """Names of the coordinate columns of a kernel family, as its grid's ``column_names``."""
+    desc = spec.system
+    if isinstance(desc, Composite):
+        return _factor_columns(_columns(KernelSpec(spec.side, f)) for f in desc.factors)
+    if isinstance(desc, HW):
+        return ("re", "im")
+    return _angle_columns(desc.N, _grid_manifold(spec))
 
 
 def _width(spec: KernelSpec) -> int:
     """Coordinate columns per row for a kernel family."""
-    desc = spec.system
-    if isinstance(desc, Composite):
-        return sum(_width(KernelSpec(spec.side, f)) for f in desc.factors)
-    if isinstance(desc, HW):
-        return 2
-    return 1 + max(col for _, _, col in _factor_table(desc.N, spec.side, spec.rotation))
+    return len(_columns(spec))
 
 
 def _check_width(spec: KernelSpec, columns: int) -> None:
-    width = _width(spec)
-    if columns != width:
-        raise ValueError(
-            f"{spec.side} kernels of {spec.system} take {width} coordinate columns, got {columns}"
-        )
+    names = _columns(spec)
+    if columns != len(names):
+        raise ValueError(f"{spec.side} kernels of {spec.system} take {len(names)} coordinate "
+                         f"columns ({','.join(names)}), got {columns}")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -540,17 +547,17 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
         return out
     if isinstance(desc, HW):
         return _polar(desc.n_max, values[0][index[0]] + 1j * values[1][index[1]], spec.side).stack()
-    U = _chain(desc, _factor_table(desc.N, spec.side, spec.rotation), values, index)
+    U = _chain(desc, _factor_table(spec), values, index)
     return U if spec.side == WEYL else _rotated_parity(desc, U)
 
 
 def _point_row(spec: KernelSpec, point: PhasePoint) -> tuple[float, ...]:
-    """The point's coordinates in the column layout of the spec's kernels (inverse of ``grid.point``).
+    """The point's coordinates in the spec's kernel column layout (inverse of ``_row_point``).
 
-    Raises TypeError when the point is not of the family's type (``HWPoint``
-    on the plane, ``CPPoint`` on the Wigner side and for the arecchi
-    rotation, ``EulerPoint`` on the Weyl side, ``CompositePoint`` with one
-    point per factor), and ValueError when its angles do not fill the columns.
+    Raises TypeError when the point is not of the family's type (the point
+    type of its manifold, ``_grid_manifold(spec)``, or a ``CompositePoint``
+    with one point per factor), and ValueError when its angles do not split
+    into the columns.
     """
     desc = spec.system
     if isinstance(desc, Composite):
@@ -559,20 +566,24 @@ def _point_row(spec: KernelSpec, point: PhasePoint) -> tuple[float, ...]:
                             f"points, got {point!r}")
         return sum((_point_row(KernelSpec(spec.side, f), p)
                     for f, p in zip(desc.factors, point.points)), ())
-    if isinstance(desc, HW):
-        want = HWPoint
-    else:
-        want = CPPoint if spec.side == WIGNER or spec.rotation == "arecchi" else EulerPoint
+    want = _POINT_TYPE[_grid_manifold(spec)]
     if not isinstance(point, want):
         raise TypeError(f"{spec.side} kernels of {desc} take a {want.__name__}, got {point!r}")
-    if want is HWPoint:
-        return (point.alpha.real, point.alpha.imag)
-    Phi = getattr(point, "Phi", ())
-    row = tuple(x for pair in zip(point.phi, point.theta) for x in pair) + Phi
-    if len(row) != _width(spec) or (want is EulerPoint and len(Phi) != desc.N - 1):
-        raise ValueError(f"{point!r} does not fill the {_width(spec)} coordinate columns of "
-                         f"{spec.side} kernels of {desc}")
+    row = point.row()
+    if _row_point(spec, row) != point:  # an Euler point whose angles split otherwise
+        raise ValueError(f"{point!r} does not split into the coordinate columns "
+                         f"({','.join(_columns(spec))}) of {spec.side} kernels of {desc}")
     return row
+
+
+def _row_point(spec: KernelSpec, row) -> PhasePoint:
+    """The typed point at a row of the spec's coordinate columns (inverse of ``_point_row``)."""
+    _check_width(spec, len(row))
+    if isinstance(spec.system, Composite):
+        subs = [KernelSpec(spec.side, f) for f in spec.system.factors]
+        ends = itertools.accumulate(_width(sub) for sub in subs)
+        return CompositePoint(_row_point(sub, row[e - _width(sub):e]) for sub, e in zip(subs, ends))
+    return _POINT_TYPE[_grid_manifold(spec)].from_row(row)
 
 
 def kernel_at(spec: KernelSpec, point: PhasePoint) -> np.ndarray:
@@ -613,23 +624,10 @@ def _tensor_index(shape) -> tuple:
     return np.unravel_index(np.arange(math.prod(shape)), shape) if shape else ()
 
 
-def _grid_columns(grid: QuadratureGrid) -> tuple[list, list]:
-    """The nodes of a grid as ``_kernels`` columns: per-axis nodes and the unravelled node index.
-
-    A plane rule's (r, psi) axis pair becomes its (re, im) rows, both indexed
-    by the factor's node.
-    """
-    values, index = [], list(_tensor_index(grid.shape))
-    at = 0
-    for g in grid.factors or (grid,):
-        if g.polar:
-            rows = g.coords()
-            values += [rows[:, 0], rows[:, 1]]
-            index[at] = index[at + 1] = index[at] * g.shape[1] + index[at + 1]
-        else:
-            values += [ax.nodes for ax in g.axes]
-        at += len(g.axes)
-    return values, index
+def _row_kernels(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
+    """Kernels at rows of coordinates, each column as its distinct values: (n, d, d)."""
+    columns = [np.unique(col, return_inverse=True) for col in rows.T]
+    return _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
 
 
 def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
@@ -640,7 +638,7 @@ def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
     """
     _check_grid(spec, grid)
     _check_bytes("kernel stack", grid.n_nodes * dimension(spec.system) ** 2 * 16)
-    return _kernels(spec, *_grid_columns(grid))
+    return _row_kernels(spec, grid.coords())
 
 
 @dataclass(frozen=True)
@@ -687,7 +685,7 @@ def _split(spec: KernelSpec, nodes, polar: bool = False) -> Pieces | Polar | Win
         if polar:
             return _polar_rule(desc.n_max, nodes[0], nodes[1], spec.side)
         return _window(desc.n_max, nodes[0], nodes[1], spec.side)
-    table = _factor_table(desc.N, spec.side, spec.rotation)
+    table = _factor_table(spec)
     if spec.rotation == "arecchi":
         # e^{i J3 phi} e^{i J2 theta} (e^{i J3 phi})^dagger: a sandwich split at phi
         table, j = table[:2], 1

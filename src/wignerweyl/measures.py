@@ -1,5 +1,12 @@
 """Invariant-measure quadrature grids for CP^(N-1), SU(N), and the HW plane.
 
+The charts are defined here, once, keyed by the manifold name: rows are
+(re, im) on the oscillator plane ("HW_PLANE"); on CP^(N-1) ("CP") and SU(N)
+("SUN") they hold one (phi, theta) pair per block of ``_colatitude_blocks``,
+the only list of the pairs, followed on SU(N) by the Cartan angles Phi_c
+(Tilma & Sudarshan, J. Phys. A 35 (2002) 10467), named by
+``_angle_columns``.  ``points._POINT_TYPE`` gives each chart's point type.
+
 Grids are tensor products of one-dimensional rules, each exact by
 construction; nothing is corrected after the fact:
 
@@ -52,9 +59,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import HW, SUN, Composite, SystemDescriptor, dimension
-from .points import CompositePoint, CPPoint, EulerPoint, HWPoint, PhasePoint
-from .rotations import _gen_eig
+from .algebra import HW, SUN, Composite, SystemDescriptor, _gen_eig, dimension
+from .points import _POINT_TYPE, CompositePoint, PhasePoint
 
 MAX_NODES = 20_000_000
 
@@ -113,8 +119,7 @@ class QuadratureGrid:
     @property
     def column_names(self) -> tuple[str, ...]:
         if self.factors:
-            return tuple(f"f{i}_{name}" for i, g in enumerate(self.factors, start=1)
-                         for name in g.column_names)
+            return _factor_columns(g.column_names for g in self.factors)
         return ("re", "im") if self.polar else tuple(ax.name for ax in self.axes)
 
     def _check_materializable(self) -> None:
@@ -160,9 +165,11 @@ class QuadratureGrid:
         return self._coords
 
     def point(self, i: int) -> PhasePoint:
-        """The i-th node as a typed phase-space point."""
-        row = self.coords()[i]
-        return _point_from_row(self, row)
+        """The i-th node as a typed phase-space point (a product's: one per factor)."""
+        if self.factors:
+            index = np.unravel_index(range(self.n_nodes)[i], [g.n_nodes for g in self.factors])
+            return CompositePoint(g.point(j) for g, j in zip(self.factors, index))
+        return _POINT_TYPE[self.manifold].from_row(self.coords()[i])
 
     def to_csv(self, path) -> None:
         """One row per node: angle columns then weight, 17 significant digits."""
@@ -174,29 +181,9 @@ class QuadratureGrid:
         write_csv(path, list(self.column_names) + ["weight"], rows)
 
 
-def _point_from_row(grid: QuadratureGrid, row: np.ndarray) -> PhasePoint:
-    if grid.manifold == "HW_PLANE":
-        return HWPoint(complex(row[0], row[1]))
-    if grid.manifold == "CP":
-        n = len(grid.axes) // 2
-        return CPPoint(phi=tuple(row[0::2][:n]), theta=tuple(row[1::2][:n]))
-    if grid.manifold == "SUN":
-        n_pairs = (len(grid.axes) - (grid.system.N - 1)) // 2
-        pair_part = row[: 2 * n_pairs]
-        return EulerPoint(
-            phi=tuple(pair_part[0::2]),
-            theta=tuple(pair_part[1::2]),
-            Phi=tuple(row[2 * n_pairs:]),
-        )
-    if grid.manifold == "PRODUCT":
-        pts = []
-        at = 0
-        for sub in grid.factors:
-            n_ax = len(sub.axes)
-            pts.append(_point_from_row(sub, row[at: at + n_ax]))
-            at += n_ax
-        return CompositePoint(tuple(pts))
-    raise ValueError(f"unknown manifold {grid.manifold!r}")
+def _factor_columns(parts) -> tuple[str, ...]:
+    """Column names of a product: each factor's names, prefixed f1_, f2_, ..."""
+    return tuple(f"f{i}_{name}" for i, names in enumerate(parts, start=1) for name in names)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +298,25 @@ def _theta_measure(p: int, q: int) -> tuple[int, int, float]:
     return 0, q - 2, 1.0  # cos t sin^(2q-3) t
 
 
-def _colatitude_blocks(desc: SUN, manifold: str) -> list[tuple[int, int]]:
-    """(p, q) of each colatitude, in axis order: theta_j of CP^(N-1) is block (j + 1, N)."""
-    N = desc.N
+def _colatitude_blocks(N: int, manifold: str) -> list[tuple[int, int]]:
+    """(p, q) of each (phi, theta) pair of the chart, in axis order.
+
+    This is the one list of the pairs: theta_j of CP^(N-1) is block (j + 1, N);
+    the Euler pairs of SU(N) run q = N down to 2 with p = 2 .. q inside.  The
+    pair carries exp(i J(3) phi) exp(i J((p-1)^2 + 1) theta) (see
+    ``kernels._factor_table``).
+    """
     if manifold == "CP":
         return [(j + 1, N) for j in range(1, N)]
     return [(p, q) for q in range(N, 1, -1) for p in range(2, q + 1)]
+
+
+def _angle_columns(N: int, manifold: str) -> tuple[str, ...]:
+    """Column names of the CP^(N-1) or SU(N) chart: phi_j, theta_j per pair, then Phi_c on SU(N)."""
+    n = len(_colatitude_blocks(N, manifold))
+    names = tuple(f"{a}{j}" for j in range(1, n + 1) for a in ("phi", "theta"))
+    cartan = tuple(f"Phi{c}" for c in range(1, N)) if manifold == "SUN" else ()
+    return names + cartan
 
 
 def _jacobi_axis(name: str, p: int, q: int, n: int) -> Axis:
@@ -341,7 +341,7 @@ def _shift_rule(grid: QuadratureGrid) -> QuadratureGrid:
     """
     if grid.manifold not in ("CP", "SUN"):
         return grid
-    blocks = iter(_colatitude_blocks(grid.system, grid.manifold))
+    blocks = iter(_colatitude_blocks(grid.system.N, grid.manifold))
     degree = (4 if grid.manifold == "CP" else 2) * grid.system.M
     axes = []
     for ax in grid.axes:
@@ -382,10 +382,11 @@ def cp_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
         raise TypeError("cp_grid needs a SUN descriptor")
     floor = _check_resolution(desc, resolution)
     phi_freqs = _quad_freqs(desc.N, desc.M, 3)
+    names = iter(_angle_columns(desc.N, "CP"))
     axes = []
-    for j, (p, q) in enumerate(_colatitude_blocks(desc, "CP"), start=1):
-        axes.append(_uniform_axis(f"phi{j}", 0.0, _TWO_PI, phi_freqs, floor))
-        axes.append(_jacobi_axis(f"theta{j}", p, q, floor))
+    for p, q in _colatitude_blocks(desc.N, "CP"):
+        axes.append(_uniform_axis(next(names), 0.0, _TWO_PI, phi_freqs, floor))
+        axes.append(_jacobi_axis(next(names), p, q, floor))
     return _finalize(desc, "CP", axes, "quads")
 
 
@@ -409,13 +410,14 @@ def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     floor = _check_resolution(desc, resolution)
     n_theta = M // 2 + 1 if resolution is None else floor
     phi_freqs = _diff_freqs(N, M, 3)
+    names = iter(_angle_columns(N, "SUN"))
     axes = []
-    for t, (p, q) in enumerate(_colatitude_blocks(desc, "SUN"), start=1):
-        axes.append(_uniform_axis(f"phi{t}", 0.0, _TWO_PI, phi_freqs, floor))
-        axes.append(_jacobi_axis(f"theta{t}", p, q, n_theta))
+    for p, q in _colatitude_blocks(N, "SUN"):
+        axes.append(_uniform_axis(next(names), 0.0, _TWO_PI, phi_freqs, floor))
+        axes.append(_jacobi_axis(next(names), p, q, n_theta))
     for c in range(1, N):
         hi = math.pi * math.sqrt(2.0 * c * (c + 1))
-        axes.append(_uniform_axis(f"Phi{c}", 0.0, hi, _diff_freqs(N, M, (c + 1) ** 2 - 1), floor))
+        axes.append(_uniform_axis(next(names), 0.0, hi, _diff_freqs(N, M, (c + 1) ** 2 - 1), floor))
     return _finalize(desc, "SUN", axes, "pairs")
 
 

@@ -1,4 +1,8 @@
-"""Phase-space point types for the supported manifolds."""
+"""Phase-space point types for the supported manifolds.
+
+``_POINT_TYPE`` maps a chart's manifold name to its point type, whose
+``row`` and ``from_row`` convert between a point and its coordinate row.
+"""
 
 from __future__ import annotations
 
@@ -26,6 +30,14 @@ class HWPoint:
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
 
+    def row(self) -> tuple[float, ...]:
+        return (self.alpha.real, self.alpha.imag)
+
+    @classmethod
+    def from_row(cls, row) -> "HWPoint":
+        re, im = row
+        return cls(complex(re, im))
+
 
 @dataclass(frozen=True)
 class CPPoint:
@@ -38,6 +50,13 @@ class CPPoint:
         _angles(self, "phi", "theta")
         if len(self.phi) != len(self.theta):
             raise ValueError("phi and theta must have equal length")
+
+    def row(self) -> tuple[float, ...]:
+        return tuple(x for pair in zip(self.phi, self.theta) for x in pair)
+
+    @classmethod
+    def from_row(cls, row) -> "CPPoint":
+        return cls(tuple(row[0::2]), tuple(row[1::2]))
 
 
 @dataclass(frozen=True)
@@ -53,6 +72,18 @@ class EulerPoint:
         if len(self.phi) != len(self.theta):
             raise ValueError("phi and theta must have equal length")
 
+    def row(self) -> tuple[float, ...]:
+        return tuple(x for pair in zip(self.phi, self.theta) for x in pair) + self.Phi
+
+    @classmethod
+    def from_row(cls, row) -> "EulerPoint":
+        """The SU(N) point of a row of N^2 - 1 values: N(N-1) pair values, then N - 1 Cartans."""
+        N = math.isqrt(len(row) + 1)
+        if N * N != len(row) + 1:
+            raise ValueError(f"an SU(N) Euler row has N^2 - 1 values, got {len(row)}")
+        n = N * (N - 1)
+        return cls(tuple(row[0:n:2]), tuple(row[1:n:2]), tuple(row[n:]))
+
 
 @dataclass(frozen=True)
 class CompositePoint:
@@ -65,3 +96,5 @@ class CompositePoint:
 
 
 PhasePoint = HWPoint | CPPoint | EulerPoint | CompositePoint
+
+_POINT_TYPE = {"HW_PLANE": HWPoint, "CP": CPPoint, "SUN": EulerPoint}

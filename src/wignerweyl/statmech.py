@@ -17,9 +17,8 @@ import numpy as np
 from . import measures
 from .algebra import HW, SUN, SystemDescriptor, dimension, generator, is_hermitian
 from .kernels import WEYL, WIGNER, KernelSpec, _factor_table, _point_row
-from .measures import QuadratureGrid, _shift_rule, plane_grid, product_grid
+from .measures import QuadratureGrid, _angle_columns, _shift_rule, plane_grid, product_grid
 from .points import PhasePoint
-from .rotations import euler_angle_count
 from .states import ThermalSpec
 from .transforms import (
     PhaseFunction, _operator, overlap, phase_function, reconstruct, symbols_at,
@@ -93,12 +92,7 @@ def weyl_axes(desc: SystemDescriptor) -> tuple[str, ...]:
     if isinstance(desc, HW):
         return ("alpha", "alpha_star")
     if isinstance(desc, SUN):
-        n_pairs, n_cartan = euler_angle_count(desc.N)
-        names = []
-        for t in range(1, n_pairs + 1):
-            names.extend([f"phi{t}", f"theta{t}"])
-        names.extend(f"Phi{c}" for c in range(1, n_cartan + 1))
-        return tuple(names)
+        return _angle_columns(desc.N, "SUN")
     raise TypeError("moment axes are defined for single HW or SUN factors")
 
 
@@ -124,7 +118,7 @@ def weyl_moments(rho: np.ndarray, desc: SystemDescriptor, multi_index: tuple[int
     rho = np.asarray(rho, dtype=np.complex128)
     if isinstance(desc, SUN):
         X = np.eye(dimension(desc), dtype=np.complex128)
-        for k, sign, col in _factor_table(desc.N, WEYL, "euler"):
+        for k, sign, col in _factor_table(KernelSpec(WEYL, desc)):
             X = X @ np.linalg.matrix_power(sign * generator(desc.N, desc.M, k), multi_index[col])
         return complex(np.trace(rho @ X))
     # every word with p factors of a and q of a_dagger, in a block padded so

@@ -39,7 +39,7 @@ from .algebra import (
 )
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, Window, _blocks, _check_grid, _check_width,
-    _diagonals, _kernels, _polar, _split, _width, kernel_at, kernel_pieces,
+    _diagonals, _polar, _row_kernels, _split, _width, kernel_at, kernel_pieces,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, plane_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, HWPoint, PhasePoint
@@ -343,12 +343,6 @@ def _mesh_pieces(spec: KernelSpec, nodes) -> tuple | None:
         except OverflowError:
             return None
     return tuple(pieces)
-
-
-def _row_kernels(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
-    """Kernels of a single system at rows of coordinates: (n, d, d)."""
-    columns = [np.unique(col, return_inverse=True) for col in rows.T]
-    return _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
 
 
 def _composite_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
@@ -681,12 +675,8 @@ def _compose_cp_point(desc: SUN, v: EulerPoint, omega: CPPoint) -> CPPoint:
     """
     N = desc.N
     fund = SUN(N, 1)
-    n_pairs, _ = euler_angle_count(N)
-    omega_full = EulerPoint(
-        tuple(omega.phi) + (0.0,) * (n_pairs - len(omega.phi)),
-        tuple(omega.theta) + (0.0,) * (n_pairs - len(omega.theta)),
-        (0.0,) * (N - 1),
-    )
+    # the CP^(N-1) pairs are the leading Euler pairs; the rest of the row is zero
+    omega_full = EulerPoint.from_row(omega.row() + (0.0,) * (N - 1) ** 2)
     psi = (euler_rotation(fund, v) @ euler_rotation(fund, omega_full))[:, -1]
     phi, theta = [], []
     w = complex(psi[0])

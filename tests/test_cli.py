@@ -205,6 +205,26 @@ def test_crosscorr_zero_shift_on_the_plane_rule_compares_the_raw_value(capsys):
     assert out["residual"] < 1e-12
 
 
+def test_crosscorr_shift_takes_the_point_grammar(capsys):
+    """A trailing comma is in the --point grammar; "zero shift" is read from the parsed point."""
+    base = ["crosscorr", "--system", "su:2:1", "--state", "random:1"]
+    zero = run_cli(capsys, *base, "--shift", "0,0,")
+    assert zero["shift"] == "0,0,"
+    assert zero["residual"] < 1e-12
+    assert zero["zero_shift_oracle"] == pytest.approx(zero["value"]["re"], abs=1e-12)
+    moved = run_cli(capsys, *base, "--shift", "0.4,0.7,")
+    assert "zero_shift_oracle" not in moved
+    plain = run_cli(capsys, *base, "--shift", "0.4,0.7")
+    assert {**moved, "shift": plain["shift"]} == plain
+
+
+def test_point_must_fill_each_factor_s_columns(capsys):
+    """Five values for su:2:1*hw:3 on the Weyl side, split 2;3 instead of 3;2."""
+    err = run_cli_err(capsys, "kernel", "--system", "su:2:1*hw:3", "--side", "weyl",
+                      "--point", "0.4,0.7;-0.3,0.3,-0.2")
+    assert "(phi1,theta1,Phi1), got 2" in err["error"]
+
+
 def test_evolve_rejects_a_negative_frame_count(capsys):
     err = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
                       "--field", "0,0,1", "--t-final", "0.1", "--dt", "0.01", "--frames", "-3")
@@ -302,6 +322,20 @@ def test_radius_is_rejected_without_an_hw_factor(command, args, capsys):
 def test_non_finite_radius_exits_2(argv, capsys):
     payload = run_cli_err(capsys, *argv)
     assert "finite" in payload["error"]
+
+
+@pytest.mark.parametrize("radius", ["0", "-3"])
+def test_figure_data_rejects_a_radius_that_is_not_positive(radius, capsys, monkeypatch):
+    import wignerweyl.commands as commands
+
+    def fail(*args, **kwargs):
+        raise AssertionError("rows were built")
+
+    monkeypatch.setattr(commands, "build_state", fail)
+    monkeypatch.setattr(commands, "symbols_at", fail)
+    payload = run_cli_err(capsys, "figure-data", "--preset", "hw-cat", "--system", "hw:6",
+                          "--radius", radius, "--grid-res", "5")
+    assert payload["error"] == f"need a finite radius > 0, got {float(radius)}"
 
 
 def test_config_file_then_flags_precedence(tmp_path, capsys):

@@ -399,6 +399,8 @@ def test_kernel_point_type_dispatch(monkeypatch):
 
 
 def test_weyl_kernel_is_euler_rotation():
+    """A definition: euler_rotation is the Weyl kernel.  test_rotations checks it independently
+    (the SU(2) closed form, the symmetric power, the Cartan factor against expm)."""
     pt = EulerPoint((0.4,), (0.3,), (1.1,))
     assert np.array_equal(
         kernel_at(KernelSpec("weyl", SUN(2, 2)), pt), euler_rotation(SUN(2, 2), pt)
@@ -442,8 +444,29 @@ def test_kernel_at_matches_the_oracle(spec):
         row = [rng.uniform(-5.0, 5.0) if kind == "alpha" else
                rng.uniform(-0.5, _ANGLE_HI[kind] + 0.5) for kind in kinds]
         point = _row_point(spec, row)
+        # the package's chart agrees with the tests' own, both ways
+        assert kernels_module._row_point(spec, row) == point
         assert kernels_module._point_row(spec, point) == tuple(row)
         assert np.max(np.abs(kernel_at(spec, point) - oracles.kernel(spec, point))) < 1e-13
+
+
+@pytest.mark.parametrize("spec, names", [
+    (KernelSpec("weyl", SUN(2, 1)), "phi1,theta1,Phi1"),
+    (KernelSpec("wigner", SUN(3, 1)), "phi1,theta1,phi2,theta2"),
+    (KernelSpec("weyl", SUN(3, 1)), "phi1,theta1,phi2,theta2,phi3,theta3,Phi1,Phi2"),
+    (KernelSpec("weyl", SUN(2, 2), "arecchi"), "phi1,theta1"),
+    (KernelSpec("wigner", HW(4)), "re,im"),
+    (KernelSpec("weyl", Composite((SUN(2, 1), HW(3)))), "f1_phi1,f1_theta1,f1_Phi1,f2_re,f2_im"),
+], ids=str)
+def test_width_errors_name_the_columns(spec, names):
+    """The kernels' columns are their grid's, and a row of another width is told them."""
+    desc = spec.system
+    grid = cp_grid(desc) if spec.rotation == "arecchi" else default_grid(desc, spec.side)
+    assert ",".join(grid.column_names) == names
+    with pytest.raises(ValueError, match=re.escape(f"columns ({names}), got 1")):
+        symbols_at(np.eye(dimension(spec.system)), spec, np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=re.escape(f"({names})")):
+        kernels_module._row_point(spec, [0.0])
 
 
 def test_kernel_spec_validation():

@@ -23,7 +23,8 @@ from wignerweyl import (
     sun_grid,
 )
 import wignerweyl.measures as measures_module
-from wignerweyl.kernels import KernelSpec, _point_row
+from wignerweyl.kernels import KernelSpec, _point_row, _row_point
+from wignerweyl.measures import plane_grid
 
 _SU21_CP = cp_grid(SUN(2, 1))
 _SU23_CP = cp_grid(SUN(2, 3))
@@ -214,15 +215,19 @@ def test_typed_points_match_coords():
         hw_grid(HW(4), 2.0, 8),
         product_grid((cp_grid(SUN(2, 1)), hw_grid(HW(3), 2.5, 4))),
         product_grid((sun_grid(SUN(2, 1)), sun_grid(SUN(2, 1)))),
+        plane_grid(HW(4), "weyl"),
+        product_grid((sun_grid(SUN(2, 1)), plane_grid(HW(3), "weyl"))),
     ],
-    ids=["cp21", "cp31", "sun22", "sun31", "hw", "cp21*hw", "sun21*sun21"],
+    ids=["cp21", "cp31", "sun22", "sun31", "hw", "cp21*hw", "sun21*sun21", "plane",
+         "sun21*plane"],
 )
 def test_point_row_inverts_grid_point(grid):
-    """The kernels' point-to-row map reads a node's point back as the grid's row."""
+    """A node's point is the kernels' point at the grid's row, and reads back as that row."""
     manifolds = [g.manifold for g in grid.factors or (grid,)]
     spec = KernelSpec("weyl" if "SUN" in manifolds else "wigner", grid.system)
     coords = grid.coords()
     for i in np.random.default_rng(0).integers(0, grid.n_nodes, 25):
+        assert grid.point(i) == _row_point(spec, coords[i])
         assert _point_row(spec, grid.point(i)) == tuple(coords[i])
 
 
@@ -339,7 +344,7 @@ def _with_colatitude_count(grid, n):
     """``grid`` with every colatitude on the n-point Jacobi rule."""
     from wignerweyl.measures import _colatitude_blocks, _finalize, _jacobi_axis
 
-    blocks = iter(_colatitude_blocks(grid.system, grid.manifold))
+    blocks = iter(_colatitude_blocks(grid.system.N, grid.manifold))
     axes = [_jacobi_axis(ax.name, *next(blocks), n) if ax.kind == "jacobi" else ax
             for ax in grid.axes]
     return _finalize(grid.system, grid.manifold, axes, grid.exactness)

@@ -44,7 +44,8 @@ from wignerweyl import (
 import wignerweyl.kernels as kernels_module
 import wignerweyl.measures as measures_module
 from wignerweyl.commands import _ordered_moment_oracle
-from wignerweyl.measures import _point_from_row, _shift_rule
+from wignerweyl.kernels import _row_point
+from wignerweyl.measures import _shift_rule
 
 SX, SY, SZ = (np.asarray(g) for g in build_generators(2, 1))
 
@@ -329,7 +330,7 @@ def test_cross_correlation_shift_on_a_product_with_a_plane_rule(side):
     spec = KernelSpec(side, _SU21_HW3)
     rho = build_state(RandomDensity(3), _SU21_HW3)
     shift = [0.4, 0.1] + ([0.3] if side == "weyl" else []) + [0.8, -0.6]
-    point = _point_from_row(grid, np.asarray(shift))
+    point = _row_point(spec, shift)
     out = phase_cross_correlation(phase_function(rho, spec, grid), point)
     windowed = product_grid((grid.factors[0], hw_grid(HW(3), *_WINDOW[side])))
     window = phase_cross_correlation(phase_function(rho, spec, windowed), point)
@@ -384,7 +385,7 @@ def test_cross_correlation_shift_matches_per_point_oracle(case, colatitude_measu
     spec = KernelSpec(side, grid.system)
     rho = build_state(RandomDensity(3), grid.system)
     f = phase_function(rho, spec, grid)
-    out = phase_cross_correlation(f, _point_from_row(grid, np.asarray(shift)))
+    out = phase_cross_correlation(f, _row_point(spec, shift))
     A = reconstruct(f)
     ref = _reference_rule(grid, colatitude_measures)
     rows = ref.coords()
