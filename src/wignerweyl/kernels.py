@@ -10,16 +10,16 @@ Every kernel is evaluated by one evaluator, ``_kernels``, over rows of
 coordinates in the grid column layout.  An SU(N) kernel is a chain of
 per-axis factors exp(i J(k) x), each evaluated once per distinct coordinate
 value and gathered onto the rows; HW kernels are a real radial matrix,
-evaluated once per distinct |alpha| (once per radius of a plane rule), times
-per-point phases (``Polar``), and composite kernels are row-wise Kronecker
-products.  The columns are the chart of the spec's manifold
-(``_grid_manifold``; see ``measures``): ``_factor_table`` reads its pairs
-and generators, ``_columns`` its names, and ``_point_row``/``_row_point``
-are the only maps between typed points and rows.  ``kernel_at`` is
-``_kernels`` at the one row of a typed point, ``transforms.symbols_at``
-applies ``_row_kernels`` to coordinate tables that are no tensor mesh, in
-blocks of bounded size, and ``kernel_stack`` to a grid's ``coords()``, as a
-reference for the split pieces.  Constructions
+evaluated once per distinct |alpha|, times per-point phases
+(``_phase_powers``), and composite kernels are row-wise Kronecker products.
+The columns are the chart of the spec's manifold (``_grid_manifold``; see
+``measures``): ``_factor_table`` reads its pairs and generators,
+``_columns`` its names, and ``_point_row``/``_row_point`` are the only maps
+between typed points and rows.  ``kernel_at`` is ``_kernels`` at the one row
+of a typed point, ``transforms.symbols_at`` applies ``_row_kernels`` factor
+by factor (``_radial`` and ``_phase_powers`` on the oscillator) to tables that
+are no tensor mesh, in blocks of bounded size, and ``kernel_stack`` to a
+grid's ``coords()``, as a reference for the split pieces.  Constructions
 independent of it (matrix exponentials of the factor sequence, the Laguerre
 closed form, Kronecker products) live in the tests.
 
@@ -28,13 +28,14 @@ grid is a tensor product over the columns of the factor chain, so ``_split``
 splits the chain at one axis boundary into a left and a right stack over the
 two sub-grids (K = L R on the Weyl side, K = L (R Pi R^dagger) L^dagger on
 the Wigner side, and K = L R L^dagger with L = e^{i J3 phi} for the arecchi
-rotation).  An oscillator plane rule keeps its ``Polar`` form,
-K_mn = R_mn(|alpha|) e^{i (m-n) arg alpha}; a square window is a tensor grid
-in (x, y), and its ``Window`` pieces hold Hermite functions of each axis and
-a transfer table, K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y).  ``_split``
-reads per-axis nodes, so it serves both grids, whose pieces
-``kernel_pieces`` caches per (grid, kernel spec), and the tensor meshes that
-``symbols_at`` finds in coordinate tables, whose pieces are not cached.
+rotation).  An oscillator plane rule is a tensor grid in (r, psi), and its
+``Polar`` pieces hold K_mn = R_mn(r) e^{i (m-n) psi} as radial matrices per
+radius and phases per angle; a square window is a tensor grid in (x, y), and
+its ``Window`` pieces hold Hermite functions of each axis and a transfer
+table, K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y).  ``_split`` reads
+per-axis nodes, so it serves both grids, whose pieces ``kernel_pieces``
+caches per (grid, kernel spec), and the tensor meshes that ``symbols_at``
+finds in coordinate tables, whose pieces are not cached.
 """
 
 from __future__ import annotations
@@ -143,9 +144,7 @@ def parity(desc: SystemDescriptor) -> np.ndarray:
 # With alpha = r e^{i psi} every element is a real radial function times a
 # phase, <m|D(alpha)|n> = R_mn(r) e^{i (m-n) psi} (Cahill & Glauber, Phys.
 # Rev. 177 (1969) 1857), and so is the Wigner kernel
-# 2 D(alpha) P D(alpha)^dagger = 2 D(2 alpha) P: R_mn(2r) 2 (-1)^n.  ``Polar``
-# holds the radial matrices once per distinct radius and the phases once per
-# point.
+# 2 D(alpha) P D(alpha)^dagger = 2 D(2 alpha) P: R_mn(2r) 2 (-1)^n.
 
 # bytes of kernels, radial factors or formed pieces evaluated at once
 BLOCK_BYTES = 16_000_000
@@ -199,19 +198,19 @@ def _radial_constants(d: int, side: str) -> tuple[np.ndarray, ...]:
 
 
 def _radial(n_max: int, r: np.ndarray, side: str) -> np.ndarray:
-    """Real radial factors R(r) of the side's kernel, diagonal-major: (len(r), n_max^2).
+    """Real radial factors of the side's kernel at r = |alpha|, diagonal-major: (len(r), n_max^2).
 
     Weyl side: R_mn(r) = (-1)^max(n-m, 0) sqrt(lo!/hi!) r^|m-n| e^{-r^2/2}
-    L_lo^(|m-n|)(r^2), lo/hi = min/max(m, n), at r = |alpha|.  Wigner side:
-    the same at r = |2 alpha|, times the parity 2 (-1)^n.  The Laguerre values
-    come from the three-term recurrence in lo, for every order at once, over
-    blocks of at most ``BLOCK_BYTES`` of radii.
+    L_lo^(|m-n|)(r^2), lo/hi = min/max(m, n).  Wigner side: R_mn(2r) times
+    the parity 2 (-1)^n.  The Laguerre values come from the three-term
+    recurrence in lo, for every order at once, over blocks of at most
+    ``BLOCK_BYTES`` of radii.
     """
     d = n_max
     lo, k, log_ratio, sign, a, b = _radial_constants(d, side)
     out = np.empty((len(r), d * d))
     for start, stop in _blocks(len(r), 8 * d * d):
-        x = r[start:stop, None]
+        x = r[start:stop, None] * (2.0 if side == WIGNER else 1.0)
         u = x * x
         L = np.empty((d, len(x), d))  # L[j][:, k] = L_j^(k)(u)
         L[0] = 1.0
@@ -226,26 +225,25 @@ def _radial(n_max: int, r: np.ndarray, side: str) -> np.ndarray:
     return out
 
 
+def _polar_kernels(radial: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Kernels R_mn(r) e^{i (m-n) psi} from one row of radial factors and one of phases each."""
+    d = math.isqrt(radial.shape[1])
+    m, n, _, to_c = _diagonals(d)
+    return (radial[:, to_c] * phases[:, (m - n + d - 1)[to_c]]).reshape(-1, d, d)
+
+
 @dataclass(frozen=True)
 class Polar:
-    """Oscillator kernels at a set of points, K_mn = R_mn(r) e^{i (m-n) psi}.
+    """Oscillator kernels on an (r, psi) plane rule, K_mn = R_mn(r) e^{i (m-n) psi}.
 
-    The points are held ring by ring, one ring per distinct radius, the
-    rings numbered so that those carrying fewer points come first: ``order``
-    lists the point indices in ring order, ``position`` is its inverse and
-    ``ring`` gives the ring of each point in ring order; ``groups`` lists the
-    runs of equally populated rings.  ``radial`` holds one real matrix per
-    ring in the diagonal-major order of ``_diagonals``, parity signs and
-    factors folded in, and ``phases`` holds e^{i k psi} for
-    k = -(d-1) .. d-1 at every point, in ring order.
+    ``radial`` holds one real matrix per radius in the diagonal-major order
+    of ``_diagonals``, parity signs and factors folded in, and ``phases``
+    holds e^{i k psi} for k = -(d-1) .. d-1 at every angle.  Node (i, j) is
+    at index i n_psi + j, the grid's C order.
     """
 
-    radial: np.ndarray  # (n_rings, d^2) real
-    order: np.ndarray  # (n_points,)
-    position: np.ndarray  # (n_points,)
-    ring: np.ndarray  # (n_points,), nondecreasing
-    phases: np.ndarray  # (n_points, 2d - 1)
-    groups: tuple[tuple[int, int], ...]  # (points per ring, rings) of each run
+    radial: np.ndarray  # (n_r, d^2) real
+    phases: np.ndarray  # (n_psi, 2d - 1)
 
     @property
     def dim(self) -> int:
@@ -253,57 +251,30 @@ class Polar:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.order)
+        return len(self.radial) * len(self.phases)
 
     def stack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Kernels of the points start..stop, in point order: (n, d, d)."""
-        d = self.dim
-        m, n, _, to_c = _diagonals(d)
-        at = self.position[start:stop]
-        K = self.radial[self.ring[at]][:, to_c] * self.phases[at][:, (m - n + d - 1)[to_c]]
-        return K.reshape(-1, d, d)
+        """Kernels of the nodes start..stop, in node order: (n, d, d)."""
+        i, j = np.divmod(np.arange(self.n_nodes)[start:stop], len(self.phases))
+        return _polar_kernels(self.radial[i], self.phases[j])
 
 
-def _polar(n_max: int, alphas, side: str) -> Polar:
-    """The ``Polar`` kernels of one side of HW(n_max) at an array of alphas."""
-    alphas = np.asarray(alphas, dtype=np.complex128).ravel()
-    d = n_max
-    r = np.abs(alphas) * (2.0 if side == WIGNER else 1.0)
-    if len(r) == 1:  # one point is one ring
-        radii, order, groups = r, np.zeros(1, dtype=np.intp), ((1, 1),)
-        ring = order
-    else:
-        radii, ring, counts = np.unique(r, return_inverse=True, return_counts=True)
-        by_count = np.argsort(counts, kind="stable")
-        rank = np.empty_like(by_count)
-        rank[by_count] = np.arange(len(radii))
-        order = np.argsort(rank[ring], kind="stable")
-        radii, ring = radii[by_count], rank[ring][order]
-        runs, rings = np.unique(counts[by_count], return_counts=True)
-        groups = tuple(zip(runs.tolist(), rings.tolist()))
-    _check_bytes("oscillator kernel pieces",
-                 len(radii) * d * d * 8 + len(r) * ((2 * d - 1) * 16 + 24))
-    # e^{i k psi} as powers of alpha / |alpha|; negative k by conjugation
-    a = alphas[order]
-    ra = np.abs(a)
-    z = np.where(ra > 0, a / np.where(ra > 0, ra, 1.0), 1.0)
-    phases = np.empty((len(a), 2 * d - 1), dtype=np.complex128)
+def _polar_rule(d: int, r: np.ndarray, psi: np.ndarray, side: str) -> Polar:
+    """The ``Polar`` kernels of one side of HW(d) on the plane rule r (x) psi."""
+    _check_bytes("oscillator kernel pieces", len(r) * d * d * 8 + len(psi) * (2 * d - 1) * 16)
+    phases = np.exp(1j * np.outer(psi, np.arange(1 - d, d)))
+    return Polar(_radial(d, r, side), phases)
+
+
+def _phase_powers(alphas: np.ndarray, d: int) -> np.ndarray:
+    """e^{i k arg alpha}, k = -(d-1) .. d-1, as powers of alpha / |alpha|: (len(alphas), 2d - 1)."""
+    ra = np.abs(alphas)
+    z = np.where(ra > 0, alphas / np.where(ra > 0, ra, 1.0), 1.0)
+    phases = np.empty((len(alphas), 2 * d - 1), dtype=np.complex128)
     phases[:, d - 1] = 1.0
-    phases[:, d:] = np.cumprod(np.broadcast_to(z[:, None], (len(a), d - 1)), axis=1)
-    phases[:, : d - 1] = np.conj(phases[:, : d - 1: -1])
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    return Polar(_radial(n_max, radii, side), order, position, ring, phases, groups)
-
-
-def _polar_rule(n_max: int, r: np.ndarray, psi: np.ndarray, side: str) -> Polar:
-    """The ``Polar`` kernels of a plane rule: one ring per radius r, each at the angles psi."""
-    d, n = n_max, len(r) * len(psi)
-    _check_bytes("oscillator kernel pieces", len(r) * d * d * 8 + n * ((2 * d - 1) * 16 + 24))
-    order = np.arange(n)
-    phases = np.tile(np.exp(1j * np.outer(psi, np.arange(1 - d, d))), (len(r), 1))
-    radial = _radial(n_max, r * (2.0 if side == WIGNER else 1.0), side)
-    return Polar(radial, order, order, order // len(psi), phases, ((len(psi), len(r)),))
+    phases[:, d:] = np.cumprod(np.broadcast_to(z[:, None], (len(alphas), d - 1)), axis=1)
+    phases[:, : d - 1] = np.conj(phases[:, : d - 1: -1])  # negative k by conjugation
+    return phases
 
 
 # On a square window the same elements are separable instead.  As a function
@@ -475,12 +446,19 @@ def _factor_table(spec: KernelSpec) -> tuple[tuple[int, float, int], ...]:
     return tuple(table)
 
 
+def _factor_specs(spec: KernelSpec) -> list[KernelSpec]:
+    """The kernel spec of every tensor factor; a single system's is the spec itself."""
+    if isinstance(spec.system, Composite):
+        return [KernelSpec(spec.side, f) for f in spec.system.factors]
+    return [spec]
+
+
 @lru_cache(maxsize=None)
 def _columns(spec: KernelSpec) -> tuple[str, ...]:
     """Names of the coordinate columns of a kernel family, as its grid's ``column_names``."""
     desc = spec.system
     if isinstance(desc, Composite):
-        return _factor_columns(_columns(KernelSpec(spec.side, f)) for f in desc.factors)
+        return _factor_columns(_columns(sub) for sub in _factor_specs(spec))
     if isinstance(desc, HW):
         return ("re", "im")
     return _angle_columns(desc.N, _grid_manifold(spec))
@@ -534,8 +512,7 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
     _check_width(spec, len(values))
     if isinstance(desc, Composite):
         out, at = None, 0
-        for f in desc.factors:
-            sub = KernelSpec(spec.side, f)
+        for sub in _factor_specs(spec):
             cols = slice(at, at + _width(sub))
             # each factor once per distinct row of its columns, then gathered
             dims = [len(v) for v in values[cols]]
@@ -546,7 +523,10 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
             at = cols.stop
         return out
     if isinstance(desc, HW):
-        return _polar(desc.n_max, values[0][index[0]] + 1j * values[1][index[1]], spec.side).stack()
+        alphas = values[0][index[0]] + 1j * values[1][index[1]]
+        radii, ring = np.unique(np.abs(alphas), return_inverse=True)
+        radial = _radial(desc.n_max, radii, spec.side)
+        return _polar_kernels(radial[ring], _phase_powers(alphas, desc.n_max))
     U = _chain(desc, _factor_table(spec), values, index)
     return U if spec.side == WEYL else _rotated_parity(desc, U)
 
@@ -564,8 +544,7 @@ def _point_row(spec: KernelSpec, point: PhasePoint) -> tuple[float, ...]:
         if not isinstance(point, CompositePoint) or len(point.points) != len(desc.factors):
             raise TypeError(f"{desc} kernels take a CompositePoint of {len(desc.factors)} "
                             f"points, got {point!r}")
-        return sum((_point_row(KernelSpec(spec.side, f), p)
-                    for f, p in zip(desc.factors, point.points)), ())
+        return sum((_point_row(sub, p) for sub, p in zip(_factor_specs(spec), point.points)), ())
     want = _POINT_TYPE[_grid_manifold(spec)]
     if not isinstance(point, want):
         raise TypeError(f"{spec.side} kernels of {desc} take a {want.__name__}, got {point!r}")
@@ -580,7 +559,7 @@ def _row_point(spec: KernelSpec, row) -> PhasePoint:
     """The typed point at a row of the spec's coordinate columns (inverse of ``_point_row``)."""
     _check_width(spec, len(row))
     if isinstance(spec.system, Composite):
-        subs = [KernelSpec(spec.side, f) for f in spec.system.factors]
+        subs = _factor_specs(spec)
         ends = itertools.accumulate(_width(sub) for sub in subs)
         return CompositePoint(_row_point(sub, row[e - _width(sub):e]) for sub, e in zip(subs, ends))
     return _POINT_TYPE[_grid_manifold(spec)].from_row(row)
@@ -682,9 +661,7 @@ def _split(spec: KernelSpec, nodes, polar: bool = False) -> Pieces | Polar | Win
     desc, shape = spec.system, tuple(len(x) for x in nodes)
     d = dimension(desc)
     if isinstance(desc, HW):
-        if polar:
-            return _polar_rule(desc.n_max, nodes[0], nodes[1], spec.side)
-        return _window(desc.n_max, nodes[0], nodes[1], spec.side)
+        return (_polar_rule if polar else _window)(desc.n_max, *nodes, spec.side)
     table = _factor_table(spec)
     if spec.rotation == "arecchi":
         # e^{i J3 phi} e^{i J2 theta} (e^{i J3 phi})^dagger: a sandwich split at phi
@@ -708,7 +685,7 @@ def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Pola
 
     One entry per tensor factor (one for a single system): ``Pieces`` for
     SU(N), holding O((n_left + n_right) d^2) numbers; ``Polar`` for an
-    oscillator plane rule, holding O(n_rings d^2 + n_nodes d); and ``Window``
+    oscillator plane rule, holding O(n_r d^2 + n_psi d); and ``Window``
     for a square oscillator window, holding O((n_x + n_y) d) numbers and the
     O(d^3) transfer table it shares with every window of the same (d, side).
     The kernel stack would hold O(n_nodes d^2).  The cache is keyed weakly by
@@ -716,8 +693,8 @@ def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Pola
     """
     _check_grid(spec, grid)
     if isinstance(spec.system, Composite):
-        return tuple(p for f, g in zip(spec.system.factors, grid.factors)
-                     for p in kernel_pieces(KernelSpec(spec.side, f), g))
+        return tuple(p for sub, g in zip(_factor_specs(spec), grid.factors)
+                     for p in kernel_pieces(sub, g))
     per_grid = _PIECE_CACHE.setdefault(grid, {})
     if spec not in per_grid:
         pieces = _split(spec, [ax.nodes for ax in grid.axes], grid.polar)

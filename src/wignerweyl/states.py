@@ -11,6 +11,12 @@ from .algebra import HW, SUN, Composite, SystemDescriptor, dimension, is_hermiti
 from .rotations import arecchi_rotation
 
 
+def _finite(what: str, values):
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite, got {values}")
+    return values
+
+
 @dataclass(frozen=True)
 class Fock:
     n: int
@@ -20,6 +26,9 @@ class Fock:
 class Coherent:
     alpha: complex
 
+    def __post_init__(self):
+        _finite("a coherent amplitude", self.alpha)
+
 
 @dataclass(frozen=True)
 class HWCat:
@@ -28,13 +37,17 @@ class HWCat:
     components: tuple[complex, ...]
 
     def __init__(self, components):
-        object.__setattr__(self, "components", tuple(complex(c) for c in components))
+        components = _finite("cat components", tuple(complex(c) for c in components))
+        object.__setattr__(self, "components", components)
 
 
 @dataclass(frozen=True)
 class SpinCoherent:
     phi: float
     theta: float
+
+    def __post_init__(self):
+        _finite("spin-coherent angles", (self.phi, self.theta))
 
 
 @dataclass(frozen=True)
@@ -44,9 +57,8 @@ class SpinCat:
     orientations: tuple[tuple[float, float], ...]
 
     def __init__(self, orientations):
-        object.__setattr__(
-            self, "orientations", tuple((float(p), float(t)) for p, t in orientations)
-        )
+        angles = tuple((float(p), float(t)) for p, t in orientations)
+        object.__setattr__(self, "orientations", _finite("spin-cat angles", angles))
 
 
 @dataclass(frozen=True)
@@ -67,8 +79,8 @@ class ThermalSpec:
             raise ValueError("Hamiltonian must be square")
         if not is_hermitian(H):
             raise ValueError("Hamiltonian must be Hermitian")
-        if not (self.beta >= 0):
-            raise ValueError("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         H = H.copy()
         H.flags.writeable = False
         object.__setattr__(self, "hamiltonian", H)

@@ -13,14 +13,14 @@ SU(N) piece has two routes, picked by a multiply-add count from the shapes:
 its factored form for few operators, and its kernels formed in bounded node
 blocks, one GEMM per block, for large batches (as is a composite's first
 factor when it is the second stage).  An oscillator piece otherwise contracts
-through its own factors: a plane rule's radial matrices and phases, ring by
-ring, and a square window's Hermite-function tables, Hx P Hy^T, axis by axis.
+through its own factors, axis by axis: a plane rule's radial matrices and
+phases, and a square window's Hermite-function tables, Hx P Hy^T.
 
 ``symbols_at`` contracts a coordinate table that is a tensor mesh through
-the same pieces, built from its per-axis nodes; composite rows that are no
-mesh through per-row partial traces, factor by factor; and any other table
-through kernels formed in row blocks.  ``symbol_at`` traces one
-``kernel_at`` row.  Every route evaluates kernels through
+the same pieces, built from its per-axis nodes; other oscillator rows
+through radial factors per distinct radius and phases per row; and any other
+table through per-row partial traces, factor by factor.  ``symbol_at``
+traces one ``kernel_at`` row.  Every route evaluates kernels through
 ``kernels._kernels`` or its pieces; the independent constructions they are
 tested against, the literal triple-kernel star product among them, live in
 the tests.
@@ -35,11 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    HW, SUN, Composite, SystemDescriptor, dimension, format_system, is_hermitian,
+    HW, SUN, SystemDescriptor, dimension, format_system, is_hermitian,
 )
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, Window, _blocks, _check_grid, _check_width,
-    _diagonals, _polar, _row_kernels, _split, _width, kernel_at, kernel_pieces,
+    _diagonals, _factor_specs, _phase_powers, _radial, _row_kernels, _split, _width,
+    kernel_at, kernel_pieces,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, plane_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, HWPoint, PhasePoint
@@ -74,12 +75,6 @@ def _operator(A: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if A.shape != (d, d):
         raise ValueError(f"operator must be {d}x{d} for {spec.system}, got {A.shape}")
     return A
-
-
-def _traces(K: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Tr[A_b K_n] for operators (B, d, d) and kernels (n, d, d): (B, n)."""
-    d = K.shape[-1]
-    return np.swapaxes(A, 1, 2).reshape(len(A), d * d) @ K.reshape(len(K), d * d).T
 
 
 def _kernel_blocks(p: Pieces | Polar | Window):
@@ -164,9 +159,10 @@ def _pieces_forward(p: Pieces, A: np.ndarray) -> np.ndarray:
     L, R = p.left, p.right
     B, d = len(A), p.dim
     if _pieces_dense(p, B):
+        At = np.swapaxes(A, 1, 2).reshape(B, d * d)  # Tr[A K] = sum A^T * K
         out = np.empty((B, p.n_nodes), dtype=np.complex128)
         for nodes, K in _kernel_blocks(p):
-            out[:, nodes] = _traces(K, A)
+            out[:, nodes] = At @ K.reshape(-1, d * d).T
         return out
     # Tr[A K] = Tr[X R] with X = A L, or X = L^dagger A L on the sandwich;
     # X^T = L^T A^T (conj L) against R's rows makes one GEMM that writes
@@ -191,60 +187,47 @@ def _pieces_sum(p: Pieces, C: np.ndarray) -> np.ndarray:
     return np.swapaxes(L, 0, 1).reshape(d, -1) @ Q.reshape(B, -1, d)
 
 
-def _radial_products(p: Polar, X: np.ndarray, Y: np.ndarray, transpose: bool) -> None:
+def _radial_products(radial: np.ndarray, X: np.ndarray, Y: np.ndarray, transpose: bool) -> None:
     """One real GEMM per diagonal k: Y[:, k] = radial_k @ X_k, or Y_k = radial_k^T @ X[:, k].
 
     X and Y are complex, held as real pairs (last axis 2B): the diagonal-major
-    operator entries (d^2, 2B) and the per-ring coefficients (n_rings, 2d - 1, 2B).
+    operator entries (d^2, 2B) and the per-radius coefficients (n_r, 2d - 1, 2B).
     """
-    _, _, bounds, _ = _diagonals(p.dim)
+    _, _, bounds, _ = _diagonals(math.isqrt(radial.shape[1]))
     for k in range(len(bounds) - 1):
         s = slice(bounds[k], bounds[k + 1])
         if transpose:
-            Y[s] = p.radial[:, s].T @ X[:, k]
+            np.matmul(radial[:, s].T, X[:, k], out=Y[s])
         else:
-            Y[:, k] = p.radial[:, s] @ X[s]
+            np.matmul(radial[:, s], X[s], out=Y[:, k])
 
 
-def _ring_groups(p: Polar):
-    """(point slice, ring slice, points per ring, rings) of each run of equal rings."""
-    at = ring = 0
-    for count, rings in p.groups:
-        yield slice(at, at + count * rings), slice(ring, ring + rings), count, rings
-        at, ring = at + count * rings, ring + rings
+def _radial_coefficients(radial: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """c_k(r) = sum_{m - n = k} R_mn(r) A_nm for every radius and operator: (n_r, 2d - 1, B)."""
+    B, d = len(A), A.shape[-1]
+    m, n, _, _ = _diagonals(d)
+    a = np.ascontiguousarray(A[:, n, m].T)  # A_nm at the diagonal-major entry (m, n)
+    c = np.empty((len(radial), 2 * d - 1, 2 * B))
+    _radial_products(radial, a.view(np.float64), c, transpose=False)
+    return c.view(np.complex128)
 
 
 def _polar_forward(p: Polar, A: np.ndarray) -> np.ndarray:
-    B, d = len(A), p.dim
-    m, n, _, _ = _diagonals(d)
-    a = np.ascontiguousarray(A[:, n, m].T)  # A_nm at the diagonal-major entry (m, n)
-    out = np.empty((B, p.n_nodes), dtype=np.complex128)  # in ring order
-    # c_k(r) = sum_{m - n = k} R_mn(r) A_nm, then sum_k c_k(r) e^{i k psi}
-    c = np.empty((len(p.radial), 2 * d - 1, 2 * B))
-    _radial_products(p, a.view(np.float64), c, transpose=False)
-    c = c.view(np.complex128)
-    for pts, rings, count, n_rings in _ring_groups(p):
-        ph = p.phases[pts].reshape(n_rings, count, -1)
-        out[:, pts] = (ph @ c[rings]).reshape(-1, B).T
-    return np.take(out, p.position, axis=1)
+    # sum_k c_k(r) e^{i k psi}: per radius a GEMM (B, 2d - 1) @ (2d - 1, n_psi) into node order
+    c = _radial_coefficients(p.radial, A)
+    out = np.empty((len(A), len(c), len(p.phases)), dtype=np.complex128)
+    np.matmul(c.transpose(0, 2, 1), p.phases.T, out=out.transpose(1, 0, 2))
+    return out.reshape(len(A), -1)
 
 
 def _polar_sum(p: Polar, C: np.ndarray) -> np.ndarray:
+    # g_k(r) = sum_psi C e^{i k psi} per radius (C read in node order), S = sum_r R(r) g(r)
     B, d = len(C), p.dim
-    C = np.take(C, p.order, axis=1)
-    # g_k(r) = sum over the ring's points of C e^{i k psi}, then
-    # S_mn = sum_r R_mn(r) g_{m-n}(r)
-    g = np.empty((len(p.radial), 2 * d - 1, B), dtype=np.complex128)
-    for pts, rings, count, n_rings in _ring_groups(p):
-        ph = p.phases[pts].reshape(n_rings, count, -1)
-        g[rings] = np.swapaxes(ph, 1, 2) @ C[:, pts].reshape(B, n_rings, count).transpose(1, 2, 0)
+    g = np.matmul(p.phases.T, C.reshape(B, len(p.radial), -1).transpose(1, 2, 0))
     S = np.empty((d * d, 2 * B))
-    _radial_products(p, g.view(np.float64), S, transpose=True)
-    S = S.view(np.complex128).T
-    m, n, _, _ = _diagonals(d)
-    out = np.empty((B, d, d), dtype=np.complex128)
-    out[:, m, n] = S
-    return out
+    _radial_products(p.radial, g.view(np.float64), S, transpose=True)
+    _, _, _, to_c = _diagonals(d)
+    return S.view(np.complex128)[to_c].T.reshape(B, d, d)
 
 
 def _window_forward(p: Window, A: np.ndarray) -> np.ndarray:
@@ -295,10 +278,11 @@ def symbol_at(A: np.ndarray, spec: KernelSpec, point: PhasePoint) -> complex:
     return complex(np.trace(np.asarray(A, dtype=np.complex128) @ kernel_at(spec, point)))
 
 
-# Rows per oscillator level from which a mesh's Window, transfer table built
-# cold, beats the Polar row route: on an n x n HW(d) mesh the two cost the
-# same at about 200, 1,100, 1,700, 2,500, 3,000 and 6,000 rows for d = 4, 8,
-# 12, 20, 40 and 60 (Wigner side, one BLAS thread).
+# Rows per oscillator level from which a mesh takes a Window.  On an n x n
+# HW(d) mesh the Window (transfer table built cold) and the oscillator row route
+# take the same time at about 300, 1,050, 1,450, 3,100, 9,900 and 23,000 rows
+# for d = 4, 8, 12, 20, 40, 60 (Wigner side, one BLAS thread, +-25%), but the
+# Window holds far less: 4.5 MB against the row route's 42 MB at hw:40, 81 x 81.
 WINDOW_ROWS_PER_LEVEL = 100
 
 
@@ -330,10 +314,8 @@ def _mesh_pieces(spec: KernelSpec, nodes) -> tuple | None:
     table to the row routes: an oscillator factor with fewer rows, or pieces
     over ``MAX_STACK_BYTES``.
     """
-    subs = ([KernelSpec(spec.side, f) for f in spec.system.factors]
-            if isinstance(spec.system, Composite) else [spec])
     pieces, at = [], 0
-    for sub in subs:
+    for sub in _factor_specs(spec):
         axes, at = nodes[at:at + _width(sub)], at + _width(sub)
         f = sub.system
         if isinstance(f, HW) and len(axes[0]) * len(axes[1]) < WINDOW_ROWS_PER_LEVEL * f.n_max:
@@ -345,8 +327,23 @@ def _mesh_pieces(spec: KernelSpec, nodes) -> tuple | None:
     return tuple(pieces)
 
 
-def _composite_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
-    """Tr[A K(row)] on composite rows by partial traces, factor by factor.
+def _oscillator_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
+    """Tr[A K(row)] on oscillator rows: c_k(r) per distinct radius, then phases per row, blocked."""
+    d = dimension(spec.system)
+    alphas = coords[:, 0] + 1j * coords[:, 1]
+    radii, ring = np.unique(np.abs(alphas), return_inverse=True)
+    c = np.empty((len(radii), 2 * d - 1, 1), dtype=np.complex128)
+    for start, stop in _blocks(len(radii), 16 * d * d):
+        c[start:stop] = _radial_coefficients(_radial(d, radii[start:stop], spec.side), A[None])
+    out = np.empty(len(coords), dtype=np.complex128)
+    for start, stop in _blocks(len(coords), 32 * (2 * d - 1)):
+        phases = _phase_powers(alphas[start:stop], d)
+        out[start:stop] = np.einsum("nk,nk->n", c[ring[start:stop], :, 0], phases)
+    return out
+
+
+def _partial_trace_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
+    """Tr[A K(row)] by partial traces, factor by factor (one factor for a single system).
 
     Tr[A (K_1 (x) K_rest)] = Tr[Tr_1[A (K_1 (x) 1)] K_rest]: factor 1's
     kernels turn A into one operator on the rest per row, and so on down to
@@ -354,8 +351,8 @@ def _composite_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> np.n
     indices are reordered once to (c_1, a_1, c_2, a_2, ...), column before
     row per factor, so every partial trace reads its operators in place.
     """
-    subs = [KernelSpec(spec.side, f) for f in spec.system.factors]
-    dims = [dimension(f) for f in spec.system.factors]
+    subs = _factor_specs(spec)
+    dims = [dimension(sub.system) for sub in subs]
     k = len(dims)
     X0 = A.reshape(dims + dims).transpose([i for f in range(k) for i in (k + f, f)])
     X0 = X0.reshape(dims[0] ** 2, -1)
@@ -382,10 +379,10 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
     A table that is a tensor mesh in C order (each column varying along its
     own axis, as ``grid.coords()`` and ``np.meshgrid(..., indexing="ij")``
     lay it out) contracts through the kernels' factor pieces, as a grid
-    does.  Other composite tables contract row by row through per-factor
-    partial traces, and other single-system tables form their kernels in
-    blocks of at most ``kernels.BLOCK_BYTES``, so memory stays bounded
-    whatever the table size.
+    does.  Other oscillator tables contract through their radial factors
+    once per distinct radius and their phases per row, and every other table
+    through per-factor partial traces, in blocks of at most
+    ``kernels.BLOCK_BYTES``, so memory stays bounded whatever the table size.
     """
     A = _operator(A, spec)
     coords = np.asarray(coords, dtype=np.float64)
@@ -400,17 +397,9 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
     pieces = _mesh_pieces(spec, nodes) if nodes is not None else None
     if pieces is not None:
         return _forward(pieces, A[None])[0]
-    if isinstance(spec.system, Composite):
-        return _composite_rows(A, spec, coords)
-    out = np.empty(len(coords), dtype=np.complex128)
-    for start, stop in _blocks(len(coords), 16 * A.shape[0] ** 2):
-        block = coords[start:stop]
-        if isinstance(spec.system, HW):
-            p = _polar(spec.system.n_max, block[:, 0] + 1j * block[:, 1], spec.side)
-            out[start:stop] = _polar_forward(p, A[None])[0]
-        else:
-            out[start:stop] = _traces(_row_kernels(spec, block), A[None])[0]
-    return out
+    if isinstance(spec.system, HW):
+        return _oscillator_rows(A, spec, coords)
+    return _partial_trace_rows(A, spec, coords)
 
 
 def _reconstructed(spec: KernelSpec, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
@@ -518,16 +507,17 @@ def evolve(
     steps the reconstructed d x d operator and only the stored frames and the
     final state are transformed back: the grid work does not grow with the
     step count.  ``trace_drift`` and ``purity_drift`` are measured on the
-    symbols.  Besides the initial frame, a frame is stored every
-    n_steps // ``n_frames`` steps and at the final step (with 0, only there).
-    A negative ``n_frames``, and a Hamiltonian whose reconstruction is not
-    Hermitian, raise ValueError before any transform; a grid whose round trip
-    misses f_rho or f_H by more than ``tol``, relative to max(1, max|f|),
-    raises RuntimeError naming the grid before the first step.
+    symbols.  The fewest equal steps no longer than ``dt`` end on ``t_final``.
+    Besides the initial frame, a frame is stored every n_steps // ``n_frames``
+    steps and at the final step (with 0, only there).  A non-finite ``dt`` or
+    ``t_final``, a negative ``n_frames``, and a Hamiltonian whose
+    reconstruction is not Hermitian raise ValueError before any transform; a
+    grid whose round trip misses f_rho or f_H by more than ``tol``, relative
+    to max(1, max|f|), raises RuntimeError naming the grid before the first step.
     """
     _require_same_frame(f_rho, f_H)
-    if dt <= 0 or t_final < 0:
-        raise ValueError("need dt > 0 and t_final >= 0")
+    if not (0 < dt < math.inf and 0 <= t_final < math.inf):
+        raise ValueError(f"need a finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}")
     if n_frames < 0:
         raise ValueError(f"the frame count must be >= 0, got {n_frames}")
     spec, grid = f_rho.spec, f_rho.grid
@@ -544,9 +534,8 @@ def evolve(
                 "refine it (--grid-res/--radius)"
             )
 
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, t_final):
-        n_steps = int(math.ceil(t_final / dt))
+    n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))  # t_final / dt, to rounding, if whole
+    dt = t_final / max(n_steps, 1)
     frame_every = max(1, n_steps // n_frames) if n_frames else n_steps + 1
 
     def rhs(X: np.ndarray) -> np.ndarray:
@@ -561,7 +550,7 @@ def evolve(
         k4 = rhs(R + dt * k3)
         R = R + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if s % frame_every == 0 or s == n_steps:
-            times.append(s * dt)
+            times.append(t_final if s == n_steps else s * dt)
             stored.append(R)
     frames = [v0, *(_forward(pieces, np.stack(stored)) if stored else [])]
     v = frames[-1]

@@ -240,6 +240,35 @@ def test_evolve_reports_drifts(capsys):
     assert out["propagator_sup_residual"] < 1e-6
 
 
+def test_evolve_ends_on_a_t_final_that_is_no_multiple_of_dt(capsys):
+    out = run_cli(
+        capsys, "evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
+        "--field", "0.3,0,1", "--t-final", "0.025", "--dt", "0.01",
+    )
+    assert out["propagator_sup_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("times", [["--t-final", "0.02", "--dt", "inf"],
+                                   ["--t-final", "nan", "--dt", "0.01"]], ids=["dt", "t-final"])
+def test_evolve_rejects_a_non_finite_time(times, capsys):
+    err = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
+                      "--field", "0,0,1", *times)
+    assert "finite dt" in err["error"] and err["context"]["type"] == "ValueError"
+
+
+def test_partition_rejects_an_infinite_beta(capsys):
+    err = run_cli_err(capsys, "partition", "--system", "su:2:1", "--beta", "inf",
+                      "--field", "0,0,1")
+    assert "beta must be finite" in err["error"]
+
+
+@pytest.mark.parametrize("system, state", [("hw:4", "coherent:nan"), ("hw:4", "coherent:inf"),
+                                           ("su:2:1", "spincoherent:nan,0.1")])
+def test_non_finite_state_parameters_exit_2(system, state, capsys):
+    err = run_cli_err(capsys, "wigner", "--system", system, "--state", state)
+    assert err["error"].startswith(f"bad state string {state!r}")
+
+
 def test_figure_data_hw_cat(tmp_path, capsys):
     csv = tmp_path / "cat.csv"
     out = run_cli(

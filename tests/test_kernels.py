@@ -728,17 +728,20 @@ def _ghz_rows(side, n_theta):
 
 
 def _route(monkeypatch, A, spec, rows):
-    """symbols_at at the rows, and the route it took: 'mesh', 'composite rows' or 'rows'."""
+    """symbols_at at the rows, and the route it took: 'mesh', 'oscillator rows' or
+    'partial traces'."""
     import wignerweyl.transforms as transforms
 
     taken = []
     with monkeypatch.context() as m:
-        for name, route in (("_forward", "mesh"), ("_composite_rows", "composite rows")):
+        for name, route in (("_forward", "mesh"), ("_oscillator_rows", "oscillator rows"),
+                            ("_partial_trace_rows", "partial traces")):
             fn = getattr(transforms, name)
             m.setattr(transforms, name,
                       lambda *a, fn=fn, route=route: taken.append(route) or fn(*a))
         vals = symbols_at(A, spec, rows)
-    return vals, (taken[0] if taken else "rows")
+    assert len(set(taken)) == 1, taken
+    return vals, taken[0]
 
 
 def _check_oracle(spec, rows, vals, stride=1):
@@ -770,7 +773,7 @@ ROUTE_CASES = {
                      "mesh", 1),
     "su21*hw3": (KernelSpec("weyl", Composite((SUN(2, 1), HW(3)))),
                  lambda: _random_mesh(KernelSpec("weyl", Composite((SUN(2, 1), HW(3)))),
-                                      (3, 2, 2, 4, 5), 4), "composite rows", 1),
+                                      (3, 2, 2, 4, 5), 4), "partial traces", 1),
     "su21*hw3-wigner": (KernelSpec("wigner", Composite((SUN(2, 1), HW(3)))),
                         lambda: np.concatenate([np.repeat(_sphere_rows(3), 400, axis=0),
                                                 np.tile(_hw_mesh(20, 20, 3.0), (15, 1))],
@@ -779,12 +782,12 @@ ROUTE_CASES = {
                   lambda: _random_mesh(KernelSpec("wigner", Composite((SUN(2, 1), SUN(2, 1)))),
                                        (3, 2, 4, 3), 5), "mesh", 1),
     "ghz5-wigner": (KernelSpec("wigner", Composite((SUN(2, 1),) * 5)),
-                    lambda: _ghz_rows("wigner", 7), "composite rows", 1),
+                    lambda: _ghz_rows("wigner", 7), "partial traces", 1),
     "ghz5-weyl": (KernelSpec("weyl", Composite((SUN(2, 1),) * 5)),
-                  lambda: _ghz_rows("weyl", 7), "composite rows", 1),
+                  lambda: _ghz_rows("weyl", 7), "partial traces", 1),
     # 121^10 61^5 distinct-value combinations: past int64
     "ghz5-weyl-61": (KernelSpec("weyl", Composite((SUN(2, 1),) * 5)),
-                     lambda: _ghz_rows("weyl", 61), "composite rows", 97),
+                     lambda: _ghz_rows("weyl", 61), "partial traces", 97),
 }
 for _d, _square, _unequal in ((4, 21, (25, 17)), (12, 37, (45, 29)), (40, 67, (81, 51))):
     for _side in ("wigner", "weyl"):
@@ -794,7 +797,7 @@ for _d, _square, _unequal in ((4, 21, (25, 17)), (12, 37, (45, 29)), (40, 67, (8
         ROUTE_CASES[f"hw{_d}-{_side}-unequal"] = (
             _spec, lambda n=_unequal: _hw_mesh(*n, 5.0), "mesh", 31)
         ROUTE_CASES[f"hw{_d}-{_side}-small"] = (
-            _spec, lambda: _hw_mesh(9, 7, 5.0), "rows", 5)
+            _spec, lambda: _hw_mesh(9, 7, 5.0), "oscillator rows", 5)
 
 
 @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
@@ -817,10 +820,9 @@ def test_symbols_at_row_route_matches_kernel_at_off_the_mesh(case, monkeypatch):
         "repeated": np.concatenate([mesh, mesh[-1:]]),
         "missing": mesh[1:],
     }
-    want = "composite rows" if isinstance(spec.system, Composite) else "rows"
     for name, rows in tables.items():
         vals, route = _route(monkeypatch, _symbols_operator(spec), spec, rows)
-        assert route == want, name
+        assert route == "partial traces", name
         _check_oracle(spec, rows, vals, stride)
 
 
@@ -891,7 +893,7 @@ def test_symbols_at_falls_back_to_rows_past_the_piece_limit(spec, make_grid, mon
     with pytest.raises(OverflowError, match=r"symbols_at\(A, spec, grid\.coords\(\)\)"):
         phase_function(A, spec, make_grid())
     vals, route = _route(monkeypatch, A, spec, grid.coords())
-    assert route == ("composite rows" if isinstance(spec.system, Composite) else "rows")
+    assert route == "partial traces"
     assert np.max(np.abs(vals - want)) < 1e-13
 
 

@@ -176,3 +176,7 @@ def test_parse_state_rejects_malformed():
     for bad in ["fock:x", "coherent:", "spincoherent:1", "husimi:1", "hwcat:1|"]:
         with pytest.raises(ValueError):
             parse_state(bad, HW(8))
+    for bad in ["coherent:nan", "coherent:inf", "coherent:1+nanj", "hwcat:1|-infj",
+                "spincoherent:nan,0.1", "spincoherent:0.1,inf", "spincat:0,0.2|nan,0.3"]:
+        with pytest.raises(ValueError, match="bad state string .*must be finite"):
+            parse_state(bad, HW(8))

@@ -60,6 +60,9 @@ def test_thermal_spec_validation():
         ThermalSpec(np.eye(2), -1.0)
     with pytest.raises(ValueError):
         ThermalSpec(np.zeros(3), 1.0)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            ThermalSpec(np.eye(2), beta)
 
 
 def test_gibbs_and_oracle():

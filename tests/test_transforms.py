@@ -403,6 +403,38 @@ def test_evolve_validates_steps():
         evolve(f, f, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("t_final, dt, steps", [(0.025, 0.01, 3), (0.02, 0.01, 2),
+                                                (0.03, 0.01, 3), (0.004, 0.01, 1)])
+def test_evolve_lands_on_t_final_in_steps_no_longer_than_dt(t_final, dt, steps):
+    """A t_final that is no multiple of dt takes equal shorter steps; a multiple keeps its count."""
+    desc = SUN(2, 1)
+    spec, grid = KernelSpec("wigner", desc), cp_grid(desc)
+    from wignerweyl import build_generators
+
+    H = np.asarray(build_generators(2, 1)[0])
+    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    res = evolve(phase_function(rho0, spec, grid), phase_function(H, spec, grid), t_final, dt,
+                 n_frames=100)
+    assert len(res.times) == steps + 1 and res.times[-1] == t_final
+    assert np.max(np.diff(res.times)) <= dt * (1 + 1e-12)
+    w, V = np.linalg.eigh(H)
+    U = (V * np.exp(-1j * w * t_final)) @ V.conj().T
+    oracle = phase_function(U @ rho0 @ U.conj().T, spec, grid)
+    assert np.max(np.abs(res.final.values - oracle.values)) < 1e-9
+
+
+@pytest.mark.parametrize("t_final, dt", [(0.02, math.inf), (0.02, math.nan), (math.nan, 0.01),
+                                         (math.inf, 0.01)])
+def test_evolve_rejects_a_non_finite_time_before_any_transform(t_final, dt, monkeypatch):
+    desc = SUN(2, 1)
+    spec = KernelSpec("wigner", desc)
+    f = phase_function(np.eye(2) / 2.0, spec, cp_grid(desc))
+    for name in ("phase_function", "_forward", "_reconstructed"):
+        monkeypatch.setattr(transforms_module, name, None)
+    with pytest.raises(ValueError, match="finite dt"):
+        evolve(f, f, t_final, dt)
+
+
 def test_evolve_rejects_a_negative_frame_count(monkeypatch):
     desc = SUN(2, 1)
     spec = KernelSpec("wigner", desc)
@@ -819,6 +851,17 @@ def test_split_piece_routes_at_evolve_batch_sizes(system, side, split):
         _check_routes((p,), K, w, B, rng)
 
 
+def _peak(call) -> int:
+    """Peak bytes numpy allocates in a second call (first-call caches are not part of it)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # explicit resolutions large enough that node-sized arrays dominate the fixed
 # per-piece temporaries: 117,649, 65,536 and 65,536 nodes
 _NODE_DOMINATED = {
@@ -842,17 +885,8 @@ def test_batched_contractions_hold_no_node_sized_temporaries(system, side):
     A = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
     C = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
 
-    def peak(call):
-        call()  # first-call caches are not part of the contraction
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(lambda: transforms_module._forward(pieces, A)) <= 1.25 * B * n * 16
-    assert peak(lambda: transforms_module._kernel_sum(pieces, C)) <= C.nbytes / 4
+    assert _peak(lambda: transforms_module._forward(pieces, A)) <= 1.25 * B * n * 16
+    assert _peak(lambda: transforms_module._kernel_sum(pieces, C)) <= C.nbytes / 4
 
 
 @pytest.mark.parametrize(
@@ -887,27 +921,66 @@ def test_symbols_at_rejects_non_finite_rows():
 
 
 @pytest.mark.parametrize("n_max", [2, 5, 12])
-def test_symbols_at_on_mixed_ring_populations_matches_kernel_at(n_max):
-    """Point sets still contract in polar form, over rings holding 1, 4 and 8 points.
+def test_symbols_at_oscillator_rows_match_the_closed_form(n_max, monkeypatch):
+    """The oscillator row route against the oracle's Laguerre closed form, in several blocks.
 
-    An odd mesh holds the origin (a ring of one), the axes and diagonals
-    (rings of four) and the rest (rings of eight, where the mesh is
-    mirror-symmetric to the last bit), so ``_polar_forward`` and
-    ``_polar_sum`` run several ring groups.
+    An odd 9 x 9 mesh holds the origin, the axes and the diagonals, whose
+    radii repeat up to eight times, and random rows follow; the table is no
+    mesh, so it takes the row route.  A budget of 7 rows per block makes 18
+    row blocks, and the radial factors, once per distinct radius, come in
+    blocks too.
     """
     x = np.linspace(-2.0, 2.0, 9)
-    rows = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
     rng = np.random.default_rng(n_max)
+    rows = np.concatenate([np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2),
+                           rng.uniform(-3.0, 3.0, (40, 2))])
+    n_radii = len(np.unique(np.hypot(rows[:, 0], rows[:, 1])))
+    monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 7 * 32 * (2 * n_max - 1))
+    calls = {"_radial": [], "_phase_powers": []}
+    for name, at in (("_radial", 1), ("_phase_powers", 0)):  # the position of the points
+        fn, seen = getattr(transforms_module, name), calls[name]
+        monkeypatch.setattr(transforms_module, name,
+                            lambda *a, fn=fn, seen=seen, at=at: seen.append(len(a[at])) or fn(*a))
+    A = _hermitian(n_max, 7) + 1j * _hermitian(n_max, 8)
     for side in ("wigner", "weyl"):
-        spec = KernelSpec(side, HW(n_max))
-        p = kernels_module._polar(n_max, rows[:, 0] + 1j * rows[:, 1], side)
-        assert len(p.groups) >= 3
+        for seen in calls.values():
+            seen.clear()
         K = oracles.hw_kernels(n_max, rows[:, 0] + 1j * rows[:, 1], side)
-        A = _hermitian(n_max, 7) + 1j * _hermitian(n_max, 8)
-        assert np.max(np.abs(symbols_at(A, spec, rows) - np.einsum("nij,ji->n", K, A))) < 1e-12
-        C = rng.standard_normal((2, len(rows))) + 1j * rng.standard_normal((2, len(rows)))
-        got = transforms_module._polar_sum(p, C)
-        assert np.max(np.abs(got - np.einsum("bn,nij->bij", C, K))) < 1e-12
+        got = symbols_at(A, KernelSpec(side, HW(n_max)), rows)
+        assert calls["_phase_powers"] == [7] * 17 + [2]
+        assert len(calls["_radial"]) > 1 and sum(calls["_radial"]) == n_radii
+        assert np.max(np.abs(got - np.einsum("nij,ji->n", K, A))) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [5, 12])
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+def test_plane_rule_routes_match_kernel_stack(n_max, side):
+    """The polar contraction of a plane rule's pieces, for one operator and for batches."""
+    spec, grid = KernelSpec(side, HW(n_max)), default_grid(HW(n_max), side)
+    (p,) = kernels_module.kernel_pieces(spec, grid)
+    assert isinstance(p, kernels_module.Polar) and (len(p.radial), len(p.phases)) == grid.shape
+    K, rng = kernel_stack(spec, grid), np.random.default_rng(3)
+    for B in (1, 3, 40):
+        _check_routes((p,), K, grid.weights(), B, rng)
+    assert np.max(np.abs(p.stack(5, 23) - K[5:23])) < 1e-13
+
+
+@pytest.mark.parametrize("system, side", [("hw:20", "wigner"), ("hw:40", "wigner"),
+                                          ("hw:40", "weyl")])
+def test_plane_rule_contractions_hold_one_node_sized_intermediate(system, side):
+    """A plane rule's forward map allocates its output and one (B, n_r, 2d - 1) coefficient
+    array, and its kernel sum the (B, n_r, 2d - 1) angle sums: no node-sized copy through a
+    permutation."""
+    desc = parse_system(system)
+    grid = default_grid(desc, side)
+    pieces = kernels_module.kernel_pieces(KernelSpec(side, desc), grid)
+    d, n = dimension(desc), grid.n_nodes
+    rng = np.random.default_rng(0)
+    for B in (1, 3):
+        A = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
+        C = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
+        assert _peak(lambda: transforms_module._forward(pieces, A)) <= 3 * B * n * 16
+        assert _peak(lambda: transforms_module._kernel_sum(pieces, C)) <= 2.5 * C.nbytes
 
 
 def test_node_guard_fires_before_any_piece_is_built(monkeypatch):
