@@ -58,7 +58,7 @@ class RunConfig:
     observable: str | None = _option("j:<k> | vec:ex,ey,ez | file:<path> (default j:3)")
     point: str | None = _option("comma-separated coordinates; ';' between factors")
     shift: str | None = _option("same grammar as kernel --point (omit for zero shift)")
-    axis: str | None = _option("coordinate name, e.g. q, p, theta1, Phi1")
+    axis: str | None = _option("Weyl grid column name, e.g. re, im, theta1, Phi1, f1_phi1")
     samples: str | None = _option("lo:hi:count")
     orders: str | None = _option("per-axis derivative orders, e.g. 0,0,2")
     t_final: float | None = _option("final time", type=float)

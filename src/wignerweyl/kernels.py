@@ -32,10 +32,11 @@ rotation).  An oscillator plane rule is a tensor grid in (r, psi), and its
 ``Polar`` pieces hold K_mn = R_mn(r) e^{i (m-n) psi} as radial matrices per
 radius and phases per angle; a square window is a tensor grid in (x, y), and
 its ``Window`` pieces hold Hermite functions of each axis and a transfer
-table, K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y).  ``_split`` reads
-per-axis nodes, so it serves both grids, whose pieces ``kernel_pieces``
-caches per (grid, kernel spec), and the tensor meshes that ``symbols_at``
-finds in coordinate tables, whose pieces are not cached.
+table, K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y), whose coefficients of
+order m + n are the SU(2) rotation exp(i pi/4 J(2)) of SUN(2, m + n).
+``_split`` reads per-axis nodes, so it serves both grids, whose pieces
+``kernel_pieces`` caches per (grid, kernel spec), and the tensor meshes that
+``symbols_at`` finds in coordinate tables, whose pieces are not cached.
 """
 
 from __future__ import annotations
@@ -279,12 +280,12 @@ def _phase_powers(alphas: np.ndarray, d: int) -> np.ndarray:
 
 # On a square window the same elements are separable instead.  As a function
 # of beta = u + i v (beta = alpha on the Weyl side, 2 alpha on the Wigner
-# side), <m|D(beta)|n> is a Laguerre-Gauss mode of total order N = m + n, an
-# eigenfunction of the two-dimensional oscillator, so it is a finite sum of
-# Hermite-Gauss products h_a(u) h_(N-a)(v), a = 0 .. N (Beijersbergen et
-# al., Opt. Commun. 96 (1993) 123).  ``Window`` holds the Hermite functions
-# at the scaled axis nodes and a transfer table of those coefficients, cached
-# per (d, side) and stored per order N: O(d^3) numbers.
+# side), <m|D(beta)|n> is a Laguerre-Gauss mode of total order N = m + n,
+# and those are the Hermite-Gauss products h_a(u) h_(N-a)(v), a = 0 .. N,
+# turned by a spin-N/2 rotation (Schwinger's oscillator form of SU(2);
+# Beijersbergen et al., Opt. Commun. 96 (1993) 123).  ``Window`` holds the
+# Hermite functions at the scaled axis nodes and a transfer table of those
+# coefficients, cached per (d, side) and stored per order N: O(d^3) numbers.
 
 
 @dataclass(frozen=True)
@@ -308,47 +309,38 @@ class HermiteTransfer:
     anti: np.ndarray  # (2d - 1, 2d - 1)
 
 
+def _quarter_turn(N: int) -> np.ndarray:
+    """exp(i pi/4 J(2)) in SUN(2, N), real orthogonal; state (N - j, j) at index j.
+
+    J(2) = -i (a1^dagger a2 - a2^dagger a1) is tridiagonal there; it is built
+    here, not read from ``algebra``, so that no generator set is cached.
+    """
+    off = np.sqrt(np.arange(1.0, N + 1) * np.arange(N, 0, -1))
+    w, V = np.linalg.eigh(np.diag(-1j * off, 1) + np.diag(1j * off, -1))
+    return ((V * np.exp(0.25j * math.pi * w)) @ V.conj().T).real
+
+
 @lru_cache(maxsize=None)
 def _hermite_transfer(d: int, side: str) -> HermiteTransfer:
     """The ``HermiteTransfer`` of HW(d) on one side (cached, read-only).
 
-    Only the leading homogeneous part of a mode fixes its coefficients: that
-    of <m|D(beta)|n> e^{|beta|^2/2} is beta^m (-conj beta)^n / sqrt(m! n!)
-    (normal order, e^{beta a^dagger} e^{-conj(beta) a}), and that of
-    h_a(u) h_b(v) e^{(u^2+v^2)/2} is 2^{N/2} u^a v^b / sqrt(pi a! b!).  The
-    coefficient of u^a v^b in (u + i v)^m (u - i v)^n is i^b k_b, with k_b the
-    coefficient of t^b in (1 + t)^m (1 - t)^n.  The k_b are summed in
-    integers and k_b^2 a! b! / (m! n! 2^N) is divided exactly before its
-    square root, so every coefficient is within a few roundings of exact at
-    every d, where a float Krawtchouk sum would cancel.  Wigner elements carry
-    2 (-1)^n on top: 2 D(2 alpha) P.
+    Element (m, n) of order N has the coefficient sqrt(pi) (-i)^b R_N[b, n] s_n
+    on h_(N-b)(u) h_b(v), R_N the rotation ``_quarter_turn(N)``, s_n = (-1)^n
+    on the Weyl side and 2 on the Wigner side (2 D(2 alpha) P).
     """
     D = 2 * d - 1
     _check_bytes("oscillator transfer table", D * D * d * 16 + D * D * 40)
-    fact = [math.factorial(k) for k in range(D)]
-    root_pi = math.sqrt(math.pi)
+    sign = np.full(d, 2.0) if side == WIGNER else (-1.0) ** np.arange(d)
     table = np.zeros((D, D, d), dtype=np.complex128)
     take = np.zeros((D, d), dtype=np.intp)
     where = np.empty(d * d, dtype=np.intp)
     for N in range(D):
-        lo, hi = max(0, N - d + 1), min(N, d - 1)
-        # k_b of (1 + t)^(N - lo) (1 - t)^lo, then times (1 - t)/(1 + t) per step in n
-        k = [sum(math.comb(N - lo, j) * math.comb(lo, b - j) * (-1) ** (b - j)
-                 for j in range(max(0, b - lo), min(b, N - lo) + 1)) for b in range(N + 1)]
-        for i, n in enumerate(range(lo, hi + 1)):
-            if i:
-                q = list(itertools.accumulate(k, lambda prev, c: c - prev))
-                k = [q[0]] + [q[b] - q[b - 1] for b in range(1, N + 1)]
-            m = N - n
-            # (-1)^n of (-conj beta)^n, times 2 (-1)^n on the Wigner side
-            sign = 2.0 if side == WIGNER else (-1.0) ** n
-            den = fact[m] * fact[n] << N
-            for b, kb in enumerate(k):
-                if kb:
-                    v = math.sqrt(kb * kb * fact[N - b] * fact[b] / den) * root_pi
-                    table[N, N - b, i] = math.copysign(v, kb) * sign * 1j ** (b % 4)
-            take[N, i] = n * d + m
-            where[m * d + n] = N * d + i
+        n = np.arange(max(0, N - d + 1), min(N, d - 1) + 1)
+        i, b = np.arange(len(n)), np.arange(N + 1)
+        turn = np.array([1, -1j, -1, 1j])[b % 4, None] * _quarter_turn(N)[:, n]  # (-i)^b R_N[b, n]
+        table[N, N - b, :len(n)] = math.sqrt(math.pi) * turn * sign[n]
+        take[N, i] = n * d + N - n
+        where[(N - n) * d + n] = N * d + i
     a = np.arange(D)
     out = HermiteTransfer(table, take, where, (a[:, None] - a[None, :]) % D)
     for x in vars(out).values():

@@ -145,20 +145,14 @@ def state_vector(spec: StateSpec, desc: SystemDescriptor) -> np.ndarray:
             v += arecchi_rotation(desc, p, t) @ low
         return v / np.linalg.norm(v)
     if isinstance(spec, GHZ):
-        if isinstance(desc, Composite) and all(
-            isinstance(f, SUN) and f.N == 2 and f.M == 1 for f in desc.factors
-        ):
-            d = dimension(desc)
-            v = np.zeros(d, dtype=np.complex128)
-            v[0] = v[-1] = 1.0 / math.sqrt(2.0)
-            return v
-        if isinstance(desc, SUN) and desc.N == 2:
-            # Dicke-space twin: (|j, j> + |j, -j>) / sqrt(2)
-            d = dimension(desc)
-            v = np.zeros(d, dtype=np.complex128)
-            v[0] = v[-1] = 1.0 / math.sqrt(2.0)
-            return v
-        raise TypeError("GHZ states need qubit composites or a SUN(2, M) system")
+        # (|0...0> + |1...1>) / sqrt(2) on qubits, its Dicke-space twin
+        # (|j, j> + |j, -j>) / sqrt(2) on SUN(2, M)
+        qubits = isinstance(desc, Composite) and all(f == SUN(2, 1) for f in desc.factors)
+        if not (qubits or isinstance(desc, SUN) and desc.N == 2):
+            raise TypeError("GHZ states need qubit composites or a SUN(2, M) system")
+        v = np.zeros(dimension(desc), dtype=np.complex128)
+        v[0] = v[-1] = 1.0 / math.sqrt(2.0)
+        return v
     raise TypeError(f"{type(spec).__name__} has no pure-state vector")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import measures
 from .algebra import HW, SUN, SystemDescriptor, dimension, generator, is_hermitian
-from .kernels import WEYL, WIGNER, KernelSpec, _factor_table, _point_row
+from .kernels import WEYL, WIGNER, KernelSpec, _columns, _factor_table, _point_row
 from .measures import QuadratureGrid, _angle_columns, _shift_rule, plane_grid, product_grid
 from .points import PhasePoint
 from .states import ThermalSpec
@@ -142,23 +142,21 @@ def weyl_moments(rho: np.ndarray, desc: SystemDescriptor, multi_index: tuple[int
 def autocorrelation(
     rho: np.ndarray, desc: SystemDescriptor, axis: str, samples
 ) -> np.ndarray:
-    """Weyl symbol of rho along a single parameter axis.
+    """Weyl symbol of rho along one coordinate column, the others at zero.
 
-    SUN axes are the Euler angles (``phi1``, ``theta1``, ..., ``Phi1``, ...);
-    HW axes are ``q`` and ``p`` (alpha = (chi_q + i chi_p)/sqrt(2)).
+    The axes are the columns of the Weyl grid (``kernels._columns``): the
+    Euler angles on SU(N) (``phi1``, ``theta1``, ..., ``Phi1``, ...), ``re``
+    and ``im`` of alpha on the oscillator, and ``f1_...``, ``f2_...`` on a
+    composite, each factor's columns with its prefix.
     """
-    if isinstance(desc, HW):
-        axes, scale = ("q", "p"), math.sqrt(2.0)  # the re and im columns of the plane
-    elif isinstance(desc, SUN):
-        axes, scale = weyl_axes(desc), 1.0
-    else:
-        raise TypeError("autocorrelation is defined for single HW or SUN factors")
+    spec = KernelSpec(WEYL, desc)
+    axes = _columns(spec)
     if axis not in axes:
         raise ValueError(f"axis {axis!r} not in {axes}")
     samples = np.asarray(samples, dtype=np.float64)
     coords = np.zeros((len(samples), len(axes)))
-    coords[:, axes.index(axis)] = samples / scale
-    return symbols_at(rho, KernelSpec(WEYL, desc), coords)
+    coords[:, axes.index(axis)] = samples
+    return symbols_at(rho, spec, coords)
 
 
 @dataclass

@@ -275,14 +275,15 @@ def phase_function(A: np.ndarray, spec: KernelSpec, grid: QuadratureGrid) -> Pha
 
 def symbol_at(A: np.ndarray, spec: KernelSpec, point: PhasePoint) -> complex:
     """Forward transform at a single explicit point (no grid)."""
-    return complex(np.trace(np.asarray(A, dtype=np.complex128) @ kernel_at(spec, point)))
+    return complex(np.trace(_operator(A, spec) @ kernel_at(spec, point)))
 
 
 # Rows per oscillator level from which a mesh takes a Window.  On an n x n
 # HW(d) mesh the Window (transfer table built cold) and the oscillator row route
-# take the same time at about 300, 1,050, 1,450, 3,100, 9,900 and 23,000 rows
-# for d = 4, 8, 12, 20, 40, 60 (Wigner side, one BLAS thread, +-25%), but the
-# Window holds far less: 4.5 MB against the row route's 42 MB at hw:40, 81 x 81.
+# take the same time at about 1,350, 1,600, 1,800, 2,100, 3,600 and 5,300 rows
+# for d = 4, 8, 12, 20, 40, 60 (Wigner side, one BLAS thread, +-25%): near 100 d
+# from d = 20 on.  The Window also holds far less: 4.5 MB against the row
+# route's 42 MB at hw:40, 81 x 81.
 WINDOW_ROWS_PER_LEVEL = 100
 
 
@@ -423,10 +424,7 @@ def grid_roundtrip_residual(spec: KernelSpec, grid: QuadratureGrid, seed: int = 
 
     A large value flags an under-resolved grid for this kernel family.
     """
-    d = dimension(spec.system)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    probe = (g + g.conj().T) / 2.0
+    probe = _random_hermitian(dimension(spec.system), np.random.default_rng(seed))
     back = reconstruct(phase_function(probe, spec, grid))
     return float(np.max(np.abs(back - probe)))
 

@@ -8,13 +8,17 @@ none of its code:
   the chart's documented factor sequence, with the parity rotated on the
   Wigner side;
 - oscillator kernels are the Laguerre closed form, with scipy's Laguerre
-  polynomials and log-gamma;
+  polynomials and log-gamma, and the window's Hermite transfer table is
+  summed in integers from the modes' leading homogeneous parts;
 - composite kernels are ``np.kron`` products of the factor kernels;
 - the arecchi family is ``rotations.arecchi_rotation``, exp(xi J+ - xi* J-);
 - the star product is the literal triple-kernel quadrature over these kernels;
 - the parity's Cartan weights are its trace projections on the diagonal
   generators.
 """
+
+import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -79,6 +83,41 @@ def hw_kernels(n_max: int, alphas, side: str) -> np.ndarray:
     if side == "wigner":
         K = K * 2.0 * (-1.0) ** n
     return K
+
+
+def hermite_transfer_table(d: int, side: str) -> np.ndarray:
+    """The ``table`` of ``kernels.HermiteTransfer`` from integer Krawtchouk sums.
+
+    Only the leading homogeneous part of a mode fixes its coefficients: that
+    of <m|D(beta)|n> e^{|beta|^2/2} is beta^m (-conj beta)^n / sqrt(m! n!)
+    (normal order, e^{beta a^dagger} e^{-conj(beta) a}), and that of
+    h_a(u) h_b(v) e^{(u^2+v^2)/2} is 2^{N/2} u^a v^b / sqrt(pi a! b!).  The
+    coefficient of u^a v^b in (u + i v)^m (u - i v)^n is i^b k_b, with k_b the
+    coefficient of t^b in (1 + t)^m (1 - t)^n.  The k_b are summed in
+    integers and k_b^2 a! b! / (m! n! 2^N) is divided exactly before its
+    square root, so every coefficient is within a few roundings of exact,
+    where a float Krawtchouk sum would cancel.  Wigner elements carry
+    2 (-1)^n on top: 2 D(2 alpha) P.
+    """
+    D = 2 * d - 1
+    fact = [math.factorial(k) for k in range(D)]
+    table = np.zeros((D, D, d), dtype=np.complex128)
+    for N in range(D):
+        lo, hi = max(0, N - d + 1), min(N, d - 1)
+        # k_b of (1 + t)^(N - lo) (1 - t)^lo, then times (1 - t)/(1 + t) per step in n
+        k = [sum(math.comb(N - lo, j) * math.comb(lo, b - j) * (-1) ** (b - j)
+                 for j in range(max(0, b - lo), min(b, N - lo) + 1)) for b in range(N + 1)]
+        for i, n in enumerate(range(lo, hi + 1)):
+            if i:
+                q = list(itertools.accumulate(k, lambda prev, c: c - prev))
+                k = [q[0]] + [q[b] - q[b - 1] for b in range(1, N + 1)]
+            sign = 2.0 if side == "wigner" else (-1.0) ** n
+            den = fact[N - n] * fact[n] << N
+            for b, kb in enumerate(k):
+                if kb:
+                    v = math.sqrt(kb * kb * fact[N - b] * fact[b] / den) * math.sqrt(math.pi)
+                    table[N, N - b, i] = math.copysign(v, kb) * sign * 1j ** (b % 4)
+    return table
 
 
 def kernel(spec: KernelSpec, point) -> np.ndarray:

@@ -26,6 +26,11 @@ unchanged: every row matched per-point ``symbols_at`` of its state to
 inside the 1e-8 propagator tolerance), the printed residuals stayed at
 their previous sizes, and ``reconstruct --infile`` of the new
 ``wigner_su21.csv`` and ``weyl_su21.csv`` returns their states to 5e-16.
+``autocorr_hw_re`` and ``autocorr_hw_im`` replaced ``autocorr_hw_q`` and
+``autocorr_hw_p`` when the oscillator's autocorrelation axes became the grid
+columns ``re`` and ``im`` (alpha itself, where q and p were sqrt(2) alpha):
+they sample the same alphas, the old samples divided by sqrt(2), and their
+values matched the old files to 2.5e-16.
 """
 
 import json
@@ -58,10 +63,11 @@ CASES = {
                               "--side", "wigner", "--out", "{out}"],
     "fig_ghz5_equal_weyl": ["figure-data", "--preset", "ghz5-equal-angle", "--grid-res", "5",
                             "--side", "weyl", "--out", "{out}"],
-    "autocorr_hw_q": ["autocorr", "--system", "hw:8", "--state", "coherent:0.5+0.3j",
-                      "--axis", "q", "--samples=-1.5:1.5:7", "--out", "{out}"],
-    "autocorr_hw_p": ["autocorr", "--system", "hw:8", "--state", "coherent:0.5+0.3j",
-                      "--axis", "p", "--samples=-1.5:1.5:7"],
+    "autocorr_hw_re": ["autocorr", "--system", "hw:8", "--state", "coherent:0.5+0.3j",
+                       "--axis", "re", "--samples=-1.0606601717798212:1.0606601717798212:7",
+                       "--out", "{out}"],
+    "autocorr_hw_im": ["autocorr", "--system", "hw:8", "--state", "coherent:0.5+0.3j",
+                       "--axis", "im", "--samples=-1.0606601717798212:1.0606601717798212:7"],
     "autocorr_su_phi1": ["autocorr", "--system", "su:2:2", "--state", "spincoherent:0.3,0.8",
                          "--axis", "Phi1", "--samples", "0:1.5:7"],
     "wigner_su21": ["wigner", "--system", "su:2:1", "--state", "spincoherent:0.3,0.5",

@@ -23,6 +23,7 @@ from wignerweyl import (
     EulerPoint,
     HWPoint,
     KernelSpec,
+    arecchi_rotation,
     basis_labels,
     build_generators,
     cp_grid,
@@ -512,7 +513,7 @@ def test_default_oscillator_pieces_hold_no_node_stack():
 
 
 @pytest.mark.parametrize("side", ["weyl", "wigner"])
-@pytest.mark.parametrize("n_max", [1, 2, 7, 20, 40])
+@pytest.mark.parametrize("n_max", [1, 2, 7, 20, 40, 60])
 def test_hermite_transfer_matches_pointwise_kernels(n_max, side):
     """Window kernels from the Hermite transfer table against the Laguerre closed form.
 
@@ -531,6 +532,32 @@ def test_hermite_transfer_matches_pointwise_kernels(n_max, side):
     arrays = [a for a in vars(transfer).values() if isinstance(a, np.ndarray)]
     assert not any(a.flags.writeable for a in arrays)
     assert sum(a.nbytes for a in arrays) <= 16 * (2 * n_max - 1) ** 2 * (n_max + 4)
+
+
+def test_quarter_turn_is_the_arecchi_rotation():
+    """The transfer table's exp(i pi/4 J(2)) is arecchi_rotation(SUN(2, N), 0, pi/4)."""
+    assert np.array_equal(kernels_module._quarter_turn(0), np.ones((1, 1)))
+    for N in range(1, 79):
+        R = kernels_module._quarter_turn(N)
+        want = arecchi_rotation(SUN(2, N), 0.0, math.pi / 4)
+        assert R.dtype == np.float64 and np.max(np.abs(R - want)) < 2e-14, N
+
+
+@pytest.mark.parametrize("d", [2, 7, 20, 40, 60])
+def test_hermite_transfer_matches_the_integer_construction(d):
+    for side in ("weyl", "wigner"):
+        table = kernels_module._hermite_transfer(d, side).table
+        assert np.max(np.abs(table - oracles.hermite_transfer_table(d, side))) < 5e-14
+
+
+def test_hermite_transfer_fills_no_generator_cache():
+    """The table's rotations are built from their own J(2), not the cached generator sets."""
+    from wignerweyl.algebra import _gen_eig
+
+    before = build_generators.cache_info(), _gen_eig.cache_info()
+    for side in ("weyl", "wigner"):
+        kernels_module._hermite_transfer.__wrapped__(40, side)  # built afresh, uncached
+    assert (build_generators.cache_info(), _gen_eig.cache_info()) == before
 
 
 @pytest.mark.parametrize("side", ["weyl", "wigner"])
@@ -871,7 +898,7 @@ def test_single_oscillator_points_build_no_transfer_table(monkeypatch):
     report = verify_stratonovich(desc, "weyl")
     assert report.passed
     rho = build_state(parse_state("coherent:0.3+0.1j", desc), desc)
-    for axis in ("q", "p"):
+    for axis in ("re", "im"):
         vals = autocorrelation(rho, desc, axis, np.linspace(-2.0, 2.0, 11))
         assert vals.shape == (11,)
 

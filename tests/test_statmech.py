@@ -237,23 +237,40 @@ def test_autocorrelation_spin_closed_form():
 
 
 def test_autocorrelation_hw_closed_form():
+    """<beta|D(alpha)|beta> = exp(-|alpha|^2/2 + alpha conj(beta) - conj(alpha) beta) on re, im."""
     beta = 0.5 + 0.8j
     desc = HW(25)
     rho = build_state(Coherent(beta), desc)
-    s = np.linspace(-2.0, 2.0, 7)
-    got_q = autocorrelation(rho, desc, "q", s)
-    want_q = np.exp(-(s**2) / 4.0) * np.exp(-1j * math.sqrt(2.0) * s * beta.imag)
-    assert np.max(np.abs(got_q - want_q)) < 1e-9
-    got_p = autocorrelation(rho, desc, "p", s)
-    want_p = np.exp(-(s**2) / 4.0) * np.exp(1j * math.sqrt(2.0) * s * beta.real)
-    assert np.max(np.abs(got_p - want_p)) < 1e-9
+    x = np.linspace(-2.0, 2.0, 7) / math.sqrt(2.0)
+    got_re = autocorrelation(rho, desc, "re", x)
+    want_re = np.exp(-(x**2) / 2.0) * np.exp(-2j * x * beta.imag)
+    assert np.max(np.abs(got_re - want_re)) < 1e-9
+    got_im = autocorrelation(rho, desc, "im", x)
+    want_im = np.exp(-(x**2) / 2.0) * np.exp(2j * x * beta.real)
+    assert np.max(np.abs(got_im - want_im)) < 1e-9
+
+
+def test_autocorrelation_takes_the_weyl_columns_of_a_composite():
+    """On a product state each factor's column gives that factor's slice times the other's trace."""
+    spin, osc = SUN(2, 1), HW(3)
+    rho1 = build_state(RandomDensity(2), spin)
+    rho2 = build_state(Coherent(0.3 - 0.2j), osc)
+    desc = Composite((spin, osc))
+    s = np.linspace(-1.0, 1.2, 5)
+    for axis, sub, rho in [("f1_theta1", spin, rho1), ("f2_im", osc, rho2)]:
+        got = autocorrelation(np.kron(rho1, rho2), desc, axis, s)
+        want = autocorrelation(rho, sub, axis[3:], s)
+        assert np.max(np.abs(got - want)) < 1e-13, axis
 
 
 def test_autocorrelation_rejects_unknown_axis():
     with pytest.raises(ValueError):
         autocorrelation(np.eye(2) / 2, SUN(2, 1), "theta9", [0.0])
-    with pytest.raises(ValueError):
-        autocorrelation(np.eye(4) / 4, HW(4), "x", [0.0])
+    for axis in ("x", "q", "alpha"):  # the oscillator's columns are re and im
+        with pytest.raises(ValueError, match=r"not in \('re', 'im'\)"):
+            autocorrelation(np.eye(4) / 4, HW(4), axis, [0.0])
+    with pytest.raises(ValueError, match="f2_re"):
+        autocorrelation(np.eye(6) / 6, Composite((SUN(2, 1), HW(3))), "re", [0.0])
 
 
 def test_cross_correlation_zero_shift_is_purity_over_volume():

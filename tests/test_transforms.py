@@ -113,6 +113,18 @@ def test_symbol_at_matches_grid_values():
         assert abs(symbol_at(A, spec, grid.point(i)) - f.values[i]) < 1e-12
 
 
+@pytest.mark.parametrize("A", [np.eye(3), np.ones(2), np.eye(2)[None]],
+                         ids=["3x3", "vector", "stack"])
+def test_symbol_at_validates_the_operator_as_every_transform(A):
+    desc = SUN(2, 1)
+    spec, grid = KernelSpec("weyl", desc), sun_grid(desc)
+    for transform in (lambda: symbol_at(A, spec, grid.point(0)),
+                      lambda: symbols_at(A, spec, grid.coords()[:1]),
+                      lambda: phase_function(A, spec, grid)):
+        with pytest.raises(ValueError, match=r"operator must be 2x2 for SUN\(N=2, M=1\)"):
+            transform()
+
+
 @pytest.mark.parametrize(
     "side,make_grid",
     [
