@@ -27,7 +27,7 @@ from .rotations import euler_factor_sequence
 from .serialize import load_matrix, matrix_to_json, write_csv
 from .states import HWCat, SpinCat, ThermalSpec, build_state, parse_state
 from .statmech import (
-    autocorrelation, free_energy, gibbs_operator, partition_function, partition_oracle,
+    _shifted_gibbs, autocorrelation, free_energy, partition_function, partition_oracle,
     phase_cross_correlation, thermal_mean, weyl_axes, weyl_moments,
 )
 from .transforms import (
@@ -193,8 +193,12 @@ def reconstruct(cfg, inp: Inputs) -> dict:
             f"CSV shape {data.shape} does not match a {grid.n_nodes}-node grid; "
             "pass the same --system/--grid-res/--radius used to sample it"
         )
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"CSV row {i} is not finite: {data[i].tolist()}")
     coord_err = float(np.max(np.abs(data[:, :n_ax] - grid.coords())))
-    if coord_err > 1e-9:
+    if not coord_err <= 1e-9:
         raise ValueError(f"CSV nodes deviate from the rebuilt grid by {coord_err:.3e}")
     values = data[:, n_ax + 1] + 1j * data[:, n_ax + 2]
     A = transforms.reconstruct(PhaseFunction(spec, grid, values))
@@ -243,7 +247,7 @@ def mean(cfg, inp: Inputs) -> dict:
     else:
         raise ValueError("observable grammar: j:<k> | vec:ex,ey,ez | file:<path>")
     value = thermal_mean(A, tspec, grid)
-    G = gibbs_operator(tspec)
+    G = _shifted_gibbs(tspec)[1]
     oracle = float((np.trace(A @ G) / np.trace(G)).real)
     return {
         "system": cfg.system,
@@ -257,7 +261,8 @@ def mean(cfg, inp: Inputs) -> dict:
 
 def freeenergy(cfg, inp: Inputs) -> dict:
     f = free_energy(inp.thermal, inp.grid)
-    oracle = -math.log(partition_oracle(inp.thermal)) / inp.thermal.beta
+    E0, G = _shifted_gibbs(inp.thermal)
+    oracle = E0 - math.log(np.trace(G).real) / inp.thermal.beta
     return {
         "system": cfg.system,
         "beta": cfg.beta,

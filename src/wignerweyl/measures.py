@@ -24,8 +24,8 @@ construction; nothing is corrected after the fact:
   two Wigner-kernel entries is a polynomial of degree <= 2M in s, and a U(g)
   entry times a conjugate one of degree <= M, so M + 1 (CP) and
   floor(M/2) + 1 (SU) nodes per colatitude are exact (Stroud's conical
-  product rule).  ``_shift_rule`` integrates kernels at two points a
-  colatitude apart, which are no such polynomial.
+  product rule).  ``_shift_rule`` takes the colatitudes a shift moves, on
+  which kernels at two points are no such polynomial.
 
 The per-direction frequency sets come from the eigenvalue differences of the
 generator attached to that direction, at one level per manifold, recorded as
@@ -44,9 +44,7 @@ representation dimension.  The oscillator plane has two grids for the
 measure d^2alpha / pi: ``plane_grid``, the default, exact by construction
 ("pairs"; its measure is the whole plane, so ``raw_volume`` is infinite), and
 ``hw_grid``, a Gauss-Legendre square of given radius and resolution
-("window"), exact only up to the tails the window cuts off.  A plane rule
-built with ``midpoint=True`` ("midpoint") integrates a product of kernels at
-two different points, as a shifted cross-correlation needs.  The 1-D rule
+("window"), exact only up to the tails the window cuts off.  The 1-D rule
 tables (Legendre, Jacobi, Laguerre) and the frequency sets are built once per
 process and cached.
 """
@@ -325,8 +323,8 @@ def _jacobi_axis(name: str, p: int, q: int, n: int) -> Axis:
     return Axis(name, 0.0, 0.5 * math.pi, t, c * w, kind="jacobi")
 
 
-def _shift_rule(grid: QuadratureGrid) -> QuadratureGrid:
-    """``grid`` with each Jacobi colatitude on the rule for kernels at two points.
+def _shift_rule(grid: QuadratureGrid, row) -> QuadratureGrid:
+    """``grid`` with each colatitude the shift ``row`` moves on the rule for kernels at two points.
 
     Kernels at theta + delta and at theta multiply to a trigonometric
     polynomial of frequency at most F = 4M (CP^(N-1)) or 2M (SU(N)), plus
@@ -336,22 +334,26 @@ def _shift_rule(grid: QuadratureGrid) -> QuadratureGrid:
     the phase spanned plus the transition width: no fewer than the least
     count that misses the closed form by under 1e-14 for every half-integer
     F up to 160, and within 4e-14 up to F = 700.  A count fixed in advance
-    keeps the rule free of the platform's rounding.  Other axes and grids
-    come back unchanged.
+    keeps the rule free of the platform's rounding.  A colatitude the row
+    leaves in place keeps its Gauss-Jacobi rule: a shift only multiplies the
+    uniform angles' frequencies by constant phases, so their averages still
+    leave a polynomial in sin^2 theta.  A row moving no colatitude returns the
+    grid itself, whose cached pieces serve.
     """
-    if grid.manifold not in ("CP", "SUN"):
+    if not any(delta for ax, delta in zip(grid.axes, row) if ax.kind == "jacobi"):
         return grid
     blocks = iter(_colatitude_blocks(grid.system.N, grid.manifold))
     degree = (4 if grid.manifold == "CP" else 2) * grid.system.M
     axes = []
-    for ax in grid.axes:
+    for ax, delta in zip(grid.axes, row):
         if ax.kind == "jacobi":
             a, b, c = _theta_measure(*next(blocks))
-            F = degree + 2 * (a + b + 1)
-            n = max(len(ax.nodes), math.ceil(F * math.pi / 8.0 + 5.5 * F ** (1.0 / 3.0)) + 1)
-            t, w = _gauss_base(ax.lo, ax.hi, n)
-            w = c * w * np.cos(t) ** (2 * a + 1) * np.sin(t) ** (2 * b + 1)
-            ax = Axis(ax.name, ax.lo, ax.hi, t, w)
+            if delta:
+                F = degree + 2 * (a + b + 1)
+                n = max(len(ax.nodes), math.ceil(F * math.pi / 8.0 + 5.5 * F ** (1.0 / 3.0)) + 1)
+                t, w = _gauss_base(ax.lo, ax.hi, n)
+                w = c * w * np.cos(t) ** (2 * a + 1) * np.sin(t) ** (2 * b + 1)
+                ax = Axis(ax.name, ax.lo, ax.hi, t, w)
         axes.append(ax)
     return replace(grid, axes=tuple(axes), _weights=None, _coords=None)
 
@@ -500,7 +502,7 @@ def _plane_radii(d: int, side: str) -> tuple[np.ndarray, np.ndarray]:
     return u, W
 
 
-def plane_grid(desc: HW, side: str, midpoint: bool = False) -> QuadratureGrid:
+def plane_grid(desc: HW, side: str) -> QuadratureGrid:
     """The oscillator plane's exact rule for one side: Gauss-Laguerre radii times uniform angles.
 
     With alpha = r e^{i psi} every kernel element is a real radial function
@@ -511,25 +513,18 @@ def plane_grid(desc: HW, side: str, midpoint: bool = False) -> QuadratureGrid:
     Gauss-Laguerre radii in u integrate exactly (see ``_plane_radii`` for the
     Wigner side's extra radii).  Node weight W_u / (scale n_psi) integrates
     d^2alpha / pi = du dpsi / (2 pi scale).  Rows are Cartesian (re, im).
-
-    ``midpoint=True`` builds the rule for two elements at points b apart,
-    K(beta + b/2) K(beta - b/2), integrated over beta (level "midpoint").
-    Their Gaussians multiply to e^{-u} e^{-scale |b|^2 / 4}, and the rest is
-    a polynomial of total degree <= 4d - 4 in beta and its conjugate, so d
-    radii and 4d - 3 angles are exact for every b.
     """
     if not isinstance(desc, HW):
         raise TypeError("plane_grid needs an HW descriptor")
     if side not in ("wigner", "weyl"):
         raise ValueError(f"side must be 'wigner' or 'weyl', got {side!r}")
     scale, d = (4.0 if side == "wigner" else 1.0), desc.n_max
-    u, W = _plane_radii(d, "weyl" if midpoint else side)
+    u, W = _plane_radii(d, side)
     axes = (
         Axis("r", 0.0, math.inf, np.sqrt(u / scale), W / scale, kind="laguerre"),
-        _uniform_axis("psi", 0.0, _TWO_PI, (), 4 * d - 3 if midpoint else 2 * d - 1),
+        _uniform_axis("psi", 0.0, _TWO_PI, (), 2 * d - 1),
     )
-    level = "midpoint" if midpoint else "pairs"
-    return QuadratureGrid(desc, "HW_PLANE", axes, 1.0 / _TWO_PI, math.inf, level)
+    return QuadratureGrid(desc, "HW_PLANE", axes, 1.0 / _TWO_PI, math.inf, "pairs")
 
 
 def product_grid(grids) -> QuadratureGrid:

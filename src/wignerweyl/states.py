@@ -95,7 +95,13 @@ StateSpec = Fock | Coherent | HWCat | SpinCoherent | SpinCat | GHZ | ThermalSpec
 
 
 def coherent_vector(n_max: int, alpha: complex) -> np.ndarray:
-    """Closed-form truncated coherent amplitudes, renormalized on the cutoff."""
+    """Closed-form truncated coherent amplitudes, renormalized on the cutoff.
+
+    The factor e^(-|alpha|^2 / 2) cancels in the renormalization, so the
+    magnitudes |alpha|^n / sqrt(n!) are taken relative to the largest, and
+    the largest is 1 at every |alpha| (with the factor, all underflow past
+    |alpha| of about 40 and the renormalization divides 0 by 0).
+    """
     alpha = complex(alpha)
     if alpha == 0:
         v = np.zeros(n_max, dtype=np.complex128)
@@ -103,8 +109,8 @@ def coherent_vector(n_max: int, alpha: complex) -> np.ndarray:
         return v
     n = np.arange(n_max)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_max)))])
-    amp = np.exp(n * math.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2)
-    v = amp * np.exp(1j * n * np.angle(alpha))
+    log_amp = n * math.log(abs(alpha)) - 0.5 * log_fact
+    v = np.exp(log_amp - log_amp.max()) * np.exp(1j * n * np.angle(alpha))
     return v / np.linalg.norm(v)
 
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import measures
 from .algebra import HW, SUN, SystemDescriptor, dimension, generator, is_hermitian
-from .kernels import WEYL, WIGNER, KernelSpec, _columns, _factor_table, _point_row
-from .measures import QuadratureGrid, _angle_columns, _shift_rule, plane_grid, product_grid
-from .points import PhasePoint
+from .kernels import WEYL, WIGNER, KernelSpec, _columns, _factor_table, _point_row, kernel_at
+from .measures import QuadratureGrid, _angle_columns, _shift_rule, product_grid
+from .points import HWPoint, PhasePoint
 from .states import ThermalSpec
 from .transforms import (
     PhaseFunction, _operator, overlap, phase_function, reconstruct, symbols_at,
@@ -37,11 +37,35 @@ def partition_oracle(tspec: ThermalSpec) -> float:
     return float(np.sum(np.exp(-tspec.beta * w)))
 
 
+def _shifted_gibbs(tspec: ThermalSpec) -> tuple[float, np.ndarray]:
+    """The ground energy E0 and exp(-beta (H - E0)), whose eigenvalues lie in (0, 1].
+
+    Both come from one eigendecomposition, so e^(-beta E0) exp(-beta (H - E0))
+    is exp(-beta H) with the rounding of E0 cancelled.
+    """
+    w, V = np.linalg.eigh(tspec.hamiltonian)
+    return float(w[0]), (V * np.exp(-tspec.beta * (w - w[0]))[None, :]) @ V.conj().T
+
+
+def _shifted_partition(tspec: ThermalSpec, grid: QuadratureGrid) -> tuple[float, float]:
+    """E0 and Z_s, the phase-space integral of the Wigner symbol of exp(-beta (H - E0))."""
+    E0, G = _shifted_gibbs(tspec)
+    f = phase_function(G, KernelSpec(WIGNER, grid.system), grid)
+    return E0, float(f.integral().real)
+
+
 def partition_function(tspec: ThermalSpec, grid: QuadratureGrid) -> float:
-    """Z(beta) as the phase-space integral of the Wigner symbol of exp(-beta H)."""
-    spec = KernelSpec(WIGNER, grid.system)
-    f = phase_function(gibbs_operator(tspec), spec, grid)
-    return float(f.integral().real)
+    """Z(beta) = e^(-beta E0) Z_s, Z_s the phase-space integral of exp(-beta (H - E0)).
+
+    Raises OverflowError when Z leaves the positive finite doubles.
+    """
+    E0, Zs = _shifted_partition(tspec, grid)
+    with np.errstate(over="ignore", under="ignore"):
+        Z = float(np.exp(-tspec.beta * E0) * Zs)
+    if not 0.0 < Z < math.inf:
+        raise OverflowError(f"Z(beta = {tspec.beta}) = {Z} is out of the float range; "
+                            "the free energy and thermal means stay finite")
+    return Z
 
 
 def partition_series(tspec: ThermalSpec, grid: QuadratureGrid, order: int = 2) -> float:
@@ -64,23 +88,25 @@ def partition_series(tspec: ThermalSpec, grid: QuadratureGrid, order: int = 2) -
 def thermal_mean(A: np.ndarray, tspec: ThermalSpec, grid: QuadratureGrid) -> float:
     """<A> in the thermal state, via the symbol-overlap (traciality) form.
 
-    A must be Hermitian, so that the mean is real.
+    A must be Hermitian, so that the mean is real.  The Gibbs operator is
+    taken as exp(-beta (H - E0)), E0 the ground energy, whose scale cancels.
     """
     spec = KernelSpec(WIGNER, grid.system)
     A = _operator(A, spec)
     if not is_hermitian(A):
         raise ValueError("thermal_mean needs a Hermitian observable")
     fA = phase_function(A, spec, grid)
-    frho = phase_function(gibbs_operator(tspec), spec, grid)
+    frho = phase_function(_shifted_gibbs(tspec)[1], spec, grid)
     Z = frho.integral().real
     return float(overlap(fA, frho).real / Z)
 
 
 def free_energy(tspec: ThermalSpec, grid: QuadratureGrid) -> float:
-    """F = -ln Z / beta (beta > 0)."""
+    """F = -ln Z / beta = E0 - ln Z_s / beta (beta > 0; see ``partition_function``)."""
     if tspec.beta <= 0:
         raise ValueError("free energy needs beta > 0")
-    return -math.log(partition_function(tspec, grid)) / tspec.beta
+    E0, Zs = _shifted_partition(tspec, grid)
+    return E0 - math.log(Zs) / tspec.beta
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +194,8 @@ class CrossCorrelation:
 
 def _shifted_grid(grid: QuadratureGrid, row) -> QuadratureGrid:
     """Same nodes and weights, coordinates offset by the row (uniform angles wrapped)."""
+    if not np.any(row):  # the grid itself, whose cached pieces serve
+        return grid
     factors = None
     if grid.factors:
         ends = np.cumsum([len(sub.axes) for sub in grid.factors])
@@ -185,32 +213,33 @@ def _shifted_grid(grid: QuadratureGrid, row) -> QuadratureGrid:
 def _shifted_pair(f: PhaseFunction, row: np.ndarray):
     """Weights and the values at x + row and at x of a rule for the shifted integrand.
 
-    Both sets are symbols of the reconstructed operator, on a rule whose
-    colatitudes take a shift (``measures._shift_rule``).  Without plane rules
-    both come from the factored transform, the shifted set on a
-    coordinate-shifted copy (periodic angles wrapped into range).  A shift in
-    alpha is no offset of a plane rule's (r, psi) axes, and the shifted
-    integrand needs more angles than the rule has, so there each plane rule
-    becomes its midpoint rule, centred on -b/2 for that factor's shift b, and
-    both sets come from ``symbols_at`` at the rows.
+    Both sets are symbols of the reconstructed operator A, from ``phase_function``.
+    A shift b on a plane rule is a step of the operator, exact because A lives in
+    the truncated block: K(alpha + b) = D(b) K(alpha) D(b)^dagger (Wigner side) and
+    D(alpha + b) = D(b/2) D(alpha) D(b/2) (Weyl side; Cahill & Glauber 1969), with D
+    that factor's Weyl kernel.  The other columns shift a copy of the rule
+    (``_shifted_grid``) whose moved colatitudes take ``measures._shift_rule``.
     """
     factors = f.grid.factors or (f.grid,)
-    mids = [plane_grid(g.system, f.spec.side, midpoint=True) if g.polar else _shift_rule(g)
-            for g in factors]
-    grid = product_grid(mids) if f.grid.factors else mids[0]
+    ends = np.cumsum([len(g.axes) for g in factors])
+    rules = [_shift_rule(g, row[e - len(g.axes): e]) for g, e in zip(factors, ends)]
+    grid = product_grid(rules) if f.grid.factors else rules[0]
     if grid.n_nodes > measures.MAX_NODES:
         raise OverflowError(
             "a shifted cross-correlation on this grid integrates on a shift rule of "
             f"{grid.n_nodes} nodes (limit {measures.MAX_NODES}); shift=None, the zero "
             "shift, integrates on the grid itself"
         )
-    A = reconstruct(f)
-    if not any(g.polar for g in factors):
-        moved = phase_function(A, f.spec, _shifted_grid(grid, row))
-        return grid.weights(), moved.values, phase_function(A, f.spec, grid).values
-    half = np.concatenate([np.full(len(g.axes), 0.5 if g.polar else 0.0) for g in factors])
-    rows = grid.coords() - half * row
-    return grid.weights(), symbols_at(A, f.spec, rows + row), symbols_at(A, f.spec, rows)
+    A, D, row = reconstruct(f), np.eye(1), row.copy()
+    for g, e in zip(factors, ends):
+        step = np.eye(dimension(g.system))
+        if g.polar:
+            b = complex(*row[e - 2: e]) * (1.0 if f.spec.side == WIGNER else 0.5)
+            step, row[e - 2: e] = kernel_at(KernelSpec(WEYL, g.system), HWPoint(b)), 0.0
+        D = np.kron(D, step)
+    moved = D.conj().T @ A @ D if f.spec.side == WIGNER else D @ A @ D
+    shifted = phase_function(moved, f.spec, _shifted_grid(grid, row))
+    return grid.weights(), shifted.values, phase_function(A, f.spec, grid).values
 
 
 def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> CrossCorrelation:

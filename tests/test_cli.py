@@ -85,6 +85,22 @@ def test_wigner_sample_and_reconstruct_roundtrip(tmp_path, capsys):
     assert abs(np.trace(A) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("column", [0, 3, 4])
+def test_reconstruct_rejects_a_non_finite_csv_entry(column, tmp_path, capsys):
+    """A NaN node or value exits 2 naming the first bad data row; no NaN reaches the JSON."""
+    csv = tmp_path / "f.csv"
+    run_cli(capsys, "wigner", "--system", "su:2:1", "--state", "random:2", "--out", str(csv))
+    lines = csv.read_text().splitlines()
+    for i in (5, 2):
+        cells = lines[1 + i].split(",")
+        cells[column] = "nan"
+        lines[1 + i] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    err = run_cli_err(capsys, "reconstruct", "--system", "su:2:1", "--side", "wigner",
+                      "--infile", str(csv))
+    assert err["error"].startswith("CSV row 2 is not finite")
+
+
 @pytest.mark.parametrize("system, state", [("hw:12", "coherent:0.8-0.5j"),
                                            ("su:2:1*hw:3", "random:6")])
 def test_default_plane_grid_csv_roundtrip(system, state, tmp_path, capsys):
@@ -151,6 +167,18 @@ def test_freeenergy(capsys):
         "--beta", "2.0", "--field", "0,0,0.5",
     )
     assert out["residual"] < 1e-9
+
+
+def test_thermal_commands_at_large_beta(capsys):
+    """Z leaves the doubles at beta = 1000 and exits 2; the mean and F stay finite."""
+    base = ["--system", "su:2:1", "--field=1,0,0", "--beta", "1000"]
+    err = run_cli_err(capsys, "partition", *base)
+    assert "beta = 1000.0" in err["error"] and err["context"]["type"] == "OverflowError"
+    out = run_cli(capsys, "mean", *base, "--observable", "j:1")
+    assert out["mean"] == pytest.approx(-1.0, abs=1e-12)  # J(1) = sigma_x along the field
+    assert out["residual"] < 1e-12
+    out = run_cli(capsys, "freeenergy", *base)
+    assert out["free_energy"] == pytest.approx(out["eigenvalue_oracle"], abs=1e-12)
 
 
 def test_moments_residual(capsys):

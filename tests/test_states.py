@@ -71,6 +71,29 @@ def test_coherent_vector_recursion_and_norm():
     assert np.array_equal(coherent_vector(4, 0.0), [1, 0, 0, 0])
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.2 - 0.7j, -3.1j, 5.5])
+def test_coherent_vector_matches_the_closed_form(alpha):
+    want = np.array([alpha**k / math.sqrt(math.factorial(k)) for k in range(12)])
+    want *= math.exp(-abs(alpha) ** 2 / 2)
+    assert np.max(np.abs(coherent_vector(12, alpha) - want / np.linalg.norm(want))) < 1e-15
+
+
+@pytest.mark.parametrize("alpha", [1e3, -700j, 30.0, 1e-200])
+def test_coherent_vector_at_extreme_amplitudes_is_a_unit_vector(alpha):
+    """No amplitude underflows to 0/0 at large |alpha| (the top level dominates) or at tiny ones."""
+    v = coherent_vector(6, alpha)
+    assert np.all(np.isfinite(v)) and np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    top = 5 if abs(alpha) > 1 else 0
+    assert np.argmax(np.abs(v)) == top
+    k = top - 1 if top else 0  # one ladder step next to the dominant level
+    assert v[k + 1] / v[k] == pytest.approx(alpha / math.sqrt(k + 1), rel=1e-12)
+
+
+def test_far_cat_is_a_unit_trace_state():
+    cat = build_state(HWCat((30.0, -30.0)), HW(4))
+    assert np.all(np.isfinite(cat)) and np.trace(cat).real == pytest.approx(1.0, abs=1e-14)
+
+
 def test_coherent_mean_occupation():
     alpha = 1.1 - 0.3j
     v = coherent_vector(40, alpha)

@@ -44,8 +44,11 @@ from wignerweyl import (
 import wignerweyl.kernels as kernels_module
 import wignerweyl.measures as measures_module
 from wignerweyl.commands import _ordered_moment_oracle
-from wignerweyl.kernels import _row_point
+from wignerweyl.kernels import _columns, _row_point
 from wignerweyl.measures import _shift_rule
+from wignerweyl.statmech import _shifted_grid
+
+import oracles
 
 SX, SY, SZ = (np.asarray(g) for g in build_generators(2, 1))
 
@@ -154,6 +157,48 @@ def test_free_energy():
     )
     with pytest.raises(ValueError):
         free_energy(ThermalSpec(H, 0.0), grid)
+
+
+@pytest.mark.parametrize("desc", [SUN(2, 1), SUN(3, 1)])
+def test_thermal_values_at_large_beta_are_the_ground_state(desc):
+    """At beta = 1000 the mean is the ground-state value and F the ground energy."""
+    rng = np.random.default_rng(17)
+    d = dimension(desc)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    H, A = (g + g.conj().T) / 2.0, generator(desc.N, desc.M, 3)
+    w, V = np.linalg.eigh(H)
+    grid = default_grid(desc, "wigner")
+    t = ThermalSpec(H, 1000.0)
+    ground = float(np.real(V[:, 0].conj() @ A @ V[:, 0]))
+    assert abs(thermal_mean(A, t, grid) - ground) < 1e-12
+    assert abs(free_energy(t, grid) - w[0]) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.9, 2.0])
+def test_thermal_values_match_the_unshifted_integrals(beta):
+    """For moderate beta the ground-energy shift changes nothing beyond rounding."""
+    desc = SUN(3, 1)
+    rng = np.random.default_rng(23)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    H, A = (g + g.conj().T) / 2.0, generator(3, 1, 8)
+    grid, spec = default_grid(desc, "wigner"), KernelSpec("wigner", desc)
+    t = ThermalSpec(H, beta)
+    G = phase_function(gibbs_operator(t), spec, grid)
+    Z = G.integral().real
+    mean = np.sum(grid.weights() * phase_function(A, spec, grid).values * G.values).real / Z
+    assert partition_function(t, grid) == pytest.approx(Z, rel=1e-13)
+    assert thermal_mean(A, t, grid) == pytest.approx(mean, rel=1e-13)
+    assert free_energy(t, grid) == pytest.approx(-math.log(Z) / beta, rel=1e-13)
+
+
+def test_partition_function_out_of_range_raises():
+    """Z past the largest double, or below the smallest, raises; F stays the ground energy."""
+    grid = cp_grid(SUN(2, 1))
+    for H in (SZ, -SZ - 2.0 * np.eye(2), SZ + 2.0 * np.eye(2)):
+        t = ThermalSpec(H, 2000.0)
+        with pytest.raises(OverflowError, match=r"beta = 2000\.0"):
+            partition_function(t, grid)
+        assert free_energy(t, grid) == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-12)
 
 
 def test_weyl_axes_layout():
@@ -341,6 +386,38 @@ def test_cross_correlation_shift_on_the_plane_rule_is_exact(n, side, size):
     assert abs(out.raw_value - window.raw_value) < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 8, 20, 40])
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+def test_cross_correlation_shift_on_the_plane_rule_is_the_displaced_trace(n, side):
+    """Tr[D(b)^dagger rho D(b) rho] (Wigner) and Tr[D(b/2) rho D(b/2) rho^dagger] (Weyl).
+
+    D is the block of the displacement from the Laguerre closed form in the
+    test oracles, not the package's kernel.
+    """
+    desc = HW(n)
+    rho = build_state(RandomDensity(7), desc)
+    f = phase_function(rho, KernelSpec(side, desc), default_grid(desc, side))
+    for b in (0.4 - 0.1j, -1.2 + 0.9j, 3.0 * complex(math.cos(2.1), math.sin(2.1))):
+        if side == "wigner":
+            D = oracles.hw_kernels(n, b, "weyl")
+            want = np.trace(D.conj().T @ rho @ D @ rho)
+        else:
+            D = oracles.hw_kernels(n, b / 2, "weyl")
+            want = np.trace(D @ rho @ D @ rho.conj().T)
+        assert abs(phase_cross_correlation(f, HWPoint(b)).raw_value - want) < 1e-12, b
+
+
+def test_cross_correlation_shift_on_a_plane_rule_builds_no_piece(monkeypatch):
+    """A plane rule's shift is a step of the operator: every transform reuses the rule's pieces."""
+    desc, spec = HW(12), KernelSpec("wigner", HW(12))
+    f = phase_function(build_state(RandomDensity(2), desc), spec, default_grid(desc, "wigner"))
+    built = []
+    split = kernels_module._split
+    monkeypatch.setattr(kernels_module, "_split", lambda *a: built.append(a) or split(*a))
+    out = phase_cross_correlation(f, HWPoint(0.8 - 0.3j))
+    assert built == [] and out.raw_value != 0.0
+
+
 _SU21_HW3 = Composite((SUN(2, 1), HW(3)))
 
 
@@ -362,7 +439,14 @@ _CROSS_CASES = {
     "su23-wigner": ("wigner", lambda: cp_grid(SUN(2, 3)), (0.7, -0.3)),
     "su210-wigner-theta": ("wigner", lambda: cp_grid(SUN(2, 10)), (0.0, 0.37)),
     "su31-wigner": ("wigner", lambda: cp_grid(SUN(3, 1)), (0.3, 0.2, -0.4, 0.25)),
+    "su31-wigner-inner-theta": ("wigner", lambda: cp_grid(SUN(3, 1)), (0.0, 0.45, 0.0, 0.0)),
     "su22-weyl": ("weyl", lambda: sun_grid(SUN(2, 2)), (5.9, 0.4, -1.1)),
+    "su23-weyl-angles": ("weyl", lambda: sun_grid(SUN(2, 3)), (1.1, 0.0, 2.3)),
+    "su21*su22-weyl-thetas": (
+        "weyl",
+        lambda: product_grid((sun_grid(SUN(2, 1)), sun_grid(SUN(2, 2)))),
+        (0.0, 0.35, 0.0, 0.0, -0.6, 0.0),
+    ),
     "hw4-wigner": ("wigner", lambda: hw_grid(HW(4), 3.5, 16), (0.3, -0.2)),
     "su21*hw3-wigner": (
         "wigner",
@@ -418,6 +502,47 @@ def test_cross_correlation_shift_matches_per_point_oracle(case, colatitude_measu
     assert abs(out.raw_value - np.sum(grid.weights() * f.values * unshifted)) > 1e-6
 
 
+def test_shift_rule_moves_only_the_colatitudes_the_shift_moves():
+    grid = cp_grid(SUN(3, 1))
+    assert _shift_rule(grid, (0.3, 0.0, -0.2, 0.0)) is grid  # angles only: the grid itself
+    rule = _shift_rule(grid, (0.0, 0.45, 0.0, 0.0))
+    assert [ax.kind for ax in rule.axes] == ["uniform", "gauss", "uniform", "jacobi"]
+    assert rule.axes[3] is grid.axes[3]
+    plane = default_grid(HW(4), "wigner")
+    assert _shift_rule(plane, (0.3, 0.2)) is plane
+
+
+def test_cross_correlation_theta_shift_on_su41_weyl(colatitude_measures):
+    """A colatitude shift on su:4:1's Weyl grid, whose all-Legendre rule has 2.4e11 nodes.
+
+    The unmoved colatitudes keep their Jacobi rule.  Putting any one of them
+    on Gauss-Legendre as well (summed one node of it at a time) gives the
+    same value.
+    """
+    desc = SUN(4, 1)
+    spec, grid = KernelSpec("weyl", desc), sun_grid(desc)
+    f = phase_function(build_state(RandomDensity(6), desc), spec, grid)
+    cols = _columns(spec)
+    row = np.zeros(len(cols))
+    row[cols.index("theta1")] = 0.37
+    out = phase_cross_correlation(f, _row_point(spec, row))
+    A = reconstruct(f)
+    x, w = np.polynomial.legendre.leggauss(14)  # e^(8it) to 7e-16, the largest frequency
+    t, w = 0.25 * math.pi * (x + 1.0), 0.25 * math.pi * w
+    thetas = [k for k, name in enumerate(cols) if name.startswith("theta")]
+    rule = _shift_rule(grid, row)
+    for k, factor in zip(thetas, colatitude_measures(4, "SUN")):
+        if row[k]:
+            continue
+        total = 0.0
+        for node, weight in zip(t, w * factor(t)):
+            axis = replace(rule.axes[k], nodes=np.array([node]), weights=np.array([weight]))
+            sub = replace(rule, axes=rule.axes[:k] + (axis,) + rule.axes[k + 1:], _weights=None)
+            moved = phase_function(A, spec, _shifted_grid(sub, row)).values
+            total += np.sum(sub.weights() * moved * np.conj(phase_function(A, spec, sub).values))
+        assert abs(out.raw_value - total) < 1e-13, cols[k]
+
+
 def test_cross_correlation_rejects_shift_of_wrong_type_or_width():
     desc = SUN(2, 1)
     f = phase_function(np.eye(2) / 2, KernelSpec("wigner", desc), cp_grid(desc))
@@ -432,7 +557,7 @@ def test_cross_correlation_shift_rule_guard_fires_before_any_transform(monkeypat
     desc = SUN(2, 3)
     spec, grid = KernelSpec("weyl", desc), sun_grid(desc)
     f = phase_function(np.eye(4) / 4, spec, grid)
-    rule = _shift_rule(grid).n_nodes
+    rule = _shift_rule(grid, (0.1, 0.2, 0.3)).n_nodes
     assert rule > grid.n_nodes
     built = []
     split = kernels_module._split
