@@ -25,9 +25,9 @@ from .measures import cp_grid
 from .points import CompositePoint
 from .rotations import euler_factor_sequence
 from .serialize import load_matrix, matrix_to_json, write_csv
-from .states import HWCat, SpinCat, ThermalSpec, build_state, parse_state
+from .states import HWCat, SpinCat, ThermalSpec, _shifted_gibbs, build_state, parse_state
 from .statmech import (
-    _shifted_gibbs, autocorrelation, free_energy, partition_function, partition_oracle,
+    autocorrelation, free_energy, partition_function, partition_oracle,
     phase_cross_correlation, thermal_mean, weyl_axes, weyl_moments,
 )
 from .transforms import (

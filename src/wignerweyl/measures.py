@@ -10,34 +10,34 @@ the only list of the pairs, followed on SU(N) by the Cartan angles Phi_c
 Grids are tensor products of one-dimensional rules, each exact by
 construction; nothing is corrected after the fact:
 
-* angle directions get uniform rules on a full period of every
-  trigonometric frequency the kernels can produce.  Where the chart's range
-  is not one (the pi-range phi axes of SU(4), the Cartan angles Phi_c), the
-  range is extended to the least multiple that is: each added copy is a
-  right translation by a diagonal SU(N) element, so the extended chart
-  covers the group uniformly and normalization removes the multiplicity;
+* angle directions get uniform rules, whose n nodes on a full period are
+  exact on every frequency below n.  Every count comes from the chart's
+  trigonometric degree D (``_degree``), 4M on CP^(N-1) and 2M on SU(N):
+  J(3) has integer eigenvalues in -M .. M, a U(g) entry times a conjugate
+  one carries their differences, up to 2M, and a product of two
+  Wigner-kernel entries U Pi U^dagger, each already a difference, twice
+  that.  So phi_j takes D + 1 nodes on [0, 2 pi), and Phi_c takes
+  (c + 1) M + 1 on [0, pi sqrt(2c(c + 1))), where J((c + 1)^2 - 1) has
+  integer eigenvalues in -cM .. M.  Where the chart's range is shorter (the
+  pi-range phi axes of SU(4), the Cartan angles Phi_c), the range is
+  extended to one of these multiples: each added copy is a right
+  translation by a diagonal SU(N) element, so the extended chart covers the
+  group uniformly and normalization removes the multiplicity;
 * colatitudes get Gauss-Jacobi rules.  With s = sin^2 theta the measure
   factor c cos^(2a+1) theta sin^(2b+1) theta dtheta is (c/2) (1 - s)^a s^b ds,
   and the invariant measures push forward to the uniform measure on the
   simplex of the |z_i|^2 (Duistermaat & Heckman, Invent. Math. 69 (1982)
-  259).  Once the uniform angles have averaged out the phases, a product of
-  two Wigner-kernel entries is a polynomial of degree <= 2M in s, and a U(g)
-  entry times a conjugate one of degree <= M, so M + 1 (CP) and
-  floor(M/2) + 1 (SU) nodes per colatitude are exact (Stroud's conical
-  product rule).  ``_shift_rule`` takes the colatitudes a shift moves, on
-  which kernels at two points are no such polynomial.
+  259).  Once the uniform angles have averaged out the phases, an integrand
+  of degree D is a polynomial of degree <= D/2 in s, so floor(D/4) + 1 nodes
+  per colatitude, M + 1 on CP and floor(M/2) + 1 on SU(N), are exact
+  (Stroud's conical product rule).  ``_shift_rule`` takes the colatitudes a
+  shift moves, on which kernels at two points are no such polynomial.
 
-The per-direction frequency sets come from the eigenvalue differences of the
-generator attached to that direction, at one level per manifold, recorded as
-``QuadratureGrid.exactness`` (the factors' levels joined by commas on
-products):
-
-* SU(N), the Weyl side, is built at "pairs", the differences themselves.  A
-  Weyl symbol Tr[A U(g)] is linear in the entries of U(g), and every group
-  integral the package takes pairs one entry with one conjugate entry;
-* CP^(N-1), the Wigner side, is built at "quads", sums and differences of two
-  differences: a Wigner kernel entry U Pi U^dagger already carries
-  differences, so a product of two entries needs their sums.
+The level is recorded as ``QuadratureGrid.exactness`` (the factors' levels
+joined by commas on products): SU(N), the Weyl side, is built at "pairs",
+since a Weyl symbol Tr[A U(g)] is linear in the entries of U(g) and every
+group integral the package takes pairs one entry with one conjugate entry;
+CP^(N-1), the Wigner side, at "quads", products of two kernel entries.
 
 Compact-manifold grids are volume-normalized so that the weights sum to the
 representation dimension.  The oscillator plane has two grids for the
@@ -45,8 +45,7 @@ measure d^2alpha / pi: ``plane_grid``, the default, exact by construction
 ("pairs"; its measure is the whole plane, so ``raw_volume`` is infinite), and
 ``hw_grid``, a Gauss-Legendre square of given radius and resolution
 ("window"), exact only up to the tails the window cuts off.  The 1-D rule
-tables (Legendre, Jacobi, Laguerre) and the frequency sets are built once per
-process and cached.
+tables (Legendre, Jacobi, Laguerre) are built once per process and cached.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import HW, SUN, Composite, SystemDescriptor, _gen_eig, dimension
+from .algebra import HW, SUN, Composite, SystemDescriptor, dimension
 from .points import _POINT_TYPE, CompositePoint, PhasePoint
 
 MAX_NODES = 20_000_000
@@ -203,19 +202,11 @@ def _gauss_base(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
-def _uniform_axis(name, lo, hi, freqs, n_floor) -> Axis:
-    """Uniform rule on a full period of every frequency in the set."""
-    L = hi - lo
-    indices = []
-    for nu in freqs:
-        k = nu * L / _TWO_PI
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError(f"frequency {nu} is not periodic over range {L}")
-        indices.append(abs(round(k)))
-    n = max(n_floor, (max(indices) + 1) if indices else 1, 2)
-    nodes = lo + L * np.arange(n) / n
-    weights = np.full(n, L / n)
-    return Axis(name, lo, hi, nodes, weights, kind="uniform")
+def _uniform_axis(name: str, hi: float, n: int) -> Axis:
+    """n uniform nodes on [0, hi): exact on e^(2 pi i k x / hi) for every |k| < n."""
+    nodes = hi * np.arange(n) / n
+    weights = np.full(n, hi / n)
+    return Axis(name, 0.0, hi, nodes, weights, kind="uniform")
 
 
 @lru_cache(maxsize=None)
@@ -257,33 +248,6 @@ def _gauss_jacobi(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# frequency sets from the generators
-
-
-@lru_cache(maxsize=None)
-def _diff_freqs(N: int, M: int, k: int) -> tuple[float, ...]:
-    """Nonnegative pairwise eigenvalue differences of J(k) in representation (N, M) (cached)."""
-    w, _ = _gen_eig(N, M, k)
-    diffs = np.abs(w[:, None] - w[None, :]).reshape(-1)
-    return _dedup(diffs)
-
-
-def _dedup(vals) -> tuple[float, ...]:
-    out: list[float] = []
-    for v in sorted(float(x) for x in vals):
-        if not out or v - out[-1] > 1e-9:
-            out.append(v)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _quad_freqs(N: int, M: int, k: int) -> tuple[float, ...]:
-    """Sums and differences of two eigenvalue differences of J(k) (cached)."""
-    diffs = _diff_freqs(N, M, k)
-    return _dedup(v for a in diffs for b in diffs for v in (a + b, abs(a - b)))
-
-
-# ---------------------------------------------------------------------------
 # colatitudes
 
 
@@ -317,6 +281,11 @@ def _angle_columns(N: int, manifold: str) -> tuple[str, ...]:
     return names + cartan
 
 
+def _degree(manifold: str, M: int) -> int:
+    """The chart's trigonometric degree D: 4M on CP^(N-1), 2M on SU(N) (see the module docstring)."""
+    return (4 if manifold == "CP" else 2) * M
+
+
 def _jacobi_axis(name: str, p: int, q: int, n: int) -> Axis:
     a, b, c = _theta_measure(p, q)
     t, w = _gauss_jacobi(n, a, b)
@@ -343,7 +312,7 @@ def _shift_rule(grid: QuadratureGrid, row) -> QuadratureGrid:
     if not any(delta for ax, delta in zip(grid.axes, row) if ax.kind == "jacobi"):
         return grid
     blocks = iter(_colatitude_blocks(grid.system.N, grid.manifold))
-    degree = (4 if grid.manifold == "CP" else 2) * grid.system.M
+    degree = _degree(grid.manifold, grid.system.M)
     axes = []
     for ax, delta in zip(grid.axes, row):
         if ax.kind == "jacobi":
@@ -362,15 +331,6 @@ def _shift_rule(grid: QuadratureGrid, row) -> QuadratureGrid:
 # grid constructors
 
 
-def _check_resolution(desc: SUN, resolution: int | None) -> int:
-    floor = max(desc.M + 1, 2)
-    if resolution is None:
-        return floor
-    if resolution < floor:
-        raise ValueError(f"resolution {resolution} below minimum {floor} for {desc}")
-    return resolution
-
-
 def cp_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     """Volume-normalized grid over CP^(N-1), the Wigner-side manifold.
 
@@ -382,14 +342,7 @@ def cp_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     """
     if not isinstance(desc, SUN):
         raise TypeError("cp_grid needs a SUN descriptor")
-    floor = _check_resolution(desc, resolution)
-    phi_freqs = _quad_freqs(desc.N, desc.M, 3)
-    names = iter(_angle_columns(desc.N, "CP"))
-    axes = []
-    for p, q in _colatitude_blocks(desc.N, "CP"):
-        axes.append(_uniform_axis(next(names), 0.0, _TWO_PI, phi_freqs, floor))
-        axes.append(_jacobi_axis(next(names), p, q, floor))
-    return _finalize(desc, "CP", axes, "quads")
+    return _chart_grid(desc, "CP", resolution)
 
 
 def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
@@ -406,21 +359,36 @@ def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     """
     if not isinstance(desc, SUN):
         raise TypeError("sun_grid needs a SUN descriptor")
-    N, M = desc.N, desc.M
-    if N not in (2, 3, 4):
-        raise ValueError(f"sun_grid supports N in {{2, 3, 4}}, got N={N}")
-    floor = _check_resolution(desc, resolution)
-    n_theta = M // 2 + 1 if resolution is None else floor
-    phi_freqs = _diff_freqs(N, M, 3)
-    names = iter(_angle_columns(N, "SUN"))
+    if desc.N not in (2, 3, 4):
+        raise ValueError(f"sun_grid supports N in {{2, 3, 4}}, got N={desc.N}")
+    return _chart_grid(desc, "SUN", resolution)
+
+
+def _chart_grid(desc: SUN, manifold: str, resolution: int | None) -> QuadratureGrid:
+    """The CP^(N-1) or SU(N) grid, every node count read from the degree D.
+
+    phi_j takes D + 1 uniform nodes, theta_j floor(D/4) + 1 Gauss-Jacobi
+    nodes and Phi_c (c + 1) M + 1 uniform ones (see the module docstring).
+    An explicit ``resolution`` (at least M + 1) is the count of every
+    colatitude and the least of every angle.
+    """
+    M, D = desc.M, _degree(manifold, desc.M)
+    if resolution is None:
+        resolution, n_theta = M + 1, D // 4 + 1
+    elif resolution < M + 1:
+        raise ValueError(f"resolution {resolution} below minimum {M + 1} for {desc}")
+    else:
+        n_theta = resolution
+    names = iter(_angle_columns(desc.N, manifold))
     axes = []
-    for p, q in _colatitude_blocks(N, "SUN"):
-        axes.append(_uniform_axis(next(names), 0.0, _TWO_PI, phi_freqs, floor))
+    for p, q in _colatitude_blocks(desc.N, manifold):
+        axes.append(_uniform_axis(next(names), _TWO_PI, max(D + 1, resolution)))
         axes.append(_jacobi_axis(next(names), p, q, n_theta))
-    for c in range(1, N):
-        hi = math.pi * math.sqrt(2.0 * c * (c + 1))
-        axes.append(_uniform_axis(next(names), 0.0, hi, _diff_freqs(N, M, (c + 1) ** 2 - 1), floor))
-    return _finalize(desc, "SUN", axes, "pairs")
+    if manifold == "SUN":
+        for c in range(1, desc.N):
+            hi = math.pi * math.sqrt(2.0 * c * (c + 1))
+            axes.append(_uniform_axis(next(names), hi, max((c + 1) * M + 1, resolution)))
+    return _finalize(desc, manifold, axes, "quads" if manifold == "CP" else "pairs")
 
 
 def hw_grid(desc: HW, radius: float, resolution: int) -> QuadratureGrid:
@@ -522,7 +490,7 @@ def plane_grid(desc: HW, side: str) -> QuadratureGrid:
     u, W = _plane_radii(d, side)
     axes = (
         Axis("r", 0.0, math.inf, np.sqrt(u / scale), W / scale, kind="laguerre"),
-        _uniform_axis("psi", 0.0, _TWO_PI, (), 2 * d - 1),
+        _uniform_axis("psi", _TWO_PI, 2 * d - 1),
     )
     return QuadratureGrid(desc, "HW_PLANE", axes, 1.0 / _TWO_PI, math.inf, "pairs")
 

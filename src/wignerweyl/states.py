@@ -86,6 +86,16 @@ class ThermalSpec:
         object.__setattr__(self, "hamiltonian", H)
 
 
+def _shifted_gibbs(tspec: ThermalSpec) -> tuple[float, np.ndarray]:
+    """The ground energy E0 and exp(-beta (H - E0)), whose eigenvalues lie in (0, 1].
+
+    Both come from one eigendecomposition, so e^(-beta E0) exp(-beta (H - E0))
+    is exp(-beta H) with the rounding of E0 cancelled.
+    """
+    w, V = np.linalg.eigh(tspec.hamiltonian)
+    return float(w[0]), (V * np.exp(-tspec.beta * (w - w[0]))[None, :]) @ V.conj().T
+
+
 @dataclass(frozen=True)
 class RandomDensity:
     seed: int
@@ -166,12 +176,9 @@ def build_state(spec: StateSpec, desc: SystemDescriptor) -> np.ndarray:
     """Density matrix of the specified state on the described system."""
     if isinstance(spec, ThermalSpec):
         d = dimension(desc)
-        H = spec.hamiltonian
-        if H.shape != (d, d):
+        if spec.hamiltonian.shape != (d, d):
             raise ValueError(f"Hamiltonian must be {d}x{d}")
-        w, V = np.linalg.eigh(H)
-        g = np.exp(-spec.beta * (w - w.min()))
-        rho = (V * g[None, :]) @ V.conj().T
+        rho = _shifted_gibbs(spec)[1]
         return rho / np.trace(rho).real
     if isinstance(spec, RandomDensity):
         d = dimension(desc)

@@ -19,32 +19,42 @@ from .algebra import HW, SUN, SystemDescriptor, dimension, generator, is_hermiti
 from .kernels import WEYL, WIGNER, KernelSpec, _columns, _factor_table, _point_row, kernel_at
 from .measures import QuadratureGrid, _angle_columns, _shift_rule, product_grid
 from .points import HWPoint, PhasePoint
-from .states import ThermalSpec
+from .states import ThermalSpec, _shifted_gibbs
 from .transforms import (
     PhaseFunction, _operator, overlap, phase_function, reconstruct, symbols_at,
 )
 
 
+def _unshifted(tspec: ThermalSpec, E0: float, Zs: float) -> float:
+    """e^(-beta E0), the factor from the shifted Z_s to Z = e^(-beta E0) Z_s.
+
+    Raises OverflowError when Z leaves the positive finite doubles.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        scale = float(np.exp(-tspec.beta * E0))
+    if not 0.0 < scale * Zs < math.inf:
+        raise OverflowError(f"Z(beta = {tspec.beta}) = {scale * Zs} is out of the float range; "
+                            "the free energy and thermal means stay finite")
+    return scale
+
+
 def gibbs_operator(tspec: ThermalSpec) -> np.ndarray:
-    """Unnormalized exp(-beta H) through the eigendecomposition."""
-    w, V = np.linalg.eigh(tspec.hamiltonian)
-    return (V * np.exp(-tspec.beta * w)[None, :]) @ V.conj().T
+    """Unnormalized exp(-beta H), as e^(-beta E0) exp(-beta (H - E0)).
+
+    Raises OverflowError when its trace Z leaves the positive finite doubles.
+    """
+    E0, G = _shifted_gibbs(tspec)
+    return _unshifted(tspec, E0, np.trace(G).real) * G
 
 
 def partition_oracle(tspec: ThermalSpec) -> float:
-    """Eigenvalue-sum partition function (Hilbert-space reference)."""
-    w = np.linalg.eigvalsh(tspec.hamiltonian)
-    return float(np.sum(np.exp(-tspec.beta * w)))
+    """Eigenvalue-sum partition function (Hilbert-space reference), e^(-beta E0) sum e^(-beta (E - E0)).
 
-
-def _shifted_gibbs(tspec: ThermalSpec) -> tuple[float, np.ndarray]:
-    """The ground energy E0 and exp(-beta (H - E0)), whose eigenvalues lie in (0, 1].
-
-    Both come from one eigendecomposition, so e^(-beta E0) exp(-beta (H - E0))
-    is exp(-beta H) with the rounding of E0 cancelled.
+    Raises OverflowError when Z leaves the positive finite doubles.
     """
-    w, V = np.linalg.eigh(tspec.hamiltonian)
-    return float(w[0]), (V * np.exp(-tspec.beta * (w - w[0]))[None, :]) @ V.conj().T
+    w = np.linalg.eigvalsh(tspec.hamiltonian)
+    Zs = float(np.sum(np.exp(-tspec.beta * (w - w[0]))))
+    return _unshifted(tspec, w[0], Zs) * Zs
 
 
 def _shifted_partition(tspec: ThermalSpec, grid: QuadratureGrid) -> tuple[float, float]:
@@ -60,12 +70,7 @@ def partition_function(tspec: ThermalSpec, grid: QuadratureGrid) -> float:
     Raises OverflowError when Z leaves the positive finite doubles.
     """
     E0, Zs = _shifted_partition(tspec, grid)
-    with np.errstate(over="ignore", under="ignore"):
-        Z = float(np.exp(-tspec.beta * E0) * Zs)
-    if not 0.0 < Z < math.inf:
-        raise OverflowError(f"Z(beta = {tspec.beta}) = {Z} is out of the float range; "
-                            "the free energy and thermal means stay finite")
-    return Z
+    return _unshifted(tspec, E0, Zs) * Zs
 
 
 def partition_series(tspec: ThermalSpec, grid: QuadratureGrid, order: int = 2) -> float:

@@ -329,17 +329,23 @@ def _mesh_pieces(spec: KernelSpec, nodes) -> tuple | None:
 
 
 def _oscillator_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
-    """Tr[A K(row)] on oscillator rows: c_k(r) per distinct radius, then phases per row, blocked."""
+    """Tr[A K(row)] on oscillator rows: c_k(r) per distinct radius, then phases per row, blocked.
+
+    The sorted distinct radii are taken a block at a time, and a block's
+    coefficients are applied to its rows before the next block's are formed.
+    """
     d = dimension(spec.system)
     alphas = coords[:, 0] + 1j * coords[:, 1]
-    radii, ring = np.unique(np.abs(alphas), return_inverse=True)
-    c = np.empty((len(radii), 2 * d - 1, 1), dtype=np.complex128)
-    for start, stop in _blocks(len(radii), 16 * d * d):
-        c[start:stop] = _radial_coefficients(_radial(d, radii[start:stop], spec.side), A[None])
+    radii, ring, counts = np.unique(np.abs(alphas), return_inverse=True, return_counts=True)
+    order = np.argsort(ring, kind="stable")  # the rows, radius by radius
+    bounds = np.concatenate([[0], np.cumsum(counts)])
     out = np.empty(len(coords), dtype=np.complex128)
-    for start, stop in _blocks(len(coords), 32 * (2 * d - 1)):
-        phases = _phase_powers(alphas[start:stop], d)
-        out[start:stop] = np.einsum("nk,nk->n", c[ring[start:stop], :, 0], phases)
+    for start, stop in _blocks(len(radii), 16 * d * d):
+        c = _radial_coefficients(_radial(d, radii[start:stop], spec.side), A[None])[:, :, 0]
+        rows = order[bounds[start]:bounds[stop]]
+        for lo, hi in _blocks(len(rows), 32 * (2 * d - 1)):
+            at = rows[lo:hi]
+            out[at] = np.einsum("nk,nk->n", c[ring[at] - start], _phase_powers(alphas[at], d))
     return out
 
 

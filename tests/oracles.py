@@ -14,7 +14,9 @@ none of its code:
 - the arecchi family is ``rotations.arecchi_rotation``, exp(xi J+ - xi* J-);
 - the star product is the literal triple-kernel quadrature over these kernels;
 - the parity's Cartan weights are its trace projections on the diagonal
-  generators.
+  generators;
+- the uniform angle counts of the CP^(N-1) and SU(N) grids are the largest
+  frequency, from the generators' eigenvalues, plus one.
 """
 
 import itertools
@@ -173,3 +175,20 @@ def parity_cartan_weights(desc) -> np.ndarray:
         J = diagonal_generator(desc.N, desc.M, l)
         out.append(float(np.trace(Pi @ J).real / np.trace(J @ J).real))
     return np.asarray(out)
+
+
+def uniform_count(desc, manifold: str, k: int, span: float) -> int:
+    """Uniform nodes that integrate every frequency of J(k) over ``span``: the largest plus one.
+
+    The frequencies, in cycles per span, are the eigenvalue differences of
+    J(k) on SU(N) ("SUN") and the sums and differences of two differences on
+    CP^(N-1) ("CP"); each must be an integer.
+    """
+    w = np.linalg.eigvalsh(generator(desc.N, desc.M, k)) * span / (2.0 * math.pi)
+    diffs = np.abs(w[:, None] - w[None, :]).ravel()
+    assert np.max(np.abs(diffs - np.rint(diffs))) < 1e-9, (desc, k, span)
+    freqs = np.unique(np.rint(diffs).astype(int))
+    if manifold == "CP":
+        freqs = np.concatenate([np.add.outer(freqs, freqs).ravel(),
+                                np.abs(np.subtract.outer(freqs, freqs)).ravel()])
+    return int(freqs.max()) + 1

@@ -22,9 +22,10 @@ from wignerweyl import (
     product_grid,
     sun_grid,
 )
-import wignerweyl.measures as measures_module
 from wignerweyl.kernels import KernelSpec, _point_row, _row_point
 from wignerweyl.measures import plane_grid
+
+import oracles
 
 _SU21_CP = cp_grid(SUN(2, 1))
 _SU23_CP = cp_grid(SUN(2, 3))
@@ -437,14 +438,57 @@ def test_default_wigner_grid_builds_for_larger_systems(N, M):
     assert {c.name: c.residual for c in report.conditions}["covariance"] < 1e-10
 
 
-@pytest.mark.parametrize("build, freqs", [
-    (cp_grid, measures_module._quad_freqs), (sun_grid, measures_module._diff_freqs),
-])
-def test_frequency_sets_are_cached_per_representation(build, freqs):
-    """A second build reads the frequency sets from the cache; its axes are bit for bit the same."""
-    first = build(SUN(2, 10))
-    hits = freqs.cache_info().hits
-    second = build(SUN(2, 10))
-    assert freqs.cache_info().hits > hits
+# the chart systems of the node-count checks: M <= 3 from N = 5 on
+_CHART_SYSTEMS = {
+    cp_grid: [(N, M) for N in range(2, 8) for M in range(1, 9 if N < 5 else 4)],
+    sun_grid: [(N, M) for N in range(2, 5) for M in range(1, 9)],
+}
+
+
+@pytest.mark.parametrize("build", [cp_grid, sun_grid])
+def test_uniform_counts_match_the_generator_frequencies(build):
+    """Every uniform angle holds the oracle's count, or ``resolution`` where that is more.
+
+    phi_j reads J(3) over [0, 2 pi) and Phi_c reads J((c + 1)^2 - 1) over its
+    range; the oracle takes their frequencies from the eigenvalues.  A second
+    build is bit for bit the same.
+    """
+    for N, M in _CHART_SYSTEMS[build]:
+        desc = SUN(N, M)
+        for resolution in (None, M + 1, M + 4, 2 * M + 3):
+            grid = build(desc, resolution)
+            for ax in grid.axes:
+                if ax.kind != "uniform":
+                    continue
+                k = 3 if ax.name.startswith("phi") else (int(ax.name[3:]) + 1) ** 2 - 1
+                want = oracles.uniform_count(desc, grid.manifold, k, ax.hi)
+                assert len(ax.nodes) == max(want, resolution or 0), (desc, resolution, ax.name)
+    first, second = build(SUN(2, 10)), build(SUN(2, 10))
     for a, b in zip(first.axes, second.axes, strict=True):
         assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+
+
+def _with_uniform_count(grid, name, n):
+    """``grid`` with the uniform angle ``name`` on n nodes."""
+    from wignerweyl.measures import _finalize, _uniform_axis
+
+    axes = [_uniform_axis(name, ax.hi, n) if ax.name == name else ax for ax in grid.axes]
+    return _finalize(grid.system, grid.manifold, axes, grid.exactness)
+
+
+@pytest.mark.parametrize("side,N,M,name", [
+    ("wigner", 2, 3, "phi1"), ("wigner", 3, 2, "phi1"),
+    *((side, N, M, name) for N, M in [(2, 3), (3, 2), (3, 1), (4, 1)]
+      for side, name in [("weyl", "phi1"), ("weyl", "Phi1")]),
+])
+def test_outer_angle_counts_are_tight(side, N, M, name):
+    """phi1 on D + 1 nodes and Phi1 on 2M + 1 pass; one fewer fails at O(1)."""
+    from wignerweyl import verify_stratonovich
+
+    desc = SUN(N, M)
+    grid = cp_grid(desc) if side == "wigner" else sun_grid(desc)
+    (axis,) = [ax for ax in grid.axes if ax.name == name]
+    assert len(axis.nodes) == (4 * M if side == "wigner" else 2 * M) + 1
+    assert verify_stratonovich(desc, side, grid=grid).passed
+    report = verify_stratonovich(desc, side, grid=_with_uniform_count(grid, name, len(axis.nodes) - 1))
+    assert max(c.residual for c in report.conditions) > 1e-2

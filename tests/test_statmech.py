@@ -1,6 +1,7 @@
 """Thermal layer: partition functions, moments, correlation functions."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +75,29 @@ def test_gibbs_and_oracle():
     want = np.diag(np.exp(-0.5 * np.diag(H).real))
     assert np.max(np.abs(gibbs_operator(t) - want)) < 1e-14
     assert partition_oracle(t) == pytest.approx(float(np.trace(want).real), abs=1e-14)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.9, 2.0])
+def test_gibbs_and_oracle_match_the_unshifted_eigen_sum(beta):
+    """The ground-shifted forms equal exp(-beta H) and sum e^(-beta E) to rounding."""
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    H = (g + g.conj().T) / 2.0 - 3.0 * np.eye(5)  # E0 far from 0, so the shift matters
+    w, V = np.linalg.eigh(H)
+    want = (V * np.exp(-beta * w)) @ V.conj().T
+    t = ThermalSpec(H, beta)
+    assert np.max(np.abs(gibbs_operator(t) - want)) < 1e-14 * np.max(np.abs(want))
+    assert partition_oracle(t) == pytest.approx(float(np.sum(np.exp(-beta * w))), rel=1e-14)
+
+
+def test_gibbs_and_oracle_raise_past_the_doubles():
+    """At beta = 1000 Z = e^1000 is no double: an OverflowError, and no overflow warning."""
+    t = ThermalSpec(-generator(2, 1, 1), 1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (gibbs_operator, partition_oracle):
+            with pytest.raises(OverflowError, match=r"beta = 1000\.0"):
+                fn(t)
 
 
 def test_partition_function_pauli_closed_form():

@@ -938,9 +938,9 @@ def test_symbols_at_oscillator_rows_match_the_closed_form(n_max, monkeypatch):
 
     An odd 9 x 9 mesh holds the origin, the axes and the diagonals, whose
     radii repeat up to eight times, and random rows follow; the table is no
-    mesh, so it takes the row route.  A budget of 7 rows per block makes 18
-    row blocks, and the radial factors, once per distinct radius, come in
-    blocks too.
+    mesh, so it takes the row route.  The radial factors, once per distinct
+    radius, come in blocks, and a budget of 7 rows per block takes each
+    block's rows at most 7 at a time, every row once.
     """
     x = np.linspace(-2.0, 2.0, 9)
     rng = np.random.default_rng(n_max)
@@ -952,16 +952,32 @@ def test_symbols_at_oscillator_rows_match_the_closed_form(n_max, monkeypatch):
     for name, at in (("_radial", 1), ("_phase_powers", 0)):  # the position of the points
         fn, seen = getattr(transforms_module, name), calls[name]
         monkeypatch.setattr(transforms_module, name,
-                            lambda *a, fn=fn, seen=seen, at=at: seen.append(len(a[at])) or fn(*a))
+                            lambda *a, fn=fn, seen=seen, at=at: seen.append(a[at]) or fn(*a))
     A = _hermitian(n_max, 7) + 1j * _hermitian(n_max, 8)
     for side in ("wigner", "weyl"):
         for seen in calls.values():
             seen.clear()
         K = oracles.hw_kernels(n_max, rows[:, 0] + 1j * rows[:, 1], side)
         got = symbols_at(A, KernelSpec(side, HW(n_max)), rows)
-        assert calls["_phase_powers"] == [7] * 17 + [2]
-        assert len(calls["_radial"]) > 1 and sum(calls["_radial"]) == n_radii
+        assert all(len(a) <= 7 for a in calls["_phase_powers"])
+        assert np.array_equal(np.sort(np.concatenate(calls["_phase_powers"])),
+                              np.sort(rows[:, 0] + 1j * rows[:, 1]))
+        assert len(calls["_radial"]) > 1 and sum(map(len, calls["_radial"])) == n_radii
         assert np.max(np.abs(got - np.einsum("nij,ji->n", K, A))) < 1e-12
+
+
+def test_oscillator_row_route_memory_grows_by_the_row_not_the_radius(monkeypatch):
+    """Past the blocks, each added row costs a few row-sized numbers, not 2d - 1 coefficients.
+
+    At hw:20 one distinct radius's coefficients take 624 bytes; random rows
+    are all distinct radii.
+    """
+    monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 1_000_000)
+    spec, rng = KernelSpec("wigner", HW(20)), np.random.default_rng(11)
+    A = _hermitian(20, 3)
+    small, large = (rng.uniform(-3.0, 3.0, (n, 2)) for n in (10_000, 40_000))
+    growth = _peak(lambda: symbols_at(A, spec, large)) - _peak(lambda: symbols_at(A, spec, small))
+    assert growth / 30_000 < 128
 
 
 @pytest.mark.parametrize("n_max", [5, 12])
