@@ -46,8 +46,10 @@ class RunConfig:
     state: str | None = _option("state grammar, e.g. spincoherent:0.3,0.8")
     side: str = _option("kernel family", "wigner", choices=("wigner", "weyl"))
     grid_res: int | None = _option(
-        "grid resolution; on an hw factor it selects the square window "
-        "(default: the system's natural grid)", type=int)
+        "grid resolution; on an su factor the count of every colatitude, each "
+        "angle taking the least odd count at or above it and its default; on an "
+        "hw factor it selects the square window (default: the system's natural grid)",
+        type=int)
     radius: float | None = _option(
         "square oscillator window half-width (with --grid-res, except in figure-data)",
         type=float)

@@ -10,19 +10,42 @@ the only list of the pairs, followed on SU(N) by the Cartan angles Phi_c
 Grids are tensor products of one-dimensional rules, each exact by
 construction; nothing is corrected after the fact:
 
-* angle directions get uniform rules, whose n nodes on a full period are
-  exact on every frequency below n.  Every count comes from the chart's
-  trigonometric degree D (``_degree``), 4M on CP^(N-1) and 2M on SU(N):
-  J(3) has integer eigenvalues in -M .. M, a U(g) entry times a conjugate
-  one carries their differences, up to 2M, and a product of two
-  Wigner-kernel entries U Pi U^dagger, each already a difference, twice
-  that.  So phi_j takes D + 1 nodes on [0, 2 pi), and Phi_c takes
-  (c + 1) M + 1 on [0, pi sqrt(2c(c + 1))), where J((c + 1)^2 - 1) has
-  integer eigenvalues in -cM .. M.  Where the chart's range is shorter (the
-  pi-range phi axes of SU(4), the Cartan angles Phi_c), the range is
-  extended to one of these multiples: each added copy is a right
-  translation by a diagonal SU(N) element, so the extended chart covers the
-  group uniformly and normalization removes the multiplicity;
+* angle directions get uniform rules: n nodes on a full period sum
+  e^(ikx) to zero unless n divides k, so they are exact on every frequency
+  below n, and on any set of frequencies of which n divides no nonzero one.
+  Every count comes from the chart's trigonometric degree D (``_degree``),
+  4M on CP^(N-1) and 2M on SU(N): J(3) has integer eigenvalues in -M .. M,
+  a U(g) entry times a conjugate one carries their differences, up to 2M,
+  and a product of two Wigner-kernel entries U Pi U^dagger, each already a
+  difference, twice that.  On SU(N >= 3) phi_j takes D + 1 nodes on
+  [0, 2 pi), and Phi_c takes (c + 1) M + 1 on [0, pi sqrt(2c(c + 1))),
+  where J((c + 1)^2 - 1) has integer eigenvalues in -cM .. M.  Where the
+  chart's range is shorter (the pi-range phi axes of SU(4), the Cartan
+  angles Phi_c), the range is extended to one of these multiples: each
+  added copy is a right translation by a diagonal SU(N) element, so the
+  extended chart covers the group uniformly and normalization removes the
+  multiplicity;
+* on SU(2) and CP^(N-1) every angle takes the least odd count above D/2
+  (SU(2): M + 1 for even M, M + 2 for odd; CP^(N-1): 2M + 1), because a
+  frequency the grid keeps is even or at most D/2, and the least even
+  multiple of an odd n > D/2 is 2n > D.  On SU(2), J(3) has eigenvalues
+  M, M - 2, .., -M, so every frequency of phi1 and Phi1 is even.  On
+  CP^(N-1) the parity is a function of n_N, so a kernel entry is a
+  polynomial in the chart's point z = U e_N (nested spherical coordinates,
+  see ``transforms._compose_cp_point``) and conj(z), and a product of two
+  is a sum of monomials z^a conj(z)^b with |a| = |b| <= 2M.  z_1 and z_2
+  carry the phases phi_1 + s and -phi_1 + s, s = phi_2 + .. + phi_(N-1),
+  and z_(j+1), j >= 2, the phase phi_(j+1) + .. + phi_(N-1), so with
+  e = a - b (sum 0, positive part at most 2M) the monomial has frequency
+  e_1 - e_2 in phi_1 and e_1 + .. + e_j, of size at most 2M, in phi_j,
+  j >= 2.  2M + 1 nodes on every phi_j, j >= 2, keep only the monomials
+  with all those partial sums 0: e_1 + e_2 = 0 and e_3 = .. = e_N = 0,
+  whose phi_1 frequency 2 e_1 is even and at most 4M in size.  So every
+  monomial with e != 0, whose integral is 0, sums to 0; those with e = 0
+  are polynomials in the sin^2 theta_j, which the colatitude rules below
+  integrate.  The phase argument reads no colatitude rule, so it holds on
+  ``_shift_rule``'s moved colatitudes too: kernels at x + shift and at x
+  multiply to monomials of the same kind;
 * colatitudes get Gauss-Jacobi rules.  With s = sin^2 theta the measure
   factor c cos^(2a+1) theta sin^(2b+1) theta dtheta is (c/2) (1 - s)^a s^b ds,
   and the invariant measures push forward to the uniform measure on the
@@ -336,9 +359,13 @@ def cp_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
 
     Built at the "quads" level: exact (to rounding) for products of two
     Wigner-kernel matrix elements, which covers kernel normalization,
-    self-conjugacy, and star-product quadrature.  Each phi_j is uniform and
-    each theta_j takes M + 1 Gauss-Jacobi nodes; an explicit ``resolution``
-    is the node count of every colatitude and the least of every angle.
+    self-conjugacy, and star-product quadrature.  Each phi_j takes 2M + 1
+    uniform nodes, the least odd count above half the degree 4M (every
+    frequency the grid keeps is even or at most 2M; see the module
+    docstring), and each theta_j M + 1 Gauss-Jacobi nodes.  An explicit
+    ``resolution`` is the node count of every colatitude; every angle then
+    takes the least odd count at or above both its default and
+    ``resolution``, since an even count at or below 4M aliases frequency 4M.
     """
     if not isinstance(desc, SUN):
         raise TypeError("cp_grid needs a SUN descriptor")
@@ -353,9 +380,14 @@ def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
     enters (reconstruction, overlap, the literal star product's inner sums).
     Every phi_t spans [0, 2 pi) and Phi_c spans [0, pi sqrt(2c(c + 1))), c
     times the chart's range, the least multiples on which every frequency is
-    periodic (see the module docstring for why the cover is uniform).  Each
-    theta_t takes floor(M/2) + 1 Gauss-Jacobi nodes, or an explicit
-    ``resolution``.  N outside {2, 3, 4} is rejected.
+    periodic (see the module docstring for why the cover is uniform).  On
+    SU(2) phi1 and Phi1 take the least odd count above M (every frequency is
+    even and at most 2M); on SU(3) and SU(4) every phi_t takes 2M + 1 and
+    Phi_c (c + 1) M + 1.  Each theta_t takes floor(M/2) + 1 Gauss-Jacobi
+    nodes.  An explicit ``resolution`` is the node count of every
+    colatitude; every angle then takes the least odd count at or above both
+    its default and ``resolution``, since an even count at or below 2M
+    aliases frequency 2M.  N outside {2, 3, 4} is rejected.
     """
     if not isinstance(desc, SUN):
         raise TypeError("sun_grid needs a SUN descriptor")
@@ -367,27 +399,36 @@ def sun_grid(desc: SUN, resolution: int | None = None) -> QuadratureGrid:
 def _chart_grid(desc: SUN, manifold: str, resolution: int | None) -> QuadratureGrid:
     """The CP^(N-1) or SU(N) grid, every node count read from the degree D.
 
-    phi_j takes D + 1 uniform nodes, theta_j floor(D/4) + 1 Gauss-Jacobi
-    nodes and Phi_c (c + 1) M + 1 uniform ones (see the module docstring).
-    An explicit ``resolution`` (at least M + 1) is the count of every
-    colatitude and the least of every angle.
+    On CP^(N-1) and SU(2) every angle takes the least odd count above D/2,
+    on SU(N >= 3) phi_j takes D + 1 uniform nodes and Phi_c (c + 1) M + 1;
+    theta_j takes floor(D/4) + 1 Gauss-Jacobi nodes (see the module
+    docstring).  An explicit ``resolution`` (at least M + 1) is the count of
+    every colatitude, and every angle takes the least odd count at or above
+    both ``resolution`` and its default.
     """
     M, D = desc.M, _degree(manifold, desc.M)
     if resolution is None:
-        resolution, n_theta = M + 1, D // 4 + 1
+        n_theta = D // 4 + 1
     elif resolution < M + 1:
         raise ValueError(f"resolution {resolution} below minimum {M + 1} for {desc}")
     else:
         n_theta = resolution
+
+    def count(floor: int) -> int:  # an even count at or below D can alias frequency D
+        return floor if resolution is None else max(floor, resolution) | 1
+
+    # the least odd count above D/2 where every frequency is even or at most D/2
+    n_phi = (D // 2 + 1) | 1 if manifold == "CP" or desc.N == 2 else D + 1
     names = iter(_angle_columns(desc.N, manifold))
     axes = []
     for p, q in _colatitude_blocks(desc.N, manifold):
-        axes.append(_uniform_axis(next(names), _TWO_PI, max(D + 1, resolution)))
+        axes.append(_uniform_axis(next(names), _TWO_PI, count(n_phi)))
         axes.append(_jacobi_axis(next(names), p, q, n_theta))
     if manifold == "SUN":
         for c in range(1, desc.N):
             hi = math.pi * math.sqrt(2.0 * c * (c + 1))
-            axes.append(_uniform_axis(next(names), hi, max((c + 1) * M + 1, resolution)))
+            n = n_phi if c == 1 else (c + 1) * M + 1  # Phi1 reads J(3) over [0, 2 pi), as phi_j
+            axes.append(_uniform_axis(next(names), hi, count(n)))
     return _finalize(desc, manifold, axes, "quads" if manifold == "CP" else "pairs")
 
 

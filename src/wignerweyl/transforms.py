@@ -633,7 +633,12 @@ def default_grid(desc: SystemDescriptor, side: str, resolution: int | None = Non
     nodes), times 2d - 1 angles.  A ``resolution`` selects the square
     ``hw_grid`` window instead, of half-width ``radius`` (default
     sqrt(n_max) + 3 on the Wigner side, 2 sqrt(n_max) + 3 on the Weyl side);
-    a radius without a resolution raises ValueError.
+    a radius without a resolution raises ValueError.  An SU(N) factor takes
+    ``cp_grid`` (Wigner) or ``sun_grid`` (Weyl), whose CP^(N-1) and SU(2)
+    angles hold the least odd count above half the chart's degree, since
+    every frequency they keep is even or at most half of it.  There a
+    ``resolution`` is the colatitudes' node count, and every angle takes the
+    least odd count at or above both it and its default.
     """
     if isinstance(desc, HW):
         if resolution is None:

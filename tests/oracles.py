@@ -15,8 +15,10 @@ none of its code:
 - the star product is the literal triple-kernel quadrature over these kernels;
 - the parity's Cartan weights are its trace projections on the diagonal
   generators;
-- the uniform angle counts of the CP^(N-1) and SU(N) grids are the largest
-  frequency, from the generators' eigenvalues, plus one.
+- the uniform angle counts of the CP^(N-1) and SU(N) grids are the least
+  counts that alias no surviving frequency, from the generators' eigenvalues;
+- a grid's exactness certificate reconstructs all d^2 matrix units through
+  the package's batched transforms, the one check here that uses them.
 """
 
 import itertools
@@ -178,11 +180,16 @@ def parity_cartan_weights(desc) -> np.ndarray:
 
 
 def uniform_count(desc, manifold: str, k: int, span: float) -> int:
-    """Uniform nodes that integrate every frequency of J(k) over ``span``: the largest plus one.
+    """Least uniform count over ``span`` that aliases no surviving frequency of J(k).
 
     The frequencies, in cycles per span, are the eigenvalue differences of
     J(k) on SU(N) ("SUN") and the sums and differences of two differences on
-    CP^(N-1) ("CP"); each must be an integer.
+    CP^(N-1) ("CP"); each must be an integer.  n uniform nodes take a nonzero
+    frequency f for the constant exactly when n divides f.  On CP^(N-1) a
+    product of two kernel entries is a polynomial in the chart's point
+    z = U e_N and its conjugate, of degree at most 2M in each, whose phases
+    the other angles average out unless only phi_1 is left, as z_1 z_2-bar
+    and its powers: so an odd frequency above 2M does not survive.
     """
     w = np.linalg.eigvalsh(generator(desc.N, desc.M, k)) * span / (2.0 * math.pi)
     diffs = np.abs(w[:, None] - w[None, :]).ravel()
@@ -191,4 +198,31 @@ def uniform_count(desc, manifold: str, k: int, span: float) -> int:
     if manifold == "CP":
         freqs = np.concatenate([np.add.outer(freqs, freqs).ravel(),
                                 np.abs(np.subtract.outer(freqs, freqs)).ravel()])
-    return int(freqs.max()) + 1
+        freqs = freqs[(freqs % 2 == 0) | (freqs <= 2 * desc.M)]
+    freqs = freqs[freqs > 0]
+    return next(n for n in itertools.count(1) if not np.any(freqs % n == 0))
+
+
+def round_trip_certificate(spec: KernelSpec, grid) -> float:
+    """Worst miss of the grid's exactness identities, factor by factor on a product grid.
+
+    Every grid integral the package takes is linear or bilinear in the kernel,
+    so a grid is exact for all of them if and only if A -> reconstruct(
+    phase_function(A)) is the identity and, on the Wigner side, sum w K = 1.
+    The round trip is linear in A, so one batched forward and reconstruction
+    over the d^2 matrix units E_ij proves it for every operator; on a product
+    the identities factor, and each factor is checked on its own grid.
+    """
+    from wignerweyl.transforms import _forward, _grid_pieces, _reconstructed
+
+    if grid.factors:
+        return max(round_trip_certificate(KernelSpec(spec.side, g.system, spec.rotation), g)
+                   for g in grid.factors)
+    d = dimension(spec.system)
+    units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
+    back = _reconstructed(spec, grid, _forward(_grid_pieces(spec, grid), units))
+    miss = float(np.max(np.abs(back - units)))
+    if spec.side == "wigner":
+        ksum = _reconstructed(spec, grid, np.ones((1, grid.n_nodes)))[0]
+        miss = max(miss, float(np.max(np.abs(ksum - np.eye(d)))))
+    return miss

@@ -26,6 +26,12 @@ unchanged: every row matched per-point ``symbols_at`` of its state to
 inside the 1e-8 propagator tolerance), the printed residuals stayed at
 their previous sizes, and ``reconstruct --infile`` of the new
 ``wigner_su21.csv`` and ``weyl_su21.csv`` returns their states to 5e-16.
+``wigner_su21``, ``wigner_su21_hw3`` and ``evolve_su21`` were re-captured
+again when every CP phi_j moved to 2M + 1 uniform nodes (su:2:1: 10 to 6
+Wigner nodes), with key sets unchanged: every row matched per-point
+``kernel_at`` of its state to 2.3e-16 (the ``evolve`` frames: of U rho
+U^dagger, to 3.3e-11 at t = 0.02), and the printed residuals stayed at their
+previous sizes.
 ``autocorr_hw_re`` and ``autocorr_hw_im`` replaced ``autocorr_hw_q`` and
 ``autocorr_hw_p`` when the oscillator's autocorrelation axes became the grid
 columns ``re`` and ``im`` (alpha itself, where q and p were sqrt(2) alpha):

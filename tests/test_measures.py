@@ -49,7 +49,7 @@ def test_compact_grids_normalized_to_dimension(grid, desc):
     # one level per manifold: the Euler-Weyl grid integrates eigenvalue differences only
     assert grid.exactness == ("quads" if grid.manifold == "CP" else "pairs")
     if grid.manifold == "SUN" and desc.N == 2:
-        assert grid.n_nodes == {1: 9, 3: 98, 4: 243, 10: 2646}[desc.M]
+        assert grid.n_nodes == {1: 9, 3: 50, 4: 75, 10: 726}[desc.M]
 
 
 def test_weights_positive_everywhere():
@@ -189,9 +189,9 @@ def test_hw_grid_rejects_a_non_finite_radius(radius):
 
 def test_typed_points_match_coords():
     g = cp_grid(SUN(2, 1))
-    pt = g.point(7)
+    pt = g.point(5)
     assert isinstance(pt, CPPoint)
-    row = g.coords()[7]
+    row = g.coords()[5]
     assert pt.phi == (row[0],) and pt.theta == (row[1],)
 
     gs = sun_grid(SUN(2, 1))
@@ -429,8 +429,8 @@ def test_default_wigner_grid_builds_for_larger_systems(N, M):
 
     grid = cp_grid(SUN(N, M))
     assert all(ax.weights.min() > 0.0 for ax in grid.axes)
-    if M == 2 and N >= 6:  # 14.3M and 387M nodes: built lazily, never materialized here
-        assert grid.n_nodes == ((4 * M + 1) * (M + 1)) ** (N - 1)
+    if M == 2 and N >= 6:  # 759,375 and 11.4M nodes: built lazily, never materialized here
+        assert grid.n_nodes == ((2 * M + 1) * (M + 1)) ** (N - 1)
         return
     report = verify_stratonovich(SUN(N, M), "wigner", grid=grid)
     assert report.passed, report.as_dict()
@@ -445,27 +445,97 @@ _CHART_SYSTEMS = {
 }
 
 
+def _resolutions(M):
+    return (None, M + 1, M + 4, 2 * M + 3)
+
+
 @pytest.mark.parametrize("build", [cp_grid, sun_grid])
 def test_uniform_counts_match_the_generator_frequencies(build):
-    """Every uniform angle holds the oracle's count, or ``resolution`` where that is more.
+    """Every uniform angle holds the oracle's count; an explicit ``resolution`` rounds up to odd.
 
     phi_j reads J(3) over [0, 2 pi) and Phi_c reads J((c + 1)^2 - 1) over its
-    range; the oracle takes their frequencies from the eigenvalues.  A second
+    range; the oracle takes their surviving frequencies from the eigenvalues
+    and counts the least number of nodes that aliases none of them.  With a
+    ``resolution`` every angle takes the least odd count at or above both.
+    The Cartan angles Phi_c, c >= 2, of SU(N >= 3) keep (c + 1) M + 1 nodes,
+    the largest frequency plus one, which can exceed the oracle's count (su:3:1
+    Phi2: 4 nodes, where frequency 3 alone survives and 2 would do).  A second
     build is bit for bit the same.
     """
     for N, M in _CHART_SYSTEMS[build]:
         desc = SUN(N, M)
-        for resolution in (None, M + 1, M + 4, 2 * M + 3):
+        for resolution in _resolutions(M):
             grid = build(desc, resolution)
             for ax in grid.axes:
                 if ax.kind != "uniform":
                     continue
                 k = 3 if ax.name.startswith("phi") else (int(ax.name[3:]) + 1) ** 2 - 1
                 want = oracles.uniform_count(desc, grid.manifold, k, ax.hi)
-                assert len(ax.nodes) == max(want, resolution or 0), (desc, resolution, ax.name)
+                if resolution is not None:
+                    want = max(want, resolution) | 1
+                if ax.name[:3] == "Phi" and ax.name != "Phi1":  # (c + 1) M + 1, not cut
+                    assert len(ax.nodes) >= want, (desc, resolution, ax.name)
+                else:
+                    assert len(ax.nodes) == want, (desc, resolution, ax.name)
     first, second = build(SUN(2, 10)), build(SUN(2, 10))
     for a, b in zip(first.axes, second.axes, strict=True):
         assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+
+
+# the certificate batches d^2 operators over every node: grids with n_nodes d^2
+# above this (64 MB per batch, about a second each) are left out of tier 1
+_CERTIFIED_SIZE = 4_000_000
+
+# the (builder, N, M, resolution) left out at that size: every resolution from
+# the first M listed, and the explicit M + 4 and 2M + 3 (every explicit one on
+# SU(N) Weyl) at the M before it
+_CERTIFICATE_SKIPS = {
+    *((cp_grid, N, M, r) for N, first in [(3, 6), (4, 3), (5, 2), (6, 2), (7, 2)]
+      for M in range(first, 9 if N < 5 else 4) for r in _resolutions(M)),
+    *((sun_grid, N, M, r) for N, first in [(3, 3), (4, 2)]
+      for M in range(first, 9) for r in _resolutions(M)),
+    *((cp_grid, N, M, r) for N, M in [(3, 5), (4, 2), (5, 1), (6, 1), (7, 1)]
+      for r in _resolutions(M)[2:]),
+    *((sun_grid, N, M, r) for N, M in [(3, 2), (4, 1)] for r in _resolutions(M)[1:]),
+}
+
+
+@pytest.mark.parametrize("build", [cp_grid, sun_grid])
+def test_chart_grids_pass_the_round_trip_certificate(build):
+    """Every grid of the node-count range reconstructs all d^2 matrix units (and sums K to 1).
+
+    That is the proof of exactness for every integral the package takes
+    (``oracles.round_trip_certificate``); only the grids listed in
+    ``_CERTIFICATE_SKIPS`` are too large to run here.
+    """
+    side = "wigner" if build is cp_grid else "weyl"
+    skipped = set()
+    for N, M in _CHART_SYSTEMS[build]:
+        desc = SUN(N, M)
+        for resolution in _resolutions(M):
+            grid = build(desc, resolution)
+            if grid.n_nodes * dimension(desc) ** 2 > _CERTIFIED_SIZE:
+                skipped.add((build, N, M, resolution))
+                continue
+            miss = oracles.round_trip_certificate(KernelSpec(side, desc), grid)
+            assert miss < 1e-13, (desc, resolution, miss)
+    assert skipped == {s for s in _CERTIFICATE_SKIPS if s[0] is build}
+
+
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+@pytest.mark.parametrize("N,M", [(2, 1), (2, 3), (2, 4), (3, 1), (3, 2)])
+def test_every_explicit_resolution_passes_the_certificate(side, N, M):
+    """Every resolution from M + 1 to D + 2: an even count at or below D would alias frequency D.
+
+    On su:3:2 Weyl only resolution 3 runs (118,125 nodes); 4 to 6 hold
+    280,000 to 3.6M nodes of d = 6.
+    """
+    desc = SUN(N, M)
+    build = cp_grid if side == "wigner" else sun_grid
+    top = M + 1 if (side, N, M) == ("weyl", 3, 2) else (4 if side == "wigner" else 2) * M + 2
+    for resolution in range(M + 1, top + 1):
+        miss = oracles.round_trip_certificate(KernelSpec(side, desc), build(desc, resolution))
+        assert miss < 1e-13, (resolution, miss)
 
 
 def _with_uniform_count(grid, name, n):
@@ -477,18 +547,30 @@ def _with_uniform_count(grid, name, n):
 
 
 @pytest.mark.parametrize("side,N,M,name", [
-    ("wigner", 2, 3, "phi1"), ("wigner", 3, 2, "phi1"),
+    ("wigner", 2, 3, "phi1"), ("wigner", 3, 2, "phi1"), ("wigner", 4, 1, "phi3"),
     *((side, N, M, name) for N, M in [(2, 3), (3, 2), (3, 1), (4, 1)]
       for side, name in [("weyl", "phi1"), ("weyl", "Phi1")]),
 ])
 def test_outer_angle_counts_are_tight(side, N, M, name):
-    """phi1 on D + 1 nodes and Phi1 on 2M + 1 pass; one fewer fails at O(1)."""
+    """The angle's count passes and the next odd count down fails at O(1).
+
+    One node fewer would prove nothing: that count is even and aliases the
+    top frequency D itself.  CP^(N-1) and SU(2) take the least odd count
+    above D/2, SU(N >= 3) D + 1.  su:3:2 Weyl is the exception that count
+    leaves: its 5 nodes on phi1 and Phi1 are not the least, since 3 pass the
+    round-trip certificate (the SU(N >= 3) Weyl counts are not cut yet).
+    """
     from wignerweyl import verify_stratonovich
 
     desc = SUN(N, M)
     grid = cp_grid(desc) if side == "wigner" else sun_grid(desc)
     (axis,) = [ax for ax in grid.axes if ax.name == name]
-    assert len(axis.nodes) == (4 * M if side == "wigner" else 2 * M) + 1
+    want = {"wigner": 2 * M + 1, "weyl": (M + 1) | 1 if N == 2 else 2 * M + 1}[side]
+    assert len(axis.nodes) == want
     assert verify_stratonovich(desc, side, grid=grid).passed
-    report = verify_stratonovich(desc, side, grid=_with_uniform_count(grid, name, len(axis.nodes) - 1))
-    assert max(c.residual for c in report.conditions) > 1e-2
+    fewer = _with_uniform_count(grid, name, want - 2)
+    if (side, N, M) == ("weyl", 3, 2):
+        assert oracles.round_trip_certificate(KernelSpec(side, desc), fewer) < 1e-13
+        return
+    report = verify_stratonovich(desc, side, grid=fewer)
+    assert max(c.residual for c in report.conditions) > 0.5

@@ -592,3 +592,42 @@ def test_cross_correlation_shift_rule_guard_fires_before_any_transform(monkeypat
     assert "shift=None" in str(err.value) and "resolution" not in str(err.value)
     assert built == []
     assert phase_cross_correlation(f, None).value is not None  # the zero shift still works
+
+
+def _with_uncut_angles(grid):
+    """``grid`` with every uniform angle on at least D + 1 nodes, D the chart's degree."""
+    from wignerweyl.measures import _degree, _finalize, _uniform_axis
+
+    n = _degree(grid.manifold, grid.system.M) + 1
+    axes = [_uniform_axis(ax.name, ax.hi, max(n, len(ax.nodes))) if ax.kind == "uniform" else ax
+            for ax in grid.axes]
+    return _finalize(grid.system, grid.manifold, axes, grid.exactness)
+
+
+@pytest.mark.parametrize("side,N,M", [
+    ("wigner", 2, 3), ("weyl", 2, 4), ("weyl", 2, 5), ("wigner", 3, 1), ("weyl", 3, 1),
+    ("wigner", 3, 2), ("wigner", 4, 1),
+])
+def test_cross_correlation_shifts_on_the_cut_angles_match_the_uncut_grid(side, N, M):
+    """Shifts of phi alone, and of theta, on grids whose angles hold the least odd count.
+
+    A product of kernels at x + shift and at x carries the same phase
+    frequencies as one at a single point, so the cut counts alias none of
+    them, on the Gauss-Jacobi colatitudes and on ``_shift_rule``'s moved ones
+    alike.
+    """
+    desc, spec = SUN(N, M), KernelSpec(side, SUN(N, M))
+    grid = default_grid(desc, side)
+    uncut = _with_uncut_angles(grid)
+    rho = build_state(RandomDensity(4), desc)
+    f, g = phase_function(rho, spec, grid), phase_function(rho, spec, uncut)
+    rng = np.random.default_rng(N * 10 + M)
+    n_pairs = sum(ax.name.startswith("theta") for ax in grid.axes)
+    n_cartan = len(grid.axes) - 2 * n_pairs
+    for moved_theta in (False, True):
+        phi = tuple(rng.uniform(-1.0, 1.0, n_pairs))
+        theta = tuple(rng.uniform(-0.4, 0.4, n_pairs) * moved_theta)
+        shift = (CPPoint(phi, theta) if side == "wigner"
+                 else EulerPoint(phi, theta, tuple(rng.uniform(-1.0, 1.0, n_cartan))))
+        cut, full = phase_cross_correlation(f, shift), phase_cross_correlation(g, shift)
+        assert abs(cut.raw_value - full.raw_value) < 1e-13, (shift, cut.raw_value, full.raw_value)
