@@ -187,9 +187,10 @@ def uniform_count(desc, manifold: str, k: int, span: float) -> int:
     CP^(N-1) ("CP"); each must be an integer.  n uniform nodes take a nonzero
     frequency f for the constant exactly when n divides f.  On CP^(N-1) a
     product of two kernel entries is a polynomial in the chart's point
-    z = U e_N and its conjugate, of degree at most 2M in each, whose phases
-    the other angles average out unless only phi_1 is left, as z_1 z_2-bar
-    and its powers: so an odd frequency above 2M does not survive.
+    z = U e_N and its conjugate, of degree at most 2M in each; once the other
+    angles have averaged out their phases, phi_1 is left only in powers of
+    z_1 conj(z_2), frequency 2 each, so an odd frequency above 2M does not
+    survive.
     """
     w = np.linalg.eigvalsh(generator(desc.N, desc.M, k)) * span / (2.0 * math.pi)
     diffs = np.abs(w[:, None] - w[None, :]).ravel()

@@ -609,7 +609,7 @@ def _with_uncut_angles(grid):
     ("wigner", 3, 2), ("wigner", 4, 1),
 ])
 def test_cross_correlation_shifts_on_the_cut_angles_match_the_uncut_grid(side, N, M):
-    """Shifts of phi alone, and of theta, on grids whose angles hold the least odd count.
+    """Shifts of the uniform angles alone, and with theta, on grids whose angles are cut.
 
     A product of kernels at x + shift and at x carries the same phase
     frequencies as one at a single point, so the cut counts alias none of
