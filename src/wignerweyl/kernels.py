@@ -6,22 +6,22 @@ Wigner kernel is the rotated parity, U Pi U^dagger, where Pi is the
 generalized parity operator: one Stratonovich zonal sum for every SUN(N, M),
 and twice the Fock-space parity for HW.
 
-Every kernel is evaluated by one evaluator, ``_kernels``, over rows of
-coordinates in the grid column layout.  An SU(N) kernel is a chain of
-per-axis factors exp(i J(k) x), each evaluated once per distinct coordinate
-value and gathered onto the rows; HW kernels are a real radial matrix,
-evaluated once per distinct |alpha|, times per-point phases
-(``_phase_powers``), and composite kernels are row-wise Kronecker products.
-The columns are the chart of the spec's manifold (``_grid_manifold``; see
-``measures``): ``_factor_table`` reads its pairs and generators,
-``_columns`` its names, and ``_point_row``/``_row_point`` are the only maps
-between typed points and rows.  ``kernel_at`` is ``_kernels`` at the one row
-of a typed point, ``transforms.symbols_at`` applies ``_row_kernels`` factor
-by factor (``_radial`` and ``_phase_powers`` on the oscillator) to tables that
-are no tensor mesh, in blocks of bounded size, and ``kernel_stack`` to a
-grid's ``coords()``, as a reference for the split pieces.  Constructions
-independent of it (matrix exponentials of the factor sequence, the Laguerre
-closed form, Kronecker products) live in the tests.
+Every single system's kernel at a row of coordinates in the grid column
+layout is evaluated by one evaluator, ``_kernels``.  An SU(N) kernel is a
+chain of per-axis factors exp(i J(k) x), each evaluated once per distinct
+coordinate value and gathered onto the rows; HW kernels are a real radial
+matrix, evaluated once per distinct |alpha|, times per-point phases
+(``_phase_powers``).  A composite kernel is the Kronecker product of its
+factors' kernels.  The columns are the chart of the spec's manifold
+(``_grid_manifold``; see ``measures``): ``_factor_table`` reads its pairs
+and generators, ``_columns`` its names, and ``_point_row``/``_row_point`` are
+the only maps between typed points and rows.  ``kernel_at`` is ``_kernels``
+at the one row of a typed point (``np.kron`` over the factors of a composite
+one), and ``transforms.symbols_at`` applies ``_row_kernels`` factor by factor
+(``_radial`` and ``_phase_powers`` on the oscillator) to tables that are no
+tensor mesh, in blocks of bounded size.  Constructions independent of it
+(matrix exponentials of the factor sequence, the Laguerre closed form,
+Kronecker products) live in the tests.
 
 The transforms never hold a grid's (n_nodes, d, d) kernel stack.  A SU(N)
 grid is a tensor product over the columns of the factor chain, so ``_split``
@@ -37,10 +37,13 @@ order m + n are the SU(2) rotation exp(i pi/4 J(2)) of SUN(2, m + n).
 ``_split`` reads per-axis nodes, so it serves both grids, whose pieces
 ``kernel_pieces`` caches per (grid, kernel spec), and the tensor meshes that
 ``symbols_at`` finds in coordinate tables, whose pieces are not cached.
+``kernel_stack`` multiplies a grid's pieces out, in the blocks of
+``_kernel_blocks`` that the transforms' formed-kernel routes also take.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -205,7 +208,8 @@ def _radial(n_max: int, r: np.ndarray, side: str) -> np.ndarray:
     L_lo^(|m-n|)(r^2), lo/hi = min/max(m, n).  Wigner side: R_mn(2r) times
     the parity 2 (-1)^n.  The Laguerre values come from the three-term
     recurrence in lo, for every order at once, over blocks of at most
-    ``BLOCK_BYTES`` of radii.
+    ``BLOCK_BYTES`` of radii; each block's factors are formed in its output
+    rows, beside the Laguerre table and one gathered copy of it.
     """
     d = n_max
     lo, k, log_ratio, sign, a, b = _radial_constants(d, side)
@@ -219,10 +223,15 @@ def _radial(n_max: int, r: np.ndarray, side: str) -> np.ndarray:
             L[1] = a[0] - u
         for j in range(1, d - 1):
             L[j + 1] = ((a[j] - u) * L[j] - b[j] * L[j - 1]) / (j + 1)
+        e = out[start:stop]  # the exponent, then the factor, in place
         with np.errstate(divide="ignore", invalid="ignore"):
-            k_log_x = k * np.log(x)
-        k_log_x[:, k == 0] = 0.0  # 0 log 0 = 0 at the origin
-        out[start:stop] = np.exp(k_log_x + log_ratio - 0.5 * u) * L[lo, :, k].T * sign
+            np.multiply(k, np.log(x), out=e)
+        e[:, k == 0] = 0.0  # 0 log 0 = 0 at the origin
+        e += log_ratio
+        e -= 0.5 * u
+        np.exp(e, out=e)
+        e *= L[lo, :, k].T
+        e *= sign
     return out
 
 
@@ -468,12 +477,6 @@ def _check_width(spec: KernelSpec, columns: int) -> None:
                          f"columns ({','.join(names)}), got {columns}")
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row Kronecker products of two kernel stacks."""
-    d = a.shape[-1] * b.shape[-1]
-    return np.einsum("nij,nkl->nikjl", a, b).reshape(-1, d, d)
-
-
 def _chain(desc: SUN, table, values, index) -> np.ndarray:
     """Product of the table's factors at rows of gathered coordinates: (n, d, d).
 
@@ -493,27 +496,18 @@ def _rotated_parity(desc: SUN, U: np.ndarray) -> np.ndarray:
 
 
 def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
-    """Kernels at n rows of coordinates in the grid column layout: (n, d, d).
+    """A single system's kernels at n rows of coordinates in the grid column layout: (n, d, d).
 
     Column c of row r is ``values[c][index[c][r]]``: every column arrives as
     its distinct values plus a per-row index into them, so each per-axis
     factor is evaluated once per distinct value and gathered.  A tensor
     grid has this form already (axis nodes and the unravelled node index).
+    A composite kernel is the Kronecker product of these, which
+    ``kernel_at`` forms at a point and the row routes of
+    ``transforms.symbols_at`` trace factor by factor.
     """
     desc = spec.system
     _check_width(spec, len(values))
-    if isinstance(desc, Composite):
-        out, at = None, 0
-        for sub in _factor_specs(spec):
-            cols = slice(at, at + _width(sub))
-            # each factor once per distinct row of its columns, then gathered
-            dims = [len(v) for v in values[cols]]
-            rows, inverse = np.unique(np.ravel_multi_index(index[cols], dims),
-                                      return_inverse=True)
-            K = _kernels(sub, values[cols], np.unravel_index(rows, dims))[inverse]
-            out = K if out is None else _kron(out, K)
-            at = cols.stop
-        return out
     if isinstance(desc, HW):
         alphas = values[0][index[0]] + 1j * values[1][index[1]]
         radii, ring = np.unique(np.abs(alphas), return_inverse=True)
@@ -558,9 +552,17 @@ def _row_point(spec: KernelSpec, row) -> PhasePoint:
 
 
 def kernel_at(spec: KernelSpec, point: PhasePoint) -> np.ndarray:
-    """Kernel of the given spec at one point: ``_kernels`` at the point's row."""
-    row = _point_row(spec, point)
-    return _kernels(spec, [np.array([x]) for x in row], [np.zeros(1, dtype=np.intp)] * len(row))[0]
+    """Kernel of the given spec at one point: ``_kernels`` at the point's row.
+
+    On a composite system it is the Kronecker product of every factor's
+    kernel at its part of the row, once the whole point is checked.
+    """
+    row = iter(_point_row(spec, point))
+    factors = []
+    for sub in _factor_specs(spec):
+        cols = [np.array([x]) for x in itertools.islice(row, _width(sub))]
+        factors.append(_kernels(sub, cols, [np.zeros(1, dtype=np.intp)] * len(cols))[0])
+    return functools.reduce(np.kron, factors)
 
 
 def _grid_manifold(spec: KernelSpec) -> str:
@@ -596,20 +598,9 @@ def _tensor_index(shape) -> tuple:
 
 
 def _row_kernels(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
-    """Kernels at rows of coordinates, each column as its distinct values: (n, d, d)."""
+    """A single system's kernels at rows of coordinates, columns as distinct values: (n, d, d)."""
     columns = [np.unique(col, return_inverse=True) for col in rows.T]
     return _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
-
-
-def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """All kernels on a grid as one (n_nodes, d, d) array, evaluated afresh.
-
-    This is the reference the transforms are tested against; they contract
-    through ``kernel_pieces`` and never build it.
-    """
-    _check_grid(spec, grid)
-    _check_bytes("kernel stack", grid.n_nodes * dimension(spec.system) ** 2 * 16)
-    return _row_kernels(spec, grid.coords())
 
 
 @dataclass(frozen=True)
@@ -695,3 +686,39 @@ def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Pola
                 a.flags.writeable = False
         per_grid[spec] = pieces
     return (per_grid[spec],)
+
+
+def _kernel_blocks(p: Pieces | Polar | Window):
+    """(node slice, kernels) of a factor's nodes, in blocks of at most ``BLOCK_BYTES``."""
+    m = len(p.right) if isinstance(p, Pieces) else 1  # nodes per stack() index
+    for lo, hi in _blocks(p.n_nodes // m, 16 * p.dim * p.dim * m):
+        yield slice(lo * m, hi * m), p.stack(lo, hi)
+
+
+def _filled(p: Pieces | Polar | Window) -> np.ndarray:
+    """A factor's kernel stack, written block by block into a new (n_nodes, d, d) array."""
+    out = np.empty((p.n_nodes, p.dim, p.dim), dtype=np.complex128)
+    for nodes, K in _kernel_blocks(p):
+        out[nodes] = K
+    return out
+
+
+def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
+    """All kernels on a grid as one new (n_nodes, d, d) array: its ``kernel_pieces`` multiplied out.
+
+    A product grid's stack is the Kronecker product of its factors' stacks,
+    node (i, j, ...) in C order with the first factor slowest, broadcast one
+    factor at a time straight into new arrays.  The grid keeps no coordinates
+    for it.  The transforms contract through the pieces and never build it.
+    """
+    _check_grid(spec, grid)
+    _check_bytes("kernel stack", grid.n_nodes * dimension(spec.system) ** 2 * 16)
+    grid._check_materializable()
+    K, *rest = (_filled(p) for p in kernel_pieces(spec, grid))
+    for S in rest:
+        n, e, f = len(K), K.shape[-1], S.shape[-1]
+        out = np.empty((n * len(S), e * f, e * f), dtype=np.complex128)
+        np.multiply(K[:, None, :, None, :, None], S[None, :, None, :, None, :],
+                    out=out.reshape(n, len(S), e, f, e, f))
+        K = out
+    return K

@@ -39,8 +39,8 @@ from .algebra import (
 )
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, Window, _blocks, _check_grid, _check_width,
-    _diagonals, _factor_specs, _phase_powers, _radial, _row_kernels, _split, _width,
-    kernel_at, kernel_pieces,
+    _diagonals, _factor_specs, _kernel_blocks, _phase_powers, _radial, _row_kernels, _split,
+    _width, kernel_at, kernel_pieces,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, plane_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, HWPoint, PhasePoint
@@ -75,13 +75,6 @@ def _operator(A: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if A.shape != (d, d):
         raise ValueError(f"operator must be {d}x{d} for {spec.system}, got {A.shape}")
     return A
-
-
-def _kernel_blocks(p: Pieces | Polar | Window):
-    """(node slice, kernels) of a factor's nodes, in blocks of at most ``BLOCK_BYTES``."""
-    m = len(p.right) if isinstance(p, Pieces) else 1  # nodes per stack() index
-    for lo, hi in _blocks(p.n_nodes // m, 16 * p.dim * p.dim * m):
-        yield slice(lo * m, hi * m), p.stack(lo, hi)
 
 
 def _rest_takes_the_batch(d1: int, n1: int, e: int, n_rest: int) -> bool:

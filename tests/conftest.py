@@ -4,6 +4,8 @@ The acceptance tests register exactly one summary line each; the terminal
 hook prints them after the run so the pass/fail ledger is always visible.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,22 @@ def colatitude_measures():
         return out
 
     return measures
+
+
+@pytest.fixture
+def peak():
+    """Peak bytes numpy allocates in a second call (first-call caches are not part of it)."""
+
+    def measure(call) -> int:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

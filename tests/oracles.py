@@ -11,6 +11,7 @@ none of its code:
   polynomials and log-gamma, and the window's Hermite transfer table is
   summed in integers from the modes' leading homogeneous parts;
 - composite kernels are ``np.kron`` products of the factor kernels;
+- a grid's kernel stack is these kernels node by node (``kernel_stack``);
 - the arecchi family is ``rotations.arecchi_rotation``, exp(xi J+ - xi* J-);
 - the star product is the literal triple-kernel quadrature over these kernels;
 - the parity's Cartan weights are its trace projections on the diagonal
@@ -143,6 +144,18 @@ def kernel(spec: KernelSpec, point) -> np.ndarray:
     return U @ parity(desc) @ U.conj().T
 
 
+def kernel_stack(spec: KernelSpec, grid) -> np.ndarray:
+    """Every kernel of a grid in node order: (n_nodes, d, d).
+
+    An oscillator grid takes the closed form at its (re, im) rows at once;
+    every other family takes ``kernel`` node by node.
+    """
+    if isinstance(spec.system, HW):
+        rows = grid.coords()
+        return hw_kernels(spec.system.n_max, rows[:, 0] + 1j * rows[:, 1], spec.side)
+    return np.stack([kernel(spec, grid.point(i)) for i in range(grid.n_nodes)])
+
+
 def star_product(fA: PhaseFunction, fB: PhaseFunction) -> PhaseFunction:
     """The literal triple-kernel quadrature of the star product.
 
@@ -151,7 +164,7 @@ def star_product(fA: PhaseFunction, fB: PhaseFunction) -> PhaseFunction:
     side); where the grid's round trip is exact it is the symbol of A B.
     """
     grid, spec = fA.grid, fA.spec
-    K = np.stack([kernel(spec, grid.point(i)) for i in range(grid.n_nodes)])
+    K = kernel_stack(spec, grid)
     dual = K if spec.side == "wigner" else np.conj(np.swapaxes(K, 1, 2))
     w = grid.weights()
     a, b = w * fA.values, w * fB.values

@@ -3,7 +3,6 @@ evaluator against the independent constructions of ``oracles``."""
 
 import math
 import re
-import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -37,11 +36,13 @@ from wignerweyl import (
     kernel_stack,
     parity,
     parse_system,
+    product_grid,
     sun_grid,
     symbols_at,
 )
 import wignerweyl.kernels as kernels_module
-from wignerweyl.kernels import _kernels, kernel_pieces
+import wignerweyl.measures as measures_module
+from wignerweyl.kernels import _factor_specs, _kernels, kernel_pieces
 
 import oracles
 
@@ -586,6 +587,14 @@ def test_radial_factors_at_the_origin(n_max):
     assert np.array_equal(wigner, np.diag(2.0 * (-1.0) ** np.arange(n_max)))
 
 
+def test_radial_factors_are_built_in_their_output(peak):
+    """One block of 625 radii at d = 40 holds its output, the Laguerre table and one gathered
+    copy of it: the exponent and the factors are formed in the output rows."""
+    r = np.random.default_rng(5).uniform(0.0, 6.0, 625)
+    for side in ("weyl", "wigner"):
+        assert peak(lambda: kernels_module._radial(40, r, side)) <= 3.2 * r.size * 40 * 40 * 8
+
+
 def test_radial_log_ratios_match_gammaln():
     from scipy.special import gammaln
 
@@ -608,6 +617,45 @@ def test_kernel_stack_byte_guard():
     grid = hw_grid(HW(64), 8.0, 160)  # 25600 nodes x 64^2 complex > 1.5 GB
     with pytest.raises(OverflowError):
         kernel_stack(KernelSpec("weyl", HW(64)), grid)
+    assert grid not in kernels_module._PIECE_CACHE
+
+
+def test_kernel_stack_node_guard_fires_before_any_piece_is_built(monkeypatch):
+    grid = hw_grid(HW(4), 3.0, 12)
+    monkeypatch.setattr(measures_module, "MAX_NODES", grid.n_nodes - 1)
+    with pytest.raises(OverflowError, match=f"{grid.n_nodes} nodes"):
+        kernel_stack(KernelSpec("weyl", HW(4)), grid)
+    assert grid not in kernels_module._PIECE_CACHE
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: [cp_grid(SUN(2, 1)), hw_grid(HW(6), 5.5, 48)],
+    lambda: [cp_grid(SUN(2, 1)), hw_grid(HW(3), 4.0, 24), cp_grid(SUN(2, 1))],
+], ids=["su21*hw6", "su21*hw3*su21"])
+def test_kernel_stack_of_a_product_holds_little_beyond_its_output(factors, peak):
+    """The Kronecker product of the factor stacks is written straight into the output
+    (13,824 and 20,736 nodes, d = 12): no row-wise gathered copy of a factor."""
+    grid = product_grid(factors())
+    spec = KernelSpec("wigner", grid.system)
+    out = grid.n_nodes * dimension(grid.system) ** 2 * 16
+    assert peak(lambda: kernel_stack(spec, grid)) <= 1.15 * out
+
+
+@pytest.mark.parametrize("side, chart", [("wigner", cp_grid), ("weyl", sun_grid)])
+def test_kernel_stack_kronecker_order_on_three_factors(side, chart):
+    """Node (i, j, k) of su:2:1*hw:3*su:2:1 carries K_1(i) (x) K_2(j) (x) K_3(k), C order with
+    the first factor slowest.  The reference is np.kron of the oracle's factor stacks, whose
+    leading axis np.kron orders the same way, one node of the first factor at a time."""
+    grid = product_grid([chart(SUN(2, 1)), hw_grid(HW(3), 4.0, 24), chart(SUN(2, 1))])
+    K = kernel_stack(KernelSpec(side, grid.system), grid)
+    F = [oracles.kernel_stack(KernelSpec(side, g.system), g) for g in grid.factors]
+    n_rest = grid.n_nodes // len(F[0])
+    for i in range(len(F[0])):
+        want = np.kron(np.kron(F[0][i:i + 1], F[1]), F[2])
+        assert np.max(np.abs(K[i * n_rest:(i + 1) * n_rest] - want)) < 1e-13, i
+    for i in range(0, grid.n_nodes, 997):  # the grid's own point map agrees
+        assert np.max(np.abs(K[i] - oracles.kernel(KernelSpec(side, grid.system),
+                                                   grid.point(i)))) < 1e-13, i
 
 
 def test_guard_messages_name_existing_apis():
@@ -690,7 +738,9 @@ def test_batched_kernels_match_kernel_at(spec, n_rows, seed, repeat):
     """Off-grid rows, with each coordinate repeated from a small pool at rate `repeat`.
 
     Every row of the batch equals kernel_at at the row's point, its one-row
-    evaluation, and the oracle's construction.
+    evaluation, and the oracle's construction.  A composite family runs each
+    factor's columns through the batch, and its kernel_at, the Kronecker
+    product of the factors' kernels, meets the oracle at every row.
     """
     rng = np.random.default_rng(seed)
     kinds = _column_kinds(spec)
@@ -700,14 +750,21 @@ def test_batched_kernels_match_kernel_at(spec, n_rows, seed, repeat):
         pool = rng.uniform(lo, hi, 2)
         fresh = rng.uniform(lo, hi, n_rows)
         rows[:, c] = np.where(rng.random(n_rows) < repeat, rng.choice(pool, n_rows), fresh)
-    columns = [np.unique(col, return_inverse=True) for col in rows.T]
-    K = _kernels(spec, [v for v, _ in columns], [i for _, i in columns])
-    d = dimension(spec.system)
-    assert K.shape == (n_rows, d, d)
+    at = 0
+    for sub in _factor_specs(spec):
+        cols = rows[:, at:at + len(_column_kinds(sub))]
+        at += cols.shape[1]
+        columns = [np.unique(col, return_inverse=True) for col in cols.T]
+        K = _kernels(sub, [v for v, _ in columns], [i for _, i in columns])
+        d = dimension(sub.system)
+        assert K.shape == (n_rows, d, d)
+        for r in range(n_rows):
+            point = _row_point(sub, cols[r])
+            assert np.max(np.abs(K[r] - kernel_at(sub, point))) < 1e-12
+            assert np.max(np.abs(K[r] - oracles.kernel(sub, point))) < 1e-12
     for r in range(n_rows):
         point = _row_point(spec, rows[r])
-        assert np.max(np.abs(K[r] - kernel_at(spec, point))) < 1e-12
-        assert np.max(np.abs(K[r] - oracles.kernel(spec, point))) < 1e-12
+        assert np.max(np.abs(kernel_at(spec, point) - oracles.kernel(spec, point))) < 1e-12
 
 
 def test_batched_kernels_reject_wrong_column_count():
@@ -929,17 +986,12 @@ def test_symbols_at_falls_back_to_rows_past_the_piece_limit(spec, make_grid, mon
     (KernelSpec("weyl", SUN(2, 20), "arecchi"), _sphere_rows(61)),
     (KernelSpec("wigner", HW(40)), _hw_mesh(81, 81, 6.0)),
 ], ids=["su220-wigner", "su220-arecchi", "hw40-81"])
-def test_symbols_at_on_a_mesh_holds_no_row_stack(spec, rows):
+def test_symbols_at_on_a_mesh_holds_no_row_stack(spec, rows, peak):
     """The peak stays below a quarter of one (n_rows, d, d) complex stack."""
     A = _symbols_operator(spec)
-    symbols_at(A, spec, rows)  # the transfer table and generator tables are cached
-    tracemalloc.start()
-    try:
-        symbols_at(A, spec, rows)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < len(rows) * dimension(spec.system) ** 2 * 16 / 4
+    stack = len(rows) * dimension(spec.system) ** 2 * 16
+    # the first call caches the transfer table and generator tables
+    assert peak(lambda: symbols_at(A, spec, rows)) < stack / 4
 
 
 def test_arecchi_pieces_split_at_phi():
@@ -948,5 +1000,5 @@ def test_arecchi_pieces_split_at_phi():
     spec, grid = KernelSpec("weyl", desc, "arecchi"), cp_grid(desc)
     (p,) = kernel_pieces(spec, grid)
     assert p.sandwich and (len(p.left), len(p.right)) == grid.shape
-    K = kernel_stack(spec, grid)
+    K = oracles.kernel_stack(spec, grid)
     assert np.max(np.abs(p.stack() - K)) < 1e-13

@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -665,6 +664,7 @@ def test_symbols_at_grid_rows_equals_phase_function_on_default_grids(system, sid
 @pytest.mark.parametrize("system", _DEFAULT_ORACLE_SYSTEMS)
 @pytest.mark.parametrize("side", ["wigner", "weyl"])
 def test_kernel_stack_equals_kernel_at_on_default_grids(system, side):
+    """The stack, the grid's pieces multiplied out, against kernel_at's rows and the oracle."""
     desc = parse_system(system)
     spec, grid = KernelSpec(side, desc), default_grid(desc, side)
     K = kernel_stack(spec, grid)
@@ -816,7 +816,8 @@ _WINDOWS = {"hw:2": (2.5, 7), "hw:5": (3.0, 12), "hw:12": (5.0, 21)}
 @pytest.mark.parametrize("side", ["wigner", "weyl"])
 @pytest.mark.parametrize("shifted", [False, True], ids=["square", "shifted"])
 def test_window_pieces_match_kernel_stack(system, side, shifted):
-    """Square windows contract through Hermite-function tables; kernel_stack (polar) is the oracle.
+    """Square windows contract through Hermite-function tables; the oracle's closed form at the
+    grid's (re, im) rows is the reference.
 
     The shifted copy moves the axes by different amounts, so h(s x) and h(s y)
     are tables of different nodes.
@@ -829,7 +830,7 @@ def test_window_pieces_match_kernel_stack(system, side, shifted):
     (p,) = kernels_module.kernel_pieces(spec, grid)
     assert isinstance(p, kernels_module.Window)
     assert not np.array_equal(p.hx, p.hy) if shifted else np.array_equal(p.hx, p.hy)
-    K, w, rng = kernel_stack(spec, grid), grid.weights(), np.random.default_rng(2)
+    K, w, rng = oracles.kernel_stack(spec, grid), grid.weights(), np.random.default_rng(2)
     for B in (1, 3, 40):
         _check_routes((p,), K, w, B, rng)
     assert np.max(np.abs(p.stack(5, 23) - K[5:23])) < 1e-12
@@ -863,17 +864,6 @@ def test_split_piece_routes_at_evolve_batch_sizes(system, side, split):
         _check_routes((p,), K, w, B, rng)
 
 
-def _peak(call) -> int:
-    """Peak bytes numpy allocates in a second call (first-call caches are not part of it)."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # explicit resolutions large enough that node-sized arrays dominate the fixed
 # per-piece temporaries: 117,649, 200,000 and 65,536 nodes
 _NODE_DOMINATED = {
@@ -885,7 +875,7 @@ _NODE_DOMINATED = {
 
 @pytest.mark.parametrize("system, side", [("su:4:1", "wigner"), ("su:3:1", "weyl"),
                                           ("hw:6", "wigner")])
-def test_batched_contractions_hold_no_node_sized_temporaries(system, side):
+def test_batched_contractions_hold_no_node_sized_temporaries(system, side, peak):
     """At B = 3 the forward map allocates little beyond its (B, n_nodes) output and the
     kernel sum a fraction of its input: no node-sized transposed copy (tracemalloc sees
     every numpy allocation)."""
@@ -897,8 +887,8 @@ def test_batched_contractions_hold_no_node_sized_temporaries(system, side):
     A = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
     C = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
 
-    assert _peak(lambda: transforms_module._forward(pieces, A)) <= 1.25 * B * n * 16
-    assert _peak(lambda: transforms_module._kernel_sum(pieces, C)) <= C.nbytes / 4
+    assert peak(lambda: transforms_module._forward(pieces, A)) <= 1.25 * B * n * 16
+    assert peak(lambda: transforms_module._kernel_sum(pieces, C)) <= C.nbytes / 4
 
 
 @pytest.mark.parametrize(
@@ -968,7 +958,7 @@ def test_symbols_at_oscillator_rows_match_the_closed_form(n_max, monkeypatch):
         assert np.max(np.abs(got - np.einsum("nij,ji->n", K, A))) < 1e-12
 
 
-def test_oscillator_row_route_memory_grows_by_the_row_not_the_radius(monkeypatch):
+def test_oscillator_row_route_memory_grows_by_the_row_not_the_radius(monkeypatch, peak):
     """Past the blocks, each added row costs a few row-sized numbers, not 2d - 1 coefficients.
 
     At hw:20 one distinct radius's coefficients take 624 bytes; random rows
@@ -978,18 +968,19 @@ def test_oscillator_row_route_memory_grows_by_the_row_not_the_radius(monkeypatch
     spec, rng = KernelSpec("wigner", HW(20)), np.random.default_rng(11)
     A = _hermitian(20, 3)
     small, large = (rng.uniform(-3.0, 3.0, (n, 2)) for n in (10_000, 40_000))
-    growth = _peak(lambda: symbols_at(A, spec, large)) - _peak(lambda: symbols_at(A, spec, small))
+    growth = peak(lambda: symbols_at(A, spec, large)) - peak(lambda: symbols_at(A, spec, small))
     assert growth / 30_000 < 128
 
 
 @pytest.mark.parametrize("n_max", [5, 12])
 @pytest.mark.parametrize("side", ["wigner", "weyl"])
 def test_plane_rule_routes_match_kernel_stack(n_max, side):
-    """The polar contraction of a plane rule's pieces, for one operator and for batches."""
+    """The polar contraction of a plane rule's pieces, for one operator and for batches, against
+    the oracle's closed form at the grid's (re, im) rows."""
     spec, grid = KernelSpec(side, HW(n_max)), default_grid(HW(n_max), side)
     (p,) = kernels_module.kernel_pieces(spec, grid)
     assert isinstance(p, kernels_module.Polar) and (len(p.radial), len(p.phases)) == grid.shape
-    K, rng = kernel_stack(spec, grid), np.random.default_rng(3)
+    K, rng = oracles.kernel_stack(spec, grid), np.random.default_rng(3)
     for B in (1, 3, 40):
         _check_routes((p,), K, grid.weights(), B, rng)
     assert np.max(np.abs(p.stack(5, 23) - K[5:23])) < 1e-13
@@ -997,7 +988,7 @@ def test_plane_rule_routes_match_kernel_stack(n_max, side):
 
 @pytest.mark.parametrize("system, side", [("hw:20", "wigner"), ("hw:40", "wigner"),
                                           ("hw:40", "weyl")])
-def test_plane_rule_contractions_hold_one_node_sized_intermediate(system, side):
+def test_plane_rule_contractions_hold_one_node_sized_intermediate(system, side, peak):
     """A plane rule's forward map allocates its output and one (B, n_r, 2d - 1) coefficient
     array, and its kernel sum the (B, n_r, 2d - 1) angle sums: no node-sized copy through a
     permutation."""
@@ -1009,8 +1000,8 @@ def test_plane_rule_contractions_hold_one_node_sized_intermediate(system, side):
     for B in (1, 3):
         A = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
         C = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
-        assert _peak(lambda: transforms_module._forward(pieces, A)) <= 3 * B * n * 16
-        assert _peak(lambda: transforms_module._kernel_sum(pieces, C)) <= 2.5 * C.nbytes
+        assert peak(lambda: transforms_module._forward(pieces, A)) <= 3 * B * n * 16
+        assert peak(lambda: transforms_module._kernel_sum(pieces, C)) <= 2.5 * C.nbytes
 
 
 def test_node_guard_fires_before_any_piece_is_built(monkeypatch):
