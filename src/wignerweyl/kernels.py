@@ -706,19 +706,12 @@ def _filled(p: Pieces | Polar | Window) -> np.ndarray:
 def kernel_stack(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
     """All kernels on a grid as one new (n_nodes, d, d) array: its ``kernel_pieces`` multiplied out.
 
-    A product grid's stack is the Kronecker product of its factors' stacks,
-    node (i, j, ...) in C order with the first factor slowest, broadcast one
-    factor at a time straight into new arrays.  The grid keeps no coordinates
-    for it.  The transforms contract through the pieces and never build it.
+    A product grid's stack is the ``np.kron`` product of its factors' stacks,
+    node (i, j, ...) in C order with the first factor slowest, one factor at
+    a time.  The grid keeps no coordinates for it.  The transforms contract
+    through the pieces and never build it.
     """
     _check_grid(spec, grid)
     _check_bytes("kernel stack", grid.n_nodes * dimension(spec.system) ** 2 * 16)
     grid._check_materializable()
-    K, *rest = (_filled(p) for p in kernel_pieces(spec, grid))
-    for S in rest:
-        n, e, f = len(K), K.shape[-1], S.shape[-1]
-        out = np.empty((n * len(S), e * f, e * f), dtype=np.complex128)
-        np.multiply(K[:, None, :, None, :, None], S[None, :, None, :, None, :],
-                    out=out.reshape(n, len(S), e, f, e, f))
-        K = out
-    return K
+    return functools.reduce(np.kron, (_filled(p) for p in kernel_pieces(spec, grid)))

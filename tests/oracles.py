@@ -11,7 +11,8 @@ none of its code:
   polynomials and log-gamma, and the window's Hermite transfer table is
   summed in integers from the modes' leading homogeneous parts;
 - composite kernels are ``np.kron`` products of the factor kernels;
-- a grid's kernel stack is these kernels node by node (``kernel_stack``);
+- a grid's kernel stack is these kernels node by node, and a product grid's
+  the ``np.kron`` product of its factors' stacks (``kernel_stack``);
 - the arecchi family is ``rotations.arecchi_rotation``, exp(xi J+ - xi* J-);
 - the star product is the literal triple-kernel quadrature over these kernels;
 - the parity's Cartan weights are its trace projections on the diagonal
@@ -22,6 +23,7 @@ none of its code:
   the package's batched transforms, the one check here that uses them.
 """
 
+import functools
 import itertools
 import math
 
@@ -148,8 +150,13 @@ def kernel_stack(spec: KernelSpec, grid) -> np.ndarray:
     """Every kernel of a grid in node order: (n_nodes, d, d).
 
     An oscillator grid takes the closed form at its (re, im) rows at once;
-    every other family takes ``kernel`` node by node.
+    every other family takes ``kernel`` node by node.  A product grid's stack
+    is the ``np.kron`` product of its factors' stacks, first factor slowest.
     """
+    if grid.factors:
+        return functools.reduce(np.kron, (
+            kernel_stack(KernelSpec(spec.side, f), g)
+            for f, g in zip(spec.system.factors, grid.factors, strict=True)))
     if isinstance(spec.system, HW):
         rows = grid.coords()
         return hw_kernels(spec.system.n_max, rows[:, 0] + 1j * rows[:, 1], spec.side)

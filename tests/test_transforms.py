@@ -706,11 +706,11 @@ def _truncated(grid, k):
 
 
 def _check_against_stack(spec, grid, seed=0):
-    """phase_function and reconstruct equal the contractions of kernel_stack."""
+    """phase_function and reconstruct equal the contractions of the oracle's kernel stack."""
     rng = np.random.default_rng(seed)
     d = dimension(spec.system)
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    K = kernel_stack(spec, grid)
+    K = oracles.kernel_stack(spec, grid)
     got = phase_function(A, spec, grid).values
     assert np.max(np.abs(got - np.einsum("nij,ji->n", K, A))) < 1e-12
     vals = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
@@ -795,8 +795,8 @@ def _check_routes(pieces, K, w, B, rng):
 
 
 def _check_batch_against_stack(spec, grid, B, seed=0):
-    """_forward on B operators and _kernel_sum on B rows equal the kernel_stack contractions."""
-    _check_routes(kernels_module.kernel_pieces(spec, grid), kernel_stack(spec, grid),
+    """_forward on B operators and _kernel_sum on B rows equal the oracle stack's contractions."""
+    _check_routes(kernels_module.kernel_pieces(spec, grid), oracles.kernel_stack(spec, grid),
                   grid.weights(), B, np.random.default_rng(seed))
 
 
@@ -857,7 +857,7 @@ def test_split_piece_routes_at_evolve_batch_sizes(system, side, split):
     spec, grid = KernelSpec(side, desc), default_grid(desc, side)
     (p,) = kernels_module.kernel_pieces(spec, grid)
     assert (len(p.left), len(p.right)) == split
-    K, w = kernel_stack(spec, grid), grid.weights()
+    K, w = oracles.kernel_stack(spec, grid), grid.weights()
     rng = np.random.default_rng(1)
     for B in (1, 2, 3, len(p.right), len(p.right) + 1):
         assert transforms_module._pieces_dense(p, B) == (B > len(p.right))
