@@ -20,8 +20,7 @@ from .algebra import (
     HW, SUN, Composite, build_generators, diagonal_generator, dimension, generator, is_hermitian,
     parse_system, trace_norm_constant,
 )
-from .kernels import KernelSpec, _point_row, _row_point, kernel_at, parity
-from .measures import cp_grid
+from .kernels import KernelSpec, _factor_specs, _point_row, _row_point, kernel_at, parity
 from .points import CompositePoint
 from .rotations import euler_factor_sequence
 from .serialize import load_matrix, matrix_to_json, write_csv
@@ -31,7 +30,7 @@ from .statmech import (
     phase_cross_correlation, thermal_mean, weyl_axes, weyl_moments,
 )
 from .transforms import (
-    PhaseFunction, default_grid, phase_function, symbols_at, verify_stratonovich,
+    PhaseFunction, phase_function, symbols_at, verify_stratonovich,
 )
 
 
@@ -56,9 +55,7 @@ class Inputs:
         factors = self.desc.factors if isinstance(self.desc, Composite) else (self.desc,)
         if cfg.radius is not None and not any(isinstance(f, HW) for f in factors):
             raise ValueError(f"--radius sets the oscillator window; {cfg.system} has no hw factor")
-        if self.spec.rotation == "arecchi":  # a two-angle family: it lives on the sphere
-            return cp_grid(self.desc, cfg.grid_res)
-        return default_grid(self.desc, self.side, cfg.grid_res, cfg.radius)
+        return transforms._family_grid(self.spec, cfg.grid_res, cfg.radius)
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -68,7 +65,7 @@ class Inputs:
     def hamiltonian(self) -> np.ndarray:
         """--hamiltonian file wins; otherwise --field couples to J(1..3)."""
         if self.cfg.hamiltonian:
-            H = load_matrix(self.cfg.hamiltonian)
+            H = _finite_matrix(self.cfg.hamiltonian, f"--hamiltonian {self.cfg.hamiltonian}")
             if H.shape[0] != H.shape[1] or not is_hermitian(H):
                 raise ValueError(f"--hamiltonian {self.cfg.hamiltonian} is not a Hermitian matrix")
             return H
@@ -81,6 +78,14 @@ class Inputs:
         return ThermalSpec(self.hamiltonian, self.cfg.beta)
 
 
+def _finite_matrix(path: str, what: str) -> np.ndarray:
+    """The matrix in a JSON file; a non-finite entry raises ValueError naming ``what``."""
+    A = load_matrix(path)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    return A
+
+
 def _j_combination(desc, text: str, what: str) -> np.ndarray:
     """sum_k e_k J(k) over k = 1..3 for the components 'e1,e2,e3' in text."""
     if not isinstance(desc, SUN):
@@ -88,21 +93,21 @@ def _j_combination(desc, text: str, what: str) -> np.ndarray:
     e = [float(v) for v in text.split(",")]
     if len(e) != 3:
         raise ValueError(f"{what} takes three components")
+    if not all(map(math.isfinite, e)):
+        raise ValueError(f"{what} components must be finite, got {text}")
     return sum(e[i] * generator(desc.N, desc.M, i + 1) for i in range(3))
 
 
 def _parse_point(spec: KernelSpec, text: str):
     """Coordinate grammar: per-factor comma floats in the kernels' columns, joined by ';'."""
-    desc = spec.system
-    composite = isinstance(desc, Composite)
-    subs = [KernelSpec(spec.side, f) for f in desc.factors] if composite else [spec]
+    subs = _factor_specs(spec)
     chunks = text.split(";")
     if len(chunks) != len(subs):
-        raise ValueError(f"{desc} takes {len(subs)} ';'-separated factor point(s), "
+        raise ValueError(f"{spec.system} takes {len(subs)} ';'-separated factor point(s), "
                          f"got {len(chunks)}")
     points = [_row_point(sub, [float(v) for v in chunk.split(",") if v.strip() != ""])
               for sub, chunk in zip(subs, chunks)]
-    return CompositePoint(points) if composite else points[0]
+    return CompositePoint(points) if isinstance(spec.system, Composite) else points[0]
 
 
 def _write_values_csv(path: str, grid, values) -> None:
@@ -243,7 +248,7 @@ def mean(cfg, inp: Inputs) -> dict:
     elif text.startswith("vec:"):
         A = _j_combination(inp.desc, text[4:], "vec:")
     elif text.startswith("file:"):
-        A = load_matrix(text[5:])
+        A = _finite_matrix(text[5:], f"--observable {text}")
     else:
         raise ValueError("observable grammar: j:<k> | vec:ex,ey,ez | file:<path>")
     value = thermal_mean(A, tspec, grid)

@@ -18,8 +18,8 @@ and generators, ``_columns`` its names, and ``_point_row``/``_row_point`` are
 the only maps between typed points and rows.  ``kernel_at`` is ``_kernels``
 at the one row of a typed point (``np.kron`` over the factors of a composite
 one), and ``transforms.symbols_at`` applies ``_row_kernels`` factor by factor
-(``_radial`` and ``_phase_powers`` on the oscillator) to tables that are no
-tensor mesh, in blocks of bounded size.  Constructions independent of it
+to every table that is no tensor mesh, a single oscillator's included, in
+blocks of bounded size.  Constructions independent of it
 (matrix exponentials of the factor sequence, the Laguerre closed form,
 Kronecker products) live in the tests.
 
@@ -235,11 +235,17 @@ def _radial(n_max: int, r: np.ndarray, side: str) -> np.ndarray:
     return out
 
 
-def _polar_kernels(radial: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Kernels R_mn(r) e^{i (m-n) psi} from one row of radial factors and one of phases each."""
+def _polar_kernels(radial: np.ndarray, rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Kernels R_mn(r) e^{i (m-n) psi}, kernel i from radial row rows[i] and phase row i.
+
+    The phases are gathered into the output and the gathered radial factors
+    multiplied in, so no complex kernel-sized temporary is formed.
+    """
     d = math.isqrt(radial.shape[1])
     m, n, _, to_c = _diagonals(d)
-    return (radial[:, to_c] * phases[:, (m - n + d - 1)[to_c]]).reshape(-1, d, d)
+    K = np.take(phases, (m - n + d - 1)[to_c], axis=1)
+    K *= np.take(radial[rows], to_c, axis=1)
+    return K.reshape(-1, d, d)
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,7 @@ class Polar:
     def stack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Kernels of the nodes start..stop, in node order: (n, d, d)."""
         i, j = np.divmod(np.arange(self.n_nodes)[start:stop], len(self.phases))
-        return _polar_kernels(self.radial[i], self.phases[j])
+        return _polar_kernels(self.radial, i, self.phases[j])
 
 
 def _polar_rule(d: int, r: np.ndarray, psi: np.ndarray, side: str) -> Polar:
@@ -503,8 +509,8 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
     factor is evaluated once per distinct value and gathered.  A tensor
     grid has this form already (axis nodes and the unravelled node index).
     A composite kernel is the Kronecker product of these, which
-    ``kernel_at`` forms at a point and the row routes of
-    ``transforms.symbols_at`` trace factor by factor.
+    ``kernel_at`` forms at a point and the partial traces of
+    ``transforms.symbols_at`` take factor by factor.
     """
     desc = spec.system
     _check_width(spec, len(values))
@@ -512,7 +518,7 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
         alphas = values[0][index[0]] + 1j * values[1][index[1]]
         radii, ring = np.unique(np.abs(alphas), return_inverse=True)
         radial = _radial(desc.n_max, radii, spec.side)
-        return _polar_kernels(radial[ring], _phase_powers(alphas, desc.n_max))
+        return _polar_kernels(radial, ring, _phase_powers(alphas, desc.n_max))
     U = _chain(desc, _factor_table(spec), values, index)
     return U if spec.side == WEYL else _rotated_parity(desc, U)
 

@@ -21,7 +21,7 @@ from .measures import QuadratureGrid, _angle_columns, _shift_rule, product_grid
 from .points import HWPoint, PhasePoint
 from .states import ThermalSpec, _shifted_gibbs
 from .transforms import (
-    PhaseFunction, _operator, overlap, phase_function, reconstruct, symbols_at,
+    PhaseFunction, _operator, _pairing, overlap, phase_function, reconstruct, symbols_at,
 )
 
 
@@ -272,9 +272,7 @@ def phase_cross_correlation(f: PhaseFunction, shift: PhasePoint | None) -> Cross
         except TypeError as exc:  # the shift is an argument value here, as its width is
             raise ValueError(str(exc)) from None
         w, first, second = _shifted_pair(f, np.asarray(row))
-    if f.spec.side == WEYL:
-        second = np.conj(second)
-    raw = complex(np.sum(w * first * second))
+    raw = _pairing(f.spec.side, w, first, second)
     if not math.isfinite(f.grid.raw_volume):
         return CrossCorrelation(None, raw, None)
     V = float(np.sum(w))

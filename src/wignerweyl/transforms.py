@@ -17,13 +17,13 @@ through its own factors, axis by axis: a plane rule's radial matrices and
 phases, and a square window's Hermite-function tables, Hx P Hy^T.
 
 ``symbols_at`` contracts a coordinate table that is a tensor mesh through
-the same pieces, built from its per-axis nodes; other oscillator rows
-through radial factors per distinct radius and phases per row; and any other
-table through per-row partial traces, factor by factor.  ``symbol_at``
-traces one ``kernel_at`` row.  Every route evaluates kernels through
-``kernels._kernels`` or its pieces; the independent constructions they are
-tested against, the literal triple-kernel star product among them, live in
-the tests.
+the same pieces, built from its per-axis nodes, and any other table through
+per-row partial traces, factor by factor (an oscillator factor's kernels take
+their radial factors once per distinct radius of a block of rows).
+``symbol_at`` traces one ``kernel_at`` row.  Every route evaluates kernels
+through ``kernels._kernels`` or its pieces; the independent constructions
+they are tested against, the literal triple-kernel star product among them,
+live in the tests.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .algebra import (
 )
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, Window, _blocks, _check_grid, _check_width,
-    _diagonals, _factor_specs, _kernel_blocks, _phase_powers, _radial, _row_kernels, _split,
-    _width, kernel_at, kernel_pieces,
+    _diagonals, _factor_specs, _kernel_blocks, _row_kernels, _split, _width, kernel_at,
+    kernel_pieces,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, plane_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, HWPoint, PhasePoint
@@ -272,11 +272,13 @@ def symbol_at(A: np.ndarray, spec: KernelSpec, point: PhasePoint) -> complex:
 
 
 # Rows per oscillator level from which a mesh takes a Window.  On an n x n
-# HW(d) mesh the Window (transfer table built cold) and the oscillator row route
-# take the same time at about 1,350, 1,600, 1,800, 2,100, 3,600 and 5,300 rows
-# for d = 4, 8, 12, 20, 40, 60 (Wigner side, one BLAS thread, +-25%): near 100 d
-# from d = 20 on.  The Window also holds far less: 4.5 MB against the row
-# route's 42 MB at hw:40, 81 x 81.
+# HW(d) mesh the Window (transfer table built cold) and the partial traces take
+# the same time at about 500 to 1,300 rows for every d from 4 to 60 (both sides,
+# one BLAS thread, +-30%), so from d = 13 on meshes below 100 d rows take the
+# slower route: at 3,481 rows of hw:40, 3 to 5 times the Window's time.  The
+# constant keeps single points and small meshes off the transfer table.  The
+# Window also holds far less: 0.4 MB against the partial traces' 39 MB at
+# hw:40, 81 x 81, with the table cached.
 WINDOW_ROWS_PER_LEVEL = 100
 
 
@@ -304,9 +306,8 @@ def _mesh_pieces(spec: KernelSpec, nodes) -> tuple | None:
     """The pieces of every factor on a mesh of per-axis nodes (not cached).
 
     An oscillator factor takes a ``Window`` from ``WINDOW_ROWS_PER_LEVEL`` d
-    rows on, where it pays for building its transfer table.  None sends the
-    table to the row routes: an oscillator factor with fewer rows, or pieces
-    over ``MAX_STACK_BYTES``.
+    rows on.  None sends the table to the partial traces: an oscillator
+    factor with fewer rows, or pieces over ``MAX_STACK_BYTES``.
     """
     pieces, at = [], 0
     for sub in _factor_specs(spec):
@@ -319,27 +320,6 @@ def _mesh_pieces(spec: KernelSpec, nodes) -> tuple | None:
         except OverflowError:
             return None
     return tuple(pieces)
-
-
-def _oscillator_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
-    """Tr[A K(row)] on oscillator rows: c_k(r) per distinct radius, then phases per row, blocked.
-
-    The sorted distinct radii are taken a block at a time, and a block's
-    coefficients are applied to its rows before the next block's are formed.
-    """
-    d = dimension(spec.system)
-    alphas = coords[:, 0] + 1j * coords[:, 1]
-    radii, ring, counts = np.unique(np.abs(alphas), return_inverse=True, return_counts=True)
-    order = np.argsort(ring, kind="stable")  # the rows, radius by radius
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    out = np.empty(len(coords), dtype=np.complex128)
-    for start, stop in _blocks(len(radii), 16 * d * d):
-        c = _radial_coefficients(_radial(d, radii[start:stop], spec.side), A[None])[:, :, 0]
-        rows = order[bounds[start]:bounds[stop]]
-        for lo, hi in _blocks(len(rows), 32 * (2 * d - 1)):
-            at = rows[lo:hi]
-            out[at] = np.einsum("nk,nk->n", c[ring[at] - start], _phase_powers(alphas[at], d))
-    return out
 
 
 def _partial_trace_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
@@ -367,6 +347,7 @@ def _partial_trace_rows(A: np.ndarray, spec: KernelSpec, coords: np.ndarray) -> 
                 X = K.reshape(-1, d * d) @ X0
             else:
                 X = np.matmul(K.reshape(-1, 1, d * d), X.reshape(len(X), d * d, -1))
+            del K  # not alive while the next kernels are formed
         out[start:stop] = X.reshape(-1)
     return out
 
@@ -379,9 +360,8 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
     A table that is a tensor mesh in C order (each column varying along its
     own axis, as ``grid.coords()`` and ``np.meshgrid(..., indexing="ij")``
     lay it out) contracts through the kernels' factor pieces, as a grid
-    does.  Other oscillator tables contract through their radial factors
-    once per distinct radius and their phases per row, and every other table
-    through per-factor partial traces, in blocks of at most
+    does.  Every other table, a single oscillator's among them, contracts
+    through per-factor partial traces in blocks of at most
     ``kernels.BLOCK_BYTES``, so memory stays bounded whatever the table size.
     """
     A = _operator(A, spec)
@@ -397,8 +377,6 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
     pieces = _mesh_pieces(spec, nodes) if nodes is not None else None
     if pieces is not None:
         return _forward(pieces, A[None])[0]
-    if isinstance(spec.system, HW):
-        return _oscillator_rows(A, spec, coords)
     return _partial_trace_rows(A, spec, coords)
 
 
@@ -450,10 +428,12 @@ def overlap(fA: PhaseFunction, fB: PhaseFunction) -> complex:
     enters through conjugation: sum w a conj(b) = Tr[A B^dagger].
     """
     _require_same_frame(fA, fB)
-    w = fA.grid.weights()
-    if fA.spec.side == WIGNER:
-        return complex(np.sum(w * fA.values * fB.values))
-    return complex(np.sum(w * fA.values * np.conj(fB.values)))
+    return _pairing(fA.spec.side, fA.grid.weights(), fA.values, fB.values)
+
+
+def _pairing(side: str, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
+    """The side's dual pairing of symbol values: sum w a b (Wigner), sum w a conj(b) (Weyl)."""
+    return complex(np.sum(w * a * (b if side == WIGNER else np.conj(b))))
 
 
 def _require_same_frame(fA: PhaseFunction, fB: PhaseFunction) -> None:
@@ -553,11 +533,10 @@ def evolve(
     v = frames[-1]
 
     w = grid.weights()
-    dual_side = spec.side == WIGNER
     # Tr[reconstruct(f)] = sum_s w_s f_s Tr[dual kernel at s]
-    trace_w = w * (tr_K if dual_side else np.conj(tr_K))
-    purity0 = complex(np.sum(w * v0 * (v0 if dual_side else np.conj(v0))))
-    purity1 = complex(np.sum(w * v * (v if dual_side else np.conj(v))))
+    trace_w = w * (tr_K if spec.side == WIGNER else np.conj(tr_K))
+    purity0 = _pairing(spec.side, w, v0, v0)
+    purity1 = _pairing(spec.side, w, v, v)
     return EvolveResult(
         np.asarray(times), frames, PhaseFunction(spec, grid, v),
         abs(complex(np.dot(trace_w, v - v0))), abs(purity1 - purity0),
@@ -648,6 +627,14 @@ def default_grid(desc: SystemDescriptor, side: str, resolution: int | None = Non
     return product_grid(tuple(default_grid(f, side, resolution, radius) for f in desc.factors))
 
 
+def _family_grid(spec: KernelSpec, resolution: int | None = None,
+                 radius: float | None = None) -> QuadratureGrid:
+    """``default_grid`` of the spec's kernels, or the CP grid for the two-angle arecchi family."""
+    if spec.rotation == "arecchi":
+        return cp_grid(spec.system, resolution)
+    return default_grid(spec.system, spec.side, resolution, radius)
+
+
 def _random_hermitian(d: int, rng) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2.0
@@ -702,9 +689,7 @@ def verify_stratonovich(
     """
     spec = KernelSpec(side, desc, rotation)
     if grid is None:
-        # the arecchi family is parameterized by the two sphere angles, so
-        # its natural measure is the CP grid, not the full group manifold
-        grid = cp_grid(desc) if rotation == "arecchi" else default_grid(desc, side)
+        grid = _family_grid(spec)
     windowed = "window" in grid.exactness.split(",")
     tol = tolerance if tolerance is not None else (1e-4 if windowed else 1e-10)
     cov_tol = tolerance if tolerance is not None else 1e-10

@@ -68,6 +68,26 @@ def test_evolve_rejects_a_non_hermitian_hamiltonian_file(tmp_path, capsys):
     assert "not a Hermitian matrix" in err["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("partition", "--system", "su:2:1", "--beta", "0.7", "--field", "nan,0,0"),
+     "--field components must be finite, got nan,0,0"),
+    (("mean", "--system", "su:2:1", "--beta", "0.7", "--field", "0,0,1",
+      "--observable", "vec:nan,0,0"), "vec: components must be finite, got nan,0,0"),
+    (("evolve", "--system", "su:2:1", "--state", "random:3", "--field", "inf,0,0",
+      "--t-final", "0.1", "--dt", "0.01"), "--field components must be finite, got inf,0,0"),
+    (("evolve", "--system", "su:2:1", "--state", "random:3", "--hamiltonian", "{nan}",
+      "--t-final", "0.1", "--dt", "0.01"), "--hamiltonian {nan} has a non-finite entry"),
+    (("mean", "--system", "su:2:1", "--beta", "0.7", "--field", "0,0,1",
+      "--observable", "file:{nan}"), "--observable file:{nan} has a non-finite entry"),
+], ids=["partition-field", "mean-vec", "evolve-field", "evolve-hamiltonian", "mean-file"])
+def test_non_finite_inputs_exit_2_naming_the_flag(argv, message, tmp_path, capsys):
+    """{nan} stands for a matrix file with a NaN entry."""
+    nan = tmp_path / "nan.json"
+    dump_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]), nan)
+    err = run_cli_err(capsys, *(a.format(nan=nan) for a in argv))
+    assert err["error"] == message.format(nan=nan)
+
+
 def test_wigner_sample_and_reconstruct_roundtrip(tmp_path, capsys):
     csv = tmp_path / "f.csv"
     out = run_cli(

@@ -812,14 +812,12 @@ def _ghz_rows(side, n_theta):
 
 
 def _route(monkeypatch, A, spec, rows):
-    """symbols_at at the rows, and the route it took: 'mesh', 'oscillator rows' or
-    'partial traces'."""
+    """symbols_at at the rows, and the route it took: 'mesh' or 'partial traces'."""
     import wignerweyl.transforms as transforms
 
     taken = []
     with monkeypatch.context() as m:
-        for name, route in (("_forward", "mesh"), ("_oscillator_rows", "oscillator rows"),
-                            ("_partial_trace_rows", "partial traces")):
+        for name, route in (("_forward", "mesh"), ("_partial_trace_rows", "partial traces")):
             fn = getattr(transforms, name)
             m.setattr(transforms, name,
                       lambda *a, fn=fn, route=route: taken.append(route) or fn(*a))
@@ -881,7 +879,7 @@ for _d, _square, _unequal in ((4, 21, (25, 17)), (12, 37, (45, 29)), (40, 67, (8
         ROUTE_CASES[f"hw{_d}-{_side}-unequal"] = (
             _spec, lambda n=_unequal: _hw_mesh(*n, 5.0), "mesh", 31)
         ROUTE_CASES[f"hw{_d}-{_side}-small"] = (
-            _spec, lambda: _hw_mesh(9, 7, 5.0), "oscillator rows", 5)
+            _spec, lambda: _hw_mesh(9, 7, 5.0), "partial traces", 5)
 
 
 @pytest.mark.parametrize("case", sorted(ROUTE_CASES))

@@ -926,43 +926,45 @@ def test_symbols_at_rejects_non_finite_rows():
 
 @pytest.mark.parametrize("n_max", [2, 5, 12])
 def test_symbols_at_oscillator_rows_match_the_closed_form(n_max, monkeypatch):
-    """The oscillator row route against the oracle's Laguerre closed form, in several blocks.
+    """Oscillator rows off a mesh against the oracle's Laguerre closed form, in several blocks.
 
     An odd 9 x 9 mesh holds the origin, the axes and the diagonals, whose
     radii repeat up to eight times, and random rows follow; the table is no
-    mesh, so it takes the row route.  The radial factors, once per distinct
-    radius, come in blocks, and a budget of 7 rows per block takes each
-    block's rows at most 7 at a time, every row once.
+    mesh, so it takes the partial-trace route.  A budget of 7 rows per block
+    takes the rows at most 7 at a time, every row's phases once, and each
+    block's radial factors once per distinct radius in it.
     """
     x = np.linspace(-2.0, 2.0, 9)
     rng = np.random.default_rng(n_max)
     rows = np.concatenate([np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2),
                            rng.uniform(-3.0, 3.0, (40, 2))])
-    n_radii = len(np.unique(np.hypot(rows[:, 0], rows[:, 1])))
-    monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 7 * 32 * (2 * n_max - 1))
+    alphas = rows[:, 0] + 1j * rows[:, 1]
+    monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 7 * 16 * (1 + n_max * n_max))
     calls = {"_radial": [], "_phase_powers": []}
     for name, at in (("_radial", 1), ("_phase_powers", 0)):  # the position of the points
-        fn, seen = getattr(transforms_module, name), calls[name]
-        monkeypatch.setattr(transforms_module, name,
+        fn, seen = getattr(kernels_module, name), calls[name]
+        monkeypatch.setattr(kernels_module, name,
                             lambda *a, fn=fn, seen=seen, at=at: seen.append(a[at]) or fn(*a))
     A = _hermitian(n_max, 7) + 1j * _hermitian(n_max, 8)
     for side in ("wigner", "weyl"):
         for seen in calls.values():
             seen.clear()
-        K = oracles.hw_kernels(n_max, rows[:, 0] + 1j * rows[:, 1], side)
+        K = oracles.hw_kernels(n_max, alphas, side)
         got = symbols_at(A, KernelSpec(side, HW(n_max)), rows)
         assert all(len(a) <= 7 for a in calls["_phase_powers"])
-        assert np.array_equal(np.sort(np.concatenate(calls["_phase_powers"])),
-                              np.sort(rows[:, 0] + 1j * rows[:, 1]))
-        assert len(calls["_radial"]) > 1 and sum(map(len, calls["_radial"])) == n_radii
+        assert np.array_equal(np.sort(np.concatenate(calls["_phase_powers"])), np.sort(alphas))
+        assert len(calls["_radial"]) > 1
+        assert all(len(np.unique(r)) == len(r) for r in calls["_radial"])
+        assert np.array_equal(np.unique(np.concatenate(calls["_radial"])),
+                              np.unique(np.abs(alphas)))
         assert np.max(np.abs(got - np.einsum("nij,ji->n", K, A))) < 1e-12
 
 
 def test_oscillator_row_route_memory_grows_by_the_row_not_the_radius(monkeypatch, peak):
     """Past the blocks, each added row costs a few row-sized numbers, not 2d - 1 coefficients.
 
-    At hw:20 one distinct radius's coefficients take 624 bytes; random rows
-    are all distinct radii.
+    The partial traces form a block's radial factors, phases and kernels and
+    drop them before the next block's; random rows are all distinct radii.
     """
     monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 1_000_000)
     spec, rng = KernelSpec("wigner", HW(20)), np.random.default_rng(11)
@@ -970,6 +972,18 @@ def test_oscillator_row_route_memory_grows_by_the_row_not_the_radius(monkeypatch
     small, large = (rng.uniform(-3.0, 3.0, (n, 2)) for n in (10_000, 40_000))
     growth = peak(lambda: symbols_at(A, spec, large)) - peak(lambda: symbols_at(A, spec, small))
     assert growth / 30_000 < 128
+
+
+def test_oscillator_rows_peak_at_a_few_blocks(peak):
+    """20,000 random hw:40 rows, all distinct radii, peak under three ``BLOCK_BYTES``.
+
+    A block holds its radial factors, its kernels and one real gathered copy
+    of the factors at once, and the kernels of no earlier block.
+    """
+    spec, rng = KernelSpec("wigner", HW(40)), np.random.default_rng(12)
+    rows = rng.uniform(-3.0, 3.0, (20_000, 2))
+    A = _hermitian(40, 4)
+    assert peak(lambda: symbols_at(A, spec, rows)) <= 3 * kernels_module.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("n_max", [5, 12])
