@@ -18,8 +18,8 @@ and generators, ``_columns`` its names, and ``_point_row``/``_row_point`` are
 the only maps between typed points and rows.  ``kernel_at`` is ``_kernels``
 at the one row of a typed point (``np.kron`` over the factors of a composite
 one), and ``transforms.symbols_at`` applies ``_row_kernels`` factor by factor
-to every table that is no tensor mesh, a single oscillator's included, in
-blocks of bounded size.  Constructions independent of it
+to single rows and to every table that is no tensor mesh, in blocks of
+bounded size.  Constructions independent of it
 (matrix exponentials of the factor sequence, the Laguerre closed form,
 Kronecker products) live in the tests.
 
@@ -33,7 +33,8 @@ rotation).  An oscillator plane rule is a tensor grid in (r, psi), and its
 radius and phases per angle; a square window is a tensor grid in (x, y), and
 its ``Window`` pieces hold Hermite functions of each axis and a transfer
 table, K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y), whose coefficients of
-order m + n are the SU(2) rotation exp(i pi/4 J(2)) of SUN(2, m + n).
+order m + n are the SU(2) rotation exp(i pi/4 J(2)) of SUN(2, m + n), each
+order's rotation built from the last by one quantum.
 ``_split`` reads per-axis nodes, so it serves both grids, whose pieces
 ``kernel_pieces`` caches per (grid, kernel spec), and the tensor meshes that
 ``symbols_at`` finds in coordinate tables, whose pieces are not cached.
@@ -324,24 +325,19 @@ class HermiteTransfer:
     anti: np.ndarray  # (2d - 1, 2d - 1)
 
 
-def _quarter_turn(N: int) -> np.ndarray:
-    """exp(i pi/4 J(2)) in SUN(2, N), real orthogonal; state (N - j, j) at index j.
-
-    J(2) = -i (a1^dagger a2 - a2^dagger a1) is tridiagonal there; it is built
-    here, not read from ``algebra``, so that no generator set is cached.
-    """
-    off = np.sqrt(np.arange(1.0, N + 1) * np.arange(N, 0, -1))
-    w, V = np.linalg.eigh(np.diag(-1j * off, 1) + np.diag(1j * off, -1))
-    return ((V * np.exp(0.25j * math.pi * w)) @ V.conj().T).real
-
-
 @lru_cache(maxsize=None)
 def _hermite_transfer(d: int, side: str) -> HermiteTransfer:
     """The ``HermiteTransfer`` of HW(d) on one side (cached, read-only).
 
     Element (m, n) of order N has the coefficient sqrt(pi) (-i)^b R_N[b, n] s_n
-    on h_(N-b)(u) h_b(v), R_N the rotation ``_quarter_turn(N)``, s_n = (-1)^n
-    on the Weyl side and 2 on the Wigner side (2 D(2 alpha) P).
+    on h_(N-b)(u) h_b(v), s_n = (-1)^n on the Weyl side and 2 on the Wigner
+    side (2 D(2 alpha) P).  R_N = exp(i pi/4 J(2)) in SUN(2, N), state (N - j, j)
+    at index j, sends a1^dagger to c1 = (a1^dagger - a2^dagger) / sqrt(2) and
+    a2^dagger to c2 = (a1^dagger + a2^dagger) / sqrt(2), so its column n is
+    (sqrt(N-n) c1 R_(N-1)[:, n] + sqrt(n) c2 R_(N-1)[:, n-1]) / N: real, one
+    quantum per order and no eigensolver (the two-operator step of Risbo,
+    J. Geodesy 70 (1996) 383).  Either term alone, divided by its own square
+    root, loses digits as N grows.
     """
     D = 2 * d - 1
     _check_bytes("oscillator transfer table", D * D * d * 16 + D * D * 40)
@@ -349,10 +345,19 @@ def _hermite_transfer(d: int, side: str) -> HermiteTransfer:
     table = np.zeros((D, D, d), dtype=np.complex128)
     take = np.zeros((D, d), dtype=np.intp)
     where = np.empty(d * d, dtype=np.intp)
+    R = np.ones((1, 1))
     for N in range(D):
+        if N:  # R_N from R_(N-1)
+            r = np.sqrt(np.arange(1.0, N + 1))  # sqrt(j), j = 1 .. N
+            up1 = np.vstack([r[::-1, None] * R, np.zeros(N)])  # a1^dagger R_(N-1)
+            up2 = np.vstack([np.zeros(N), r[:, None] * R])  # a2^dagger R_(N-1)
+            R = np.zeros((N + 1, N + 1))
+            R[:, :N] = (up1 - up2) * r[::-1]
+            R[:, 1:] += (up1 + up2) * r
+            R /= N * math.sqrt(2.0)
         n = np.arange(max(0, N - d + 1), min(N, d - 1) + 1)
         i, b = np.arange(len(n)), np.arange(N + 1)
-        turn = np.array([1, -1j, -1, 1j])[b % 4, None] * _quarter_turn(N)[:, n]  # (-i)^b R_N[b, n]
+        turn = np.array([1, -1j, -1, 1j])[b % 4, None] * R[:, n]  # (-i)^b R_N[b, n]
         table[N, N - b, :len(n)] = math.sqrt(math.pi) * turn * sign[n]
         take[N, i] = n * d + N - n
         where[(N - n) * d + n] = N * d + i

@@ -191,15 +191,6 @@ class QuadratureGrid:
             return CompositePoint(g.point(j) for g, j in zip(self.factors, index))
         return _POINT_TYPE[self.manifold].from_row(self.coords()[i])
 
-    def to_csv(self, path) -> None:
-        """One row per node: angle columns then weight, 17 significant digits."""
-        from .serialize import write_csv
-
-        coords = self.coords()
-        w = self.weights()
-        rows = np.concatenate([coords, w[:, None]], axis=1)
-        write_csv(path, list(self.column_names) + ["weight"], rows)
-
 
 def _factor_columns(parts) -> tuple[str, ...]:
     """Column names of a product: each factor's names, prefixed f1_, f2_, ..."""

@@ -16,10 +16,11 @@ factor when it is the second stage).  An oscillator piece otherwise contracts
 through its own factors, axis by axis: a plane rule's radial matrices and
 phases, and a square window's Hermite-function tables, Hx P Hy^T.
 
-``symbols_at`` contracts a coordinate table that is a tensor mesh through
-the same pieces, built from its per-axis nodes, and any other table through
-per-row partial traces, factor by factor (an oscillator factor's kernels take
-their radial factors once per distinct radius of a block of rows).
+``symbols_at`` contracts a coordinate table of two or more rows that is a
+tensor mesh through the same pieces, built from its per-axis nodes (an
+oscillator factor's ``Window`` at any cutoff), and a single row or any other
+table through per-row partial traces, factor by factor (an oscillator factor's
+kernels take their radial factors once per distinct radius of a block of rows).
 ``symbol_at`` traces one ``kernel_at`` row.  Every route evaluates kernels
 through ``kernels._kernels`` or its pieces; the independent constructions
 they are tested against, the literal triple-kernel star product among them,
@@ -271,17 +272,6 @@ def symbol_at(A: np.ndarray, spec: KernelSpec, point: PhasePoint) -> complex:
     return complex(np.trace(_operator(A, spec) @ kernel_at(spec, point)))
 
 
-# Rows per oscillator level from which a mesh takes a Window.  On an n x n
-# HW(d) mesh the Window (transfer table built cold) and the partial traces take
-# the same time at about 500 to 1,300 rows for every d from 4 to 60 (both sides,
-# one BLAS thread, +-30%), so from d = 13 on meshes below 100 d rows take the
-# slower route: at 3,481 rows of hw:40, 3 to 5 times the Window's time.  The
-# constant keeps single points and small meshes off the transfer table.  The
-# Window also holds far less: 0.4 MB against the partial traces' 39 MB at
-# hw:40, 81 x 81, with the table cached.
-WINDOW_ROWS_PER_LEVEL = 100
-
-
 def _mesh(coords: np.ndarray) -> list[np.ndarray] | None:
     """Per-axis nodes of a coordinate table that is a tensor mesh, else None.
 
@@ -305,20 +295,16 @@ def _mesh(coords: np.ndarray) -> list[np.ndarray] | None:
 def _mesh_pieces(spec: KernelSpec, nodes) -> tuple | None:
     """The pieces of every factor on a mesh of per-axis nodes (not cached).
 
-    An oscillator factor takes a ``Window`` from ``WINDOW_ROWS_PER_LEVEL`` d
-    rows on.  None sends the table to the partial traces: an oscillator
-    factor with fewer rows, or pieces over ``MAX_STACK_BYTES``.
+    An oscillator factor's are a ``Window``.  None, for pieces over
+    ``MAX_STACK_BYTES``, sends the table to the partial traces.
     """
     pieces, at = [], 0
-    for sub in _factor_specs(spec):
-        axes, at = nodes[at:at + _width(sub)], at + _width(sub)
-        f = sub.system
-        if isinstance(f, HW) and len(axes[0]) * len(axes[1]) < WINDOW_ROWS_PER_LEVEL * f.n_max:
-            return None
-        try:
-            pieces.append(_split(sub, axes))
-        except OverflowError:
-            return None
+    try:
+        for sub in _factor_specs(spec):
+            pieces.append(_split(sub, nodes[at:at + _width(sub)]))
+            at += _width(sub)
+    except OverflowError:
+        return None
     return tuple(pieces)
 
 
@@ -357,12 +343,15 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
 
     ``coords`` has one row per point in the column layout of the matching
     grid (``grid.coords()``; composite rows concatenate the factor columns).
-    A table that is a tensor mesh in C order (each column varying along its
-    own axis, as ``grid.coords()`` and ``np.meshgrid(..., indexing="ij")``
-    lay it out) contracts through the kernels' factor pieces, as a grid
-    does.  Every other table, a single oscillator's among them, contracts
-    through per-factor partial traces in blocks of at most
+    A table of two or more rows that is a tensor mesh in C order (each column
+    varying along its own axis, as ``grid.coords()`` and
+    ``np.meshgrid(..., indexing="ij")`` lay it out) contracts through the
+    kernels' factor pieces, as a grid does: an oscillator factor through its
+    ``Window``, whatever the cutoff.  A single row, and every table that is
+    no mesh, contracts through per-factor partial traces in blocks of at most
     ``kernels.BLOCK_BYTES``, so memory stays bounded whatever the table size.
+    A single row is one kernel per factor there, cheaper than even a warm
+    ``Window`` (half its time at hw:40) and building no transfer table.
     """
     A = _operator(A, spec)
     coords = np.asarray(coords, dtype=np.float64)
@@ -373,7 +362,7 @@ def symbols_at(A: np.ndarray, spec: KernelSpec, coords) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"coordinate row {i} is not finite: {coords[i].tolist()}")
-    nodes = _mesh(coords) if len(coords) else None
+    nodes = _mesh(coords) if len(coords) > 1 else None
     pieces = _mesh_pieces(spec, nodes) if nodes is not None else None
     if pieces is not None:
         return _forward(pieces, A[None])[0]

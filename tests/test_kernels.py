@@ -535,20 +535,28 @@ def test_hermite_transfer_matches_pointwise_kernels(n_max, side):
     assert sum(a.nbytes for a in arrays) <= 16 * (2 * n_max - 1) ** 2 * (n_max + 4)
 
 
-def test_quarter_turn_is_the_arecchi_rotation():
-    """The transfer table's exp(i pi/4 J(2)) is arecchi_rotation(SUN(2, N), 0, pi/4)."""
-    assert np.array_equal(kernels_module._quarter_turn(0), np.ones((1, 1)))
+def test_transfer_rotations_are_the_arecchi_rotation():
+    """The rotations the transfer table recurses through are arecchi_rotation(SUN(2, N), 0, pi/4).
+
+    Weyl-side HW(40) stores R_N[b, n] at table[N, N - b, i] as sqrt(pi) (-i)^b
+    (-1)^n, element i of order N being n = max(0, N - 39) + i; orders
+    N < 40 keep every column.
+    """
+    table = kernels_module._hermite_transfer(40, "weyl").table
+    assert np.array_equal(table[0, 0, :1], [math.sqrt(math.pi)])
     for N in range(1, 79):
-        R = kernels_module._quarter_turn(N)
-        want = arecchi_rotation(SUN(2, N), 0.0, math.pi / 4)
-        assert R.dtype == np.float64 and np.max(np.abs(R - want)) < 2e-14, N
+        n = np.arange(max(0, N - 39), min(N, 39) + 1)
+        b = np.arange(N + 1)
+        R = table[N, N - b, :len(n)] / (math.sqrt(math.pi) * (-1j) ** b[:, None] * (-1.0) ** n)
+        want = arecchi_rotation(SUN(2, N), 0.0, math.pi / 4)[:, n]
+        assert np.max(np.abs(R - want)) < 2e-14, N
 
 
 @pytest.mark.parametrize("d", [2, 7, 20, 40, 60])
 def test_hermite_transfer_matches_the_integer_construction(d):
     for side in ("weyl", "wigner"):
         table = kernels_module._hermite_transfer(d, side).table
-        assert np.max(np.abs(table - oracles.hermite_transfer_table(d, side))) < 5e-14
+        assert np.max(np.abs(table - oracles.hermite_transfer_table(d, side))) < 2e-14
 
 
 def test_hermite_transfer_fills_no_generator_cache():
@@ -855,7 +863,7 @@ ROUTE_CASES = {
                      "mesh", 1),
     "su21*hw3": (KernelSpec("weyl", Composite((SUN(2, 1), HW(3)))),
                  lambda: _random_mesh(KernelSpec("weyl", Composite((SUN(2, 1), HW(3)))),
-                                      (3, 2, 2, 4, 5), 4), "partial traces", 1),
+                                      (3, 2, 2, 4, 5), 4), "mesh", 1),
     "su21*hw3-wigner": (KernelSpec("wigner", Composite((SUN(2, 1), HW(3)))),
                         lambda: np.concatenate([np.repeat(_sphere_rows(3), 400, axis=0),
                                                 np.tile(_hw_mesh(20, 20, 3.0), (15, 1))],
@@ -870,6 +878,11 @@ ROUTE_CASES = {
     # 121^10 61^5 distinct-value combinations: past int64
     "ghz5-weyl-61": (KernelSpec("weyl", Composite((SUN(2, 1),) * 5)),
                      lambda: _ghz_rows("weyl", 61), "partial traces", 97),
+    # one row is one kernel; two rows are a 2 x 1 mesh, and take the Window
+    "hw40-one-row": (KernelSpec("wigner", HW(40)), lambda: np.array([[0.7, -1.3]]),
+                     "partial traces", 1),
+    "hw40-two-rows": (KernelSpec("weyl", HW(40)), lambda: np.array([[0.7, -1.3], [-2.1, -1.3]]),
+                      "mesh", 1),
 }
 for _d, _square, _unequal in ((4, 21, (25, 17)), (12, 37, (45, 29)), (40, 67, (81, 51))):
     for _side in ("wigner", "weyl"):
@@ -879,7 +892,7 @@ for _d, _square, _unequal in ((4, 21, (25, 17)), (12, 37, (45, 29)), (40, 67, (8
         ROUTE_CASES[f"hw{_d}-{_side}-unequal"] = (
             _spec, lambda n=_unequal: _hw_mesh(*n, 5.0), "mesh", 31)
         ROUTE_CASES[f"hw{_d}-{_side}-small"] = (
-            _spec, lambda: _hw_mesh(9, 7, 5.0), "partial traces", 5)
+            _spec, lambda: _hw_mesh(9, 7, 5.0), "mesh", 5)
 
 
 @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
@@ -941,21 +954,29 @@ def test_symbols_at_empty_and_single_rows(spec):
 
 
 def test_single_oscillator_points_build_no_transfer_table(monkeypatch):
-    """verify's origin row and autocorr's rows go through the row route."""
+    """verify's origin rows and covariance probe go through the partial traces.
+
+    autocorr's lines are 11 x 1 meshes, which take the Window by design.
+    """
     from wignerweyl import autocorrelation, verify_stratonovich
     from wignerweyl.states import build_state, parse_state
 
     def refuse(*args):
         raise AssertionError("transfer table built")
 
-    monkeypatch.setattr(kernels_module, "_hermite_transfer", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(kernels_module, "_hermite_transfer", refuse)
+        for desc, side, probe in ((HW(4), "weyl", "origin_trace"), (HW(8), "wigner", "covariance")):
+            report = verify_stratonovich(desc, side)
+            assert report.passed and probe in [c.name for c in report.conditions], desc
     desc = HW(4)
-    report = verify_stratonovich(desc, "weyl")
-    assert report.passed
+    spec = KernelSpec("weyl", desc)
     rho = build_state(parse_state("coherent:0.3+0.1j", desc), desc)
-    for axis in ("re", "im"):
-        vals = autocorrelation(rho, desc, axis, np.linspace(-2.0, 2.0, 11))
-        assert vals.shape == (11,)
+    samples = np.linspace(-2.0, 2.0, 11)
+    for axis, unit in (("re", 1.0), ("im", 1j)):
+        vals = autocorrelation(rho, desc, axis, samples)
+        want = [np.trace(rho @ oracles.kernel(spec, HWPoint(unit * x))) for x in samples]
+        assert np.max(np.abs(vals - want)) < 1e-13, axis
 
 
 @pytest.mark.parametrize("spec, make_grid", [

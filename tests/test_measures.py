@@ -285,15 +285,6 @@ def test_product_grid_composition():
     assert isinstance(pt.points[1], HWPoint)
 
 
-def test_grid_csv_dump(tmp_path):
-    g = hw_grid(HW(4), 2.0, 6)
-    path = tmp_path / "grid.csv"
-    g.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "re,im,weight"
-    assert len(lines) == 1 + g.n_nodes
-
-
 def test_legendre_table_is_cached_read_only():
     from wignerweyl.measures import _legendre
 
