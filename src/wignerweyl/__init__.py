@@ -84,7 +84,6 @@ _EXPORTS = {
     "default_grid": ".transforms",
     "evolve": ".transforms",
     "generalized_fourier": ".transforms",
-    "grid_roundtrip_residual": ".transforms",
     "moyal_bracket": ".transforms",
     "overlap": ".transforms",
     "phase_function": ".transforms",

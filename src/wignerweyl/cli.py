@@ -64,7 +64,7 @@ class RunConfig:
     samples: str | None = _option("lo:hi:count")
     orders: str | None = _option("per-axis derivative orders, e.g. 0,0,2")
     t_final: float | None = _option("final time", type=float)
-    dt: float = _option("RK4 time step", 1e-3, type=float)
+    dt: float = _option("frame spacing: frames land on multiples of it", 1e-3, type=float)
     frames: int = _option("number of stored frames", 10, type=int)
     preset: str | None = _option("data set", choices=PRESETS)
     infile: str | None = _option("CSV produced by wigner/weyl")

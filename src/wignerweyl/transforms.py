@@ -385,16 +385,6 @@ def reconstruct(f: PhaseFunction) -> np.ndarray:
     return _reconstructed(f.spec, f.grid, f.values[None])[0]
 
 
-def grid_roundtrip_residual(spec: KernelSpec, grid: QuadratureGrid, seed: int = 0) -> float:
-    """Forward-then-back error on a seeded random Hermitian probe.
-
-    A large value flags an under-resolved grid for this kernel family.
-    """
-    probe = _random_hermitian(dimension(spec.system), np.random.default_rng(seed))
-    back = reconstruct(phase_function(probe, spec, grid))
-    return float(np.max(np.abs(back - probe)))
-
-
 def generalized_fourier(
     f: PhaseFunction, target_spec: KernelSpec, target_grid: QuadratureGrid
 ) -> PhaseFunction:
@@ -467,23 +457,29 @@ def evolve(
     n_frames: int = 0,
     tol: float = 1e-6,
 ) -> EvolveResult:
-    """Fixed-step RK4 integration of d(values)/dt = -i {{W_H, W_rho}} (hbar = 1).
+    """Exact solution of d(values)/dt = -i {{W_H, W_rho}} (hbar = 1) at frame times.
 
-    The Moyal equation is the von Neumann equation in another picture, so RK4
-    steps the reconstructed d x d operator and only the stored frames and the
-    final state are transformed back: the grid work does not grow with the
-    step count.  ``trace_drift`` and ``purity_drift`` are measured on the
-    symbols.  The fewest equal steps no longer than ``dt`` end on ``t_final``.
-    Besides the initial frame, a frame is stored every n_steps // ``n_frames``
-    steps and at the final step (with 0, only there).  A non-finite ``dt`` or
-    ``t_final``, a negative ``n_frames``, and a Hamiltonian whose
+    The Moyal equation is the von Neumann equation in another picture, and H
+    does not depend on time, so with H = V diag(E) V^dagger the reconstructed
+    operator at time t is R(t) = V (V^dagger R V o e^{-i (E_j - E_k) t}) V^dagger:
+    one ``eigh`` and no time steps.  Only the stored frames and the final
+    state are transformed back, so neither the grid work nor the operator work
+    grows with t_final / dt.  ``dt`` is the frame lattice: the fewest equal
+    steps no longer than ``dt`` end on ``t_final``, and besides the initial
+    frame a frame is stored every n_steps // ``n_frames`` steps and at the
+    final step (with 0, only there).  ``trace_drift`` and ``purity_drift`` are
+    measured on the symbols.  A non-finite ``dt``, ``t_final`` or
+    ``t_final / dt``, a negative ``n_frames``, and a Hamiltonian whose
     reconstruction is not Hermitian raise ValueError before any transform; a
     grid whose round trip misses f_rho or f_H by more than ``tol``, relative
-    to max(1, max|f|), raises RuntimeError naming the grid before the first step.
+    to max(1, max|f|), raises RuntimeError naming the grid before any frame.
     """
     _require_same_frame(f_rho, f_H)
-    if not (0 < dt < math.inf and 0 <= t_final < math.inf):
-        raise ValueError(f"need a finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}")
+    if not (0 < dt < math.inf and 0 <= t_final < math.inf and t_final / dt < math.inf):
+        raise ValueError(
+            f"need a finite dt > 0 and t_final >= 0 with a finite t_final / dt, "
+            f"got dt={dt}, t_final={t_final}"
+        )
     if n_frames < 0:
         raise ValueError(f"the frame count must be >= 0, got {n_frames}")
     spec, grid = f_rho.spec, f_rho.grid
@@ -503,22 +499,13 @@ def evolve(
     n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))  # t_final / dt, to rounding, if whole
     dt = t_final / max(n_steps, 1)
     frame_every = max(1, n_steps // n_frames) if n_frames else n_steps + 1
+    steps = [*range(frame_every, n_steps, frame_every), n_steps] if n_steps else []
+    times = [0.0, *(t_final if s == n_steps else s * dt for s in steps)]
 
-    def rhs(X: np.ndarray) -> np.ndarray:
-        return -1j * (H @ X - X @ H)
-
-    times = [0.0]
-    stored = []
-    for s in range(1, n_steps + 1):
-        k1 = rhs(R)
-        k2 = rhs(R + 0.5 * dt * k1)
-        k3 = rhs(R + 0.5 * dt * k2)
-        k4 = rhs(R + dt * k3)
-        R = R + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if s % frame_every == 0 or s == n_steps:
-            times.append(t_final if s == n_steps else s * dt)
-            stored.append(R)
-    frames = [v0, *(_forward(pieces, np.stack(stored)) if stored else [])]
+    E, V = np.linalg.eigh(H)
+    t = np.asarray(times[1:])[:, None, None]
+    stored = V @ ((V.conj().T @ R @ V) * np.exp(-1j * t * (E[:, None] - E))) @ V.conj().T
+    frames = [v0, *(_forward(pieces, stored) if steps else [])]
     v = frames[-1]
 
     w = grid.weights()

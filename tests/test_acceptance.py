@@ -233,11 +233,11 @@ def test_criterion_07_dynamics_oracle(criterion):
     U = np.diag(np.exp(-1j * np.diag(H) * 1.0))
     exact = phase_function(U @ rho0 @ U.conj().T, spec, grid)
     sup = float(np.max(np.abs(res.final.values - exact.values)))
-    ok = sup < 1e-6 and res.trace_drift < 1e-6 and res.purity_drift < 1e-6
+    ok = sup < 1e-12 and res.trace_drift < 1e-12 and res.purity_drift < 1e-12
     criterion(
         7, "phase-space dynamics vs exact propagator", ok,
         f"sup error at t=1 {sup:.1e}, trace drift {res.trace_drift:.1e}, purity "
-        f"drift {res.purity_drift:.1e} (tol 1e-6)",
+        f"drift {res.purity_drift:.1e} (tol 1e-12)",
     )
 
 

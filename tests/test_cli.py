@@ -297,7 +297,9 @@ def test_evolve_ends_on_a_t_final_that_is_no_multiple_of_dt(capsys):
 
 
 @pytest.mark.parametrize("times", [["--t-final", "0.02", "--dt", "inf"],
-                                   ["--t-final", "nan", "--dt", "0.01"]], ids=["dt", "t-final"])
+                                   ["--t-final", "nan", "--dt", "0.01"],
+                                   ["--t-final", "1e300", "--dt", "1e-300"]],
+                         ids=["dt", "t-final", "t-final-over-dt"])
 def test_evolve_rejects_a_non_finite_time(times, capsys):
     err = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
                       "--field", "0,0,1", *times)
