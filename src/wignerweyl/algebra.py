@@ -195,8 +195,9 @@ def trace_norm_constant(N: int, M: int) -> float:
     return 2.0 * M / (N + 1) * math.comb(N + M, M)
 
 
-def is_hermitian(A: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(A - A.conj().T)) <= tol * max(1.0, np.max(np.abs(A))))
+def is_hermitian(A: np.ndarray) -> bool:
+    """Whether max |A - A^dagger| is at most 1e-12 times max(1, max |A|)."""
+    return bool(np.max(np.abs(A - A.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(A))))
 
 
 def parse_system(text: str) -> SystemDescriptor:

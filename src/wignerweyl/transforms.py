@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    HW, SUN, SystemDescriptor, dimension, format_system, is_hermitian,
+    HW, SUN, Composite, SystemDescriptor, dimension, format_system, is_hermitian,
 )
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, Window, _blocks, _check_grid, _check_width,
@@ -455,7 +455,6 @@ def evolve(
     t_final: float,
     dt: float,
     n_frames: int = 0,
-    tol: float = 1e-6,
 ) -> EvolveResult:
     """Exact solution of d(values)/dt = -i {{W_H, W_rho}} (hbar = 1) at frame times.
 
@@ -471,7 +470,7 @@ def evolve(
     measured on the symbols.  A non-finite ``dt``, ``t_final`` or
     ``t_final / dt``, a negative ``n_frames``, and a Hamiltonian whose
     reconstruction is not Hermitian raise ValueError before any transform; a
-    grid whose round trip misses f_rho or f_H by more than ``tol``, relative
+    grid whose round trip misses f_rho or f_H by more than 1e-6, relative
     to max(1, max|f|), raises RuntimeError naming the grid before any frame.
     """
     _require_same_frame(f_rho, f_H)
@@ -490,9 +489,9 @@ def evolve(
     v0, h, tr_K = _forward(pieces, np.stack([R, H, np.eye(len(H))]))
     for name, f, back in (("state", f_rho.values, v0), ("Hamiltonian", f_H.values, h)):
         miss = float(np.max(np.abs(back - f))) / max(1.0, float(np.max(np.abs(f))))
-        if miss > tol:
+        if miss > 1e-6:
             raise RuntimeError(
-                f"the grid misses the {name}'s round trip by {miss:.1e}, over {tol:.1e}; "
+                f"the grid misses the {name}'s round trip by {miss:.1e}, over 1.0e-06; "
                 "refine it (--grid-res/--radius)"
             )
 
@@ -650,70 +649,66 @@ def verify_stratonovich(
     grid: QuadratureGrid | None = None,
     rotation: str = "euler",
     seed: int = 0,
-    tolerance: float | None = None,
 ) -> VerifyReport:
     """Residuals for the Stratonovich-Weyl conditions of a kernel family.
 
-    Wigner side: linear invertibility, reality, standardization (kernel
-    normalization and symbol integral), traciality, and covariance (HW and
-    every SUN(N, M); skipped, with the reason, on composites).  Weyl
-    side: completeness round trip and the value of the symbol at the origin.
-    Without a ``tolerance`` every condition gates at 1e-10, except that the
-    grid conditions on a grid with a square oscillator window (level
-    "window") carry the truncation error of the window and gate at 1e-4; the
-    oscillator covariance probe works in a padded block and keeps 1e-10.
+    Wigner side: linear invertibility, reality, kernel normalization,
+    standardization, traciality, and covariance (HW and every SUN(N, M);
+    skipped, with the reason, on composites).  Weyl side: the completeness
+    round trip and the symbol at the origin against the trace.  Two seeded
+    Hermitian probes take one forward transform together, and their symbols
+    with the unit symbol (which reconstructs to sum w K) one reconstruction;
+    every grid condition reads those rows.  The grid conditions gate at
+    1e-10, or at 1e-4 on a grid with a square oscillator window (level
+    "window"), which carries the window's truncation error; covariance works
+    off the grid, the oscillator's in a padded block, and gates at 1e-10.
     """
     spec = KernelSpec(side, desc, rotation)
     if grid is None:
         grid = _family_grid(spec)
-    windowed = "window" in grid.exactness.split(",")
-    tol = tolerance if tolerance is not None else (1e-4 if windowed else 1e-10)
-    cov_tol = tolerance if tolerance is not None else 1e-10
+    tol = 1e-4 if "window" in grid.exactness.split(",") else 1e-10
     rng = np.random.default_rng(seed)
     d = dimension(desc)
     report = VerifyReport(desc, side, rotation)
 
-    probes = [_random_hermitian(d, rng) for _ in range(2)]
-    fs = [phase_function(A, spec, grid) for A in probes]
+    probes = np.stack([_random_hermitian(d, rng) for _ in range(2)])
+    traces = np.trace(probes, axis1=1, axis2=2)
+    values = _forward(_grid_pieces(spec, grid), probes)
+    # the unit symbol reconstructs to sum w K, the Wigner side's kernel normalization
+    back = _reconstructed(spec, grid, np.vstack([values, np.ones(grid.n_nodes)]))
 
     # invertibility / completeness
-    err = max(float(np.max(np.abs(reconstruct(f) - A))) for f, A in zip(fs, probes))
-    name = "completeness" if side == WEYL else "linear_invertibility"
-    report.conditions.append(ConditionReport(name, err, tol))
-
-    if side == WIGNER:
-        # reality of Hermitian symbols
-        err = max(float(np.max(np.abs(f.values.imag))) for f in fs)
-        report.conditions.append(ConditionReport("reality", err, tol))
-        # standardization: kernel normalization (the unit symbol reconstructs
-        # to sum w K) and symbol integral
-        ksum = reconstruct(PhaseFunction(spec, grid, np.ones(grid.n_nodes)))
-        err = float(np.max(np.abs(ksum - np.eye(d))))
-        report.conditions.append(ConditionReport("kernel_normalization", err, tol))
-        err = max(abs(f.integral() - np.trace(A)) for f, A in zip(fs, probes))
-        report.conditions.append(ConditionReport("standardization", err, tol))
-        # traciality
-        err = abs(overlap(fs[0], fs[1]) - np.trace(probes[0] @ probes[1]))
-        report.conditions.append(ConditionReport("traciality", err, tol))
-        try:
-            cov = _covariance_residual(desc, spec, rng)
-        except NotImplementedError as exc:
-            report.skipped.append(("covariance", str(exc)))
-        else:
-            report.conditions.append(ConditionReport("covariance", cov, cov_tol))
-    else:
+    err = np.max(np.abs(back[:2] - probes))
+    report.conditions.append(
+        ConditionReport("completeness" if side == WEYL else "linear_invertibility", err, tol))
+    if side == WEYL:
         # standardization at the origin
         origin = np.zeros((1, len(grid.axes)))
-        err = max(abs(symbols_at(A, spec, origin)[0] - np.trace(A)) for A in probes)
+        err = max(abs(symbols_at(A, spec, origin)[0] - t) for A, t in zip(probes, traces))
         report.conditions.append(ConditionReport("origin_trace", err, tol))
+        return report
+
+    w = grid.weights()
+    report.conditions += [
+        # reality of Hermitian symbols
+        ConditionReport("reality", np.max(np.abs(values.imag)), tol),
+        # standardization: kernel normalization and symbol integral
+        ConditionReport("kernel_normalization", np.max(np.abs(back[2] - np.eye(d))), tol),
+        ConditionReport("standardization", np.max(np.abs(values @ w - traces)), tol),
+        ConditionReport("traciality",
+                        abs(_pairing(side, w, *values) - np.trace(probes[0] @ probes[1])), tol),
+    ]
+    if isinstance(desc, Composite):
+        report.skipped.append(("covariance", f"no covariance probe for {format_system(desc)}: "
+                                             "it covers hw:n and su:N:M"))
+    else:
+        report.conditions.append(
+            ConditionReport("covariance", _covariance_residual(desc, spec, rng), 1e-10))
     return report
 
 
-def _covariance_residual(desc: SystemDescriptor, spec: KernelSpec, rng) -> float:
-    """max |V K(Omega) V^dagger - K(Omega')| over random rotations.
-
-    Raises NotImplementedError for systems without a covariance probe.
-    """
+def _covariance_residual(desc: HW | SUN, spec: KernelSpec, rng) -> float:
+    """max |V K(Omega) V^dagger - K(Omega')| over random rotations."""
     if isinstance(desc, HW):
         # Kernel-level covariance cannot hold entrywise near the Fock cutoff
         # (the group action leaks out of the truncated block), so the check
@@ -735,24 +730,20 @@ def _covariance_residual(desc: SystemDescriptor, spec: KernelSpec, rng) -> float
             lhs = symbols_at(V @ low @ V.conj().T, padded, [(a.real, a.imag)])[0]
             err = max(err, abs(lhs - r))
         return err
-    if isinstance(desc, SUN):
-        n_pairs, n_cartan = euler_angle_count(desc.N)
-        err = 0.0
-        for _ in range(3):
-            v = EulerPoint(
-                tuple(rng.uniform(0, 2 * math.pi, n_pairs)),
-                tuple(rng.uniform(0, 0.5 * math.pi, n_pairs)),
-                tuple(rng.uniform(0, 2 * math.pi, n_cartan)),
-            )
-            omega = CPPoint(
-                tuple(rng.uniform(0, 2 * math.pi, desc.N - 1)),
-                tuple(rng.uniform(0.1, 0.5 * math.pi - 0.1, desc.N - 1)),
-            )
-            V = euler_rotation(desc, v)
-            K1 = V @ kernel_at(spec, omega) @ V.conj().T
-            K2 = kernel_at(spec, _compose_cp_point(desc, v, omega))
-            err = max(err, float(np.max(np.abs(K1 - K2))))
-        return err
-    raise NotImplementedError(
-        f"no covariance probe for {format_system(desc)}: it covers hw:n and su:N:M"
-    )
+    n_pairs, n_cartan = euler_angle_count(desc.N)
+    err = 0.0
+    for _ in range(3):
+        v = EulerPoint(
+            tuple(rng.uniform(0, 2 * math.pi, n_pairs)),
+            tuple(rng.uniform(0, 0.5 * math.pi, n_pairs)),
+            tuple(rng.uniform(0, 2 * math.pi, n_cartan)),
+        )
+        omega = CPPoint(
+            tuple(rng.uniform(0, 2 * math.pi, desc.N - 1)),
+            tuple(rng.uniform(0.1, 0.5 * math.pi - 0.1, desc.N - 1)),
+        )
+        V = euler_rotation(desc, v)
+        K1 = V @ kernel_at(spec, omega) @ V.conj().T
+        K2 = kernel_at(spec, _compose_cp_point(desc, v, omega))
+        err = max(err, float(np.max(np.abs(K1 - K2))))
+    return err

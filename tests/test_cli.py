@@ -88,6 +88,42 @@ def test_non_finite_inputs_exit_2_naming_the_flag(argv, message, tmp_path, capsy
     assert err["error"] == message.format(nan=nan)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("algebra", "--config", "{list}"), "config file must hold a JSON object"),
+    # the config's "command" is skipped: kernel would ask for --point
+    (("algebra", "--config", "{kernel}"), "algebra dumps su:N:M generator sets"),
+    (("algebra", "--system", "su:2:1", "--threads", "0"), "thread cap must be >= 1"),
+    (("partition", "--system", "su:2:1", "--beta", "0.7"), "provide --field or --hamiltonian"),
+    (("partition", "--system", "hw:4", "--beta", "0.7", "--field", "0,0,1"),
+     "--field needs a single su:N:M system"),
+    (("partition", "--system", "su:2:1", "--beta", "0.7", "--field", "0,1"),
+     "--field takes three components"),
+    (("kernel", "--system", "su:2:1*hw:3", "--point", "0.4,0.7"),
+     "takes 2 ';'-separated factor point(s), got 1"),
+    (("algebra", "--system", "hw:4"), "algebra dumps su:N:M generator sets"),
+    (("mean", "--system", "hw:4", "--beta", "0.7", "--hamiltonian", "{h4}",
+      "--observable", "j:3"), "j:<k> observables need an su:N:M system"),
+    (("mean", "--system", "su:2:1", "--beta", "0.7", "--field", "0,0,1", "--observable", "x:1"),
+     "observable grammar: j:<k> | vec:ex,ey,ez | file:<path>"),
+    (("autocorr", "--system", "su:2:1", "--state", "random:7", "--axis", "theta1",
+      "--samples", "0:1.5"), "--samples grammar is lo:hi:count"),
+    (("figure-data", "--preset", "hw-cat", "--system", "su:2:1"),
+     "hw-cat preset needs an hw:<n_max> system"),
+    (("figure-data", "--preset", "spin-cat", "--system", "su:3:1"),
+     "spin-cat preset needs an su:2:M system"),
+], ids=["config-not-an-object", "config-command-skipped", "threads-0", "no-hamiltonian",
+        "field-on-hw", "field-count", "point-factor-count", "algebra-on-hw", "mean-j-on-hw",
+        "observable-grammar", "samples-grammar", "hw-cat-system", "spin-cat-system"])
+def test_input_guards_exit_2_naming_the_input(argv, message, tmp_path, capsys):
+    """{list} is a config holding a list, {kernel} one naming another command, {h4} a 4x4 H."""
+    files = {name: tmp_path / f"{name}.json" for name in ("list", "kernel", "h4")}
+    files["list"].write_text("[1, 2]")
+    files["kernel"].write_text(json.dumps({"command": "kernel", "system": "hw:4"}))
+    dump_matrix(np.diag([0.0, 1.0, 2.0, 3.0]), files["h4"])
+    err = run_cli_err(capsys, *(a.format(**files) for a in argv))
+    assert message in err["error"]
+
+
 def test_wigner_sample_and_reconstruct_roundtrip(tmp_path, capsys):
     csv = tmp_path / "f.csv"
     out = run_cli(

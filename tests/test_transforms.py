@@ -396,6 +396,23 @@ def test_verify_reports_skipped_covariance():
     assert "skipped" not in verify_stratonovich(SUN(2, 1), "wigner").as_dict()
 
 
+@pytest.mark.parametrize("system, side", [("su:2:1", "wigner"), ("su:2:2", "weyl"),
+                                          ("hw:8", "wigner"), ("su:2:1*hw:3", "wigner")])
+def test_verify_reconstructs_once_per_report(system, side, monkeypatch):
+    """The probes and the unit symbol share one reconstruction; no per-probe transform is left."""
+    calls = []
+    for name in ("_reconstructed", "phase_function", "reconstruct"):
+        real = getattr(transforms_module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(transforms_module, name, counted)
+    assert verify_stratonovich(parse_system(system), side).passed
+    assert calls == ["_reconstructed"]
+
+
 def test_evolve_validates_steps():
     desc = SUN(2, 1)
     spec = KernelSpec("wigner", desc)
@@ -913,6 +930,19 @@ def test_symbols_at_rejects_non_finite_rows():
     rows = np.array([[0.1, 0.2], [0.3, np.inf], [np.nan, 0.0]])
     with pytest.raises(ValueError, match="row 1 is not finite"):
         transforms_module.symbols_at(np.eye(4), spec, rows)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: transforms_module.symbols_at(np.eye(4), KernelSpec("wigner", HW(4)), [0.1, 0.2]),
+     r"coords must be a 2-D table of rows, got shape \(2,\)"),
+    (lambda: generalized_fourier(
+        phase_function(np.eye(2), KernelSpec("wigner", SUN(2, 1)), cp_grid(SUN(2, 1))),
+        KernelSpec("weyl", SUN(2, 2)), sun_grid(SUN(2, 2))),
+     "generalized_fourier bridges symbol families of one system"),
+], ids=["symbols_at-1d-coords", "generalized_fourier-across-systems"])
+def test_transform_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("n_max", [2, 5, 12])
