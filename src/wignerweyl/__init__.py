@@ -50,7 +50,6 @@ _EXPORTS = {
     "euler_factor_sequence": ".rotations",
     "euler_rotation": ".rotations",
     "expi_hermitian": ".rotations",
-    "dump_matrix": ".serialize",
     "load_matrix": ".serialize",
     "matrix_from_json": ".serialize",
     "matrix_to_json": ".serialize",
@@ -73,7 +72,6 @@ _EXPORTS = {
     "gibbs_operator": ".statmech",
     "partition_function": ".statmech",
     "partition_oracle": ".statmech",
-    "partition_series": ".statmech",
     "phase_cross_correlation": ".statmech",
     "thermal_mean": ".statmech",
     "weyl_axes": ".statmech",

@@ -9,32 +9,32 @@ and twice the Fock-space parity for HW.
 Every single system's kernel at a row of coordinates in the grid column
 layout is evaluated by one evaluator, ``_kernels``.  An SU(N) kernel is a
 chain of per-axis factors exp(i J(k) x), each evaluated once per distinct
-coordinate value and gathered onto the rows; HW kernels are a real radial
-matrix, evaluated once per distinct |alpha|, times per-point phases
-(``_phase_powers``).  A composite kernel is the Kronecker product of its
-factors' kernels.  The columns are the chart of the spec's manifold
-(``_grid_manifold``; see ``measures``): ``_factor_table`` reads its pairs
-and generators, ``_columns`` its names, and ``_point_row``/``_row_point`` are
-the only maps between typed points and rows.  ``kernel_at`` is ``_kernels``
-at the one row of a typed point (``np.kron`` over the factors of a composite
-one), and ``transforms.symbols_at`` applies ``_row_kernels`` factor by factor
-to single rows and to every table that is no tensor mesh, in blocks of
-bounded size.  Constructions independent of it
-(matrix exponentials of the factor sequence, the Laguerre closed form,
-Kronecker products) live in the tests.
+coordinate value and gathered onto the rows; HW kernels, and SU(2)'s on CP^1,
+are a real radial matrix, evaluated once per distinct |alpha| or colatitude,
+times per-point phases (``_phase_powers``).  A composite kernel is the
+Kronecker product of its factors' kernels.  The columns are the chart of the
+spec's manifold (``_grid_manifold``; see ``measures``): ``_factor_table``
+reads its pairs and generators, ``_columns`` its names, and
+``_point_row``/``_row_point`` are the only maps between typed points and
+rows.  ``kernel_at`` is ``_kernels`` at the one row of a typed point
+(``np.kron`` over the factors of a composite one), and
+``transforms.symbols_at`` applies ``_row_kernels`` factor by factor to single
+rows and to every table that is no tensor mesh, in blocks of bounded size.
+Constructions independent of it (matrix exponentials of the factor sequence,
+the Laguerre closed form, Kronecker products) live in the tests.
 
 The transforms never hold a grid's (n_nodes, d, d) kernel stack.  A SU(N)
 grid is a tensor product over the columns of the factor chain, so ``_split``
 splits the chain at one axis boundary into a left and a right stack over the
 two sub-grids (K = L R on the Weyl side, K = L (R Pi R^dagger) L^dagger on
-the Wigner side, and K = L R L^dagger with L = e^{i J3 phi} for the arecchi
-rotation).  An oscillator plane rule is a tensor grid in (r, psi), and its
-``Polar`` pieces hold K_mn = R_mn(r) e^{i (m-n) psi} as radial matrices per
-radius and phases per angle; a square window is a tensor grid in (x, y), and
-its ``Window`` pieces hold Hermite functions of each axis and a transfer
-table, K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y), whose coefficients of
-order m + n are the SU(2) rotation exp(i pi/4 J(2)) of SUN(2, m + n), each
-order's rotation built from the last by one quantum.
+the Wigner side of SU(N >= 3)).  An oscillator plane rule is a tensor grid in
+(r, psi), and SU(2)'s CP^1 chart one in (phi, theta), psi = -2 phi; the
+``Polar`` pieces of both hold K_mn = R_mn(r) e^{i (m-n) psi} as radial
+matrices per radius or colatitude and phases per angle.  A square window is
+a tensor grid in (x, y), and its ``Window`` pieces hold Hermite functions of
+each axis and a transfer table, K_mn = sum_a T_mn^a h_a(s x) h_(m+n-a)(s y),
+whose coefficients of order m + n are the SU(2) rotation exp(i pi/4 J(2)) of
+SUN(2, m + n), each order's rotation built from the last by one quantum.
 ``_split`` reads per-axis nodes, so it serves both grids, whose pieces
 ``kernel_pieces`` caches per (grid, kernel spec), and the tensor meshes that
 ``symbols_at`` finds in coordinate tables, whose pieces are not cached.
@@ -251,16 +251,20 @@ def _polar_kernels(radial: np.ndarray, rows: np.ndarray, phases: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class Polar:
-    """Oscillator kernels on an (r, psi) plane rule, K_mn = R_mn(r) e^{i (m-n) psi}.
+    """Kernels K_mn = R_mn(r) e^{i (m-n) psi} on a plane rule or a CP^1 chart.
 
+    The plane's axes are (r, psi); CP^1's are (phi, theta), theta the radius
+    and psi = -2 phi (see ``_sphere_radial``).
     ``radial`` holds one real matrix per radius in the diagonal-major order
     of ``_diagonals``, parity signs and factors folded in, and ``phases``
-    holds e^{i k psi} for k = -(d-1) .. d-1 at every angle.  Node (i, j) is
-    at index i n_psi + j, the grid's C order.
+    holds e^{i k psi} for k = -(d-1) .. d-1 at every angle.  Node (i, j) of
+    radius i and angle j is at index i n_psi + j, or j n_r + i with
+    ``angle_first`` (CP^1): the grid's C order.
     """
 
     radial: np.ndarray  # (n_r, d^2) real
     phases: np.ndarray  # (n_psi, 2d - 1)
+    angle_first: bool = False
 
     @property
     def dim(self) -> int:
@@ -272,15 +276,9 @@ class Polar:
 
     def stack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Kernels of the nodes start..stop, in node order: (n, d, d)."""
-        i, j = np.divmod(np.arange(self.n_nodes)[start:stop], len(self.phases))
+        nodes, n_r, n_psi = np.arange(self.n_nodes)[start:stop], len(self.radial), len(self.phases)
+        i, j = (nodes % n_r, nodes // n_r) if self.angle_first else np.divmod(nodes, n_psi)
         return _polar_kernels(self.radial, i, self.phases[j])
-
-
-def _polar_rule(d: int, r: np.ndarray, psi: np.ndarray, side: str) -> Polar:
-    """The ``Polar`` kernels of one side of HW(d) on the plane rule r (x) psi."""
-    _check_bytes("oscillator kernel pieces", len(r) * d * d * 8 + len(psi) * (2 * d - 1) * 16)
-    phases = np.exp(1j * np.outer(psi, np.arange(1 - d, d)))
-    return Polar(_radial(d, r, side), phases)
 
 
 def _phase_powers(alphas: np.ndarray, d: int) -> np.ndarray:
@@ -431,30 +429,27 @@ _PIECE_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKe
 MAX_STACK_BYTES = 1_500_000_000
 
 
-def _axis_factor_stack(N: int, M: int, k: int, nodes: np.ndarray, sign: float = 1.0) -> np.ndarray:
-    """Stack of exp(i sign J(k) x) over the axis nodes: (n, d, d)."""
+def _axis_factor_stack(N: int, M: int, k: int, nodes: np.ndarray) -> np.ndarray:
+    """Stack of exp(i J(k) x) over the axis nodes: (n, d, d)."""
     w, V = _gen_eig(N, M, k)
-    phases = np.exp(1j * sign * np.outer(nodes, w))
+    phases = np.exp(1j * np.outer(nodes, w))
     return (V[None, :, :] * phases[:, None, :]) @ V.conj().T
 
 
 @lru_cache(maxsize=None)
-def _factor_table(spec: KernelSpec) -> tuple[tuple[int, float, int], ...]:
-    """(generator k, sign, column) of each factor exp(i sign J(k) x_column), left to right.
+def _factor_table(spec: KernelSpec) -> tuple[tuple[int, int], ...]:
+    """(generator k, column) of each factor exp(i J(k) x_column), left to right.
 
     Pair j of the chart's colatitude blocks, block (p, q), is
     exp(i J(3) phi_j) exp(i J((p-1)^2 + 1) theta_j) on columns 2j and 2j + 1;
     on SU(N) the Cartan factors exp(i J((c+1)^2 - 1) Phi_c) follow.
     """
-    if spec.rotation == "arecchi":
-        # R(phi, theta) = e^{i J3 phi} e^{i J2 theta} e^{-i J3 phi}
-        return ((3, 1.0, 0), (2, 1.0, 1), (3, -1.0, 0))
     N, manifold = spec.system.N, _grid_manifold(spec)
     blocks = _colatitude_blocks(N, manifold)
     table = [f for j, (p, _) in enumerate(blocks)
-             for f in ((3, 1.0, 2 * j), ((p - 1) ** 2 + 1, 1.0, 2 * j + 1))]
+             for f in ((3, 2 * j), ((p - 1) ** 2 + 1, 2 * j + 1))]
     if manifold == "SUN":
-        table += [((c + 1) ** 2 - 1, 1.0, 2 * len(blocks) + c - 1) for c in range(1, N)]
+        table += [((c + 1) ** 2 - 1, 2 * len(blocks) + c - 1) for c in range(1, N)]
     return tuple(table)
 
 
@@ -494,16 +489,33 @@ def _chain(desc: SUN, table, values, index) -> np.ndarray:
     An empty table is the identity, as a stack of one.
     """
     U = None
-    for k, sign, col in table:
-        F = _axis_factor_stack(desc.N, desc.M, k, values[col], sign)[index[col]]
+    for k, col in table:
+        F = _axis_factor_stack(desc.N, desc.M, k, values[col])[index[col]]
         U = F if U is None else U @ F
     return np.eye(dimension(desc), dtype=np.complex128)[None] if U is None else U
 
 
 def _rotated_parity(desc: SUN, U: np.ndarray) -> np.ndarray:
-    """U Pi U^dagger for every rotation of a stack."""
-    par = np.diag(parity(desc))
+    """U Pi U^dagger for every rotation of a stack (real for a real stack)."""
+    par = np.diag(parity(desc)).real
     return (U * par[None, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
+
+
+def _sphere_radial(spec: KernelSpec, theta: np.ndarray) -> np.ndarray:
+    """Real S(theta) of SU(2) on CP^1 per colatitude, diagonal-major: (len(theta), d^2).
+
+    The kernel is e^{i J3 phi} S e^{-i J3 phi}, S = e^{i J2 theta} Pi e^{-i J2 theta}
+    on the Wigner side and e^{i J2 theta} for arecchi: real, as J2 is imaginary,
+    and J3 = diag(M, M - 2, .., -M), so K_mn = S_mn(theta) e^{-2i (m-n) phi}.
+    Formed in blocks of at most ``BLOCK_BYTES`` of complex rotations.
+    """
+    desc, d = spec.system, dimension(spec.system)
+    m, n, _, _ = _diagonals(d)
+    out = np.empty((len(theta), d * d))
+    for start, stop in _blocks(len(theta), 16 * d * d):
+        S = _axis_factor_stack(2, desc.M, 2, theta[start:stop]).real
+        out[start:stop] = (_rotated_parity(desc, S) if spec.side == WIGNER else S)[:, m, n]
+    return out
 
 
 def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
@@ -524,6 +536,9 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
         radii, ring = np.unique(np.abs(alphas), return_inverse=True)
         radial = _radial(desc.n_max, radii, spec.side)
         return _polar_kernels(radial, ring, _phase_powers(alphas, desc.n_max))
+    if desc.N == 2 and _grid_manifold(spec) == "CP":  # as ``_split``'s Polar pieces
+        phases = np.exp(1j * np.outer(-2.0 * values[0], np.arange(-desc.M, desc.M + 1)))
+        return _polar_kernels(_sphere_radial(spec, values[1]), index[1], phases[index[0]])
     U = _chain(desc, _factor_table(spec), values, index)
     return U if spec.side == WEYL else _rotated_parity(desc, U)
 
@@ -619,10 +634,9 @@ class Pieces:
     """The kernels of a single-system grid, split at one axis boundary.
 
     Node (l, r) in C order, with l indexing the leading axes and r the rest,
-    carries K = left[l] @ right[r]; with ``sandwich`` it carries
-    left[l] @ right[r] @ left[l]^dagger (the Wigner side of SU(N), where
-    right[r] = R Pi R^dagger, and the arecchi rotation, where left[l] =
-    e^{i J3 phi} and right[r] = e^{i J2 theta}).
+    carries K = left[l] @ right[r]; with ``sandwich``, set on the Wigner side
+    (of SU(N >= 3): SU(2)'s CP^1 kernels are ``Polar``), it carries
+    left[l] @ right[r] @ left[l]^dagger, where right[r] = R Pi R^dagger.
     """
 
     left: np.ndarray
@@ -650,28 +664,30 @@ def _split(spec: KernelSpec, nodes, polar: bool = False) -> Pieces | Polar | Win
     """The pieces of a single system's kernels on the tensor mesh of the per-axis ``nodes``.
 
     ``polar`` marks an oscillator plane rule, whose axes are (r, psi); other
-    oscillator meshes are (x, y) windows.
+    oscillator meshes are (x, y) windows.  SU(2) on CP^1, in (phi, theta), is
+    ``Polar`` too, with psi = -2 phi; every other SU(N) chart takes ``Pieces``.
     """
     desc, shape = spec.system, tuple(len(x) for x in nodes)
     d = dimension(desc)
-    if isinstance(desc, HW):
-        return (_polar_rule if polar else _window)(desc.n_max, *nodes, spec.side)
+    if isinstance(desc, HW) and not polar:
+        return _window(d, *nodes, spec.side)
+    if isinstance(desc, HW) or desc.N == 2 and _grid_manifold(spec) == "CP":
+        r, psi = nodes if polar else (nodes[1], -2.0 * nodes[0])
+        _check_bytes("kernel pieces", len(r) * d * d * 8 + len(psi) * (2 * d - 1) * 16)
+        radial = _radial(d, r, spec.side) if polar else _sphere_radial(spec, r)
+        return Polar(radial, np.exp(1j * np.outer(psi, np.arange(1 - d, d))), not polar)
     table = _factor_table(spec)
-    if spec.rotation == "arecchi":
-        # e^{i J3 phi} e^{i J2 theta} (e^{i J3 phi})^dagger: a sandwich split at phi
-        table, j = table[:2], 1
-    else:
-        # a boundary j splits the chain when every factor on columns < j comes first
-        splits = [j for j in range(len(shape) + 1)
-                  if [col >= j for _, _, col in table] == sorted(col >= j for _, _, col in table)]
-        j = min(splits, key=lambda j: math.prod(shape[:j]) + math.prod(shape[j:]))
+    # a boundary j splits the chain when every factor on columns < j comes first
+    splits = [j for j in range(len(shape) + 1)
+              if [col >= j for _, col in table] == sorted(col >= j for _, col in table)]
+    j = min(splits, key=lambda j: math.prod(shape[:j]) + math.prod(shape[j:]))
     _check_bytes("kernel pieces", (math.prod(shape[:j]) + math.prod(shape[j:])) * d * d * 16)
     index = _tensor_index(shape[:j]) + _tensor_index(shape[j:])
-    left = _chain(desc, [f for f in table if f[2] < j], nodes, index)
-    right = _chain(desc, [f for f in table if f[2] >= j], nodes, index)
+    left = _chain(desc, [f for f in table if f[1] < j], nodes, index)
+    right = _chain(desc, [f for f in table if f[1] >= j], nodes, index)
     if spec.side == WIGNER:
-        return Pieces(left, _rotated_parity(desc, right), True)
-    return Pieces(left, right, spec.rotation == "arecchi")
+        right = _rotated_parity(desc, right)
+    return Pieces(left, right, spec.side == WIGNER)
 
 
 def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Polar | Window, ...]:
@@ -679,7 +695,7 @@ def kernel_pieces(spec: KernelSpec, grid: QuadratureGrid) -> tuple[Pieces | Pola
 
     One entry per tensor factor (one for a single system): ``Pieces`` for
     SU(N), holding O((n_left + n_right) d^2) numbers; ``Polar`` for an
-    oscillator plane rule, holding O(n_r d^2 + n_psi d); and ``Window``
+    oscillator plane rule and SU(2) on CP^1, holding O(n_r d^2 + n_psi d); and ``Window``
     for a square oscillator window, holding O((n_x + n_y) d) numbers and the
     O(d^3) transfer table it shares with every window of the same (d, side).
     The kernel stack would hold O(n_nodes d^2).  The cache is keyed weakly by

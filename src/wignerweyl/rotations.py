@@ -25,7 +25,7 @@ def euler_factor_sequence(N: int) -> tuple[tuple[int, int], ...]:
     increase monotonically through the sequence.
     """
     thetas = _factor_table(KernelSpec(WEYL, SUN(N, 1)))[1:N * (N - 1):2]
-    return tuple((t, k) for t, (k, _, _) in enumerate(thetas, start=1))
+    return tuple((t, k) for t, (k, _) in enumerate(thetas, start=1))
 
 
 def euler_angle_count(N: int) -> tuple[int, int]:

@@ -31,11 +31,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return A
 
 
-def dump_matrix(A: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(A), fh)
-
-
 def load_matrix(path) -> np.ndarray:
     with open(path) as fh:
         return matrix_from_json(json.load(fh))

@@ -73,23 +73,6 @@ def partition_function(tspec: ThermalSpec, grid: QuadratureGrid) -> float:
     return _unshifted(tspec, E0, Zs) * Zs
 
 
-def partition_series(tspec: ThermalSpec, grid: QuadratureGrid, order: int = 2) -> float:
-    """High-temperature expansion of Z using symbol integrals of W_H.
-
-    Z ~ d - beta Int[W_H] + beta^2/2 Int[W_H^2]; order <= 2.
-    """
-    if not 0 <= order <= 2:
-        raise ValueError("series order must be 0, 1, or 2")
-    spec = KernelSpec(WIGNER, grid.system)
-    fH = phase_function(np.asarray(tspec.hamiltonian), spec, grid)
-    total = float(dimension(grid.system))
-    if order >= 1:
-        total -= tspec.beta * fH.integral().real
-    if order >= 2:
-        total += 0.5 * tspec.beta**2 * overlap(fH, fH).real
-    return total
-
-
 def thermal_mean(A: np.ndarray, tspec: ThermalSpec, grid: QuadratureGrid) -> float:
     """<A> in the thermal state, via the symbol-overlap (traciality) form.
 
@@ -135,8 +118,8 @@ def weyl_moments(rho: np.ndarray, desc: SystemDescriptor, multi_index: tuple[int
     -1j for SU(N) angles, and for HW -1 on the "alpha" axis (the Wirtinger
     derivative with respect to alpha-bar) and +1 on "alpha_star".  The
     derivatives are taken exactly from the kernel's factors.  On SU(N) each
-    Euler column x carries one factor exp(i s J(k) x), so the moment is
-    Tr[rho X] with X the ordered product of (s J(k))^m; the SU(N) Phi_1
+    Euler column x carries one factor exp(i J(k) x), so the moment is
+    Tr[rho X] with X the ordered product of J(k)^m; the SU(N) Phi_1
     moment of order m is <J(3)^m>.  On HW the derivatives of D(alpha) at 0
     are symmetric-ordered words in a_dagger and -a (Cahill & Glauber 1969),
     so index (p, q) yields <S(a^p a_dagger^q)>.
@@ -149,8 +132,8 @@ def weyl_moments(rho: np.ndarray, desc: SystemDescriptor, multi_index: tuple[int
     rho = np.asarray(rho, dtype=np.complex128)
     if isinstance(desc, SUN):
         X = np.eye(dimension(desc), dtype=np.complex128)
-        for k, sign, col in _factor_table(KernelSpec(WEYL, desc)):
-            X = X @ np.linalg.matrix_power(sign * generator(desc.N, desc.M, k), multi_index[col])
+        for k, col in _factor_table(KernelSpec(WEYL, desc)):
+            X = X @ np.linalg.matrix_power(generator(desc.N, desc.M, k), multi_index[col])
         return complex(np.trace(rho @ X))
     # every word with p factors of a and q of a_dagger, in a block padded so
     # that the words' restriction to the truncated block is exact

@@ -8,13 +8,13 @@ exact for the relevant representation frequencies, forward-then-back is
 exact to rounding.  Both contract through the pieces of
 ``kernels.kernel_pieces``, factor by factor on product grids, and never
 build a grid's kernel stack.  They are batch-first, (B, d, d) <-> (B, n_nodes),
-and each GEMM writes node order, so no node-sized array is transposed.  An
-SU(N) piece has two routes, picked by a multiply-add count from the shapes:
+and each GEMM writes node order (one transposed copy on SU(2)'s CP^1 chart).
+An SU(N) piece has two routes, picked by a multiply-add count from the shapes:
 its factored form for few operators, and its kernels formed in bounded node
 blocks, one GEMM per block, for large batches (as is a composite's first
-factor when it is the second stage).  An oscillator piece otherwise contracts
-through its own factors, axis by axis: a plane rule's radial matrices and
-phases, and a square window's Hermite-function tables, Hx P Hy^T.
+factor when it is the second stage).  A ``Polar`` piece (a plane rule, or
+CP^1) contracts through its radial matrices and phases, and a square window
+through its Hermite-function tables, Hx P Hy^T, axis by axis.
 
 ``symbols_at`` contracts a coordinate table of two or more rows that is a
 tensor mesh through the same pieces, built from its per-axis nodes (an
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import measures
 from .algebra import (
     HW, SUN, Composite, SystemDescriptor, dimension, format_system, is_hermitian,
 )
@@ -207,16 +208,17 @@ def _radial_coefficients(radial: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _polar_forward(p: Polar, A: np.ndarray) -> np.ndarray:
-    # sum_k c_k(r) e^{i k psi}: per radius a GEMM (B, 2d - 1) @ (2d - 1, n_psi) into node order
+    # sum_k c_k(r) e^{i k psi}: per radius a GEMM (B, 2d - 1) @ (2d - 1, n_psi), r-major
     c = _radial_coefficients(p.radial, A)
     out = np.empty((len(A), len(c), len(p.phases)), dtype=np.complex128)
     np.matmul(c.transpose(0, 2, 1), p.phases.T, out=out.transpose(1, 0, 2))
-    return out.reshape(len(A), -1)
+    return (out.transpose(0, 2, 1) if p.angle_first else out).reshape(len(A), -1)
 
 
 def _polar_sum(p: Polar, C: np.ndarray) -> np.ndarray:
-    # g_k(r) = sum_psi C e^{i k psi} per radius (C read in node order), S = sum_r R(r) g(r)
+    # g_k(r) = sum_psi C e^{i k psi} per radius (C read r-major), S = sum_r R(r) g(r)
     B, d = len(C), p.dim
+    C = C.reshape(B, len(p.phases), -1).transpose(0, 2, 1).copy() if p.angle_first else C
     g = np.matmul(p.phases.T, C.reshape(B, len(p.radial), -1).transpose(1, 2, 0))
     S = np.empty((d * d, 2 * B))
     _radial_products(p.radial, g.view(np.float64), S, transpose=True)
@@ -469,9 +471,10 @@ def evolve(
     final step (with 0, only there).  ``trace_drift`` and ``purity_drift`` are
     measured on the symbols.  A non-finite ``dt``, ``t_final`` or
     ``t_final / dt``, a negative ``n_frames``, and a Hamiltonian whose
-    reconstruction is not Hermitian raise ValueError before any transform; a
-    grid whose round trip misses f_rho or f_H by more than 1e-6, relative
-    to max(1, max|f|), raises RuntimeError naming the grid before any frame.
+    reconstruction is not Hermitian raise ValueError, and frames over
+    ``measures.MAX_NODES`` values OverflowError, before any transform; a grid
+    whose round trip misses f_rho or f_H by more than 1e-6, relative to
+    max(1, max|f|), raises RuntimeError naming the grid before any frame.
     """
     _require_same_frame(f_rho, f_H)
     if not (0 < dt < math.inf and 0 <= t_final < math.inf and t_final / dt < math.inf):
@@ -482,6 +485,12 @@ def evolve(
     if n_frames < 0:
         raise ValueError(f"the frame count must be >= 0, got {n_frames}")
     spec, grid = f_rho.spec, f_rho.grid
+    n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))  # t_final / dt, to rounding, if whole
+    frame_every = max(1, n_steps // n_frames) if n_frames else n_steps + 1
+    held = 2 + (n_steps - 1) // frame_every  # v0 and the stored steps, one at n_steps
+    if held * grid.n_nodes > measures.MAX_NODES:
+        raise OverflowError(f"evolve would hold {held} frames of {grid.n_nodes} nodes (limit "
+                            f"{measures.MAX_NODES} values); lower --frames or raise --dt")
     R, H = _reconstructed(spec, grid, np.stack([f_rho.values, f_H.values]))
     if not is_hermitian(H):
         raise ValueError("the Hamiltonian must be Hermitian: reconstruct(f_H) is not")
@@ -495,9 +504,7 @@ def evolve(
                 "refine it (--grid-res/--radius)"
             )
 
-    n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))  # t_final / dt, to rounding, if whole
     dt = t_final / max(n_steps, 1)
-    frame_every = max(1, n_steps // n_frames) if n_frames else n_steps + 1
     steps = [*range(frame_every, n_steps, frame_every), n_steps] if n_steps else []
     times = [0.0, *(t_final if s == n_steps else s * dt for s in steps)]
 

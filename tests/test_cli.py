@@ -16,7 +16,7 @@ import pytest
 
 from wignerweyl import build_state, parse_state, parse_system
 from wignerweyl.cli import COMMANDS, RunConfig, main
-from wignerweyl.serialize import dump_matrix
+from wignerweyl.serialize import matrix_to_json
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -62,7 +62,8 @@ def test_kernel_rejects_a_non_finite_point(capsys):
 
 def test_evolve_rejects_a_non_hermitian_hamiltonian_file(tmp_path, capsys):
     h = tmp_path / "h.json"
-    dump_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), h)
+    with open(h, "w") as fh:
+        json.dump(matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])), fh)
     err = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "random:3",
                       "--hamiltonian", str(h), "--t-final", "0.1", "--dt", "0.01")
     assert "not a Hermitian matrix" in err["error"]
@@ -83,7 +84,8 @@ def test_evolve_rejects_a_non_hermitian_hamiltonian_file(tmp_path, capsys):
 def test_non_finite_inputs_exit_2_naming_the_flag(argv, message, tmp_path, capsys):
     """{nan} stands for a matrix file with a NaN entry."""
     nan = tmp_path / "nan.json"
-    dump_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]), nan)
+    with open(nan, "w") as fh:
+        json.dump(matrix_to_json(np.array([[np.nan, 0.0], [0.0, 1.0]])), fh)
     err = run_cli_err(capsys, *(a.format(nan=nan) for a in argv))
     assert err["error"] == message.format(nan=nan)
 
@@ -119,7 +121,8 @@ def test_input_guards_exit_2_naming_the_input(argv, message, tmp_path, capsys):
     files = {name: tmp_path / f"{name}.json" for name in ("list", "kernel", "h4")}
     files["list"].write_text("[1, 2]")
     files["kernel"].write_text(json.dumps({"command": "kernel", "system": "hw:4"}))
-    dump_matrix(np.diag([0.0, 1.0, 2.0, 3.0]), files["h4"])
+    with open(files["h4"], "w") as fh:
+        json.dump(matrix_to_json(np.diag([0.0, 1.0, 2.0, 3.0])), fh)
     err = run_cli_err(capsys, *(a.format(**files) for a in argv))
     assert message in err["error"]
 
@@ -209,7 +212,8 @@ def test_partition_and_mean_print_residuals(capsys):
 
 def test_mean_rejects_a_non_hermitian_observable(tmp_path, capsys):
     path = tmp_path / "iI.json"
-    dump_matrix(1j * np.eye(2), path)
+    with open(path, "w") as fh:
+        json.dump(matrix_to_json(1j * np.eye(2)), fh)
     err = run_cli_err(
         capsys, "mean", "--system", "su:2:1",
         "--beta", "0.7", "--field", "0,0,1", "--observable", f"file:{path}",
@@ -313,6 +317,14 @@ def test_evolve_rejects_a_negative_frame_count(capsys):
     err = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
                       "--field", "0,0,1", "--t-final", "0.1", "--dt", "0.01", "--frames", "-3")
     assert "frame count" in err["error"] and err["context"]["type"] == "ValueError"
+
+
+def test_evolve_refuses_a_billion_frames(capsys):
+    err = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
+                      "--field", "0,0,1", "--t-final", "1e7", "--dt", "0.01",
+                      "--frames", "1000000000")
+    assert "--frames" in err["error"] and "--dt" in err["error"]
+    assert err["context"]["type"] == "OverflowError"
 
 
 def test_evolve_reports_drifts(capsys):
@@ -597,8 +609,10 @@ def _flag(opt):
 def run_in(tmp_path, monkeypatch, capsys):
     """Run argv in a fresh directory; return exit code, stdout, stderr and files written."""
     h2, h4 = tmp_path / "h2.json", tmp_path / "h4.json"
-    dump_matrix(np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.5]]), h2)
-    dump_matrix(np.diag(np.arange(4.0)) + 0.1 * np.eye(4, k=1) + 0.1 * np.eye(4, k=-1), h4)
+    for path, A in ((h2, [[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.5]]),
+                    (h4, np.diag(np.arange(4.0)) + 0.1 * np.eye(4, k=1) + 0.1 * np.eye(4, k=-1))):
+        with open(path, "w") as fh:
+            json.dump(matrix_to_json(A), fh)
 
     def run(workdir, argv):
         argv = [a.format(goldens=GOLDENS, h2=h2, h4=h4) for a in argv]

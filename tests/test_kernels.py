@@ -498,7 +498,7 @@ def test_kernel_pieces_built_once_per_grid_and_read_only(spec, make_grid, monkey
     arrays = [a for a in vars(p1[0]).values() if isinstance(a, np.ndarray)]
     if spec.system == HW(6):  # hx, hy and the shared transfer table's arrays
         arrays += [a for a in vars(p1[0].transfer).values() if isinstance(a, np.ndarray)]
-    want = 6 if spec.system == HW(6) else 2  # hx, hy + 4 transfer arrays | left, right
+    want = 6 if spec.system == HW(6) else 2  # hx, hy + 4 transfer arrays | 2 pieces
     assert len(arrays) == want and not any(a.flags.writeable for a in arrays)
     kernel_pieces(spec, default_grid(spec.system, spec.side))  # another grid, its own pieces
     assert len(built) == 2
@@ -1013,11 +1013,21 @@ def test_symbols_at_on_a_mesh_holds_no_row_stack(spec, rows, peak):
     assert peak(lambda: symbols_at(A, spec, rows)) < stack / 4
 
 
-def test_arecchi_pieces_split_at_phi():
-    """The arecchi family splits as e^{i J3 phi} e^{i J2 theta} (e^{i J3 phi})^dagger."""
-    desc = SUN(2, 3)
-    spec, grid = KernelSpec("weyl", desc, "arecchi"), cp_grid(desc)
-    (p,) = kernel_pieces(spec, grid)
-    assert p.sandwich and (len(p.left), len(p.right)) == grid.shape
-    K = oracles.kernel_stack(spec, grid)
-    assert np.max(np.abs(p.stack() - K)) < 1e-13
+@pytest.mark.parametrize("side, rotation", [("wigner", "euler"), ("weyl", "arecchi")],
+                         ids=["wigner", "arecchi"])
+def test_sphere_kernels_are_polar_pieces(side, rotation):
+    """SU(2) on CP^1 takes Polar pieces in the chart's (phi, theta) node order, on default,
+    --grid-res and shifted grids: K_mn = S_mn(theta) e^{-2i (m-n) phi}."""
+    from wignerweyl.statmech import _shifted_grid
+
+    for M in (1, 2, 7, 20):
+        desc = SUN(2, M)
+        spec = KernelSpec(side, desc, rotation)
+        for grid in (cp_grid(desc), cp_grid(desc, M + 4),
+                     _shifted_grid(cp_grid(desc), [0.37, 0.21])):
+            (p,) = kernel_pieces(spec, grid)
+            assert isinstance(p, kernels_module.Polar) and p.angle_first
+            assert (len(p.phases), len(p.radial)) == grid.shape
+            K = oracles.kernel_stack(spec, grid)
+            assert np.max(np.abs(p.stack() - K)) < 1e-13, (M, grid.shape)
+            assert np.max(np.abs(p.stack(5, 23) - K[5:23])) < 1e-13, (M, grid.shape)

@@ -30,7 +30,6 @@ from wignerweyl import (
     hw_grid,
     partition_function,
     partition_oracle,
-    partition_series,
     phase_cross_correlation,
     phase_function,
     product_grid,
@@ -125,22 +124,6 @@ def test_partition_matches_eigen_oracle(desc):
             partition_oracle(t), abs=1e-8
         )
     assert partition_function(ThermalSpec(H, 0.0), grid) == pytest.approx(d, abs=1e-8)
-
-
-def test_partition_series_order_and_convergence():
-    # H with nonzero Tr[H^3] so the order-2 truncation error is beta^3
-    H = SZ + 0.4 * np.eye(2)
-    grid = cp_grid(SUN(2, 1))
-
-    def err(beta, order):
-        t = ThermalSpec(H, beta)
-        return abs(partition_series(t, grid, order) - partition_oracle(t))
-
-    assert err(0.05, 2) < err(0.05, 1) < err(0.05, 0)
-    ratio = err(0.2, 2) / err(0.1, 2)
-    assert 6.5 < ratio < 9.5  # cubic scaling, softened by the beta^4 term
-    with pytest.raises(ValueError):
-        partition_series(ThermalSpec(H, 0.1), grid, order=3)
 
 
 def test_thermal_mean_self_energy_vs_log_derivative():

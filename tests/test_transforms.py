@@ -466,6 +466,17 @@ def test_evolve_rejects_a_negative_frame_count(monkeypatch):
         evolve(f, f, 0.1, 0.01, n_frames=-3)
 
 
+def test_evolve_refuses_frames_past_the_node_limit_before_any_work():
+    """--frames 1e9 at t_final / dt = 1e9 is counted, not listed, and refused before any piece."""
+    desc = SUN(2, 1)
+    spec, grid = KernelSpec("wigner", desc), cp_grid(desc)
+    f = PhaseFunction(spec, grid, np.zeros(grid.n_nodes))
+    with pytest.raises(OverflowError, match="--frames or raise --dt") as err:
+        evolve(f, f, 1e7, 1e-2, n_frames=10**9)
+    assert f"{10**9 + 1} frames of {grid.n_nodes} nodes" in str(err.value)
+    assert grid not in kernels_module._PIECE_CACHE
+
+
 def test_evolve_rejects_a_non_hermitian_hamiltonian(monkeypatch):
     desc = SUN(2, 1)
     spec = KernelSpec("wigner", desc)
@@ -845,9 +856,9 @@ def test_window_pieces_match_kernel_stack(system, side, shifted):
 
 
 @pytest.mark.parametrize("spec, make_grid", [
-    (KernelSpec("wigner", SUN(2, 2)), lambda: cp_grid(SUN(2, 2))),
+    (KernelSpec("wigner", SUN(3, 1)), lambda: cp_grid(SUN(3, 1))),
     (KernelSpec("weyl", SUN(2, 2)), lambda: sun_grid(SUN(2, 2))),
-], ids=["su22-wigner", "su22-weyl"])
+], ids=["su31-wigner", "su22-weyl"])
 @pytest.mark.parametrize("B", [1, 200])
 def test_split_piece_routes_match_kernel_stack(spec, make_grid, B):
     grid = make_grid()
@@ -857,10 +868,11 @@ def test_split_piece_routes_match_kernel_stack(spec, make_grid, B):
 
 
 @pytest.mark.parametrize("system, side, split", [
-    ("su:3:1", "weyl", (27, 12)), ("su:2:3", "weyl", (5, 10)), ("su:2:3", "wigner", (7, 4)),
+    ("su:3:1", "weyl", (27, 12)), ("su:2:3", "weyl", (5, 10)), ("su:3:1", "wigner", (6, 6)),
 ])
 def test_split_piece_routes_at_evolve_batch_sizes(system, side, split):
-    """Uneven splits at evolve's batch sizes and on both sides of the dense rule."""
+    """Splits, uneven ones among them, at evolve's batch sizes and on both sides of the dense
+    rule."""
     desc = parse_system(system)
     spec, grid = KernelSpec(side, desc), default_grid(desc, side)
     (p,) = kernels_module.kernel_pieces(spec, grid)
@@ -1037,6 +1049,21 @@ def test_plane_rule_contractions_hold_one_node_sized_intermediate(system, side, 
         C = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
         assert peak(lambda: transforms_module._forward(pieces, A)) <= 3 * B * n * 16
         assert peak(lambda: transforms_module._kernel_sum(pieces, C)) <= 2.5 * C.nbytes
+
+
+def test_su2_200_wigner_round_trip_on_its_default_grid(peak):
+    """80,601 nodes through the Polar pieces: 65 MB of radial matrices, where the two split
+    stacks took 0.39 GB; building them peaks a few blocks above their own size."""
+    desc = SUN(2, 200)
+    spec, grid = KernelSpec("wigner", desc), default_grid(desc, "wigner")
+    A = _hermitian(201, 9)
+    back = reconstruct(phase_function(A, spec, grid))
+    assert np.max(np.abs(back - A)) <= 1e-12 * np.max(np.abs(A))
+    (p,) = kernels_module.kernel_pieces(spec, grid)
+    held = p.radial.nbytes + p.phases.nbytes
+    assert held < 70_000_000
+    nodes = [ax.nodes for ax in grid.axes]
+    assert peak(lambda: kernels_module._split(spec, nodes)) <= held + 3 * kernels_module.BLOCK_BYTES
 
 
 def test_node_guard_fires_before_any_piece_is_built(monkeypatch):
