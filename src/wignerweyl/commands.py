@@ -375,6 +375,7 @@ def crosscorr(cfg, inp: Inputs) -> dict:
 
 
 def evolve(cfg, inp: Inputs) -> dict:
+    transforms._evolve_steps(cfg.t_final, cfg.dt, cfg.frames, inp.grid.n_nodes)  # refuse first
     spec, grid, rho, H = inp.spec, inp.grid, inp.rho, inp.hamiltonian
     f_rho = phase_function(rho, spec, grid)
     f_H = phase_function(H, spec, grid)
@@ -488,6 +489,11 @@ def _preset_hw_cat(cfg, inp: Inputs) -> dict:
     return result
 
 
+def _sphere_spec(side: str, desc: SUN) -> KernelSpec:
+    """su:2:M kernels on a (phi, theta) mesh; the Weyl slice Phi = -phi is the arecchi family."""
+    return KernelSpec(side, desc) if side == "wigner" else KernelSpec("weyl", desc, "arecchi")
+
+
 def _preset_spin_cat(cfg, inp: Inputs) -> dict:
     desc = inp.desc if cfg.system else SUN(2, 80)
     if not isinstance(desc, SUN) or desc.N != 2:
@@ -497,9 +503,7 @@ def _preset_spin_cat(cfg, inp: Inputs) -> dict:
     rho = build_state(SpinCat(orientations), desc)
 
     phi, theta = _sphere_mesh(cfg.grid_res)
-    # the Weyl slice Phi = -phi is exactly the two-angle rotation family
-    spec = KernelSpec(side, desc) if side == "wigner" else KernelSpec("weyl", desc, "arecchi")
-    vals = symbols_at(rho, spec, np.stack([phi, theta], axis=1))
+    vals = symbols_at(rho, _sphere_spec(side, desc), np.stack([phi, theta], axis=1))
 
     result = {
         "preset": "spin-cat",
@@ -516,17 +520,17 @@ def _preset_spin_cat(cfg, inp: Inputs) -> dict:
 
 def _preset_ghz5(cfg, inp: Inputs, flavor: str) -> dict:
     side = inp.side
-    if flavor == "dicke":
-        desc, n_factors = SUN(2, 5), 1
-    else:
-        desc, n_factors = Composite(tuple(SUN(2, 1) for _ in range(5))), 5
-    rho = build_state(parse_state("ghz", desc), desc)
-    spec = KernelSpec(side, desc)
-
     phi, theta = _sphere_mesh(cfg.grid_res)
-    # every factor sits at the same (phi, theta); the Weyl slice is Phi = -phi
-    row = [phi, theta] if side == "wigner" else [phi, theta, -phi]
-    vals = symbols_at(rho, spec, np.stack(row * n_factors, axis=1))
+    if flavor == "dicke":
+        desc = SUN(2, 5)
+        spec, rows = _sphere_spec(side, desc), [phi, theta]
+    else:
+        desc = Composite(tuple(SUN(2, 1) for _ in range(5)))
+        # every factor sits at the same (phi, theta); the Weyl slice is Phi = -phi
+        spec = KernelSpec(side, desc)
+        rows = ([phi, theta] if side == "wigner" else [phi, theta, -phi]) * 5
+    rho = build_state(parse_state("ghz", desc), desc)
+    vals = symbols_at(rho, spec, np.stack(rows, axis=1))
 
     result = {
         "preset": f"ghz5-{flavor}",

@@ -10,8 +10,9 @@ Every single system's kernel at a row of coordinates in the grid column
 layout is evaluated by one evaluator, ``_kernels``.  An SU(N) kernel is a
 chain of per-axis factors exp(i J(k) x), each evaluated once per distinct
 coordinate value and gathered onto the rows; HW kernels, and SU(2)'s on CP^1,
-are a real radial matrix, evaluated once per distinct |alpha| or colatitude,
-times per-point phases (``_phase_powers``).  A composite kernel is the
+are a real radial matrix (``_polar_radial``), evaluated once per distinct
+|alpha| or colatitude, times per-point phases (``_phases``), the builders
+``_split``'s ``Polar`` pieces take too.  A composite kernel is the
 Kronecker product of its factors' kernels.  The columns are the chart of the
 spec's manifold (``_grid_manifold``; see ``measures``): ``_factor_table``
 reads its pairs and generators, ``_columns`` its names, and
@@ -163,21 +164,21 @@ def _blocks(n: int, row_bytes: int):
 
 
 @lru_cache(maxsize=None)
-def _diagonals(d: int) -> tuple[np.ndarray, ...]:
+def _diagonals(d: int) -> tuple:
     """Diagonal-major order of the entries of a d x d matrix.
 
     Returns the row m and column n of each entry, diagonal k = m - n running
-    from -(d-1) to d-1 (diagonal k fills ``bounds[k + d - 1]:bounds[k + d]``),
-    and the permutation that puts diagonal-major entries back in C order.
+    from -(d-1) to d-1 (diagonal k fills the slice ``spans[k + d - 1]``), and
+    the permutation that puts diagonal-major entries back in C order.
     """
     ks = np.arange(1 - d, d)
     m = np.concatenate([np.arange(max(k, 0), d + min(k, 0)) for k in ks])
     n = m - np.repeat(ks, d - np.abs(ks))
-    bounds = np.concatenate([[0], np.cumsum(d - np.abs(ks))])
-    out = (m, n, bounds, np.argsort(m * d + n))
-    for a in out:
+    to_c = np.argsort(m * d + n)
+    for a in (m, n, to_c):
         a.flags.writeable = False
-    return out
+    ends = np.cumsum(d - np.abs(ks)).tolist()
+    return m, n, tuple(map(slice, [0, *ends], ends)), to_c
 
 
 @lru_cache(maxsize=None)
@@ -280,16 +281,16 @@ class Polar:
         i, j = (nodes % n_r, nodes // n_r) if self.angle_first else np.divmod(nodes, n_psi)
         return _polar_kernels(self.radial, i, self.phases[j])
 
+    def by_radius(self, values: np.ndarray) -> np.ndarray:
+        """Rows of node values, (B, n_nodes), as a (B, n_r, n_psi) view in either node order."""
+        if self.angle_first:
+            return values.reshape(len(values), len(self.phases), -1).transpose(0, 2, 1)
+        return values.reshape(len(values), len(self.radial), -1)
 
-def _phase_powers(alphas: np.ndarray, d: int) -> np.ndarray:
-    """e^{i k arg alpha}, k = -(d-1) .. d-1, as powers of alpha / |alpha|: (len(alphas), 2d - 1)."""
-    ra = np.abs(alphas)
-    z = np.where(ra > 0, alphas / np.where(ra > 0, ra, 1.0), 1.0)
-    phases = np.empty((len(alphas), 2 * d - 1), dtype=np.complex128)
-    phases[:, d - 1] = 1.0
-    phases[:, d:] = np.cumprod(np.broadcast_to(z[:, None], (len(alphas), d - 1)), axis=1)
-    phases[:, : d - 1] = np.conj(phases[:, : d - 1: -1])  # negative k by conjugation
-    return phases
+
+def _phases(psi: np.ndarray, d: int) -> np.ndarray:
+    """e^{i k psi}, k = -(d-1) .. d-1, at every angle: (len(psi), 2d - 1)."""
+    return np.exp(1j * np.outer(psi, np.arange(1 - d, d)))
 
 
 # On a square window the same elements are separable instead.  As a function
@@ -438,7 +439,7 @@ def _axis_factor_stack(N: int, M: int, k: int, nodes: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _factor_table(spec: KernelSpec) -> tuple[tuple[int, int], ...]:
-    """(generator k, column) of each factor exp(i J(k) x_column), left to right.
+    """(generator k, column) of each factor exp(i J(k) x_column), left to right in column order.
 
     Pair j of the chart's colatitude blocks, block (p, q), is
     exp(i J(3) phi_j) exp(i J((p-1)^2 + 1) theta_j) on columns 2j and 2j + 1;
@@ -518,6 +519,17 @@ def _sphere_radial(spec: KernelSpec, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_polar(spec: KernelSpec) -> bool:
+    """Whether a single system's kernels take the polar form: HW, and SU(2) on CP^1."""
+    return isinstance(spec.system, HW) or spec.system.N == 2 and _grid_manifold(spec) == "CP"
+
+
+def _polar_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """The radial matrices of a polar family at radii r (colatitudes on CP^1): (len(r), d^2)."""
+    desc = spec.system
+    return _radial(desc.n_max, r, spec.side) if isinstance(desc, HW) else _sphere_radial(spec, r)
+
+
 def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
     """A single system's kernels at n rows of coordinates in the grid column layout: (n, d, d).
 
@@ -531,14 +543,14 @@ def _kernels(spec: KernelSpec, values, index) -> np.ndarray:
     """
     desc = spec.system
     _check_width(spec, len(values))
-    if isinstance(desc, HW):
-        alphas = values[0][index[0]] + 1j * values[1][index[1]]
-        radii, ring = np.unique(np.abs(alphas), return_inverse=True)
-        radial = _radial(desc.n_max, radii, spec.side)
-        return _polar_kernels(radial, ring, _phase_powers(alphas, desc.n_max))
-    if desc.N == 2 and _grid_manifold(spec) == "CP":  # as ``_split``'s Polar pieces
-        phases = np.exp(1j * np.outer(-2.0 * values[0], np.arange(-desc.M, desc.M + 1)))
-        return _polar_kernels(_sphere_radial(spec, values[1]), index[1], phases[index[0]])
+    if _is_polar(spec):  # as ``_split``'s Polar pieces, radius r[ring[i]] and angle psi[i]
+        if isinstance(desc, HW):
+            alphas = values[0][index[0]] + 1j * values[1][index[1]]
+            r, ring = np.unique(np.abs(alphas), return_inverse=True)
+            psi = np.angle(alphas)
+        else:  # (phi, theta): the colatitude is the radius, psi = -2 phi
+            r, ring, psi = values[1], index[1], -2.0 * values[0][index[0]]
+        return _polar_kernels(_polar_radial(spec, r), ring, _phases(psi, dimension(desc)))
     U = _chain(desc, _factor_table(spec), values, index)
     return U if spec.side == WEYL else _rotated_parity(desc, U)
 
@@ -671,16 +683,12 @@ def _split(spec: KernelSpec, nodes, polar: bool = False) -> Pieces | Polar | Win
     d = dimension(desc)
     if isinstance(desc, HW) and not polar:
         return _window(d, *nodes, spec.side)
-    if isinstance(desc, HW) or desc.N == 2 and _grid_manifold(spec) == "CP":
+    if _is_polar(spec):
         r, psi = nodes if polar else (nodes[1], -2.0 * nodes[0])
         _check_bytes("kernel pieces", len(r) * d * d * 8 + len(psi) * (2 * d - 1) * 16)
-        radial = _radial(d, r, spec.side) if polar else _sphere_radial(spec, r)
-        return Polar(radial, np.exp(1j * np.outer(psi, np.arange(1 - d, d))), not polar)
-    table = _factor_table(spec)
-    # a boundary j splits the chain when every factor on columns < j comes first
-    splits = [j for j in range(len(shape) + 1)
-              if [col >= j for _, col in table] == sorted(col >= j for _, col in table)]
-    j = min(splits, key=lambda j: math.prod(shape[:j]) + math.prod(shape[j:]))
+        return Polar(_polar_radial(spec, r), _phases(psi, d), not polar)
+    table = _factor_table(spec)  # in column order, so every axis boundary splits the chain
+    j = min(range(len(shape) + 1), key=lambda j: math.prod(shape[:j]) + math.prod(shape[j:]))
     _check_bytes("kernel pieces", (math.prod(shape[:j]) + math.prod(shape[j:])) * d * d * 16)
     index = _tensor_index(shape[:j]) + _tensor_index(shape[j:])
     left = _chain(desc, [f for f in table if f[1] < j], nodes, index)

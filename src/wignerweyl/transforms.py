@@ -8,7 +8,7 @@ exact for the relevant representation frequencies, forward-then-back is
 exact to rounding.  Both contract through the pieces of
 ``kernels.kernel_pieces``, factor by factor on product grids, and never
 build a grid's kernel stack.  They are batch-first, (B, d, d) <-> (B, n_nodes),
-and each GEMM writes node order (one transposed copy on SU(2)'s CP^1 chart).
+and each GEMM writes or reads node order, in either orientation of the axes.
 An SU(N) piece has two routes, picked by a multiply-add count from the shapes:
 its factored form for few operators, and its kernels formed in bounded node
 blocks, one GEMM per block, for large batches (as is a composite's first
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -182,47 +182,33 @@ def _pieces_sum(p: Pieces, C: np.ndarray) -> np.ndarray:
     return np.swapaxes(L, 0, 1).reshape(d, -1) @ Q.reshape(B, -1, d)
 
 
-def _radial_products(radial: np.ndarray, X: np.ndarray, Y: np.ndarray, transpose: bool) -> None:
-    """One real GEMM per diagonal k: Y[:, k] = radial_k @ X_k, or Y_k = radial_k^T @ X[:, k].
-
-    X and Y are complex, held as real pairs (last axis 2B): the diagonal-major
-    operator entries (d^2, 2B) and the per-radius coefficients (n_r, 2d - 1, 2B).
-    """
-    _, _, bounds, _ = _diagonals(math.isqrt(radial.shape[1]))
-    for k in range(len(bounds) - 1):
-        s = slice(bounds[k], bounds[k + 1])
-        if transpose:
-            np.matmul(radial[:, s].T, X[:, k], out=Y[s])
-        else:
-            np.matmul(radial[:, s], X[s], out=Y[:, k])
-
-
-def _radial_coefficients(radial: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """c_k(r) = sum_{m - n = k} R_mn(r) A_nm for every radius and operator: (n_r, 2d - 1, B)."""
-    B, d = len(A), A.shape[-1]
-    m, n, _, _ = _diagonals(d)
-    a = np.ascontiguousarray(A[:, n, m].T)  # A_nm at the diagonal-major entry (m, n)
-    c = np.empty((len(radial), 2 * d - 1, 2 * B))
-    _radial_products(radial, a.view(np.float64), c, transpose=False)
-    return c.view(np.complex128)
-
-
 def _polar_forward(p: Polar, A: np.ndarray) -> np.ndarray:
-    # sum_k c_k(r) e^{i k psi}: per radius a GEMM (B, 2d - 1) @ (2d - 1, n_psi), r-major
-    c = _radial_coefficients(p.radial, A)
-    out = np.empty((len(A), len(c), len(p.phases)), dtype=np.complex128)
-    np.matmul(c.transpose(0, 2, 1), p.phases.T, out=out.transpose(1, 0, 2))
-    return (out.transpose(0, 2, 1) if p.angle_first else out).reshape(len(A), -1)
+    # c_k(r) = sum_{m - n = k} R_mn(r) A_nm, one real GEMM per diagonal k with the
+    # operators as real pairs (last axis 2B); then sum_k c_k(r) e^{i k psi}, one GEMM
+    # per operator, c_b @ phases^T, that writes node order (phases @ c_b^T on CP^1)
+    B, d = len(A), p.dim
+    m, n, spans, _ = _diagonals(d)
+    a = np.ascontiguousarray(A[:, n, m].T).view(np.float64)  # A_nm at diagonal-major (m, n)
+    c = np.empty((len(p.radial), 2 * d - 1, 2 * B))
+    for k, s in enumerate(spans):
+        np.matmul(p.radial[:, s], a[s], out=c[:, k])
+    del a  # not alive beside the output
+    out = np.empty((B, p.n_nodes), dtype=np.complex128)
+    np.matmul(c.view(np.complex128).transpose(2, 0, 1), p.phases.T, out=p.by_radius(out))
+    return out
 
 
 def _polar_sum(p: Polar, C: np.ndarray) -> np.ndarray:
-    # g_k(r) = sum_psi C e^{i k psi} per radius (C read r-major), S = sum_r R(r) g(r)
+    # g_k(r) = sum_psi C e^{i k psi}: one GEMM per operator that reads node order and
+    # writes g's (n_r, 2d - 1, B) layout; then S = sum_r R(r) g(r), the adjoint of the
+    # forward's real GEMMs per diagonal
     B, d = len(C), p.dim
-    C = C.reshape(B, len(p.phases), -1).transpose(0, 2, 1).copy() if p.angle_first else C
-    g = np.matmul(p.phases.T, C.reshape(B, len(p.radial), -1).transpose(1, 2, 0))
+    _, _, spans, to_c = _diagonals(d)
+    g = np.empty((len(p.radial), 2 * d - 1, B), dtype=np.complex128)
+    np.matmul(p.by_radius(C), p.phases, out=g.transpose(2, 0, 1))
     S = np.empty((d * d, 2 * B))
-    _radial_products(p.radial, g.view(np.float64), S, transpose=True)
-    _, _, _, to_c = _diagonals(d)
+    for k, s in enumerate(spans):
+        np.matmul(p.radial[:, s].T, g.view(np.float64)[:, k], out=S[s])
     return S.view(np.complex128)[to_c].T.reshape(B, d, d)
 
 
@@ -451,6 +437,28 @@ class EvolveResult:
     purity_drift: float
 
 
+def _evolve_steps(t_final: float, dt: float, n_frames: int, n_nodes: int) -> tuple[int, int]:
+    """(n_steps, frame_every) of an ``evolve`` run on n_nodes, checked before any transform.
+
+    A non-finite dt, t_final or t_final / dt and a negative n_frames raise
+    ValueError, and frames over ``measures.MAX_NODES`` values OverflowError.
+    """
+    if not (0 < dt < math.inf and 0 <= t_final < math.inf and t_final / dt < math.inf):
+        raise ValueError(
+            f"need a finite dt > 0 and t_final >= 0 with a finite t_final / dt, "
+            f"got dt={dt}, t_final={t_final}"
+        )
+    if n_frames < 0:
+        raise ValueError(f"the frame count must be >= 0, got {n_frames}")
+    n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))  # t_final / dt, to rounding, if whole
+    frame_every = max(1, n_steps // n_frames) if n_frames else n_steps + 1
+    held = 2 + (n_steps - 1) // frame_every  # v0 and the stored steps, one at n_steps
+    if held * n_nodes > measures.MAX_NODES:
+        raise OverflowError(f"evolve would hold {held} frames of {n_nodes} nodes (limit "
+                            f"{measures.MAX_NODES} values); lower --frames or raise --dt")
+    return n_steps, frame_every
+
+
 def evolve(
     f_rho: PhaseFunction,
     f_H: PhaseFunction,
@@ -469,28 +477,15 @@ def evolve(
     steps no longer than ``dt`` end on ``t_final``, and besides the initial
     frame a frame is stored every n_steps // ``n_frames`` steps and at the
     final step (with 0, only there).  ``trace_drift`` and ``purity_drift`` are
-    measured on the symbols.  A non-finite ``dt``, ``t_final`` or
-    ``t_final / dt``, a negative ``n_frames``, and a Hamiltonian whose
-    reconstruction is not Hermitian raise ValueError, and frames over
-    ``measures.MAX_NODES`` values OverflowError, before any transform; a grid
-    whose round trip misses f_rho or f_H by more than 1e-6, relative to
-    max(1, max|f|), raises RuntimeError naming the grid before any frame.
+    measured on the symbols.  The guards of ``_evolve_steps`` and a
+    Hamiltonian whose reconstruction is not Hermitian (ValueError) fire
+    before any transform; a grid whose round trip misses f_rho or f_H by more
+    than 1e-6, relative to max(1, max|f|), raises RuntimeError naming the grid
+    before any frame.
     """
     _require_same_frame(f_rho, f_H)
-    if not (0 < dt < math.inf and 0 <= t_final < math.inf and t_final / dt < math.inf):
-        raise ValueError(
-            f"need a finite dt > 0 and t_final >= 0 with a finite t_final / dt, "
-            f"got dt={dt}, t_final={t_final}"
-        )
-    if n_frames < 0:
-        raise ValueError(f"the frame count must be >= 0, got {n_frames}")
     spec, grid = f_rho.spec, f_rho.grid
-    n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))  # t_final / dt, to rounding, if whole
-    frame_every = max(1, n_steps // n_frames) if n_frames else n_steps + 1
-    held = 2 + (n_steps - 1) // frame_every  # v0 and the stored steps, one at n_steps
-    if held * grid.n_nodes > measures.MAX_NODES:
-        raise OverflowError(f"evolve would hold {held} frames of {grid.n_nodes} nodes (limit "
-                            f"{measures.MAX_NODES} values); lower --frames or raise --dt")
+    n_steps, frame_every = _evolve_steps(t_final, dt, n_frames, grid.n_nodes)
     R, H = _reconstructed(spec, grid, np.stack([f_rho.values, f_H.values]))
     if not is_hermitian(H):
         raise ValueError("the Hamiltonian must be Hermitian: reconstruct(f_H) is not")
@@ -550,31 +545,19 @@ class VerifyReport:
     side: str
     rotation: str
     conditions: list[ConditionReport] = field(default_factory=list)
-    skipped: list[tuple[str, str]] = field(default_factory=list)  # (condition, reason)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.conditions)
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "system": format_system(self.system),
             "side": self.side,
             "rotation": self.rotation,
             "passed": self.passed,
-            "conditions": [
-                {
-                    "name": c.name,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.conditions
-            ],
+            "conditions": [{**asdict(c), "passed": c.passed} for c in self.conditions],
         }
-        if self.skipped:
-            out["skipped"] = [{"name": n, "reason": r} for n, r in self.skipped]
-        return out
 
 
 def default_grid(desc: SystemDescriptor, side: str, resolution: int | None = None,
@@ -660,8 +643,8 @@ def verify_stratonovich(
     """Residuals for the Stratonovich-Weyl conditions of a kernel family.
 
     Wigner side: linear invertibility, reality, kernel normalization,
-    standardization, traciality, and covariance (HW and every SUN(N, M);
-    skipped, with the reason, on composites).  Weyl side: the completeness
+    standardization, traciality, and covariance (HW and every SUN(N, M), and
+    on a composite every factor's).  Weyl side: the completeness
     round trip and the symbol at the origin against the trace.  Two seeded
     Hermitian probes take one forward transform together, and their symbols
     with the unit symbol (which reconstructs to sum w K) one reconstruction;
@@ -704,18 +687,20 @@ def verify_stratonovich(
         ConditionReport("standardization", np.max(np.abs(values @ w - traces)), tol),
         ConditionReport("traciality",
                         abs(_pairing(side, w, *values) - np.trace(probes[0] @ probes[1])), tol),
+        ConditionReport("covariance", _covariance_residual(spec, rng), 1e-10),
     ]
-    if isinstance(desc, Composite):
-        report.skipped.append(("covariance", f"no covariance probe for {format_system(desc)}: "
-                                             "it covers hw:n and su:N:M"))
-    else:
-        report.conditions.append(
-            ConditionReport("covariance", _covariance_residual(desc, spec, rng), 1e-10))
     return report
 
 
-def _covariance_residual(desc: HW | SUN, spec: KernelSpec, rng) -> float:
-    """max |V K(Omega) V^dagger - K(Omega')| over random rotations."""
+def _covariance_residual(spec: KernelSpec, rng) -> float:
+    """max |V K(Omega) V^dagger - K(Omega')| over random rotations.
+
+    V1 (x) V2 acts factor by factor, (V1 (x) V2)(K1 (x) K2)(V1 (x) V2)^dagger =
+    (V1 K1 V1^dagger) (x) (V2 K2 V2^dagger): a composite's is its factors' largest.
+    """
+    desc = spec.system
+    if isinstance(desc, Composite):
+        return max(_covariance_residual(sub, rng) for sub in _factor_specs(spec))
     if isinstance(desc, HW):
         # Kernel-level covariance cannot hold entrywise near the Fock cutoff
         # (the group action leaks out of the truncated block), so the check

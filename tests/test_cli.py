@@ -319,12 +319,20 @@ def test_evolve_rejects_a_negative_frame_count(capsys):
     assert "frame count" in err["error"] and err["context"]["type"] == "ValueError"
 
 
-def test_evolve_refuses_a_billion_frames(capsys):
+def test_evolve_refuses_a_billion_frames(capsys, monkeypatch):
+    """The frame guard fires before the handler transforms the state or the Hamiltonian."""
+    import wignerweyl.commands as commands_module
+
+    calls = []
+    real = commands_module.phase_function
+    monkeypatch.setattr(commands_module, "phase_function",
+                        lambda *a: calls.append(a) or real(*a))
     err = run_cli_err(capsys, "evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
                       "--field", "0,0,1", "--t-final", "1e7", "--dt", "0.01",
                       "--frames", "1000000000")
     assert "--frames" in err["error"] and "--dt" in err["error"]
     assert err["context"]["type"] == "OverflowError"
+    assert calls == []
 
 
 def test_evolve_reports_drifts(capsys):

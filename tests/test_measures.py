@@ -425,7 +425,6 @@ def test_default_wigner_grid_builds_for_larger_systems(N, M):
         return
     report = verify_stratonovich(SUN(N, M), "wigner", grid=grid)
     assert report.passed, report.as_dict()
-    assert not report.skipped
     assert {c.name: c.residual for c in report.conditions}["covariance"] < 1e-10
 
 

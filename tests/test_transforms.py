@@ -381,19 +381,29 @@ def test_evolve_transform_count_does_not_grow_with_the_steps(monkeypatch):
     assert counts[0].count("_kernel_sum") == 1
 
 
-def test_verify_reports_skipped_covariance():
-    desc = Composite((SUN(2, 1), SUN(2, 1)))
-    report = verify_stratonovich(desc, "wigner")
-    assert report.passed
-    assert "covariance" not in [c.name for c in report.conditions]
-    assert [name for name, _ in report.skipped] == ["covariance"]
-    assert report.as_dict()["skipped"] == [
-        {"name": "covariance", "reason": report.skipped[0][1]}
-    ]
-    assert "su:2:1*su:2:1" in report.skipped[0][1]
-    assert "hw:n and su:N:M" in report.skipped[0][1]
-    # nothing skipped: no "skipped" key, so existing outputs keep their shape
-    assert "skipped" not in verify_stratonovich(SUN(2, 1), "wigner").as_dict()
+@pytest.mark.parametrize("system", ["su:2:1*su:2:1", "su:2:1*hw:3"])
+def test_verify_checks_composite_covariance_per_factor(system):
+    """(V1 (x) V2)(K1 (x) K2)(V1 (x) V2)^dagger is (V1 K1 V1^dagger) (x) (V2 K2 V2^dagger), so
+    a composite's Wigner report lists covariance, from its factors' probes, and passes."""
+    report = verify_stratonovich(parse_system(system), "wigner")
+    assert report.passed, report.as_dict()
+    cov = {c.name: c for c in report.conditions}["covariance"]
+    assert cov.residual < 1e-12 and cov.tolerance == 1e-10
+    assert set(report.as_dict()) == {"system", "side", "rotation", "passed", "conditions"}
+
+
+def test_verify_composite_covariance_fails_on_a_broken_factor_kernel(monkeypatch):
+    """A non-covariant term added to the su:2:1 factor's kernel fails the composite's check."""
+    real = transforms_module.kernel_at
+
+    def broken(spec, point):
+        K = real(spec, point)
+        return K + 1e-6 * np.diag(np.arange(len(K)) == 0) if spec.system == SUN(2, 1) else K
+
+    monkeypatch.setattr(transforms_module, "kernel_at", broken)
+    report = verify_stratonovich(parse_system("su:2:1*hw:3"), "wigner")
+    failed = [c.name for c in report.conditions if not c.passed]
+    assert failed == ["covariance"] and not report.passed
 
 
 @pytest.mark.parametrize("system, side", [("su:2:1", "wigner"), ("su:2:2", "weyl"),
@@ -539,7 +549,7 @@ def test_verify_hw_covariance_holds_below_the_cutoff(n_max):
 @pytest.mark.parametrize("desc", [SUN(3, 2), SUN(3, 3)])
 def test_verify_su3_wigner_checks_every_condition(desc):
     report = verify_stratonovich(desc, "wigner")
-    assert report.passed and not report.skipped
+    assert report.passed
     assert all(c.tolerance == 1e-10 for c in report.conditions)
     cov = {c.name: c.residual for c in report.conditions}["covariance"]
     assert cov < 1e-13
@@ -551,7 +561,7 @@ def test_verify_covariance_on_every_sun(system):
     """The CP chart read back from the rotated fundamental column holds for every N."""
     desc = parse_system(system)
     report = verify_stratonovich(desc, "wigner")
-    assert report.passed and not report.skipped
+    assert report.passed
     cov = {c.name: c.residual for c in report.conditions}["covariance"]
     assert cov < 1e-13
 
@@ -973,8 +983,8 @@ def test_symbols_at_oscillator_rows_match_the_closed_form(n_max, monkeypatch):
                            rng.uniform(-3.0, 3.0, (40, 2))])
     alphas = rows[:, 0] + 1j * rows[:, 1]
     monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 7 * 16 * (1 + n_max * n_max))
-    calls = {"_radial": [], "_phase_powers": []}
-    for name, at in (("_radial", 1), ("_phase_powers", 0)):  # the position of the points
+    calls = {"_radial": [], "_phases": []}
+    for name, at in (("_radial", 1), ("_phases", 0)):  # the position of the points
         fn, seen = getattr(kernels_module, name), calls[name]
         monkeypatch.setattr(kernels_module, name,
                             lambda *a, fn=fn, seen=seen, at=at: seen.append(a[at]) or fn(*a))
@@ -984,8 +994,8 @@ def test_symbols_at_oscillator_rows_match_the_closed_form(n_max, monkeypatch):
             seen.clear()
         K = oracles.hw_kernels(n_max, alphas, side)
         got = symbols_at(A, KernelSpec(side, HW(n_max)), rows)
-        assert all(len(a) <= 7 for a in calls["_phase_powers"])
-        assert np.array_equal(np.sort(np.concatenate(calls["_phase_powers"])), np.sort(alphas))
+        assert all(len(a) <= 7 for a in calls["_phases"])
+        assert np.array_equal(np.sort(np.concatenate(calls["_phases"])), np.sort(np.angle(alphas)))
         assert len(calls["_radial"]) > 1
         assert all(len(np.unique(r)) == len(r) for r in calls["_radial"])
         assert np.array_equal(np.unique(np.concatenate(calls["_radial"])),
@@ -1033,22 +1043,28 @@ def test_plane_rule_routes_match_kernel_stack(n_max, side):
     assert np.max(np.abs(p.stack(5, 23) - K[5:23])) < 1e-13
 
 
-@pytest.mark.parametrize("system, side", [("hw:20", "wigner"), ("hw:40", "wigner"),
-                                          ("hw:40", "weyl")])
-def test_plane_rule_contractions_hold_one_node_sized_intermediate(system, side, peak):
-    """A plane rule's forward map allocates its output and one (B, n_r, 2d - 1) coefficient
-    array, and its kernel sum the (B, n_r, 2d - 1) angle sums: no node-sized copy through a
-    permutation."""
-    desc = parse_system(system)
-    grid = default_grid(desc, side)
-    pieces = kernels_module.kernel_pieces(KernelSpec(side, desc), grid)
-    d, n = dimension(desc), grid.n_nodes
+@pytest.mark.parametrize("system, side, rotation, forward, total", [
+    ("hw:20", "wigner", "euler", 3, 2.5), ("hw:40", "wigner", "euler", 3, 2.5),
+    ("hw:40", "weyl", "euler", 3, 2.5),
+    ("su:2:40", "wigner", "euler", 2.25, 2.25), ("su:2:100", "wigner", "euler", 2.25, 2.25),
+    ("su:2:40", "weyl", "arecchi", 2.25, 2.25), ("su:2:100", "weyl", "arecchi", 2.25, 2.25),
+], ids=["hw:20-wigner", "hw:40-wigner", "hw:40-weyl", "su:2:40-wigner", "su:2:100-wigner",
+        "su:2:40-arecchi", "su:2:100-arecchi"])
+def test_plane_rule_contractions_hold_one_node_sized_intermediate(system, side, rotation,
+                                                                  forward, total, peak):
+    """A polar forward map allocates its output and one (n_r, 2d - 1, B) coefficient array,
+    and its kernel sum the (n_r, 2d - 1, B) angle sums: no node-sized copy through a
+    permutation, on a plane rule (r-major) and on CP^1 (phi-major) alike."""
+    spec = KernelSpec(side, parse_system(system), rotation)
+    grid = transforms_module._family_grid(spec)
+    pieces = kernels_module.kernel_pieces(spec, grid)
+    d, n = dimension(spec.system), grid.n_nodes
     rng = np.random.default_rng(0)
     for B in (1, 3):
         A = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
         C = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
-        assert peak(lambda: transforms_module._forward(pieces, A)) <= 3 * B * n * 16
-        assert peak(lambda: transforms_module._kernel_sum(pieces, C)) <= 2.5 * C.nbytes
+        assert peak(lambda: transforms_module._forward(pieces, A)) <= forward * B * n * 16
+        assert peak(lambda: transforms_module._kernel_sum(pieces, C)) <= total * C.nbytes
 
 
 def test_su2_200_wigner_round_trip_on_its_default_grid(peak):
