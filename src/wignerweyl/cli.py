@@ -65,7 +65,7 @@ class RunConfig:
     orders: str | None = _option("per-axis derivative orders, e.g. 0,0,2")
     t_final: float | None = _option("final time", type=float)
     dt: float = _option("frame spacing: frames land on multiples of it", 1e-3, type=float)
-    frames: int = _option("number of stored frames", 10, type=int)
+    frames: int = _option("stored frames after the initial one (0: final one only)", 10, type=int)
     preset: str | None = _option("data set", choices=PRESETS)
     infile: str | None = _option("CSV produced by wigner/weyl")
     out: str | None = None  # a flag of every command; its help comes from Command.out

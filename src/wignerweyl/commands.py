@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import transforms  # its evolve and reconstruct share names with handlers here
+from . import measures, transforms  # transforms' evolve and reconstruct share names here
 from .algebra import (
     HW, SUN, Composite, build_generators, diagonal_generator, dimension, generator, is_hermitian,
     parse_system, trace_norm_constant,
@@ -322,12 +322,19 @@ def moments(cfg, inp: Inputs) -> dict:
     }
 
 
+def _check_rows(n: int, flag: str) -> None:
+    """Refuse a table of n rows over ``measures.MAX_NODES`` before it is allocated."""
+    if n > measures.MAX_NODES:
+        raise OverflowError(f"{flag} asks for {n} rows (limit {measures.MAX_NODES}); lower it")
+
+
 def autocorr(cfg, inp: Inputs) -> dict:
     desc, rho = inp.desc, inp.rho
     parts = cfg.samples.split(":")
     if len(parts) != 3:
         raise ValueError("--samples grammar is lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    _check_rows(count, "--samples")
     s = np.linspace(lo, hi, count)
     vals = autocorrelation(rho, desc, cfg.axis, s)
     r0 = autocorrelation(rho, desc, cfg.axis, np.array([0.0]))[0]
@@ -375,7 +382,7 @@ def crosscorr(cfg, inp: Inputs) -> dict:
 
 
 def evolve(cfg, inp: Inputs) -> dict:
-    transforms._evolve_steps(cfg.t_final, cfg.dt, cfg.frames, inp.grid.n_nodes)  # refuse first
+    transforms._frame_times(cfg.t_final, cfg.dt, cfg.frames, inp.grid.n_nodes)  # refuse first
     spec, grid, rho, H = inp.spec, inp.grid, inp.rho, inp.hamiltonian
     f_rho = phase_function(rho, spec, grid)
     f_H = phase_function(H, spec, grid)
@@ -421,6 +428,7 @@ def _sphere_mesh(res: int | None):
     """
     n_theta = 61 if res is None else res
     n_phi = 2 * n_theta - 1
+    _check_rows(n_theta * n_phi, "figure-data --grid-res")
     theta = np.linspace(0.0, 0.5 * math.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
     P, T = np.meshgrid(phi, theta, indexing="ij")
@@ -464,6 +472,7 @@ def _preset_hw_cat(cfg, inp: Inputs) -> dict:
     res = 161 if cfg.grid_res is None else cfg.grid_res
     if res % 2 == 0:
         res += 1  # keep the alpha = 0 row on the mesh
+    _check_rows(res * res, "figure-data --grid-res")
     line = np.linspace(-R, R, res)
     xs, ys = (m.reshape(-1) for m in np.meshgrid(line, line, indexing="ij"))
     vals = symbols_at(rho, spec, np.stack([xs, ys], axis=1))

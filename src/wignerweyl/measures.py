@@ -67,8 +67,10 @@ representation dimension.  The oscillator plane has two grids for the
 measure d^2alpha / pi: ``plane_grid``, the default, exact by construction
 ("pairs"; its measure is the whole plane, so ``raw_volume`` is infinite), and
 ``hw_grid``, a Gauss-Legendre square of given radius and resolution
-("window"), exact only up to the tails the window cuts off.  The 1-D rule
-tables (Legendre, Jacobi, Laguerre) are built once per process and cached.
+("window"), exact only up to the tails the window cuts off.  One routine,
+``_golub_welsch``, builds every 1-D Gauss rule (Legendre, Jacobi, Laguerre)
+from its family's three-term recurrence, in extended precision where the
+platform has it; each table is built once per process and cached.
 """
 
 from __future__ import annotations
@@ -201,12 +203,52 @@ def _factor_columns(parts) -> tuple[str, ...]:
 # one-dimensional rules
 
 
+def _golub_welsch(diag, off, mass, start=np.ones_like) -> tuple[np.ndarray, np.ndarray]:
+    """The len(diag)-point Gauss rule of off[k] p_(k+1) = (x - diag[k]) p_k - off[k-1] p_(k-1).
+
+    p_0 = start(x) / sqrt(mass), for the measure's total mass.  The nodes are
+    the Jacobi matrix's eigenvalues (Golub & Welsch, Math. Comp. 23 (1969)
+    221) after two Newton steps on p_n; the weights are 1 / sum_(k<n) p_k^2,
+    which a start(x) != 1 divides by start(x)^2 and the Newton steps do not
+    see.  In extended precision where the platform has it: in doubles the
+    recurrence loses about n ulps, 1e-14 at the smallest Laguerre nodes.
+    """
+    n = len(diag)
+    x = np.linalg.eigvalsh(np.diag(np.float64(diag)) + np.diag(np.float64(off[:-1]), -1))
+    x = x.astype(np.longdouble)
+
+    def recurrence(x):  # p_n, p_n' and sum_(k<n) p_k^2 at every x
+        p0, p, d0, d, total = 0.0, start(x) / np.sqrt(mass), 0.0, 0.0, 0.0
+        for j in range(n):
+            total, back = total + p * p, (off[j - 1] if j else 0.0)
+            p0, p, d0, d = (p, ((x - diag[j]) * p - back * p0) / off[j],
+                            d, (p + (x - diag[j]) * d - back * d0) / off[j])
+        return p, d, total
+
+    for _ in range(2):
+        p, d, _ = recurrence(x)
+        x = x - p / d
+    return x, 1.0 / recurrence(x)[2]
+
+
+def _jacobi_rule(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss nodes s in [0, 1] and weights for (1 - s)^a s^b ds / 2, from P^(a, b)(2s - 1)."""
+    k = np.arange(n + 1, dtype=np.longdouble)
+    c = 2.0 * k + a + b  # at a = b = 0, c = 0 at k = 0, where b^2 - a^2 = 0 too
+    diag = 0.5 + 0.5 * np.divide(b * b - a * a, c * (c + 2.0), out=np.zeros_like(c), where=c > 0)
+    k, c = k[1:], c[1:]
+    off = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (c * c * (c + 1.0) * (c - 1.0)))
+    mu = np.longdouble(math.factorial(a) * math.factorial(b)) / (2 * math.factorial(a + b + 1))
+    return _golub_welsch(diag[:n], off, mu)
+
+
 @lru_cache(maxsize=None)
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1] (cached, read-only)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] from Jacobi(0, 0) (cached, read-only)."""
+    s, w = _jacobi_rule(n, 0, 0)
+    # x = 2s - 1 and dx = 4 (ds / 2), each averaged with its mirror image
+    x, w = (s - s[::-1]).astype(np.float64), (2.0 * (w + w[::-1])).astype(np.float64)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -228,35 +270,12 @@ def _gauss_jacobi(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """n Gauss-Jacobi colatitudes t in [0, pi/2] and weights for cos^(2a+1) t sin^(2b+1) t dt.
 
     With s = sin^2 t that measure is (1 - s)^a s^b ds / 2, so the rule is exact
-    on every polynomial in s of degree < 2n.  The nodes s are the eigenvalues
-    of the Jacobi matrix of P^(a, b)(2s - 1) (Golub & Welsch, Math. Comp. 23
-    (1969) 221), polished by two Newton steps on the orthonormal recurrence
-    p_k; the weights are the Christoffel numbers 1 / sum_(k<n) p_k(s)^2.  Both
-    steps run in extended precision where the platform has it.  Returns
-    t = arcsin sqrt(s) (cached, read-only).
+    on every polynomial in s of degree < 2n.  Returns t = arcsin sqrt(s)
+    (cached, read-only).
     """
-    k = np.arange(n + 1, dtype=np.longdouble)
-    c = 2.0 * k + a + b  # at a = b = 0, c = 0 at k = 0, where b^2 - a^2 = 0 too
-    diag = 0.5 + 0.5 * np.divide(b * b - a * a, c * (c + 2.0), out=np.zeros_like(c), where=c > 0)
-    k, c = k[1:], c[1:]
-    off = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (c * c * (c + 1.0) * (c - 1.0)))
-    mu = np.longdouble(math.factorial(a) * math.factorial(b)) / (2 * math.factorial(a + b + 1))
-    s = np.linalg.eigvalsh((np.diag(diag[:n]) + np.diag(off[:-1], -1)).astype(np.float64))
-    s = s.astype(np.longdouble)
-
-    def recurrence(s):  # p_n, p_n' and sum_(k<n) p_k^2 at every s
-        p0, p, d0, d, total = 0.0, np.full_like(s, 1.0 / np.sqrt(mu)), 0.0, 0.0, 0.0
-        for j in range(n):
-            total, back = total + p * p, (off[j - 1] if j else 0.0)
-            p0, p, d0, d = (p, ((s - diag[j]) * p - back * p0) / off[j],
-                            d, (p + (s - diag[j]) * d - back * d0) / off[j])
-        return p, d, total
-
-    for _ in range(2):
-        p, d, _ = recurrence(s)
-        s = s - p / d
+    s, w = _jacobi_rule(n, a, b)
     t = np.arctan2(np.sqrt(s), np.sqrt(1.0 - s)).astype(np.float64)
-    w = (1.0 / recurrence(s)[2]).astype(np.float64)
+    w = w.astype(np.float64)
     t.flags.writeable = w.flags.writeable = False
     return t, w
 
@@ -445,60 +464,30 @@ def hw_grid(desc: HW, radius: float, resolution: int) -> QuadratureGrid:
     return QuadratureGrid(desc, "HW_PLANE", tuple(axes), 1.0 / math.pi, raw, "window")
 
 
-def _laguerre_functions(n: int, x: np.ndarray) -> np.ndarray:
-    """e^(-x/2) L_j(x) for j = 0 .. n, one row each (bounded by 1 for x >= 0), in x's dtype."""
-    out = np.empty((n + 1, len(x)), dtype=x.dtype)
-    out[0] = np.exp(-0.5 * x)
-    out[1] = (1.0 - x) * out[0]
-    for k in range(1, n):
-        out[k + 1] = ((2 * k + 1 - x) * out[k] - k * out[k - 1]) / (k + 1)
-    return out
-
-
-def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Laguerre nodes x and plain weights W.
-
-    sum W f(x) = int_0^inf f(u) du exactly when f is e^(-u) times a polynomial
-    of degree < 2n.  The nodes are the eigenvalues of the Jacobi matrix
-    (Golub & Welsch, Math. Comp. 23 (1969) 221), polished by two Newton steps
-    on the three-term recurrence.  With L_n' = n (L_n - L_(n-1)) / x, the
-    weight W = e^x / (x L_n'(x)^2) is x / (n (p - q))^2 in the Laguerre
-    functions p, q = e^(-x/2) L_n, e^(-x/2) L_(n-1), which do not overflow.
-    Both steps run in extended precision where the platform has it: in
-    doubles the recurrence loses about n ulps near the smallest nodes, which
-    carry the largest weights, and leaves the rule about 1e-14 off there;
-    with 80-bit long doubles the nodes and weights come out correctly rounded.
-    """
-    off = -np.arange(1.0, n)
-    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(off, 1) + np.diag(off, -1))
-    x = x.astype(np.longdouble)
-    for _ in range(2):
-        q, p = _laguerre_functions(n, x)[-2:]
-        x = x - p * x / (n * (p - q))
-    q, p = _laguerre_functions(n, x)[-2:]
-    return x.astype(np.float64), (x / (n * (p - q)) ** 2).astype(np.float64)
-
-
 @lru_cache(maxsize=None)
 def _plane_radii(d: int, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre nodes u and plain weights of the plane rule (cached, read-only).
+    """Gauss-Laguerre nodes u and plain weights W of the plane rule (cached, read-only).
 
-    The Weyl side takes d radii, exact on products of two kernel elements.
+    n radii give sum W f(u) = int_0^inf f(u) du exactly when f is e^(-u)
+    times a polynomial of degree < 2n; the recurrence starts at e^(-u/2), so
+    its Laguerre functions stay below 1 and the weights come out plain.  The
+    Weyl side takes d radii, exact on products of two kernel elements.
     On the Wigner side a single kernel element averages over the angles to
     e^(-u/2) L_j(u), j < d, whose integral 2 (-1)^j no Laguerre rule gets
     exactly; its miss falls 4 to 9 times per added radius.  The Wigner
     side takes ceil(d + 3.7 d^0.4 + 11.3) radii: for every d up to the
     u < 1400 limit (d = 310), no fewer than the least count whose miss is
     below 1e-14 d / 4 (found once in 40-digit arithmetic up to d = 43, and
-    with this rule beyond).  A count fixed in advance keeps the grid free of
-    the platform's rounding, which a search against the tolerance is not.
+    with this rule beyond); a count fixed in advance, unlike a search against
+    the tolerance, keeps the grid free of the platform's rounding.
     """
     n = math.ceil(d + 3.7 * d**0.4 + 11.3) if side == "wigner" else d
-    u, W = _gauss_laguerre(n)
+    k = np.arange(n, dtype=np.longdouble)
+    u, W = _golub_welsch(2.0 * k + 1.0, -(k + 1.0), 1.0, lambda u: np.exp(-0.5 * u))
     if not np.all(u < 1400.0):  # about 360 radii; e^(-u/2) leaves the normal doubles at 1417
         raise OverflowError(f"the plane rule for n_max = {d} needs radii beyond u = 1400")
-    u.flags.writeable = False
-    W.flags.writeable = False
+    u, W = u.astype(np.float64), W.astype(np.float64)
+    u.flags.writeable = W.flags.writeable = False
     return u, W
 
 

@@ -437,11 +437,14 @@ class EvolveResult:
     purity_drift: float
 
 
-def _evolve_steps(t_final: float, dt: float, n_frames: int, n_nodes: int) -> tuple[int, int]:
-    """(n_steps, frame_every) of an ``evolve`` run on n_nodes, checked before any transform.
+def _frame_times(t_final: float, dt: float, n_frames: int, n_nodes: int) -> list[float]:
+    """Times of the frames ``evolve`` stores after the initial one, checked before any transform.
 
-    A non-finite dt, t_final or t_final / dt and a negative n_frames raise
-    ValueError, and frames over ``measures.MAX_NODES`` values OverflowError.
+    The fewest equal steps no longer than dt end on t_final; with k =
+    min(n_frames or 1, n_steps), steps ceil(i n_steps / k), i = 1 .. k, are
+    stored.  A non-finite dt, t_final or t_final / dt and a negative n_frames
+    raise ValueError, and frames of n_nodes over ``measures.MAX_NODES`` values
+    OverflowError.
     """
     if not (0 < dt < math.inf and 0 <= t_final < math.inf and t_final / dt < math.inf):
         raise ValueError(
@@ -451,12 +454,12 @@ def _evolve_steps(t_final: float, dt: float, n_frames: int, n_nodes: int) -> tup
     if n_frames < 0:
         raise ValueError(f"the frame count must be >= 0, got {n_frames}")
     n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))  # t_final / dt, to rounding, if whole
-    frame_every = max(1, n_steps // n_frames) if n_frames else n_steps + 1
-    held = 2 + (n_steps - 1) // frame_every  # v0 and the stored steps, one at n_steps
-    if held * n_nodes > measures.MAX_NODES:
-        raise OverflowError(f"evolve would hold {held} frames of {n_nodes} nodes (limit "
+    k = min(n_frames or 1, n_steps)
+    if (1 + k) * n_nodes > measures.MAX_NODES:  # v0 and the stored frames
+        raise OverflowError(f"evolve would hold {1 + k} frames of {n_nodes} nodes (limit "
                             f"{measures.MAX_NODES} values); lower --frames or raise --dt")
-    return n_steps, frame_every
+    step = t_final / max(n_steps, 1)
+    return [t_final if i == k else -(-i * n_steps // k) * step for i in range(1, k + 1)]
 
 
 def evolve(
@@ -475,17 +478,17 @@ def evolve(
     state are transformed back, so neither the grid work nor the operator work
     grows with t_final / dt.  ``dt`` is the frame lattice: the fewest equal
     steps no longer than ``dt`` end on ``t_final``, and besides the initial
-    frame a frame is stored every n_steps // ``n_frames`` steps and at the
-    final step (with 0, only there).  ``trace_drift`` and ``purity_drift`` are
-    measured on the symbols.  The guards of ``_evolve_steps`` and a
-    Hamiltonian whose reconstruction is not Hermitian (ValueError) fire
-    before any transform; a grid whose round trip misses f_rho or f_H by more
-    than 1e-6, relative to max(1, max|f|), raises RuntimeError naming the grid
-    before any frame.
+    frame ``n_frames`` frames are stored, evenly spaced over the steps, the
+    last at ``t_final`` (every step if there are fewer; with 0, only the
+    final one).  ``trace_drift`` and ``purity_drift`` are measured on the
+    symbols.  The guards of ``_frame_times`` and a Hamiltonian whose
+    reconstruction is not Hermitian (ValueError) fire before any transform; a
+    grid whose round trip misses f_rho or f_H by more than 1e-6, relative to
+    max(1, max|f|), raises RuntimeError naming the grid before any frame.
     """
     _require_same_frame(f_rho, f_H)
     spec, grid = f_rho.spec, f_rho.grid
-    n_steps, frame_every = _evolve_steps(t_final, dt, n_frames, grid.n_nodes)
+    times = [0.0, *_frame_times(t_final, dt, n_frames, grid.n_nodes)]
     R, H = _reconstructed(spec, grid, np.stack([f_rho.values, f_H.values]))
     if not is_hermitian(H):
         raise ValueError("the Hamiltonian must be Hermitian: reconstruct(f_H) is not")
@@ -499,14 +502,10 @@ def evolve(
                 "refine it (--grid-res/--radius)"
             )
 
-    dt = t_final / max(n_steps, 1)
-    steps = [*range(frame_every, n_steps, frame_every), n_steps] if n_steps else []
-    times = [0.0, *(t_final if s == n_steps else s * dt for s in steps)]
-
     E, V = np.linalg.eigh(H)
     t = np.asarray(times[1:])[:, None, None]
     stored = V @ ((V.conj().T @ R @ V) * np.exp(-1j * t * (E[:, None] - E))) @ V.conj().T
-    frames = [v0, *(_forward(pieces, stored) if steps else [])]
+    frames = [v0, *(_forward(pieces, stored) if len(times) > 1 else [])]
     v = frames[-1]
 
     w = grid.weights()
@@ -575,7 +574,8 @@ def default_grid(desc: SystemDescriptor, side: str, resolution: int | None = Non
     angles hold the least odd count above half the chart's degree, since
     every frequency they keep is even or at most half of it.  There a
     ``resolution`` is the colatitudes' node count, and every angle takes the
-    least odd count at or above both it and its default.
+    least odd count at or above both it and its default.  Identical factors
+    of a composite share one factor grid, and so its cached kernel pieces.
     """
     if isinstance(desc, HW):
         if resolution is None:
@@ -589,7 +589,8 @@ def default_grid(desc: SystemDescriptor, side: str, resolution: int | None = Non
         if side == WIGNER:
             return cp_grid(desc, resolution)
         return sun_grid(desc, resolution)
-    return product_grid(tuple(default_grid(f, side, resolution, radius) for f in desc.factors))
+    grids = {f: default_grid(f, side, resolution, radius) for f in dict.fromkeys(desc.factors)}
+    return product_grid(tuple(grids[f] for f in desc.factors))
 
 
 def _family_grid(spec: KernelSpec, resolution: int | None = None,

@@ -10,6 +10,8 @@ none of its code:
 - oscillator kernels are the Laguerre closed form, with scipy's Laguerre
   polynomials and log-gamma, and the window's Hermite transfer table is
   summed in integers from the modes' leading homogeneous parts;
+- the Laguerre functions e^(-x/2) L_j(x) come from their three-term
+  recurrence (``laguerre_functions``);
 - composite kernels are ``np.kron`` products of the factor kernels;
 - a grid's kernel stack is these kernels node by node, and a product grid's
   the ``np.kron`` product of its factors' stacks (``kernel_stack``);
@@ -90,6 +92,16 @@ def hw_kernels(n_max: int, alphas, side: str) -> np.ndarray:
     if side == "wigner":
         K = K * 2.0 * (-1.0) ** n
     return K
+
+
+def laguerre_functions(n: int, x: np.ndarray) -> np.ndarray:
+    """e^(-x/2) L_j(x) for j = 0 .. n, one row each (bounded by 1 for x >= 0), in x's dtype."""
+    out = np.empty((n + 1, len(x)), dtype=x.dtype)
+    out[0] = np.exp(-0.5 * x)
+    out[1] = (1.0 - x) * out[0]
+    for k in range(1, n):
+        out[k + 1] = ((2 * k + 1 - x) * out[k] - k * out[k - 1]) / (k + 1)
+    return out
 
 
 def hermite_transfer_table(d: int, side: str) -> np.ndarray:

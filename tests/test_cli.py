@@ -319,6 +319,15 @@ def test_evolve_rejects_a_negative_frame_count(capsys):
     assert "frame count" in err["error"] and err["context"]["type"] == "ValueError"
 
 
+def test_evolve_stores_the_requested_frames_after_the_initial_one(capsys):
+    """10 steps with --frames 3 store steps 4, 7 and 10; --frames 0 stores the final one only."""
+    base = ["evolve", "--system", "su:2:1", "--state", "spincoherent:0.1,0.6",
+            "--field", "0,0,1", "--t-final", "0.1", "--dt", "0.01"]
+    assert run_cli(capsys, *base, "--frames", "3")["n_frames"] == 4
+    assert run_cli(capsys, *base, "--frames", "0")["n_frames"] == 2
+    assert run_cli(capsys, *base, "--frames", "30")["n_frames"] == 11
+
+
 def test_evolve_refuses_a_billion_frames(capsys, monkeypatch):
     """The frame guard fires before the handler transforms the state or the Hamiltonian."""
     import wignerweyl.commands as commands_module
@@ -438,6 +447,28 @@ def test_figure_data_grid_res_below_two_is_rejected(preset, capsys):
     assert out["n_rows"] == (9 if preset == "hw-cat" else 6)
     if preset == "hw-cat":
         assert out["origin_residual"] < 1e-12
+
+
+_AUTOCORR = ["autocorr", "--system", "su:2:1", "--state", "random:7", "--axis", "theta1"]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    ([*_AUTOCORR, "--samples", "0:1:101"], 101),
+    (["figure-data", "--preset", "spin-cat", "--system", "su:2:1", "--grid-res", "8"], 8 * 15),
+    (["figure-data", "--preset", "ghz5-equal-angle", "--grid-res", "8"], 8 * 15),
+    (["figure-data", "--preset", "hw-cat", "--system", "hw:4", "--grid-res", "10"], 11 * 11),
+], ids=["autocorr", "spin-cat", "ghz5-equal-angle", "hw-cat"])
+def test_row_tables_over_the_node_limit_are_refused_before_allocation(argv, rows, capsys,
+                                                                       monkeypatch):
+    import wignerweyl.measures as measures_module
+
+    monkeypatch.setattr(measures_module, "MAX_NODES", 100)
+    assert run_cli(capsys, *_AUTOCORR, "--samples", "0:1:100")["n_samples"] == 100
+    for name in ("linspace", "meshgrid"):  # neither table is allocated
+        monkeypatch.setattr(np, name, None)
+    err = run_cli_err(capsys, *argv)
+    assert f"asks for {rows} rows (limit 100)" in err["error"]
+    assert err["context"]["type"] == "OverflowError"
 
 
 @pytest.mark.parametrize("command, args", [

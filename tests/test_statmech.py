@@ -441,6 +441,21 @@ def test_cross_correlation_shift_on_a_product_with_a_plane_rule(side):
     assert abs(out.raw_value - window.raw_value) < 1e-10
 
 
+@pytest.mark.parametrize("side", ["wigner", "weyl"])
+def test_cross_correlation_shift_on_a_shared_factor_grid_is_unchanged(side):
+    desc = Composite((SUN(2, 1), SUN(2, 1)))
+    spec = KernelSpec(side, desc)
+    rho = build_state(RandomDensity(5), desc)
+    shared = default_grid(desc, side)
+    apart = product_grid(default_grid(f, side) for f in desc.factors)
+    assert shared.factors[0] is shared.factors[1] and apart.factors[0] is not apart.factors[1]
+    extra = [0.3] if side == "weyl" else []
+    point = _row_point(spec, [0.4, 0.1, *extra, -0.7, 0.25, *extra])
+    out = phase_cross_correlation(phase_function(rho, spec, shared), point)
+    ref = phase_cross_correlation(phase_function(rho, spec, apart), point)
+    assert out.raw_value == ref.raw_value
+
+
 _CROSS_CASES = {
     "su21-wigner": ("wigner", lambda: cp_grid(SUN(2, 1)), (0.7, -0.3)),
     "su23-wigner": ("wigner", lambda: cp_grid(SUN(2, 3)), (0.7, -0.3)),
