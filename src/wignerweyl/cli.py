@@ -29,7 +29,9 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-PRESETS = ("hw-cat", "spin-cat", "ghz5-dicke", "ghz5-equal-angle")
+# figure-data presets: name -> the flags each reads besides --side and --grid-res
+PRESETS = {"hw-cat": ("system", "radius"), "spin-cat": ("system",),
+           "ghz5-dicke": (), "ghz5-equal-angle": ()}
 
 
 def _option(help: str, default=None, **argparse_kw):
@@ -66,7 +68,7 @@ class RunConfig:
     t_final: float | None = _option("final time", type=float)
     dt: float = _option("frame spacing: frames land on multiples of it", 1e-3, type=float)
     frames: int = _option("stored frames after the initial one (0: final one only)", 10, type=int)
-    preset: str | None = _option("data set", choices=PRESETS)
+    preset: str | None = _option("data set", choices=tuple(PRESETS))
     infile: str | None = _option("CSV produced by wigner/weyl")
     out: str | None = None  # a flag of every command; its help comes from Command.out
     seed: int = _option("seed of the random probe operators", 0, type=int)
@@ -78,12 +80,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
+        unknown = set(data) - set(_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 _OUT_HELP = {
     "json": "also write the JSON result to this file",
@@ -153,7 +156,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    flags = {f.name: dict(f.metadata) for f in fields(RunConfig) if f.metadata}
+    flags = {name: dict(f.metadata) for name, f in _FIELDS.items() if f.metadata}
     flags["config"] = {"help": "JSON config file; explicit flags override it"}
     for name, cmd in COMMANDS.items():
         if command is not None and name != command:
@@ -164,6 +167,21 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             # flags left out stay out of the namespace, so config values survive them
             p.add_argument("--" + opt.replace("_", "-"), default=argparse.SUPPRESS, **flags[opt])
     return parser
+
+
+def _config_value(key: str, value):
+    """A config-file value as its flag reads it: through the flag's type, within its choices."""
+    meta = _FIELDS[key].metadata
+    if "type" in meta:
+        try:
+            value = meta["type"](str(value))
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid {meta['type'].__name__} value: "
+                             f"{value!r}") from None
+    if "choices" in meta and value not in meta["choices"]:
+        raise ValueError(f"config key {key!r}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, meta['choices']))})")
+    return value
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -177,12 +195,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(base, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in base.items():
-            if key == "command":
-                continue
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
-            if value is not None:
-                merged[key] = value
+            if key != "command" and value is not None:
+                merged[key] = _config_value(key, value)
     merged.update(explicit)
     return RunConfig.from_dict(merged)
 

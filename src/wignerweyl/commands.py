@@ -17,9 +17,10 @@ import numpy as np
 
 from . import kernels, measures, transforms  # transforms' evolve and reconstruct share names here
 from .algebra import (
-    HW, SUN, Composite, build_generators, diagonal_generator, dimension, generator, is_hermitian,
-    parse_system, trace_norm_constant,
+    HW, SUN, Composite, build_generators, diagonal_generator, dimension, format_system, generator,
+    is_hermitian, parse_system, trace_norm_constant,
 )
+from .cli import PRESETS
 from .kernels import KernelSpec, _factor_specs, _point_row, _row_point, kernel_at, parity
 from .points import CompositePoint
 from .rotations import euler_factor_sequence
@@ -116,12 +117,15 @@ def _parse_point(spec: KernelSpec, text: str):
     return CompositePoint(points) if isinstance(spec.system, Composite) else points[0]
 
 
-def _write_values_csv(path: str, grid, values) -> None:
-    rows = np.concatenate(
-        [grid.coords(), grid.weights()[:, None], values.real[:, None], values.imag[:, None]],
-        axis=1,
-    )
-    write_csv(path, list(grid.column_names) + ["weight", "value_re", "value_im"], rows)
+def _grid_columns(grid) -> dict:
+    """A grid's CSV columns: its coordinates, then the node weight."""
+    return {**dict(zip(grid.column_names, grid.coords().T)), "weight": grid.weights()}
+
+
+def _write_values_csv(path: str, columns: dict, values: np.ndarray, **after) -> None:
+    """CSV of the named columns, then value_re and value_im, then the columns ``after``."""
+    columns = {**columns, "value_re": values.real, "value_im": values.imag, **after}
+    write_csv(path, list(columns), np.stack(list(columns.values()), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +193,7 @@ def sample(cfg, inp: Inputs) -> dict:
         result["trace_oracle"] = trace
         result["origin_residual"] = abs(origin - trace)
     if cfg.out:
-        _write_values_csv(cfg.out, grid, f.values)
+        _write_values_csv(cfg.out, _grid_columns(grid), f.values)
         result["out"] = cfg.out
     return result
 
@@ -349,8 +353,7 @@ def autocorr(cfg, inp: Inputs) -> dict:
         "r0_trace_residual": abs(r0 - complex(np.trace(rho))),
     }
     if cfg.out:
-        rows = np.stack([s, vals.real, vals.imag], axis=1)
-        write_csv(cfg.out, [cfg.axis, "value_re", "value_im"], rows)
+        _write_values_csv(cfg.out, {cfg.axis: s}, vals)
         result["out"] = cfg.out
     else:
         result["values"] = [complex(v) for v in vals]
@@ -411,93 +414,36 @@ def evolve(cfg, inp: Inputs) -> dict:
     }
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
+        columns = _grid_columns(grid)
         for i, (t, vals) in enumerate(zip(res.times, res.frames)):
-            _write_values_csv(os.path.join(cfg.out, f"frame_{i:04d}_t{t:.6f}.csv"), grid, vals)
+            _write_values_csv(os.path.join(cfg.out, f"frame_{i:04d}_t{t:.6f}.csv"), columns, vals)
         result["out"] = cfg.out
     return result
 
 
 # ---------------------------------------------------------------------------
-# figure-data presets
+# figure-data presets: each returns its system, its mesh's CSV columns, the
+# symbols on the mesh and its extra result keys; figure_data does the rest
 
 
-def _sphere_mesh(res: int | None):
+def _sphere_mesh(res: int | None) -> dict:
     """Full-sphere mesh in rotation-parameter coordinates, C order over (phi, theta).
 
     theta in [0, pi/2] covers the sphere: the rotation angle doubles onto the
     colatitude (the lowest-weight state sits at the south pole at theta = 0,
-    the equator is theta = pi/4).
+    the equator is theta = pi/4).  The CSV columns are phi, theta and x, y,
+    the Riemann projection of the lower hemisphere with its boundary at the
+    equator: radius tan(theta), reaching 1 at theta = pi/4, and NaN on rows
+    outside the lower hemisphere.
     """
     n_theta = 61 if res is None else res
     n_phi = 2 * n_theta - 1
     measures._check_nodes(n_theta * n_phi, "figure-data --grid-res", "it")
     theta = np.linspace(0.0, 0.5 * math.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    P, T = np.meshgrid(phi, theta, indexing="ij")
-    return P.reshape(-1), T.reshape(-1)
-
-
-def _stereographic(phi, theta):
-    """Riemann projection of the lower hemisphere, boundary at the equator.
-
-    In rotation-parameter coordinates the projection radius is tan(theta),
-    reaching 1 at the equator theta = pi/4; rows outside the lower
-    hemisphere carry NaN.
-    """
+    phi, theta = (m.reshape(-1) for m in np.meshgrid(phi, theta, indexing="ij"))
     r = np.where(theta <= 0.25 * math.pi + 1e-12, np.tan(theta), np.nan)
-    return r * np.cos(phi), r * np.sin(phi)
-
-
-def _sphere_rows(phi, theta, vals):
-    x, y = _stereographic(phi, theta)
-    return np.stack(
-        [phi, theta, x, y, vals.real, vals.imag, np.abs(vals), np.angle(vals)], axis=1
-    )
-
-
-_SPHERE_HEADER = ["phi", "theta", "x", "y", "value_re", "value_im", "magnitude", "phase"]
-
-
-def _preset_hw_cat(cfg, inp: Inputs) -> dict:
-    desc = inp.desc if cfg.system else HW(40)
-    if not isinstance(desc, HW):
-        raise ValueError("hw-cat preset needs an hw:<n_max> system")
-    R = 6.0 if cfg.radius is None else cfg.radius
-    if not (math.isfinite(R) and R > 0):
-        raise ValueError(f"need a finite radius > 0, got {R}")
-    side = inp.side
-    spec = KernelSpec(side, desc)
-    # three coherent components of radius 3, spaced by 2 pi / 3 from alpha = -3
-    comps = tuple(-3.0 * np.exp(2j * math.pi * k / 3.0) for k in range(3))
-    rho = build_state(HWCat(comps), desc)
-
-    res = 161 if cfg.grid_res is None else cfg.grid_res
-    if res % 2 == 0:
-        res += 1  # keep the alpha = 0 row on the mesh
-    measures._check_nodes(res * res, "figure-data --grid-res", "it")
-    line = np.linspace(-R, R, res)
-    xs, ys = (m.reshape(-1) for m in np.meshgrid(line, line, indexing="ij"))
-    vals = symbols_at(rho, spec, np.stack([xs, ys], axis=1))
-
-    value0 = complex(vals[(len(vals) - 1) // 2])
-    par_diag = np.diag(parity(desc)) if side == "wigner" else np.ones(desc.n_max)
-    oracle0 = complex(np.sum(np.diag(rho) * par_diag))
-    result = {
-        "preset": "hw-cat",
-        "system": f"hw:{desc.n_max}",
-        "side": side,
-        "n_rows": len(vals),
-        "value_at_origin": value0,
-        "direct_trace_oracle": oracle0,
-        "origin_residual": abs(value0 - oracle0),
-    }
-    if cfg.out:
-        rows = np.stack(
-            [xs, ys, vals.real, vals.imag, np.abs(vals), np.angle(vals)], axis=1
-        )
-        write_csv(cfg.out, ["re", "im", "value_re", "value_im", "magnitude", "phase"], rows)
-        result["out"] = cfg.out
-    return result
+    return {"phi": phi, "theta": theta, "x": r * np.cos(phi), "y": r * np.sin(phi)}
 
 
 def _sphere_spec(side: str, desc: SUN) -> KernelSpec:
@@ -505,71 +451,83 @@ def _sphere_spec(side: str, desc: SUN) -> KernelSpec:
     return KernelSpec(side, desc) if side == "wigner" else KernelSpec("weyl", desc, "arecchi")
 
 
-def _preset_spin_cat(cfg, inp: Inputs) -> dict:
+def _hw_cat(cfg, inp: Inputs):
+    desc = inp.desc if cfg.system else HW(40)
+    if not isinstance(desc, HW):
+        raise ValueError("hw-cat preset needs an hw:<n_max> system")
+    R = 6.0 if cfg.radius is None else cfg.radius
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"need a finite radius > 0, got {R}")
+    res = 161 if cfg.grid_res is None else cfg.grid_res
+    if res % 2 == 0:
+        res += 1  # keep the alpha = 0 row on the mesh
+    measures._check_nodes(res * res, "figure-data --grid-res", "it")
+    line = np.linspace(-R, R, res)
+    xs, ys = (m.reshape(-1) for m in np.meshgrid(line, line, indexing="ij"))
+    # three coherent components of radius 3, spaced by 2 pi / 3 from alpha = -3
+    comps = tuple(-3.0 * np.exp(2j * math.pi * k / 3.0) for k in range(3))
+    rho = build_state(HWCat(comps), desc)
+    vals = symbols_at(rho, KernelSpec(inp.side, desc), np.stack([xs, ys], axis=1))
+    value0 = complex(vals[(len(vals) - 1) // 2])
+    par_diag = np.diag(parity(desc)) if inp.side == "wigner" else np.ones(desc.n_max)
+    oracle0 = complex(np.sum(np.diag(rho) * par_diag))
+    return desc, {"re": xs, "im": ys}, vals, {
+        "value_at_origin": value0,
+        "direct_trace_oracle": oracle0,
+        "origin_residual": abs(value0 - oracle0),
+    }
+
+
+def _spin_cat(cfg, inp: Inputs):
     desc = inp.desc if cfg.system else SUN(2, 80)
     if not isinstance(desc, SUN) or desc.N != 2:
         raise ValueError("spin-cat preset needs an su:2:M system")
-    side = inp.side
+    mesh = _sphere_mesh(cfg.grid_res)
     orientations = tuple((k * math.pi / 3.0, math.pi / 10.0) for k in range(3))
     rho = build_state(SpinCat(orientations), desc)
-
-    phi, theta = _sphere_mesh(cfg.grid_res)
-    vals = symbols_at(rho, _sphere_spec(side, desc), np.stack([phi, theta], axis=1))
-
-    result = {
-        "preset": "spin-cat",
-        "system": f"su:2:{desc.M}",
-        "side": side,
-        "n_rows": len(vals),
-        "weyl_slice": "Phi = -phi" if side == "weyl" else None,
-    }
-    if cfg.out:
-        write_csv(cfg.out, _SPHERE_HEADER, _sphere_rows(phi, theta, vals))
-        result["out"] = cfg.out
-    return result
+    vals = symbols_at(rho, _sphere_spec(inp.side, desc),
+                      np.stack([mesh["phi"], mesh["theta"]], axis=1))
+    return desc, mesh, vals, {"weyl_slice": "Phi = -phi" if inp.side == "weyl" else None}
 
 
-def _preset_ghz5(cfg, inp: Inputs, flavor: str) -> dict:
+def _ghz5(cfg, inp: Inputs, dicke: bool):
     side = inp.side
-    phi, theta = _sphere_mesh(cfg.grid_res)
-    if flavor == "dicke":
+    mesh = _sphere_mesh(cfg.grid_res)
+    rows = [mesh["phi"], mesh["theta"]]
+    if dicke:
         desc = SUN(2, 5)
-        spec, rows = _sphere_spec(side, desc), [phi, theta]
+        spec = _sphere_spec(side, desc)
     else:
         desc = Composite(tuple(SUN(2, 1) for _ in range(5)))
         # every factor sits at the same (phi, theta); the Weyl slice is Phi = -phi
         spec = KernelSpec(side, desc)
-        rows = ([phi, theta] if side == "wigner" else [phi, theta, -phi]) * 5
+        rows = (rows if side == "wigner" else [*rows, -mesh["phi"]]) * 5
     rho = build_state(parse_state("ghz", desc), desc)
     vals = symbols_at(rho, spec, np.stack(rows, axis=1))
-
-    result = {
-        "preset": f"ghz5-{flavor}",
-        "system": "su:2:5" if flavor == "dicke" else "*".join(["su:2:1"] * 5),
-        "side": side,
-        "n_rows": len(phi),
-        "slice": "equal-angle" + (", Phi = -phi" if side == "weyl" else ""),
-    }
-    if cfg.out:
-        write_csv(cfg.out, _SPHERE_HEADER, _sphere_rows(phi, theta, vals))
-        result["out"] = cfg.out
-    return result
+    return desc, mesh, vals, {"slice": "equal-angle" + (", Phi = -phi" if side == "weyl" else "")}
 
 
-PRESETS = {
-    "hw-cat": _preset_hw_cat,
-    "spin-cat": _preset_spin_cat,
-    "ghz5-dicke": partial(_preset_ghz5, flavor="dicke"),
-    "ghz5-equal-angle": partial(_preset_ghz5, flavor="equal-angle"),
-}
-# the flags besides --side and --grid-res that each preset reads
-PRESET_READS = {"hw-cat": ("system", "radius"), "spin-cat": ("system",)}
+# the data function of every preset in cli.PRESETS
+_PRESET_DATA = {"hw-cat": _hw_cat, "spin-cat": _spin_cat,
+                "ghz5-dicke": partial(_ghz5, dicke=True),
+                "ghz5-equal-angle": partial(_ghz5, dicke=False)}
 
 
 def figure_data(cfg, inp: Inputs) -> dict:
     for name in ("system", "radius"):
-        if getattr(cfg, name) is not None and name not in PRESET_READS.get(cfg.preset, ()):
+        if getattr(cfg, name) is not None and name not in PRESETS[cfg.preset]:
             raise ValueError(f"figure-data --preset {cfg.preset} does not read --{name}")
     if cfg.grid_res is not None and cfg.grid_res < 2:
         raise ValueError(f"figure-data --grid-res must be at least 2, got {cfg.grid_res}")
-    return PRESETS[cfg.preset](cfg, inp)
+    desc, columns, vals, extra = _PRESET_DATA[cfg.preset](cfg, inp)
+    result = {
+        "preset": cfg.preset,
+        "system": format_system(desc),
+        "side": inp.side,
+        "n_rows": len(vals),
+        **extra,
+    }
+    if cfg.out:
+        _write_values_csv(cfg.out, columns, vals, magnitude=np.abs(vals), phase=np.angle(vals))
+        result["out"] = cfg.out
+    return result

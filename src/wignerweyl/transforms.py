@@ -21,7 +21,7 @@ tensor mesh through the same pieces, built from its per-axis nodes (an
 oscillator factor's ``Window`` at any cutoff), and a single row or any other
 table through per-row partial traces, factor by factor (an oscillator factor's
 kernels take their radial factors once per distinct radius of a block of rows).
-``symbol_at`` traces one ``kernel_at`` row.  Every route evaluates kernels
+``symbol_at`` is one such row.  Every route evaluates kernels
 through ``kernels._kernels`` or its pieces; the independent constructions
 they are tested against, the literal triple-kernel star product among them,
 live in the tests.
@@ -41,8 +41,8 @@ from .algebra import (
 )
 from .kernels import (
     WEYL, WIGNER, KernelSpec, Pieces, Polar, Window, _blocks, _check_grid, _check_width,
-    _diagonals, _factor_specs, _kernel_blocks, _row_kernels, _split, _width, kernel_at,
-    kernel_pieces,
+    _diagonals, _factor_specs, _grid_manifold, _kernel_blocks, _point_row, _row_kernels, _split,
+    _width, kernel_at, kernel_pieces,
 )
 from .measures import QuadratureGrid, cp_grid, hw_grid, plane_grid, product_grid, sun_grid
 from .points import CPPoint, EulerPoint, HWPoint, PhasePoint
@@ -253,8 +253,8 @@ def phase_function(A: np.ndarray, spec: KernelSpec, grid: QuadratureGrid) -> Pha
 
 
 def symbol_at(A: np.ndarray, spec: KernelSpec, point: PhasePoint) -> complex:
-    """Forward transform at a single explicit point (no grid)."""
-    return complex(np.trace(_operator(A, spec) @ kernel_at(spec, point)))
+    """Forward transform at a single explicit point (no grid): one row of ``symbols_at``."""
+    return complex(symbols_at(A, spec, np.array([_point_row(spec, point)]))[0])
 
 
 def _mesh(coords: np.ndarray) -> list[np.ndarray] | None:
@@ -573,28 +573,28 @@ def default_grid(desc: SystemDescriptor, side: str, resolution: int | None = Non
     least odd count at or above both it and its default.  Identical factors
     of a composite share one factor grid, and so its cached kernel pieces.
     """
-    if isinstance(desc, HW):
-        if resolution is None:
-            if radius is not None:
-                raise ValueError("an oscillator window radius needs a resolution (--grid-res)")
-            return plane_grid(desc, side)
-        root = math.sqrt(desc.n_max)
-        default_radius = root + 3.0 if side == WIGNER else 2.0 * root + 3.0
-        return hw_grid(desc, radius if radius is not None else default_radius, resolution)
-    if isinstance(desc, SUN):
-        if side == WIGNER:
-            return cp_grid(desc, resolution)
-        return sun_grid(desc, resolution)
-    grids = {f: default_grid(f, side, resolution, radius) for f in dict.fromkeys(desc.factors)}
-    return product_grid(tuple(grids[f] for f in desc.factors))
+    return _family_grid(KernelSpec(side, desc), resolution, radius)
 
 
 def _family_grid(spec: KernelSpec, resolution: int | None = None,
                  radius: float | None = None) -> QuadratureGrid:
-    """``default_grid`` of the spec's kernels, or the CP grid for the two-angle arecchi family."""
-    if spec.rotation == "arecchi":
-        return cp_grid(spec.system, resolution)
-    return default_grid(spec.system, spec.side, resolution, radius)
+    """The natural grid of the spec's kernels, built for the manifold ``_grid_manifold`` names."""
+    desc, manifold = spec.system, _grid_manifold(spec)
+    if manifold == "CP":
+        return cp_grid(desc, resolution)
+    if manifold == "SUN":
+        return sun_grid(desc, resolution)
+    if manifold == "PRODUCT":
+        subs = _factor_specs(spec)
+        grids = {sub: _family_grid(sub, resolution, radius) for sub in dict.fromkeys(subs)}
+        return product_grid(tuple(grids[sub] for sub in subs))
+    if resolution is None:
+        if radius is not None:
+            raise ValueError("an oscillator window radius needs a resolution (--grid-res)")
+        return plane_grid(desc, spec.side)
+    root = math.sqrt(desc.n_max)
+    default_radius = root + 3.0 if spec.side == WIGNER else 2.0 * root + 3.0
+    return hw_grid(desc, radius if radius is not None else default_radius, resolution)
 
 
 def _random_hermitian(d: int, rng) -> np.ndarray:

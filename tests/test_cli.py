@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from wignerweyl import build_state, parse_state, parse_system
-from wignerweyl.cli import COMMANDS, RunConfig, main
+from wignerweyl.cli import COMMANDS, PRESETS, RunConfig, main
 from wignerweyl.serialize import matrix_to_json
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -436,7 +436,7 @@ def test_figure_data_rejects_flags_the_preset_does_not_read(preset, flag, value,
     assert payload["error"] == f"figure-data --preset {preset} does not read {flag}"
 
 
-@pytest.mark.parametrize("preset", ["hw-cat", "spin-cat", "ghz5-dicke", "ghz5-equal-angle"])
+@pytest.mark.parametrize("preset", PRESETS)
 def test_figure_data_grid_res_below_two_is_rejected(preset, capsys):
     for res in ("0", "-3", "1"):
         payload = run_cli_err(capsys, "figure-data", "--preset", preset, "--grid-res", res)
@@ -544,6 +544,35 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     payload = run_cli_err(capsys, "partition", "--config", str(cfgfile))
     assert "betaa" in payload["error"]
     assert payload["context"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("figure-data", {"preset": "nope"},
+     "config key 'preset': invalid choice: 'nope' (choose from 'hw-cat', 'spin-cat', "
+     "'ghz5-dicke', 'ghz5-equal-angle')"),
+    ("evolve", {"frames": "ten"}, "config key 'frames': invalid int value: 'ten'"),
+    ("evolve", {"frames": 2.5}, "config key 'frames': invalid int value: 2.5"),
+    ("verify", {"side": ["weyl"]},
+     "config key 'side': invalid choice: ['weyl'] (choose from 'wigner', 'weyl')"),
+], ids=["preset-choice", "frames-text", "frames-float", "side-list"])
+def test_config_values_pass_the_flags_type_and_choices(command, config, message, tmp_path,
+                                                       capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps(config))
+    payload = run_cli_err(capsys, command, "--config", str(cfgfile))
+    assert payload["error"] == message
+    assert payload["context"]["type"] == "ValueError"
+
+
+def test_config_values_are_read_as_their_flags_text(tmp_path, capsys):
+    """A saved config of another command loads: keys the command does not read are accepted."""
+    saved = RunConfig(command="evolve", system="su:2:1", state="random:3", t_final=0.5,
+                      grid_res=3, side="weyl")
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({**saved.to_dict(), "frames": "1"}))
+    flags = ["--system", "su:2:1", "--state", "random:3", "--side", "weyl", "--grid-res", "3"]
+    assert run_cli(capsys, "crosscorr", "--config", str(cfgfile)) == \
+        run_cli(capsys, "crosscorr", *flags)
 
 
 def test_the_quadrature_level_is_not_an_option(tmp_path, capsys):
@@ -707,6 +736,28 @@ def test_every_accepted_flag_changes_the_result(command, opt, run_in):
     base = run_in("base", argv)
     assert base[0] == 0, base[2]
     assert run_in("variant", [*argv, _flag(opt), FLAG_VALUE[opt]]) != base
+
+
+def test_every_preset_has_a_data_function():
+    from wignerweyl.commands import _PRESET_DATA
+
+    assert list(_PRESET_DATA) == list(PRESETS)
+
+
+# the value each flag takes in a preset's variant run
+PRESET_FLAG_VALUE = {("hw-cat", "system"): "hw:6", ("spin-cat", "system"): "su:2:2",
+                     "radius": "3", "side": "weyl", "grid_res": "7"}
+
+
+@pytest.mark.parametrize("preset,opt", [(preset, opt) for preset, reads in PRESETS.items()
+                                        for opt in (*reads, "side", "grid_res")])
+def test_every_flag_a_preset_reads_changes_its_output(preset, opt, run_in):
+    """cli.PRESETS names what a preset reads: each of those flags changes its CSV or result."""
+    argv = ["figure-data", "--preset", preset, "--grid-res", "5", "--out", "f.csv"]
+    base = run_in("base", argv)
+    assert base[0] == 0, base[2]
+    value = PRESET_FLAG_VALUE.get((preset, opt), PRESET_FLAG_VALUE.get(opt))
+    assert run_in("variant", [*argv, _flag(opt), value]) != base
 
 
 def test_evolve_refuses_a_grid_that_misses_the_round_trip(run_in):

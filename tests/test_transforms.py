@@ -12,6 +12,7 @@ from wignerweyl import (
     HW,
     SUN,
     Composite,
+    CompositePoint,
     CPPoint,
     EulerPoint,
     HWPoint,
@@ -115,6 +116,28 @@ def test_symbol_at_matches_grid_values():
     f = phase_function(A, spec, grid)
     for i in (0, 3, 5):
         assert abs(symbol_at(A, spec, grid.point(i)) - f.values[i]) < 1e-12
+
+
+@pytest.mark.parametrize("spec,point", [
+    (KernelSpec("wigner", SUN(3, 2)), CPPoint((0.4, -1.1), (0.3, 0.9))),
+    (KernelSpec("weyl", SUN(2, 3), "arecchi"), CPPoint((0.7,), (0.2,))),
+    (KernelSpec("weyl", HW(6)), HWPoint(0.4 - 0.3j)),
+    (KernelSpec("wigner", Composite((SUN(2, 1), HW(4)))),
+     CompositePoint((CPPoint((0.2,), (0.6,)), HWPoint(-0.5 + 0.1j)))),
+    (KernelSpec("weyl", Composite((HW(3), SUN(2, 2)))),
+     CompositePoint((HWPoint(0.3j), EulerPoint((0.3,), (0.5,), (-0.2,))))),
+], ids=["cp-su32", "arecchi-su23", "weyl-hw6", "wigner-su21-hw4", "weyl-hw3-su22"])
+def test_symbol_at_is_one_row_of_symbols_at(spec, point, monkeypatch):
+    """The traced kernel, without forming it: no kernel_at call, no Kronecker product."""
+    A = _hermitian(dimension(spec.system), 12)
+    want = np.trace(A @ kernel_at(spec, point))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("kernel_at was called")
+
+    monkeypatch.setattr(kernels_module, "kernel_at", fail)
+    monkeypatch.setattr(transforms_module, "kernel_at", fail)
+    assert abs(symbol_at(A, spec, point) - want) < 1e-12
 
 
 @pytest.mark.parametrize("A", [np.eye(3), np.ones(2), np.eye(2)[None]],
@@ -628,6 +651,13 @@ def test_default_grid_shapes():
     gc = default_grid(comp, "wigner")
     assert gc.manifold == "PRODUCT"
     assert gc.column_names == ("f1_phi1", "f1_theta1", "f2_re", "f2_im")
+
+
+@pytest.mark.parametrize("desc", [HW(4), SUN(2, 1), SUN(3, 1), Composite((SUN(2, 1), HW(6))),
+                                  Composite((SUN(2, 1), SUN(2, 1)))], ids=str)
+def test_default_grid_refuses_a_misspelled_side(desc):
+    with pytest.raises(ValueError, match="side must be 'wigner' or 'weyl', got 'wignr'"):
+        default_grid(desc, "wignr")
 
 
 @pytest.mark.parametrize("n", sorted(_PLANE_RADII))
